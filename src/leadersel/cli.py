@@ -277,9 +277,11 @@ def _cmd_select(args) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     gf = _load_graph(args.graph)
-    gains = _parse_gains(args, gf)
-    context = SystemContext(graph=gf.graph, kappa=gf.kappa, gains=gains)
-    payload: dict = {"order": args.order, "gains": list(gains.values)}
+    if args.auto_gains:
+        context = SystemContext.auto(gf.graph, gf.kappa, args.order)
+    else:
+        context = SystemContext(graph=gf.graph, kappa=gf.kappa, gains=_parse_gains(args, gf))
+    payload: dict = {"order": args.order, "gains": list(context.gains.values)}
 
     def labelled(result) -> dict:
         data = result.to_dict()

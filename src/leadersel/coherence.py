@@ -19,7 +19,7 @@ value, so f is nonnegative, nondecreasing, and submodular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal
 
@@ -28,13 +28,14 @@ import numpy as np
 from .errors import (
     EmptyLeaderSetError,
     PreconditionViolatedError,
+    SingularUpdateError,
     UnstableSystemError,
     UnsupportedOrderError,
 )
 from .graphs import Graph, KappaWeights, LeaderSet, laplacian
 from .linalg import DEFAULT_TOLS, Tolerances, lyapunov_solve, sym_eigenvalues
-from .stability import build_state_matrices, check_stability, report_for
-from .system import GainVector, GroundedSystem, grounded_matrix
+from .stability import auto_gains, build_state_matrices, check_stability, report_for
+from .system import GainVector, GroundedSystem, grounded_matrix, singleton_spectra
 
 Method = Literal["closed_eig", "closed_inv", "lyapunov", "simulation"]
 
@@ -134,6 +135,68 @@ def normalized_from_inverses(
     raise UnsupportedOrderError(f"order {m} not supported")
 
 
+def normalized_after_rank_one(
+    gains: GainVector,
+    inv: np.ndarray,
+    shifted_inv: np.ndarray | None,
+    kappa: np.ndarray,
+    candidates: np.ndarray,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> np.ndarray:
+    """rho * H(S + v) for every node v, from M = Q_S^-1 and S = (c Q_S - I)^-1.
+
+    Adding leader v updates M' = M - alpha_v M e_v e_v^T M with
+    alpha_v = kappa_v / (1 + kappa_v M_vv), and S the same way with
+    beta_v = c kappa_v / (1 + c kappa_v S_vv).  The traces then change by
+    closed forms in a few diagonals:
+
+      tr M'       = tr M - alpha_v (M^2)_vv
+      ||M'||^2    = ||M||^2 - 2 alpha_v (M^3)_vv + alpha_v^2 (M^2)_vv^2
+      <M', S'>    = <M, S> - alpha_v (MSM)_vv - beta_v (SMS)_vv
+                    + alpha_v beta_v (MS)_vv^2
+
+    so one round scores all candidates with one matrix product.  Raises
+    SingularUpdateError when a candidate's update denominator is at or
+    below ``rank_one_denominator_min``, as ``sherman_morrison_update``
+    would.  Entries of non-candidates are not meaningful.
+    """
+
+    def coefficient(scale: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        denom = 1.0 + scale * diag
+        low = candidates & (denom <= tols.rank_one_denominator_min)
+        if low.any():
+            raise SingularUpdateError(
+                f"update denominator {denom[low].min()} at or below tolerance"
+            )
+        return scale / denom
+
+    m = gains.m
+    alpha = coefficient(kappa, np.diagonal(inv))
+    sq_diag = np.einsum("ij,ij->j", inv, inv)  # (M^2)_vv
+    if m == 1:
+        return np.trace(inv) - alpha * sq_diag
+    if m in (2, 4):
+        cube_diag = np.einsum("ij,ij->j", inv @ inv, inv)  # (M^3)_vv
+        second = np.sum(inv * inv) - 2.0 * alpha * cube_diag + alpha**2 * sq_diag**2
+        if m == 2:
+            return second
+    if shifted_inv is None:
+        raise UnsupportedOrderError(f"order {m} needs the shifted inverse")
+    c = shift_coefficient(gains)
+    beta = coefficient(c * kappa, np.diagonal(shifted_inv))
+    prod = inv @ shifted_inv  # MS; SM is its transpose
+    third = (
+        np.sum(inv * shifted_inv)
+        - alpha * np.einsum("ij,ji->i", prod, inv)  # (MSM)_vv
+        - beta * np.einsum("ij,ij->j", prod, shifted_inv)  # (SMS)_vv
+        + alpha * beta * np.diagonal(prod) ** 2
+    )
+    if m == 3:
+        return third
+    _, b2 = fourth_order_coefficients(gains)
+    return second + b2 * third
+
+
 def _require_evaluable(system: GroundedSystem, tols: Tolerances) -> None:
     if not system.leaders.members:
         raise EmptyLeaderSetError("coherence needs a nonempty leader set")
@@ -227,14 +290,25 @@ def coherence_lyapunov_oracle(
 class SystemContext:
     """Fixed (graph, kappa, gains) with cached selection machinery.
 
-    Caches the per-singleton normalized coherences and the surrogate
-    offset constant C = 2 * max over single leaders, which every
-    set-function evaluation reuses.
+    Caches the per-singleton spectra, normalized coherences and the
+    surrogate offset constant C = 2 * max over single leaders, which
+    every set-function evaluation reuses.  ``spectra`` takes
+    ``singleton_spectra(graph, kappa)`` when the caller already holds it
+    (see ``auto``); otherwise it is computed on first use.
     """
 
     graph: Graph
     kappa: KappaWeights
     gains: GainVector
+    spectra: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def auto(cls, graph: Graph, kappa: KappaWeights, m: int) -> "SystemContext":
+        """Context with ``auto_gains``; the gain rule and the context share
+        one singleton eigensolve pass."""
+        spectra = singleton_spectra(graph, kappa)
+        gains = auto_gains(graph, kappa, m, spectra=spectra)
+        return cls(graph=graph, kappa=kappa, gains=gains, spectra=spectra)
 
     @property
     def n(self) -> int:
@@ -262,11 +336,15 @@ class SystemContext:
         return q
 
     @cached_property
+    def singleton_spectra(self) -> np.ndarray:
+        """Ascending eigenvalues of Q_v, one row per single leader v."""
+        if self.spectra is not None:
+            return self.spectra
+        return singleton_spectra(self.graph, self.kappa)
+
+    @cached_property
     def singleton_lambda_mins(self) -> tuple[float, ...]:
-        out = []
-        for v in range(self.n):
-            out.append(sym_eigenvalues(self.grounded([v])).smallest)
-        return tuple(out)
+        return tuple(self.singleton_spectra[:, 0].tolist())
 
     @cached_property
     def binding_report(self):
@@ -296,7 +374,9 @@ class SystemContext:
     @cached_property
     def singleton_normalized(self) -> tuple[float, ...]:
         self.ensure_stable()
-        return tuple(self.normalized_coherence([v]) for v in range(self.n))
+        return tuple(
+            normalized_eigenvalue_terms(self.gains, lams) for lams in self.singleton_spectra
+        )
 
     @cached_property
     def offset(self) -> float:

@@ -27,7 +27,6 @@ from .coherence import SystemContext
 from .errors import SchemaError
 from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_example, unit_kappa
 from .selection import certify_bound, exhaustive_select
-from .stability import auto_gains
 from .system import GainVector
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
@@ -87,15 +86,17 @@ def derive_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def gains_for(config: ExperimentConfig, graph, kappa, m: int) -> GainVector:
+def context_for(config: ExperimentConfig, graph, kappa, m: int) -> SystemContext:
+    """Selection context with the configured gain rule for order m."""
     if config.gain_rule == "auto":
-        return auto_gains(graph, kappa, m)
+        return SystemContext.auto(graph, kappa, m)
     if isinstance(config.gain_rule, dict):
         try:
             raw = config.gain_rule[str(m)]
         except KeyError as exc:
             raise SchemaError(f"gain_rule has no entry for order {m}") from exc
-        return GainVector(tuple(float(a) for a in raw))
+        gains = GainVector(tuple(float(a) for a in raw))
+        return SystemContext(graph=graph, kappa=kappa, gains=gains)
     raise SchemaError(f"gain_rule must be 'auto' or a mapping, got {config.gain_rule!r}")
 
 
@@ -121,9 +122,8 @@ def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
         kappa = unit_kappa(config.n)
         meta = _TrialData(seed=trial_seed, resamples=resamples)
         for m in config.orders:
-            gains = gains_for(config, graph, kappa, m)
-            meta.gains[str(m)] = list(gains.values)
-            context = SystemContext(graph=graph, kappa=kappa, gains=gains)
+            context = context_for(config, graph, kappa, m)
+            meta.gains[str(m)] = list(context.gains.values)
             for k in range(1, config.k_max + 1):
                 if metric == "optimal_h":
                     value = exhaustive_select(context, k).h_values[-1]
@@ -160,9 +160,8 @@ def _run_singleton_table(config: ExperimentConfig, out: Path, gf: GraphFile) -> 
     gains_used: dict[str, list[float]] = {}
     argmin: dict[str, int] = {}
     for m in config.orders:
-        gains = gains_for(config, graph, kappa, m)
-        gains_used[str(m)] = list(gains.values)
-        context = SystemContext(graph=graph, kappa=kappa, gains=gains)
+        context = context_for(config, graph, kappa, m)
+        gains_used[str(m)] = list(context.gains.values)
         best = exhaustive_select(context, 1)
         for v in range(graph.n):
             rows.append(f"{gf.to_label(v)},{m},{context.coherence([v])!r}")

@@ -135,11 +135,16 @@ def build_graph(n: int, edges: Sequence[tuple[int, int, float]]) -> Graph:
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian: degree on the diagonal, -w on edges."""
     lap = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        lap[u, v] -= w
-        lap[v, u] -= w
-        lap[u, u] += w
-        lap[v, v] += w
+    table = np.array(g.edges, dtype=float).reshape(-1, 3)
+    ends = table[:, :2].astype(np.intp)
+    weights = table[:, 2]
+    lap[ends[:, 0], ends[:, 1]] = -weights
+    lap[ends[:, 1], ends[:, 0]] = -weights
+    # bincount adds in index order: each degree is summed in edge order,
+    # exactly as an edge-by-edge loop would
+    lap[np.diag_indices(g.n)] = np.bincount(
+        ends.ravel(), weights=np.repeat(weights, 2), minlength=g.n
+    )
     return lap
 
 
@@ -172,11 +177,9 @@ def erdos_renyi(n: int, p: float, seed: int, weight: float = 1.0) -> Graph:
     if n < 1:
         raise NodeOutOfRangeError("node count must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    edges: list[tuple[int, int, float]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, weight))
+    rows, cols = np.triu_indices(n, 1)  # pairs in lexicographic order
+    keep = rng.random(n * (n - 1) // 2) < p
+    edges = [(i, j, weight) for i, j in zip(rows[keep].tolist(), cols[keep].tolist())]
     return build_graph(n, edges)
 
 

@@ -7,7 +7,8 @@ anywhere in the package live in the ``Tolerances`` record below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,14 +48,25 @@ DEFAULT_TOLS = Tolerances()
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix."""
+    """Ascending eigenvalues of a symmetric matrix; eigenvectors on demand.
+
+    Production code reads only eigenvalues, so the orthonormal
+    eigenvectors are computed (by a separate ``eigh``) only when read.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    matrix: np.ndarray = field(compare=False, repr=False)
 
     @property
     def smallest(self) -> float:
         return float(self.eigenvalues[0])
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        try:
+            return np.linalg.eigh(self.matrix)[1]
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise EigenFailureError(str(exc)) from exc
 
 
 def _require_symmetric(m: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -68,13 +80,13 @@ def _require_symmetric(m: np.ndarray, tols: Tolerances) -> np.ndarray:
 
 
 def sym_eigenvalues(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+    """Eigenvalues of a symmetric matrix, ascending."""
     m = _require_symmetric(m, tols)
     try:
-        values, vectors = np.linalg.eigh(m)
+        values = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenFailureError(str(exc)) from exc
-    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
+    return SpectralDecomposition(eigenvalues=values, matrix=m)
 
 
 def spd_solve(m: np.ndarray, rhs: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -110,6 +122,26 @@ def sherman_morrison_update(
         raise SingularUpdateError(f"update denominator {denom} at or below tolerance")
     col = inv[:, index]
     return inv - (scale / denom) * np.outer(col, col)
+
+
+def check_inverse(
+    m: np.ndarray,
+    inv: np.ndarray,
+    what: str,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> None:
+    """Raise SingularUpdateError unless ||M inv - I||_F <= inverse_residual_per_n * n.
+
+    Guards inverses maintained by rank-one updates against drift: a
+    drifted inverse is refused, never returned.
+    """
+    n = m.shape[0]
+    residual = float(np.linalg.norm(m @ inv - np.eye(n)))
+    if not residual <= tols.inverse_residual_per_n * n:
+        raise SingularUpdateError(
+            f"{what} drifted: residual {residual:.3e} exceeds "
+            f"{tols.inverse_residual_per_n:.1e} * n (n={n})"
+        )
 
 
 def lyapunov_solve(

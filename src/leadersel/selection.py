@@ -5,10 +5,13 @@ nondecreasing and submodular, the greedy value is within a factor
 (1 - 1/e) of optimal; equivalently
 H(S_greedy) <= C/(rho e) + (1 - 1/e) H(S_opt).
 
-Iteration 1 evaluates every singleton by direct factorization.  Later
-iterations keep Q_S^-1 (and, for orders 3-4, the shifted inverse
-(c Q_S - I)^-1) up to date with rank-one updates, so each candidate's
-marginal costs O(n^2) and the whole run O(k n^3).
+Iteration 1 reads every singleton from the context's one pass of
+singleton eigensolves.  Later iterations keep Q_S^-1 (and, for orders
+3-4, the shifted inverse (c Q_S - I)^-1) and score every candidate at
+once in closed form from a few diagonals of their products; only the
+chosen node's rank-one update is applied.  Each round costs O(n^3) and
+the whole run O(k n^3).  At the end the maintained inverses are checked
+against the grounded matrix, so rank-one drift is refused, not returned.
 """
 
 from __future__ import annotations
@@ -21,13 +24,20 @@ import numpy as np
 
 from .coherence import (
     SystemContext,
+    normalized_after_rank_one,
     normalized_eigenvalue_terms,
-    normalized_from_inverses,
     shift_coefficient,
     trace_normalizer,
 )
 from .errors import CombinatorialCapError, UnstableGainsError
-from .linalg import DEFAULT_TOLS, Tolerances, sherman_morrison_update, spd_inverse, sym_eigenvalues
+from .linalg import (
+    DEFAULT_TOLS,
+    Tolerances,
+    check_inverse,
+    sherman_morrison_update,
+    spd_inverse,
+    sym_eigenvalues,
+)
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,7 @@ def greedy_select(
     gains = context.gains
     rho = trace_normalizer(gains)
     c_shift = shift_coefficient(gains)
-    kappa = context.kappa.values
+    kappa = context.kappa.as_array()
     offset = context.offset
 
     evaluations = n
@@ -124,43 +134,50 @@ def greedy_select(
 
     inv = None
     shifted_inv = None
-    if incremental and k > 1:
+    incremental = incremental and k > 1
+    if incremental:
         q = context.grounded(chosen)
         inv = spd_inverse(q, tols)
         if c_shift is not None:
             shifted_inv = spd_inverse(c_shift * q - np.eye(n), tols)
+        candidates = np.ones(n, dtype=bool)
+        candidates[best_v] = False
 
     members = set(chosen)
     while len(chosen) < min(k, n):
-        best = None  # (f, v, trial_inv, trial_shifted)
+        if incremental:
+            scores = normalized_after_rank_one(
+                gains, inv, shifted_inv, kappa, candidates, tols
+            ).tolist()
+        best = None  # (f, v, norm)
         for v in range(n):
             if v in members:
                 continue
             if incremental:
-                trial_inv = sherman_morrison_update(inv, v, kappa[v], tols)
-                trial_shifted = (
-                    sherman_morrison_update(shifted_inv, v, c_shift * kappa[v], tols)
-                    if c_shift is not None
-                    else None
-                )
-                norm = normalized_from_inverses(gains, trial_inv, trial_shifted)
+                norm = scores[v]
             else:
-                trial_inv = trial_shifted = None
                 norm = context.normalized_coherence(members | {v})
             evaluations += 1
             f_v = offset - norm
             if best is None or f_v > best[0] + _tie_eps(best[0], tols):
-                best = (f_v, v, trial_inv, trial_shifted, norm)
+                best = (f_v, v, norm)
         if best is None or best[0] - f_values[-1] <= tols.greedy_improvement:
             break
-        f_v, v, trial_inv, trial_shifted, norm = best
+        f_v, v, norm = best
         members.add(v)
         chosen.append(v)
         f_values.append(float(f_v))
         h_values.append(float(norm / rho))
         if incremental:
-            inv = trial_inv
-            shifted_inv = trial_shifted
+            candidates[v] = False
+            inv = sherman_morrison_update(inv, v, kappa[v], tols)
+            if c_shift is not None:
+                shifted_inv = sherman_morrison_update(shifted_inv, v, c_shift * kappa[v], tols)
+    if incremental:
+        q = context.grounded(chosen)
+        check_inverse(q, inv, "Q_S^-1", tols)
+        if c_shift is not None:
+            check_inverse(c_shift * q - np.eye(n), shifted_inv, "(c Q_S - I)^-1", tols)
     return SelectionResult(
         m=gains.m,
         chosen=tuple(chosen),

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EigenFailureError, UnsupportedOrderError
 from .graphs import Graph, KappaWeights, LeaderSet
 from .linalg import DEFAULT_TOLS, Tolerances, sym_eigenvalues
-from .system import GainVector, GroundedSystem, grounded_matrix
+from .system import GainVector, GroundedSystem, grounded_matrix, singleton_spectra
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,11 @@ def spectral_stability_oracle(
 
 
 def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:
-    """Smallest grounded eigenvalue for each single-leader choice."""
+    """Smallest grounded eigenvalue for each single-leader choice.
+
+    Independent per-node reference for ``singleton_spectra``, which the
+    gain rule and the selection machinery use.
+    """
     out = []
     for v in range(graph.n):
         q = grounded_matrix(graph, kappa, LeaderSet.of([v]))
@@ -244,6 +248,7 @@ def auto_gains(
     kappa: KappaWeights,
     m: int,
     tols: Tolerances = DEFAULT_TOLS,
+    spectra: np.ndarray | None = None,
 ) -> GainVector:
     """Pick gains that stabilise every nonempty leader set.
 
@@ -254,10 +259,15 @@ def auto_gains(
     closed-form margin.  For m = 4 equal gains can never be stable, so
     the recipe is (a, 2a, 2a, 2a) with a doubled until both order-4
     condition slacks exceed 0.5.
+
+    ``spectra`` is ``singleton_spectra(graph, kappa)`` when the caller
+    already holds it; otherwise it is computed here.
     """
     if not 1 <= m <= 4:
         raise UnsupportedOrderError(f"order {m} outside supported range 1..4")
-    lam_mins = singleton_lambda_mins(graph, kappa)
+    if spectra is None:
+        spectra = singleton_spectra(graph, kappa)
+    lam_mins = spectra[:, 0].tolist()
     lam_star = min(lam_mins)
     if lam_star <= 0:
         raise ValueError("graph must be connected for the gain rule")

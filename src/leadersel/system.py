@@ -61,6 +61,24 @@ def grounded_matrix(graph: Graph, kappa: KappaWeights, leaders: LeaderSet) -> np
     return q
 
 
+def singleton_spectra(graph: Graph, kappa: KappaWeights) -> np.ndarray:
+    """Ascending eigenvalues of Q_v for every single leader v, one row per v.
+
+    Each Q_v is built as the Laplacian plus kappa_v at (v, v), the same
+    arithmetic as every other grounded matrix, so a row equals the
+    spectrum any other path computes for that singleton, bit for bit.
+    """
+    if len(kappa) != graph.n:
+        raise ValueError(f"kappa length {len(kappa)} != node count {graph.n}")
+    lap = laplacian(graph)
+    out = np.empty((graph.n, graph.n))
+    for v in range(graph.n):
+        q = lap.copy()
+        q[v, v] += kappa.values[v]
+        out[v] = sym_eigenvalues(q).eigenvalues
+    return out
+
+
 @dataclass(frozen=True)
 class GroundedSystem:
     """A graph with kappa weights, a leader set, and feedback gains.

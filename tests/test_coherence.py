@@ -22,8 +22,9 @@ from leadersel.errors import (
     UnsupportedOrderError,
 )
 from leadersel.graphs import build_graph, unit_kappa
-from leadersel.stability import auto_gains
-from leadersel.system import GainVector, GroundedSystem
+from leadersel.graphs import erdos_renyi_connected
+from leadersel.stability import auto_gains, singleton_lambda_mins
+from leadersel.system import GainVector, GroundedSystem, singleton_spectra
 
 from conftest import graphs, random_connected_graph
 
@@ -289,3 +290,25 @@ def test_coherence_report_fields():
     assert report.leaders.sorted_members == (0,)
     payload = report.to_dict()
     assert payload["value"] == pytest.approx(3.5)
+
+
+# -- the shared singleton phase ------------------------------------------------
+
+def test_singleton_spectra_match_per_node_paths():
+    graph, _ = erdos_renyi_connected(20, 0.4, seed=8)
+    kappa = unit_kappa(20)
+    spectra = singleton_spectra(graph, kappa)
+    assert spectra.shape == (20, 20)
+    assert np.all(np.diff(spectra, axis=1) >= 0)
+    assert spectra[:, 0].tolist() == singleton_lambda_mins(graph, kappa)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_singleton_normalized_equals_per_set_value_bitwise(six_node, m):
+    graph, kappa = six_node.graph, six_node.kappa
+    ctx = SystemContext.auto(graph, kappa, m)
+    assert ctx.gains == auto_gains(graph, kappa, m)
+    fresh = SystemContext(graph=graph, kappa=kappa, gains=ctx.gains)
+    for v in range(graph.n):
+        assert ctx.singleton_normalized[v] == ctx.normalized_coherence([v])
+        assert fresh.singleton_normalized[v] == ctx.singleton_normalized[v]

@@ -82,6 +82,28 @@ def test_laplacian_path():
     )
 
 
+def loop_laplacian(g):
+    """Edge-by-edge reference for the vectorized builder."""
+    lap = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        lap[u, v] -= w
+        lap[v, u] -= w
+        lap[u, u] += w
+        lap[v, v] += w
+    return lap
+
+
+def test_laplacian_matches_edge_loop():
+    rng = np.random.default_rng(3)
+    weighted = build_graph(
+        25,
+        [(i, j, float(rng.uniform(0.1, 3.0)))
+         for i in range(25) for j in range(i + 1, 25) if rng.random() < 0.4],
+    )
+    for g in (build_graph(1, []), build_graph(4, []), K2, P3, weighted):
+        assert np.array_equal(laplacian(g), loop_laplacian(g))
+
+
 @given(graphs(connected=False))
 @settings(max_examples=50, deadline=None)
 def test_laplacian_rows_sum_to_zero_and_psd(g):
@@ -118,6 +140,20 @@ def test_erdos_renyi_reproducible():
     pa = json.dumps(graph_payload(a, unit_kappa(12)))
     pb = json.dumps(graph_payload(b, unit_kappa(12)))
     assert pa == pb
+
+
+def loop_erdos_renyi(n, p, seed):
+    """One scalar draw per pair, in lexicographic order: the documented contract."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return build_graph(n, edges)
+
+
+@pytest.mark.parametrize(
+    "n, p, seed", [(1, 0.5, 0), (2, 0.3, 1), (20, 0.5, 7), (96, 0.5, 123), (300, 0.1, 5)]
+)
+def test_erdos_renyi_matches_scalar_draw_loop(n, p, seed):
+    assert erdos_renyi(n, p, seed) == loop_erdos_renyi(n, p, seed)
 
 
 def test_erdos_renyi_edge_count_within_four_sigma():

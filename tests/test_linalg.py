@@ -13,6 +13,7 @@ from leadersel.errors import (
     UnstableMatrixError,
 )
 from leadersel.linalg import (
+    check_inverse,
     lyapunov_solve,
     sherman_morrison_update,
     spd_inverse,
@@ -144,6 +145,16 @@ def test_rank_one_composes(n, seed, k):
 def test_rank_one_singular_denominator():
     with pytest.raises(SingularUpdateError):
         sherman_morrison_update(np.array([[1.0]]), 0, -1.0)
+
+
+def test_check_inverse_refuses_perturbed_inverse():
+    m = random_spd(np.random.default_rng(4), 6)
+    inv = spd_inverse(m)
+    check_inverse(m, inv, "inverse")
+    drifted = inv.copy()
+    drifted[2, 3] += 1e-6
+    with pytest.raises(SingularUpdateError):
+        check_inverse(m, drifted, "inverse")
 
 
 # -- Lyapunov solve -----------------------------------------------------------

@@ -1,14 +1,26 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadersel.coherence import SystemContext, TraceSetFunction
-from leadersel.errors import CombinatorialCapError, UnstableGainsError
-from leadersel.graphs import build_graph, unit_kappa
-from leadersel.linalg import Tolerances
+import leadersel.selection as selection
+from leadersel.coherence import (
+    SystemContext,
+    TraceSetFunction,
+    normalized_after_rank_one,
+    normalized_from_inverses,
+    shift_coefficient,
+)
+from leadersel.errors import (
+    CombinatorialCapError,
+    SingularUpdateError,
+    UnstableGainsError,
+)
+from leadersel.graphs import build_graph, erdos_renyi_connected, unit_kappa
+from leadersel.linalg import Tolerances, sherman_morrison_update, spd_inverse
 from leadersel.selection import (
     certify_bound,
     check_monotone_submodular,
@@ -106,7 +118,7 @@ def test_greedy_budget_beyond_n_selects_everything():
     assert set(result.chosen) == {0, 1, 2}
 
 
-@given(graphs(min_nodes=3, max_nodes=9), st.integers(2, 4), st.integers(1, 4))
+@given(graphs(min_nodes=3, max_nodes=9), st.integers(1, 4), st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
 def test_incremental_greedy_equals_naive(g, m, k):
     ctx = context_for(g, m)
@@ -115,6 +127,77 @@ def test_incremental_greedy_equals_naive(g, m, k):
     assert fast.chosen == slow.chosen
     np.testing.assert_allclose(fast.f_values, slow.f_values, rtol=1e-9)
     np.testing.assert_allclose(fast.h_values, slow.h_values, rtol=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_incremental_greedy_equals_naive_at_scale(m):
+    graph, _ = erdos_renyi_connected(64, 0.5, seed=64)
+    ctx = context_for(graph, m)
+    fast = greedy_select(ctx, 10, incremental=True)
+    slow = greedy_select(context_for(graph, m), 10, incremental=False)
+    assert fast.chosen == slow.chosen
+    assert fast.evaluations == slow.evaluations
+    np.testing.assert_allclose(fast.f_values, slow.f_values, rtol=1e-9)
+
+
+@given(graphs(min_nodes=3, max_nodes=8), st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_closed_form_scores_match_explicit_updates(g, m, seed):
+    ctx = context_for(g, m)
+    rng = np.random.default_rng(seed)
+    leaders = [int(v) for v in rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)]
+    q = ctx.grounded(leaders)
+    c = shift_coefficient(ctx.gains)
+    inv = spd_inverse(q)
+    shifted = spd_inverse(c * q - np.eye(g.n)) if c is not None else None
+    kappa = ctx.kappa.as_array()
+    candidates = np.ones(g.n, dtype=bool)
+    candidates[leaders] = False
+    scores = normalized_after_rank_one(ctx.gains, inv, shifted, kappa, candidates)
+    for v in np.flatnonzero(candidates):
+        trial_shifted = (
+            sherman_morrison_update(shifted, v, c * kappa[v]) if c is not None else None
+        )
+        expected = normalized_from_inverses(
+            ctx.gains, sherman_morrison_update(inv, v, kappa[v]), trial_shifted
+        )
+        assert scores[v] == pytest.approx(expected, rel=1e-9)
+
+
+def test_closed_form_scores_guard_denominators():
+    gains = GainVector.of(1.0)
+    candidates = np.array([True, True])
+    with pytest.raises(SingularUpdateError):
+        normalized_after_rank_one(gains, -np.eye(2), None, np.ones(2), candidates)
+    # a non-candidate with a bad denominator is never updated, so it passes
+    inv = np.diag([-2.0, 1.0])
+    normalized_after_rank_one(gains, inv, None, np.ones(2), np.array([False, True]))
+
+
+@pytest.mark.parametrize(
+    "m, drifting, message",
+    [(2, "inverse", "Q_S^-1 drifted"), (3, "inverse", "Q_S^-1 drifted"),
+     (3, "shifted", "(c Q_S - I)^-1 drifted")],
+)
+def test_greedy_refuses_drifted_inverse(monkeypatch, m, drifting, message):
+    """A rank-one update that drifts trips the end-of-greedy residual check.
+
+    With unit kappa, Q_S^-1 is updated with scale 1 and the shifted
+    inverse with scale c != 1, which tells the two apart.
+    """
+    graph, _ = erdos_renyi_connected(12, 0.5, seed=5)
+    ctx = context_for(graph, m)
+    assert shift_coefficient(ctx.gains) != 1.0
+
+    def drifting_update(inv, index, scale, tols=Tolerances()):
+        updated = sherman_morrison_update(inv, index, scale, tols)
+        if (scale == 1.0) == (drifting == "inverse"):
+            updated = updated + 1e-6
+        return updated
+
+    monkeypatch.setattr(selection, "sherman_morrison_update", drifting_update)
+    with pytest.raises(SingularUpdateError, match=re.escape(message)):
+        greedy_select(ctx, 3)
 
 
 # -- exhaustive search ---------------------------------------------------------------
