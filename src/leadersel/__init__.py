@@ -15,10 +15,6 @@ from .coherence import (
     TraceSetFunction,
     coherence_closed,
     coherence_lyapunov_oracle,
-    coherence_value,
-    generalized_set_function,
-    h4_rearranged,
-    set_function_value,
     trace_normalizer,
 )
 from .errors import LeaderSelError
@@ -60,7 +56,6 @@ from .selection import (
 from .simulate import (
     SimulationSpec,
     simulate_coherence,
-    simulate_trajectory,
     write_trajectory_csv,
 )
 from .stability import (
@@ -105,25 +100,20 @@ __all__ = [
     "check_stability",
     "coherence_closed",
     "coherence_lyapunov_oracle",
-    "coherence_value",
     "equal_gain_verdict",
     "erdos_renyi",
     "erdos_renyi_connected",
     "exhaustive_select",
-    "generalized_set_function",
     "greedy_select",
     "grounded_matrix",
-    "h4_rearranged",
     "hurwitz_determinants",
     "is_connected",
     "laplacian",
     "lyapunov_solve",
     "read_graph",
     "read_graph_file",
-    "set_function_value",
     "sherman_morrison_update",
     "simulate_coherence",
-    "simulate_trajectory",
     "six_node_example",
     "spd_inverse",
     "spd_solve",

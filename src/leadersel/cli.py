@@ -41,7 +41,7 @@ from .graphs import (
     unit_kappa,
 )
 from .selection import certify_bound, exhaustive_select, greedy_select
-from .simulate import SimulationSpec, simulate_coherence, simulate_trajectory, write_trajectory_csv
+from .simulate import SimulationSpec, simulate_coherence, write_trajectory_csv
 from .stability import auto_gains, build_state_matrices, check_stability, spectral_stability_oracle
 from .system import GainVector, GroundedSystem, LeaderSet
 
@@ -110,12 +110,7 @@ def build_parser() -> _Parser:
     p_coh = sub.add_parser("coherence", help="coherence of a leader set")
     _add_common(p_coh)
     _add_system_args(p_coh)
-    p_coh.add_argument("--method", choices=("closed", "lyapunov", "simulate"),
-                       default="closed")
-    p_coh.add_argument("--dt", type=float, default=1e-3)
-    p_coh.add_argument("--total-time", type=float, default=500.0)
-    p_coh.add_argument("--burn-in", type=float, default=20.0)
-    p_coh.add_argument("--ensemble", type=int, default=2)
+    p_coh.add_argument("--method", choices=("closed", "lyapunov"), default="closed")
 
     p_sel = sub.add_parser("select", help="choose a leader set of size <= k")
     _add_common(p_sel)
@@ -252,22 +247,9 @@ def _cmd_coherence(args) -> int:
     system = GroundedSystem.create(gf.graph, gf.kappa, leaders, gains)
     if args.method == "closed":
         report = coherence_closed(system)
-        payload = report.to_dict()
-    elif args.method == "lyapunov":
-        report = coherence_lyapunov_oracle(system)
-        payload = report.to_dict()
     else:
-        spec = SimulationSpec(system=system, dt=args.dt, total_time=args.total_time,
-                              burn_in=args.burn_in, seed=args.seed, ensemble=args.ensemble)
-        estimate, stderr = simulate_coherence(spec)
-        payload = {
-            "order": system.m,
-            "value": estimate,
-            "standard_error": stderr,
-            "method": "simulation",
-            "leaders": list(system.leaders.sorted_members),
-            "gains": list(gains.values),
-        }
+        report = coherence_lyapunov_oracle(system)
+    payload = report.to_dict()
     payload["leaders"] = [gf.to_label(v) for v in leaders.sorted_members]
     _emit(payload, args.format)
     return EXIT_OK
@@ -315,7 +297,11 @@ def _cmd_simulate(args) -> int:
     system = GroundedSystem.create(gf.graph, gf.kappa, leaders, gains)
     spec = SimulationSpec(system=system, dt=args.dt, total_time=args.total_time,
                           burn_in=args.burn_in, seed=args.seed, ensemble=args.ensemble)
-    estimate, stderr = simulate_coherence(spec)
+    if args.trajectory:
+        estimate, stderr, (times, outputs) = simulate_coherence(
+            spec, record_stride=args.stride)
+    else:
+        estimate, stderr = simulate_coherence(spec)
     payload = {
         "order": system.m,
         "estimate": estimate,
@@ -328,7 +314,6 @@ def _cmd_simulate(args) -> int:
         "leaders": [gf.to_label(v) for v in leaders.sorted_members],
     }
     if args.trajectory:
-        times, outputs = simulate_trajectory(spec, record_stride=args.stride)
         target = Path(args.out) / args.trajectory if args.out else Path(args.trajectory)
         target.parent.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(target, times, outputs)

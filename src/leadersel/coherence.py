@@ -37,7 +37,7 @@ from .linalg import DEFAULT_TOLS, Tolerances, lyapunov_solve, sym_eigenvalues
 from .stability import auto_gains, build_state_matrices, check_stability, report_for
 from .system import GainVector, GroundedSystem, grounded_matrix, singleton_spectra
 
-Method = Literal["closed_eig", "closed_inv", "lyapunov", "simulation"]
+Method = Literal["closed_eig", "closed_inv", "lyapunov"]
 
 
 @dataclass(frozen=True)
@@ -212,58 +212,30 @@ def coherence_closed(
     method: Literal["eigen", "inverse"] = "eigen",
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CoherenceReport:
-    """Closed-form coherence on the eigenvalue path or the matrix-inverse path."""
+    """Closed-form coherence on the eigenvalue path or the matrix-inverse path.
+
+    At orders 1-3 the inverse path is ``normalized_from_inverses``.  At
+    order 4 it is the named oracle for that function's split form: the
+    direct product tr(Q^-2 (b1 Q - I) ((b1 - b2) Q - I)^-1), which
+    shares no rearrangement with the greedy's scoring.
+    """
     _require_evaluable(system, tols)
     gains = system.gains
-    a = gains.values
-    m = gains.m
-    if m == 1:
-        factor = 1.0 / (2.0 * a[0])
-    elif m == 2 or m == 4:
-        factor = 1.0 / (2.0 * a[0] * a[1])
-    else:
-        factor = a[2] / (2.0 * a[0] ** 2)
-
+    factor = 1.0 / trace_normalizer(gains)
     if method == "eigen":
         value = factor * normalized_eigenvalue_terms(gains, system.eigenvalues)
-        return CoherenceReport(m, float(value), "closed_eig", system.leaders, gains)
+        return CoherenceReport(gains.m, float(value), "closed_eig", system.leaders, gains)
 
     inv = system.inverse
-    if m == 1:
-        trace = float(np.trace(inv))
-    elif m == 2:
-        trace = float(np.sum(inv * inv))
-    elif m == 3:
-        c = shift_coefficient(gains)
-        trace = float(np.sum(inv * system.shifted_inverse(c)))
-    else:
+    if gains.m == 4:
         b1, b2 = fourth_order_coefficients(gains)
         middle = b1 * system.matrix - np.eye(system.n)
         trace = float(np.trace(inv @ inv @ middle @ system.shifted_inverse(b1 - b2)))
-    return CoherenceReport(m, factor * trace, "closed_inv", system.leaders, gains)
-
-
-def coherence_value(system: GroundedSystem, tols: Tolerances = DEFAULT_TOLS) -> float:
-    return coherence_closed(system, "eigen", tols).value
-
-
-def h4_rearranged(system: GroundedSystem, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Fourth-order coherence in the incremental-greedy form.
-
-    Splitting the rational term per eigenvalue gives
-    tr(Q^-2) + b2 * tr(Q^-1 ((b1-b2) Q - I)^-1), scaled by 1/(2 a1 a2);
-    identical to the direct form but needs only the two maintained
-    inverses.
-    """
-    if system.gains.m != 4:
-        raise UnsupportedOrderError("rearranged form is specific to order 4")
-    _require_evaluable(system, tols)
-    a = system.gains.values
-    b1, b2 = fourth_order_coefficients(system.gains)
-    inv = system.inverse
-    shifted = system.shifted_inverse(b1 - b2)
-    trace = float(np.sum(inv * inv) + b2 * np.sum(inv * shifted))
-    return trace / (2.0 * a[0] * a[1])
+    else:
+        c = shift_coefficient(gains)
+        shifted = None if c is None else system.shifted_inverse(c)
+        trace = normalized_from_inverses(gains, inv, shifted)
+    return CoherenceReport(gains.m, factor * trace, "closed_inv", system.leaders, gains)
 
 
 def coherence_lyapunov_oracle(
@@ -395,10 +367,6 @@ class SystemContext:
         return self.offset - self.normalized_coherence(leaders)
 
 
-def set_function_value(context: SystemContext, leaders) -> float:
-    return context.set_value(leaders)
-
-
 @dataclass(frozen=True)
 class TraceSetFunction:
     """Generalized surrogate family used by the submodularity checks.
@@ -432,6 +400,17 @@ class TraceSetFunction:
         else:
             raise PreconditionViolatedError(f"unknown form {self.form!r}")
 
+    @cached_property
+    def _terms(self) -> tuple[GainVector, float]:
+        """Gains whose ``normalized_eigenvalue_terms`` sum, over the divisor,
+        is this form's trace: the order-2 sum over b1 b2 (b3 = 0), the
+        order-3 sum with c = b2/b3 over b1 b3, or the order-4 sum."""
+        if self.form == "fourth_order":
+            return GainVector.of(self.b2, 1.0, self.b1, 1.0), 1.0
+        if self.b3 == 0:
+            return GainVector.of(1.0, 1.0), self.b1 * self.b2
+        return GainVector.of(1.0, 1.0, self.b2 / self.b3), self.b1 * self.b3
+
     def _trace(self, leaders) -> float:
         if not isinstance(leaders, LeaderSet):
             leaders = LeaderSet.of(leaders)
@@ -443,17 +422,12 @@ class TraceSetFunction:
                 raise PreconditionViolatedError(
                     f"b2*lambda_min = {self.b2 * lam_min:.6g} must exceed b3 = {self.b3:.6g}"
                 )
-            return float(sum(1.0 / (self.b1 * lam * (self.b2 * lam - self.b3)) for lam in lams))
-        if (self.b1 - self.b2) * lam_min <= 1.0:
+        elif (self.b1 - self.b2) * lam_min <= 1.0:
             raise PreconditionViolatedError(
                 f"(b1-b2)*lambda_min = {(self.b1 - self.b2) * lam_min:.6g} must exceed 1"
             )
-        return float(
-            sum(
-                (self.b1 * lam - 1.0) / (lam**2 * ((self.b1 - self.b2) * lam - 1.0))
-                for lam in lams
-            )
-        )
+        gains, divisor = self._terms
+        return normalized_eigenvalue_terms(gains, lams) / divisor
 
     @cached_property
     def offset(self) -> float:
@@ -466,15 +440,3 @@ class TraceSetFunction:
             return 0.0
         return self.offset - self._trace(leaders)
 
-
-def generalized_set_function(
-    context: SystemContext,
-    leaders,
-    form: Literal["product", "fourth_order"],
-    b1: float,
-    b2: float,
-    b3: float = 0.0,
-) -> float:
-    """Evaluate the generalized surrogate on a context's graph and kappa."""
-    fn = TraceSetFunction(context.graph, context.kappa, form, b1, b2, b3)
-    return fn.value(leaders)

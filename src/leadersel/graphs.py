@@ -43,13 +43,6 @@ class Graph:
     n: int
     edges: tuple[Edge, ...]
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
-        return a
-
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v, _ in self.edges:
@@ -100,9 +93,6 @@ class LeaderSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.members
 
 
 def build_graph(n: int, edges: Sequence[tuple[int, int, float]]) -> Graph:

@@ -28,14 +28,11 @@ class Tolerances:
 
     symmetry_rtol: float = 1e-10          # relative symmetry check for eigensolves
     inverse_residual_per_n: float = 1e-10  # ||M M^-1 - I||_F <= this * n
-    rank_one_rtol: float = 1e-8           # rank-one update vs direct inverse
     rank_one_denominator_min: float = 1e-12
     lyapunov_residual_rtol: float = 1e-8
     lyapunov_dim_cap: int = 60            # max state dimension for the oracle
     stability_slack: float = 1e-12        # strictness of stability inequalities
     coherence_margin: float = 1e-9        # below this slack, refuse closed forms
-    path_agreement_rtol: float = 1e-8     # eigenvalue path vs matrix-inverse path
-    oracle_agreement_rtol: float = 1e-6   # closed form vs Lyapunov oracle
     spectral_margin: float = 1e-9         # oracle: stable iff max Re < -margin
     greedy_improvement: float = 1e-12
     subset_cap: int = 10**6               # exhaustive-search subset budget

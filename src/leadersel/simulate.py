@@ -43,6 +43,10 @@ class SimulationSpec:
             raise ValueError("need 0 <= burn_in < total_time")
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
+        if self.burn_steps >= self.steps:
+            raise ValueError(
+                f"burn-in of {self.burn_steps} steps leaves none of {self.steps} to average"
+            )
 
     @property
     def steps(self) -> int:
@@ -58,9 +62,27 @@ def noise_stream(seed: int, run: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, run])))
 
 
-def _prepare(spec: SimulationSpec, tols: Tolerances) -> np.ndarray:
-    report = check_stability(spec.system, tols)
-    if not report.stable:
+def simulate_coherence(
+    spec: SimulationSpec,
+    record_stride: int | None = None,
+    x0: np.ndarray | None = None,
+    noise: bool = True,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> tuple:
+    """Estimate coherence empirically; returns (estimate, standard error).
+
+    The standard error is the sample deviation across ensemble runs over
+    sqrt(ensemble); it is 0.0 for a single run.  Every run starts from
+    ``x0`` (default zero); ``noise=False`` gives the deterministic
+    drift-only flow (useful for decay checks).  With ``record_stride``
+    the same pass also records run 0 and returns
+    (estimate, standard error, (times, outputs)), outputs[j] being the n
+    first-order states at times[j], every ``record_stride`` steps after
+    the always-recorded initial state.
+    """
+    if record_stride is not None and record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    if not check_stability(spec.system, tols).stable:
         raise UnstableSystemError("refusing to integrate an unstable system")
     a = build_state_matrices(spec.system).a
     growth = spec.dt * float(np.linalg.norm(a, 2))
@@ -68,18 +90,6 @@ def _prepare(spec: SimulationSpec, tols: Tolerances) -> np.ndarray:
         raise StepTooLargeError(
             f"dt * ||A||_2 = {growth:.3g} >= {tols.step_norm_guard}; shrink dt"
         )
-    return a
-
-
-def simulate_coherence(
-    spec: SimulationSpec, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[float, float]:
-    """Estimate coherence empirically; returns (estimate, standard error).
-
-    The standard error is the sample deviation across ensemble runs over
-    sqrt(ensemble); it is 0.0 for a single run.
-    """
-    a = _prepare(spec, tols)
     n = spec.system.n
     nm = a.shape[0]
     lo = nm - n
@@ -88,8 +98,13 @@ def simulate_coherence(
     sqdt = np.sqrt(spec.dt)
     gens = [noise_stream(spec.seed, r) for r in range(runs)]
 
-    x = np.zeros((nm, runs))
+    start = np.zeros(nm) if x0 is None else np.asarray(x0, dtype=float)
+    if start.shape != (nm,):
+        raise ValueError(f"x0 must have shape ({nm},)")
+    x = np.repeat(start[:, None], runs, axis=1)
     scratch = np.empty_like(x)
+    times = [0.0]
+    outputs = [x[:n, 0].copy()]
     accum = np.zeros(runs)
     buf = np.empty((_CHUNK, runs))
     counted = 0
@@ -97,19 +112,24 @@ def simulate_coherence(
     steps, burn_steps = spec.steps, spec.burn_steps
     while step < steps:
         chunk = min(_CHUNK, steps - step)
-        noise = np.stack(
-            [g.standard_normal((chunk, n)) for g in gens], axis=2
-        )  # (chunk, n, runs)
+        if noise:
+            draws = np.stack(
+                [g.standard_normal((chunk, n)) for g in gens], axis=2
+            )  # (chunk, n, runs)
         fill = 0
         for t in range(chunk):
             np.matmul(m_step, x, out=scratch)
             x, scratch = scratch, x
-            x[lo:, :] += sqdt * noise[t]
+            if noise:
+                x[lo:, :] += sqdt * draws[t]
             step += 1
             if step > burn_steps:
                 y = x[:n, :]
                 buf[fill] = np.einsum("ij,ij->j", y, y)
                 fill += 1
+            if record_stride and step % record_stride == 0:
+                times.append(step * spec.dt)
+                outputs.append(x[:n, 0].copy())
         if fill:
             accum += buf[:fill].sum(axis=0)
             counted += fill
@@ -119,82 +139,9 @@ def simulate_coherence(
         stderr = float(estimates.std(ddof=1) / np.sqrt(runs))
     else:
         stderr = 0.0
-    return estimate, stderr
-
-
-def integrate_with_increments(
-    system: GroundedSystem,
-    dt: float,
-    increments: np.ndarray,
-    burn_steps: int,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> float:
-    """Single-path coherence estimate driven by given Brownian increments.
-
-    ``increments`` has shape (steps, n) and already carries the sqrt(dt)
-    scale.  Feeding the same Brownian path at two step sizes (coarse
-    increments = sums of fine ones) isolates discretization bias from
-    sampling noise, which is how the step-refinement behaviour is
-    verified.
-    """
-    a = _prepare(
-        SimulationSpec(system=system, dt=dt, total_time=dt * len(increments),
-                       burn_in=0.0, seed=0),
-        tols,
-    )
-    n = system.n
-    nm = a.shape[0]
-    lo = nm - n
-    m_step = np.eye(nm) + dt * a
-    x = np.zeros(nm)
-    total = 0.0
-    vals = np.empty(len(increments) - burn_steps)
-    for k in range(len(increments)):
-        x = m_step @ x
-        x[lo:] += increments[k]
-        if k >= burn_steps:
-            y = x[:n]
-            vals[k - burn_steps] = y @ y
-    total = float(np.sum(vals))
-    return total / len(vals)
-
-
-def simulate_trajectory(
-    spec: SimulationSpec,
-    record_stride: int = 1,
-    x0: np.ndarray | None = None,
-    noise: bool = True,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate one path and return decimated first-order states.
-
-    Returns (times, outputs) with outputs[j] the n first-order states at
-    times[j]; the initial state is always recorded.  ``noise=False``
-    gives the deterministic drift-only flow (useful for decay checks).
-    """
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
-    a = _prepare(spec, tols)
-    n = spec.system.n
-    nm = a.shape[0]
-    lo = nm - n
-    m_step = np.eye(nm) + spec.dt * a
-    sqdt = np.sqrt(spec.dt)
-    gen = noise_stream(spec.seed, 0)
-    x = np.zeros(nm) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (nm,):
-        raise ValueError(f"x0 must have shape ({nm},)")
-    times = [0.0]
-    outputs = [x[:n].copy()]
-    steps = spec.steps
-    for k in range(1, steps + 1):
-        x = m_step @ x
-        if noise:
-            x[lo:] += sqdt * gen.standard_normal(n)
-        if k % record_stride == 0:
-            times.append(k * spec.dt)
-            outputs.append(x[:n].copy())
-    return np.asarray(times), np.asarray(outputs)
+    if record_stride is None:
+        return estimate, stderr
+    return estimate, stderr, (np.asarray(times), np.asarray(outputs))
 
 
 def write_trajectory_csv(path: str | Path, times: np.ndarray, outputs: np.ndarray) -> None:

@@ -166,7 +166,7 @@ def check_stability(system: GroundedSystem, tols: Tolerances = DEFAULT_TOLS) -> 
     return report_for(system.gains, system.lambda_min, tols)
 
 
-def equal_gain_verdict(m: int, a: float) -> bool:
+def equal_gain_verdict(m: int) -> bool:
     """True when the order alone proves instability for equal gains.
 
     For any m >= 4 and all gains equal, the third Hurwitz determinant is
@@ -175,7 +175,6 @@ def equal_gain_verdict(m: int, a: float) -> bool:
     """
     if m < 1:
         raise UnsupportedOrderError(f"order {m} must be >= 1")
-    del a
     return m >= 4
 
 

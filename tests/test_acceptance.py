@@ -170,7 +170,7 @@ def test_criterion_6_stability_verdicts():
 
     # (a) equal gains at orders 4 and 5 fail both routes
     for m in (4, 5):
-        assert equal_gain_verdict(m, 1.0)
+        assert equal_gain_verdict(m)
     dets = hurwitz_determinants(GainVector.of(1, 1, 1, 1), 0.7)
     assert dets[2] < 0
     g = random_connected_graph(rng, 5)

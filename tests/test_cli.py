@@ -103,15 +103,11 @@ def test_coherence_unstable_exit_three(k2_file):
     assert proc.returncode == 3
 
 
-def test_coherence_simulation_method(k2_file):
+def test_coherence_has_no_simulate_method(k2_file):
+    # the estimator is reached through the simulate subcommand only
     proc = run_cli("coherence", str(k2_file), "--order", "2", "--gains", "1,1",
-                   "--leaders", "0", "--method", "simulate",
-                   "--dt", "1e-2", "--total-time", "60", "--burn-in", "5", "--seed", "4")
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    validate(payload, schema("coherence"))
-    assert payload["method"] == "simulation"
-    assert payload["value"] == pytest.approx(3.5, rel=0.5)
+                   "--leaders", "0", "--method", "simulate")
+    assert proc.returncode == 1
 
 
 # -- select ----------------------------------------------------------------------
@@ -265,6 +261,31 @@ def test_simulate_command_with_trajectory(tmp_path, k2_file):
     assert payload["estimate"] > 0
     lines = target.read_text().splitlines()
     assert lines[0] == "t,y_0,y_1"
+
+
+def test_simulate_estimate_near_closed_form(k2_file):
+    proc = run_cli("simulate", str(k2_file), "--order", "2", "--gains", "1,1",
+                   "--leaders", "0",
+                   "--dt", "1e-2", "--total-time", "60", "--burn-in", "5", "--seed", "4")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["estimate"] == pytest.approx(3.5, rel=0.5)
+
+
+def test_simulate_rejects_zero_stride(tmp_path, k2_file):
+    proc = run_cli("simulate", str(k2_file), "--order", "2", "--gains", "1,1",
+                   "--leaders", "0", "--dt", "1e-2", "--total-time", "1", "--burn-in", "0",
+                   "--trajectory", str(tmp_path / "t.csv"), "--stride", "0")
+    assert proc.returncode == 2
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_rejects_burn_in_covering_every_step(k2_file):
+    # 0.9996 s at dt = 1e-3 rounds to all 1000 steps: nothing left to average
+    proc = run_cli("simulate", str(k2_file), "--order", "2", "--gains", "1,1",
+                   "--leaders", "1", "--total-time", "1", "--burn-in", "0.9996")
+    assert proc.returncode == 2
+    assert "burn-in" in proc.stderr
 
 
 def test_simulate_rejects_oversized_step(k2_file):

@@ -10,16 +10,14 @@ from leadersel.coherence import (
     TraceSetFunction,
     coherence_closed,
     coherence_lyapunov_oracle,
-    generalized_set_function,
-    h4_rearranged,
-    set_function_value,
+    normalized_from_inverses,
+    shift_coefficient,
     trace_normalizer,
 )
 from leadersel.errors import (
     EmptyLeaderSetError,
     PreconditionViolatedError,
     UnstableSystemError,
-    UnsupportedOrderError,
 )
 from leadersel.graphs import build_graph, unit_kappa
 from leadersel.graphs import erdos_renyi_connected
@@ -122,56 +120,61 @@ def test_closed_forms_match_oracle(m):
 
 # -- rearranged fourth-order form -------------------------------------------------
 
+def rearranged_h4(system):
+    """H4 in the split form the greedy scores with:
+    (tr(Q^-2) + b2 tr(Q^-1 ((b1-b2) Q - I)^-1)) / (2 a1 a2)."""
+    gains = system.gains
+    shifted = system.shifted_inverse(shift_coefficient(gains))
+    return normalized_from_inverses(gains, system.inverse, shifted) / trace_normalizer(gains)
+
+
 def test_rearranged_matches_direct_single_node():
     system = single_system((1, 2, 3, 2))
-    assert h4_rearranged(system) == pytest.approx(0.5, rel=1e-12)
+    assert rearranged_h4(system) == pytest.approx(0.5, rel=1e-12)
+    assert rearranged_h4(system) == pytest.approx(coherence_closed(system).value, rel=1e-12)
 
 
 def test_rearranged_matches_direct_random():
     for seed in range(10):
         system = stable_random_system(200 + seed, 5, 4)
-        assert h4_rearranged(system) == pytest.approx(
-            coherence_closed(system).value, rel=1e-10
-        )
+        for method in ("eigen", "inverse"):
+            assert rearranged_h4(system) == pytest.approx(
+                coherence_closed(system, method).value, rel=1e-10
+            )
 
 
 def test_rearranged_matches_oracle_k2():
     gains = auto_gains(K2, unit_kappa(2), 4)
     system = GroundedSystem.create(K2, unit_kappa(2), [0], gains)
-    assert h4_rearranged(system) == pytest.approx(
+    assert rearranged_h4(system) == pytest.approx(
         coherence_lyapunov_oracle(system).value, rel=1e-6
     )
-
-
-def test_rearranged_requires_fourth_order():
-    with pytest.raises(UnsupportedOrderError):
-        h4_rearranged(k2_system((1, 1)))
 
 
 # -- surrogate set function --------------------------------------------------------
 
 def test_set_function_empty_is_zero():
     ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=GainVector.of(1, 1))
-    assert set_function_value(ctx, []) == 0.0
+    assert ctx.set_value([]) == 0.0
 
 
 def test_set_function_worst_singleton_is_half_offset():
     ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=GainVector.of(1, 1))
     worst = max(range(2), key=lambda v: ctx.singleton_normalized[v])
-    assert set_function_value(ctx, [worst]) == pytest.approx(ctx.offset / 2, rel=1e-12)
+    assert ctx.set_value([worst]) == pytest.approx(ctx.offset / 2, rel=1e-12)
 
 
 def test_set_function_single_node_numbers():
     # rho*H = 1 for the single-node unit system, so C = 2 and f({0}) = 1
     ctx = SystemContext(graph=SINGLE, kappa=unit_kappa(1), gains=GainVector.of(1, 1))
     assert ctx.offset == pytest.approx(2.0, rel=1e-12)
-    assert set_function_value(ctx, [0]) == pytest.approx(1.0, rel=1e-12)
+    assert ctx.set_value([0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_set_function_refuses_unstable_gains():
     ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=GainVector.of(1, 1, 1))
     with pytest.raises(UnstableSystemError):
-        set_function_value(ctx, [0])
+        ctx.set_value([0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -179,7 +182,7 @@ def test_surrogate_consistent_with_coherence(m):
     system = stable_random_system(300 + m, 5, m)
     ctx = SystemContext(graph=system.graph, kappa=system.kappa, gains=system.gains)
     members = system.leaders.sorted_members
-    f = set_function_value(ctx, members)
+    f = ctx.set_value(members)
     h = coherence_closed(system).value
     rho = trace_normalizer(system.gains)
     assert f == pytest.approx(ctx.offset - rho * h, rel=1e-9)
@@ -224,12 +227,6 @@ def test_generalized_function_checks_preconditions():
     fn = TraceSetFunction(K2, unit_kappa(2), "product", b1=1.0, b2=1.0, b3=1.0)
     with pytest.raises(PreconditionViolatedError):
         fn.value([0])
-
-
-def test_generalized_function_convenience_wrapper():
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=GainVector.of(1, 1))
-    direct = TraceSetFunction(K2, unit_kappa(2), "product", 1.0, 1.0, 0.0).value([0])
-    assert generalized_set_function(ctx, [0], "product", 1.0, 1.0, 0.0) == pytest.approx(direct)
 
 
 # -- ordering and monotonicity ---------------------------------------------------------

@@ -7,9 +7,9 @@ from leadersel.simulate import (
     SimulationSpec,
     noise_stream,
     simulate_coherence,
-    simulate_trajectory,
     write_trajectory_csv,
 )
+from leadersel.stability import build_state_matrices
 from leadersel.system import GainVector, GroundedSystem
 
 SINGLE = build_graph(1, [])
@@ -32,6 +32,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SimulationSpec(system=single_m2(), dt=1e-3, total_time=1.0, burn_in=0.0, seed=0,
                        ensemble=0)
+
+
+def test_spec_rejects_burn_in_that_leaves_no_steps():
+    # 0.9996 / 1e-3 rounds to all 1000 steps, which left nothing to average
+    with pytest.raises(ValueError, match="burn-in"):
+        SimulationSpec(system=single_m2(), dt=1e-3, total_time=1.0, burn_in=0.9996, seed=0)
+    # a horizon shorter than half a step rounds to zero steps
+    with pytest.raises(ValueError, match="burn-in"):
+        SimulationSpec(system=single_m2(), dt=1e-3, total_time=4e-4, burn_in=0.0, seed=0)
+    spec = SimulationSpec(system=single_m2(), dt=1e-3, total_time=1.0, burn_in=0.9994, seed=0)
+    assert (spec.steps, spec.burn_steps) == (1000, 999)
 
 
 def test_unstable_system_refused_before_integration():
@@ -106,7 +117,7 @@ def test_noise_streams_are_per_run():
 
 def test_zero_noise_zero_state_stays_at_equilibrium():
     spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=5.0, burn_in=0.0, seed=0)
-    times, outputs = simulate_trajectory(spec, record_stride=10, noise=False)
+    _, _, (times, outputs) = simulate_coherence(spec, record_stride=10, noise=False)
     np.testing.assert_allclose(outputs, 0.0)
     assert times[0] == 0.0 and times[-1] == pytest.approx(5.0)
 
@@ -116,7 +127,8 @@ def test_zero_noise_decay_from_random_state():
     rng = np.random.default_rng(3)
     spec = SimulationSpec(system=k2_m2(), dt=1e-3, total_time=60.0, burn_in=0.0, seed=0)
     x0 = rng.standard_normal(4)
-    times, outputs = simulate_trajectory(spec, record_stride=1000, noise=False, x0=x0)
+    _, _, (times, outputs) = simulate_coherence(spec, record_stride=1000, noise=False,
+                                                x0=x0)
     norms = np.linalg.norm(outputs, axis=1)
     assert norms[-1] < 1e-3 * max(norms[0], 1.0)
     assert norms[-1] <= norms[len(norms) // 2]
@@ -125,10 +137,10 @@ def test_zero_noise_decay_from_random_state():
 
 def test_trajectory_csv_deterministic_and_formatted(tmp_path):
     spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=2.0, burn_in=0.0, seed=5)
-    times, outputs = simulate_trajectory(spec, record_stride=20)
+    _, _, (times, outputs) = simulate_coherence(spec, record_stride=20)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trajectory_csv(p1, times, outputs)
-    times2, outputs2 = simulate_trajectory(spec, record_stride=20)
+    _, _, (times2, outputs2) = simulate_coherence(spec, record_stride=20)
     write_trajectory_csv(p2, times2, outputs2)
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
@@ -138,6 +150,33 @@ def test_trajectory_csv_deterministic_and_formatted(tmp_path):
 
 def test_trajectory_respects_initial_state():
     spec = SimulationSpec(system=single_m2(), dt=1e-3, total_time=0.1, burn_in=0.0, seed=0)
-    _, outputs = simulate_trajectory(spec, record_stride=100, noise=False,
-                                     x0=np.array([2.0, 0.0]))
+    _, _, (_, outputs) = simulate_coherence(spec, record_stride=100, noise=False,
+                                            x0=np.array([2.0, 0.0]))
     assert outputs[0][0] == 2.0
+
+
+def test_recording_leaves_estimate_unchanged_and_follows_run_zero():
+    spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=20.0, burn_in=2.0,
+                          seed=8, ensemble=3)
+    estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride=7)
+    assert (estimate, stderr) == simulate_coherence(spec)
+    # run 0 replayed one state vector at a time on its own noise stream
+    a = build_state_matrices(spec.system).a
+    m_step = np.eye(len(a)) + spec.dt * a
+    gen = noise_stream(spec.seed, 0)
+    x = np.zeros(len(a))
+    expected = [x[:2].copy()]
+    for k in range(1, spec.steps + 1):
+        x = m_step @ x
+        x[2:] += np.sqrt(spec.dt) * gen.standard_normal(2)
+        if k % 7 == 0:
+            expected.append(x[:2].copy())
+    assert len(times) == len(expected) == 1 + spec.steps // 7
+    np.testing.assert_allclose(times, 7 * spec.dt * np.arange(len(times)), rtol=1e-15)
+    np.testing.assert_allclose(outputs, expected, rtol=1e-13, atol=1e-13)
+
+
+def test_record_stride_must_be_positive():
+    spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=1.0, burn_in=0.0, seed=0)
+    with pytest.raises(ValueError, match="record_stride"):
+        simulate_coherence(spec, record_stride=0)

@@ -108,7 +108,12 @@ def test_stability_report_serializes():
 @pytest.mark.parametrize("m, a, verdict", [(4, 1.0, True), (5, 3.0, True), (6, 0.5, True),
                                            (3, 1.0, False), (2, 5.0, False), (1, 1.0, False)])
 def test_equal_gain_verdict(m, a, verdict):
-    assert equal_gain_verdict(m, a) is verdict
+    # the verdict needs no gain value; where it proves instability, the
+    # spectrum of a single node with all gains equal to a agrees
+    assert equal_gain_verdict(m) is verdict
+    if verdict:
+        stable, _ = spectral_stability_oracle(companion_state_matrix(np.eye(1), (a,) * m))
+        assert not stable
 
 
 def test_equal_gain_instability_confirmed_by_oracle():
