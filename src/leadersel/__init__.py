@@ -56,6 +56,7 @@ from .selection import (
 from .simulate import (
     SimulationSpec,
     simulate_coherence,
+    simulate_trajectory,
     write_trajectory_csv,
 )
 from .stability import (
@@ -114,6 +115,7 @@ __all__ = [
     "read_graph_file",
     "sherman_morrison_update",
     "simulate_coherence",
+    "simulate_trajectory",
     "six_node_example",
     "spd_inverse",
     "spd_solve",

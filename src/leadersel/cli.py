@@ -41,7 +41,7 @@ from .graphs import (
     unit_kappa,
 )
 from .selection import certify_bound, exhaustive_select, greedy_select
-from .simulate import SimulationSpec, simulate_coherence, write_trajectory_csv
+from .simulate import SimulationSpec, simulate_coherence, simulate_trajectory
 from .stability import auto_gains, build_state_matrices, check_stability, spectral_stability_oracle
 from .system import GainVector, GroundedSystem, LeaderSet
 
@@ -298,10 +298,10 @@ def _cmd_simulate(args) -> int:
     spec = SimulationSpec(system=system, dt=args.dt, total_time=args.total_time,
                           burn_in=args.burn_in, seed=args.seed, ensemble=args.ensemble)
     if args.trajectory:
-        estimate, stderr, (times, outputs) = simulate_coherence(
-            spec, record_stride=args.stride)
+        target = Path(args.out) / args.trajectory if args.out else Path(args.trajectory)
+        estimate, stderr = simulate_trajectory(spec, target, args.stride)
     else:
-        estimate, stderr = simulate_coherence(spec)
+        estimate, stderr, _ = simulate_coherence(spec)
     payload = {
         "order": system.m,
         "estimate": estimate,
@@ -314,9 +314,6 @@ def _cmd_simulate(args) -> int:
         "leaders": [gf.to_label(v) for v in leaders.sorted_members],
     }
     if args.trajectory:
-        target = Path(args.out) / args.trajectory if args.out else Path(args.trajectory)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(target, times, outputs)
         payload["trajectory"] = str(target)
     _emit(payload, args.format)
     return EXIT_OK

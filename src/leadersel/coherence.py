@@ -400,17 +400,6 @@ class TraceSetFunction:
         else:
             raise PreconditionViolatedError(f"unknown form {self.form!r}")
 
-    @cached_property
-    def _terms(self) -> tuple[GainVector, float]:
-        """Gains whose ``normalized_eigenvalue_terms`` sum, over the divisor,
-        is this form's trace: the order-2 sum over b1 b2 (b3 = 0), the
-        order-3 sum with c = b2/b3 over b1 b3, or the order-4 sum."""
-        if self.form == "fourth_order":
-            return GainVector.of(self.b2, 1.0, self.b1, 1.0), 1.0
-        if self.b3 == 0:
-            return GainVector.of(1.0, 1.0), self.b1 * self.b2
-        return GainVector.of(1.0, 1.0, self.b2 / self.b3), self.b1 * self.b3
-
     def _trace(self, leaders) -> float:
         if not isinstance(leaders, LeaderSet):
             leaders = LeaderSet.of(leaders)
@@ -422,12 +411,17 @@ class TraceSetFunction:
                 raise PreconditionViolatedError(
                     f"b2*lambda_min = {self.b2 * lam_min:.6g} must exceed b3 = {self.b3:.6g}"
                 )
-        elif (self.b1 - self.b2) * lam_min <= 1.0:
+            return float(sum(1.0 / (self.b1 * lam * (self.b2 * lam - self.b3)) for lam in lams))
+        if (self.b1 - self.b2) * lam_min <= 1.0:
             raise PreconditionViolatedError(
                 f"(b1-b2)*lambda_min = {(self.b1 - self.b2) * lam_min:.6g} must exceed 1"
             )
-        gains, divisor = self._terms
-        return normalized_eigenvalue_terms(gains, lams) / divisor
+        return float(
+            sum(
+                (self.b1 * lam - 1.0) / (lam**2 * ((self.b1 - self.b2) * lam - 1.0))
+                for lam in lams
+            )
+        )
 
     @cached_property
     def offset(self) -> float:

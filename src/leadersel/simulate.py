@@ -68,17 +68,17 @@ def simulate_coherence(
     x0: np.ndarray | None = None,
     noise: bool = True,
     tols: Tolerances = DEFAULT_TOLS,
-) -> tuple:
-    """Estimate coherence empirically; returns (estimate, standard error).
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
+    """Estimate coherence empirically; returns (estimate, standard error, recorded).
 
     The standard error is the sample deviation across ensemble runs over
     sqrt(ensemble); it is 0.0 for a single run.  Every run starts from
     ``x0`` (default zero); ``noise=False`` gives the deterministic
-    drift-only flow (useful for decay checks).  With ``record_stride``
-    the same pass also records run 0 and returns
-    (estimate, standard error, (times, outputs)), outputs[j] being the n
-    first-order states at times[j], every ``record_stride`` steps after
-    the always-recorded initial state.
+    drift-only flow (useful for decay checks).  ``recorded`` is None
+    unless ``record_stride`` is given; then the same pass records run 0
+    as (times, outputs), outputs[j] being the n first-order states at
+    times[j], every ``record_stride`` steps after the always-recorded
+    initial state.
     """
     if record_stride is not None and record_stride < 1:
         raise ValueError("record_stride must be >= 1")
@@ -140,8 +140,24 @@ def simulate_coherence(
     else:
         stderr = 0.0
     if record_stride is None:
-        return estimate, stderr
+        return estimate, stderr, None
     return estimate, stderr, (np.asarray(times), np.asarray(outputs))
+
+
+def simulate_trajectory(
+    spec: SimulationSpec, path: str | Path, record_stride: int = 1,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> tuple[float, float]:
+    """Estimate coherence and write run 0's trajectory to ``path`` in one pass.
+
+    Returns (estimate, standard error) as ``simulate_coherence`` does;
+    the CSV holds the states it records every ``record_stride`` steps.
+    Parent directories are created once the integration has succeeded.
+    """
+    estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride, tols=tols)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(path, times, outputs)
+    return estimate, stderr
 
 
 def write_trajectory_csv(path: str | Path, times: np.ndarray, outputs: np.ndarray) -> None:

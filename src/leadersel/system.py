@@ -149,9 +149,3 @@ class GroundedSystem:
             cached = spd_inverse(shifted)
             self._shifted_cache[key] = cached
         return cached
-
-    def with_leaders(self, leaders) -> "GroundedSystem":
-        return GroundedSystem.create(self.graph, self.kappa, leaders, self.gains)
-
-    def add_leader(self, v: int) -> "GroundedSystem":
-        return self.with_leaders(self.leaders.members | {int(v)})

@@ -280,7 +280,7 @@ def test_criterion_9_simulation_consistency():
     for system, target in cases:
         spec = SimulationSpec(system=system, dt=1e-3, total_time=2000.0,
                               burn_in=100.0, seed=4, ensemble=4)
-        estimate, _ = simulate_coherence(spec)
+        estimate, _, _ = simulate_coherence(spec)
         rel = abs(estimate - target) / target
         assert rel <= 0.05, (system.n, estimate, target)
         errors.append(rel)

@@ -19,10 +19,10 @@ from leadersel.errors import (
     PreconditionViolatedError,
     UnstableSystemError,
 )
-from leadersel.graphs import build_graph, unit_kappa
+from leadersel.graphs import LeaderSet, build_graph, unit_kappa
 from leadersel.graphs import erdos_renyi_connected
 from leadersel.stability import auto_gains, singleton_lambda_mins
-from leadersel.system import GainVector, GroundedSystem, singleton_spectra
+from leadersel.system import GainVector, GroundedSystem, grounded_matrix, singleton_spectra
 
 from conftest import graphs, random_connected_graph
 
@@ -216,6 +216,33 @@ def test_fourth_order_form_reproduces_fourth_order():
     )
     for leaders in ([0], [1], [0, 1]):
         assert fn.value(leaders) == pytest.approx(ctx.set_value(leaders), rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trace_family_matches_dense_docstring_forms(seed):
+    """Both forms against the documented traces, built with dense inverses."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    g, kappa = random_connected_graph(rng, n), unit_kappa(n)
+    lam = min(singleton_lambda_mins(g, kappa))  # no leader set has a smaller one
+    b2 = rng.uniform(0.5, 2.0)
+    product = TraceSetFunction(g, kappa, "product", b1=rng.uniform(0.5, 2.0), b2=b2,
+                               b3=rng.uniform(0.0, 0.9) * b2 * lam)
+    fourth = TraceSetFunction(g, kappa, "fourth_order",
+                              b1=b2 + rng.uniform(1.1, 3.0) / lam, b2=b2)
+    eye = np.eye(n)
+    for leaders in ([0], [n - 1], [1, 3], list(range(n))):
+        q = grounded_matrix(g, kappa, LeaderSet.of(leaders))
+        inv = np.linalg.inv
+        dense_product = np.trace(
+            inv(product.b1 * q) @ inv(product.b2 * q - product.b3 * eye))
+        dense_fourth = np.trace(
+            inv(q) @ inv(q) @ (fourth.b1 * q - eye)
+            @ inv((fourth.b1 - fourth.b2) * q - eye))
+        assert product.offset - product.value(leaders) == pytest.approx(dense_product,
+                                                                        rel=1e-10)
+        assert fourth.offset - fourth.value(leaders) == pytest.approx(dense_fourth,
+                                                                      rel=1e-10)
 
 
 def test_generalized_function_checks_preconditions():

@@ -7,6 +7,7 @@ from leadersel.simulate import (
     SimulationSpec,
     noise_stream,
     simulate_coherence,
+    simulate_trajectory,
     write_trajectory_csv,
 )
 from leadersel.stability import build_state_matrices
@@ -62,7 +63,8 @@ def test_estimate_close_to_closed_form_short_run():
     # short sanity run; the acceptance suite runs the full-length version
     spec = SimulationSpec(system=single_m2(), dt=1e-3, total_time=300.0, burn_in=20.0,
                           seed=4, ensemble=2)
-    estimate, stderr = simulate_coherence(spec)
+    estimate, stderr, recorded = simulate_coherence(spec)
+    assert recorded is None
     assert estimate == pytest.approx(0.5, rel=0.15)
     assert stderr >= 0.0
 
@@ -80,8 +82,8 @@ def test_disjoint_seeds_mutually_consistent():
                            seed=seed, ensemble=4)
         )
 
-    e1, s1 = run(101)
-    e2, s2 = run(202)
+    e1, s1, _ = run(101)
+    e2, s2, _ = run(202)
     assert abs(e1 - e2) <= 3.0 * np.hypot(s1, s2)
 
 
@@ -93,11 +95,11 @@ def test_step_refinement_reduces_bias():
     target = 1.0 / 16.0  # tr(Q^-1) / (2 a1) with Q = [8]
     wins = 0
     for seed in range(10, 20):
-        fine, _ = simulate_coherence(
+        fine, _, _ = simulate_coherence(
             SimulationSpec(system=fast, dt=1e-3, total_time=600.0, burn_in=20.0,
                            seed=seed, ensemble=1)
         )
-        coarse, _ = simulate_coherence(
+        coarse, _, _ = simulate_coherence(
             SimulationSpec(system=fast, dt=1e-2, total_time=600.0, burn_in=20.0,
                            seed=seed, ensemble=1)
         )
@@ -148,6 +150,16 @@ def test_trajectory_csv_deterministic_and_formatted(tmp_path):
     assert len(lines) == 1 + 1 + int(round(2.0 / 1e-2)) // 20  # header + t0 + records
 
 
+def test_simulate_trajectory_writes_the_recorded_pass(tmp_path):
+    spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=2.0, burn_in=0.5, seed=5,
+                          ensemble=2)
+    estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride=20)
+    expected, written = tmp_path / "expected.csv", tmp_path / "sub" / "written.csv"
+    write_trajectory_csv(expected, times, outputs)
+    assert simulate_trajectory(spec, written, record_stride=20) == (estimate, stderr)
+    assert written.read_bytes() == expected.read_bytes()
+
+
 def test_trajectory_respects_initial_state():
     spec = SimulationSpec(system=single_m2(), dt=1e-3, total_time=0.1, burn_in=0.0, seed=0)
     _, _, (_, outputs) = simulate_coherence(spec, record_stride=100, noise=False,
@@ -159,7 +171,7 @@ def test_recording_leaves_estimate_unchanged_and_follows_run_zero():
     spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=20.0, burn_in=2.0,
                           seed=8, ensemble=3)
     estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride=7)
-    assert (estimate, stderr) == simulate_coherence(spec)
+    assert (estimate, stderr, None) == simulate_coherence(spec)
     # run 0 replayed one state vector at a time on its own noise stream
     a = build_state_matrices(spec.system).a
     m_step = np.eye(len(a)) + spec.dt * a
@@ -176,7 +188,10 @@ def test_recording_leaves_estimate_unchanged_and_follows_run_zero():
     np.testing.assert_allclose(outputs, expected, rtol=1e-13, atol=1e-13)
 
 
-def test_record_stride_must_be_positive():
+def test_record_stride_must_be_positive(tmp_path):
     spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=1.0, burn_in=0.0, seed=0)
     with pytest.raises(ValueError, match="record_stride"):
         simulate_coherence(spec, record_stride=0)
+    with pytest.raises(ValueError, match="record_stride"):
+        simulate_trajectory(spec, tmp_path / "sub" / "t.csv", record_stride=0)
+    assert not (tmp_path / "sub").exists()

@@ -228,7 +228,7 @@ def test_stability_monotone_in_leaders(g):
     base = GroundedSystem.create(g, unit_kappa(g.n), [0], gains)
     report = check_stability(base)
     assert report.stable
-    grown = base.add_leader(g.n - 1)
+    grown = GroundedSystem.create(g, unit_kappa(g.n), [0, g.n - 1], gains)
     assert check_stability(grown).stable
     assert check_stability(grown).margin >= report.margin - 1e-12
 
