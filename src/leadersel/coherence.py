@@ -29,13 +29,14 @@ from .errors import (
     EmptyLeaderSetError,
     PreconditionViolatedError,
     SingularUpdateError,
+    UnstableGainsError,
     UnstableSystemError,
     UnsupportedOrderError,
 )
 from .graphs import Graph, KappaWeights, LeaderSet, laplacian
 from .linalg import DEFAULT_TOLS, Tolerances, lyapunov_solve, sym_eigenvalues
 from .stability import auto_gains, build_state_matrices, check_stability, report_for
-from .system import GainVector, GroundedSystem, grounded_matrix, singleton_spectra
+from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix, singleton_phase
 
 Method = Literal["closed_eig", "closed_inv", "lyapunov"]
 
@@ -262,25 +263,26 @@ def coherence_lyapunov_oracle(
 class SystemContext:
     """Fixed (graph, kappa, gains) with cached selection machinery.
 
-    Caches the per-singleton spectra, normalized coherences and the
-    surrogate offset constant C = 2 * max over single leaders, which
-    every set-function evaluation reuses.  ``spectra`` takes
-    ``singleton_spectra(graph, kappa)`` when the caller already holds it
-    (see ``auto``); otherwise it is computed on first use.
+    Caches the singleton phase (one eigendecomposition of L), the
+    single-leader normalized coherences and the surrogate offset constant
+    C = 2 * max over single leaders, which every set-function evaluation
+    reuses.  ``phase`` takes ``singleton_phase(graph, kappa)`` when the
+    caller already holds it (see ``auto``); otherwise it is computed on
+    first use.
     """
 
     graph: Graph
     kappa: KappaWeights
     gains: GainVector
-    spectra: np.ndarray | None = field(default=None, compare=False, repr=False)
+    phase: SingletonPhase | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def auto(cls, graph: Graph, kappa: KappaWeights, m: int) -> "SystemContext":
         """Context with ``auto_gains``; the gain rule and the context share
-        one singleton eigensolve pass."""
-        spectra = singleton_spectra(graph, kappa)
-        gains = auto_gains(graph, kappa, m, spectra=spectra)
-        return cls(graph=graph, kappa=kappa, gains=gains, spectra=spectra)
+        one singleton phase."""
+        phase = singleton_phase(graph, kappa)
+        gains = auto_gains(graph, kappa, m, phase=phase)
+        return cls(graph=graph, kappa=kappa, gains=gains, phase=phase)
 
     @property
     def n(self) -> int:
@@ -308,15 +310,14 @@ class SystemContext:
         return q
 
     @cached_property
-    def singleton_spectra(self) -> np.ndarray:
-        """Ascending eigenvalues of Q_v, one row per single leader v."""
-        if self.spectra is not None:
-            return self.spectra
-        return singleton_spectra(self.graph, self.kappa)
+    def singleton_phase(self) -> SingletonPhase:
+        if self.phase is not None:
+            return self.phase
+        return singleton_phase(self.graph, self.kappa)
 
     @cached_property
     def singleton_lambda_mins(self) -> tuple[float, ...]:
-        return tuple(self.singleton_spectra[:, 0].tolist())
+        return tuple(self.singleton_phase.lambda_mins.tolist())
 
     @cached_property
     def binding_report(self):
@@ -330,7 +331,7 @@ class SystemContext:
     def ensure_stable(self, tols: Tolerances = DEFAULT_TOLS) -> None:
         report = self.binding_report
         if not report.stable or report.margin < tols.coherence_margin:
-            raise UnstableSystemError(
+            raise UnstableGainsError(
                 f"gains do not stabilise every leader set (margin {report.margin:.3e})"
             )
 
@@ -345,10 +346,47 @@ class SystemContext:
 
     @cached_property
     def singleton_normalized(self) -> tuple[float, ...]:
+        """rho * H({v}) for every v, in closed form from the singleton phase.
+
+        With L^+ the pseudoinverse, p = L^+ e_v and d = L^+_vv + 1/kappa_v,
+        Sherman-Morrison gives Q_v^-1 = L^+ - p 1^T - 1 p^T + d 1 1^T, so
+
+          tr Q_v^-1      = tr L^+ + n d
+          ||Q_v^-1||^2   = ||L^+||^2 + 2 n (L^+2)_vv + n^2 d^2
+
+        and with T = (c L - I)^-1 (T 1 = -1) and
+        beta = c kappa_v / (1 + c kappa_v T_vv),
+
+          <Q_v^-1, (c Q_v - I)^-1> = tr(L^+ T) - n d
+                                     - beta ((T L^+ T)_vv + 2 (T L^+)_vv + d).
+
+        Every diagonal is W f(lam).  ``ensure_stable`` runs first: stable
+        gains give c lam_1 >= c lambda_min(Q_v) > 1 by interlacing, so T
+        exists.  At order 3 a value carries the conditioning
+        1 / (c lambda_min(Q_v) - 1) of the closed form itself.
+        """
         self.ensure_stable()
-        return tuple(
-            normalized_eigenvalue_terms(self.gains, lams) for lams in self.singleton_spectra
-        )
+        phase = self.singleton_phase
+        n, kappa, lam = phase.n, phase.kappa, phase.eigenvalues
+        pinv = 1.0 / lam  # the spectrum of L^+
+        c = shift_coefficient(self.gains)
+        columns = [pinv, pinv**2]
+        if c is not None:
+            t = 1.0 / (c * lam - 1.0)  # the spectrum of T off the ones vector
+            columns += [t, pinv * t, pinv * t * t]
+        diag = phase.weights @ np.column_stack(columns)  # (f(L))_vv off the ones vector
+        d = diag[:, 0] + 1.0 / kappa
+        if self.m == 1:
+            return tuple((pinv.sum() + n * d).tolist())
+        second = np.sum(pinv**2) + 2.0 * n * diag[:, 1] + n**2 * d**2
+        if self.m == 2:
+            return tuple(second.tolist())
+        beta = c * kappa / (1.0 + c * kappa * (diag[:, 2] - 1.0 / n))  # T_vv = diag - 1/n
+        third = np.sum(pinv * t) - n * d - beta * (diag[:, 4] + 2.0 * diag[:, 3] + d)
+        if self.m == 3:
+            return tuple(third.tolist())
+        _, b2 = fourth_order_coefficients(self.gains)
+        return tuple((second + b2 * third).tolist())
 
     @cached_property
     def offset(self) -> float:

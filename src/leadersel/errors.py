@@ -79,7 +79,7 @@ class UnstableSystemError(LeaderSelError):
     """System fails the stability conditions (or is within the marginal band)."""
 
 
-class UnstableGainsError(LeaderSelError):
+class UnstableGainsError(UnstableSystemError):
     """Gains do not stabilise every nonempty leader set of the graph."""
 
 

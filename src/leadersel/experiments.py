@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import SystemContext
+from .coherence import SystemContext, trace_normalizer
 from .errors import SchemaError
 from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_example, unit_kappa
 from .selection import certify_bound, exhaustive_select
@@ -163,8 +163,9 @@ def _run_singleton_table(config: ExperimentConfig, out: Path, gf: GraphFile) -> 
         context = context_for(config, graph, kappa, m)
         gains_used[str(m)] = list(context.gains.values)
         best = exhaustive_select(context, 1)
-        for v in range(graph.n):
-            rows.append(f"{gf.to_label(v)},{m},{context.coherence([v])!r}")
+        rho = trace_normalizer(context.gains)
+        for v, norm in enumerate(context.singleton_normalized):
+            rows.append(f"{gf.to_label(v)},{m},{norm / rho!r}")
         argmin[str(m)] = gf.to_label(best.chosen[0])
     name = config.experiment
     _write_csv(out / f"{name}.csv", "node,order,coherence", rows)

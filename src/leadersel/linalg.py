@@ -7,8 +7,7 @@ anywhere in the package live in the ``Tolerances`` record below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,25 +44,13 @@ DEFAULT_TOLS = Tolerances()
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues of a symmetric matrix; eigenvectors on demand.
-
-    Production code reads only eigenvalues, so the orthonormal
-    eigenvectors are computed (by a separate ``eigh``) only when read.
-    """
+    """Ascending eigenvalues of a symmetric matrix."""
 
     eigenvalues: np.ndarray
-    matrix: np.ndarray = field(compare=False, repr=False)
 
     @property
     def smallest(self) -> float:
         return float(self.eigenvalues[0])
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        try:
-            return np.linalg.eigh(self.matrix)[1]
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise EigenFailureError(str(exc)) from exc
 
 
 def _require_symmetric(m: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -83,7 +70,16 @@ def sym_eigenvalues(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralD
         values = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenFailureError(str(exc)) from exc
-    return SpectralDecomposition(eigenvalues=values, matrix=m)
+    return SpectralDecomposition(eigenvalues=values)
+
+
+def sym_eigh(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (as columns) of a symmetric matrix."""
+    m = _require_symmetric(m, tols)
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigenFailureError(str(exc)) from exc
 
 
 def spd_solve(m: np.ndarray, rhs: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

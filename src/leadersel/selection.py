@@ -5,10 +5,10 @@ nondecreasing and submodular, the greedy value is within a factor
 (1 - 1/e) of optimal; equivalently
 H(S_greedy) <= C/(rho e) + (1 - 1/e) H(S_opt).
 
-Iteration 1 reads every singleton from the context's one pass of
-singleton eigensolves.  Later iterations keep Q_S^-1 (and, for orders
-3-4, the shifted inverse (c Q_S - I)^-1) and score every candidate at
-once in closed form from a few diagonals of their products; only the
+Iteration 1 reads every singleton value from the context's singleton
+phase (one eigendecomposition of the Laplacian).  Later iterations keep
+Q_S^-1 (and, for orders 3-4, the shifted inverse (c Q_S - I)^-1) and
+score every candidate at once in closed form from a few diagonals of their products; only the
 chosen node's rank-one update is applied.  Each round costs O(n^3) and
 the whole run O(k n^3).  At the end the maintained inverses are checked
 against the grounded matrix, so rank-one drift is refused, not returned.
@@ -29,7 +29,7 @@ from .coherence import (
     shift_coefficient,
     trace_normalizer,
 )
-from .errors import CombinatorialCapError, UnstableGainsError
+from .errors import CombinatorialCapError
 from .linalg import (
     DEFAULT_TOLS,
     Tolerances,
@@ -82,14 +82,6 @@ class BoundCertificate:
         }
 
 
-def _require_stable_gains(context: SystemContext, tols: Tolerances) -> None:
-    report = context.binding_report
-    if not report.stable or report.margin < tols.coherence_margin:
-        raise UnstableGainsError(
-            f"gains are not stable for every singleton leader (margin {report.margin:.3e})"
-        )
-
-
 def _tie_eps(scale: float, tols: Tolerances) -> float:
     """Improvement below this threshold counts as a tie (goes to smaller ids).
 
@@ -113,7 +105,7 @@ def greedy_select(
     """
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
-    _require_stable_gains(context, tols)
+    context.ensure_stable(tols)
     n = context.n
     gains = context.gains
     rho = trace_normalizer(gains)
@@ -197,7 +189,9 @@ def exhaustive_select(
 
     Subsets are enumerated smallest size first, lexicographically within a
     size, and only strict improvements replace the incumbent, which fixes
-    the tie-break.  Refuses when the subset count exceeds the cap.
+    the tie-break.  Size 1 reads the context's singleton values, the same
+    ones the greedy's first round reads.  Refuses when the subset count
+    exceeds the cap.
     """
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
@@ -208,15 +202,19 @@ def exhaustive_select(
         raise CombinatorialCapError(
             f"{total} subsets exceed the cap of {tols.subset_cap}"
         )
-    _require_stable_gains(context, tols)
+    context.ensure_stable(tols)
     rho = trace_normalizer(context.gains)
+    singleton = context.singleton_normalized
     best_norm = None
     best_subset: tuple[int, ...] | None = None
     evaluations = 0
     for size in range(1, k_eff + 1):
         for subset in itertools.combinations(range(n), size):
-            lams = sym_eigenvalues(context.grounded(subset)).eigenvalues
-            norm = normalized_eigenvalue_terms(context.gains, lams)
+            if size == 1:
+                norm = singleton[subset[0]]
+            else:
+                lams = sym_eigenvalues(context.grounded(subset)).eigenvalues
+                norm = normalized_eigenvalue_terms(context.gains, lams)
             evaluations += 1
             if best_norm is None or norm < best_norm - _tie_eps(best_norm, tols):
                 best_norm = norm

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EigenFailureError, UnsupportedOrderError
 from .graphs import Graph, KappaWeights, LeaderSet
 from .linalg import DEFAULT_TOLS, Tolerances, sym_eigenvalues
-from .system import GainVector, GroundedSystem, grounded_matrix, singleton_spectra
+from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix, singleton_phase
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,8 @@ def spectral_stability_oracle(
 def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:
     """Smallest grounded eigenvalue for each single-leader choice.
 
-    Independent per-node reference for ``singleton_spectra``, which the
-    gain rule and the selection machinery use.
+    The per-node oracle for ``SingletonPhase.lambda_mins``, which the gain
+    rule and the selection machinery use: one eigensolve per node.
     """
     out = []
     for v in range(graph.n):
@@ -247,7 +247,7 @@ def auto_gains(
     kappa: KappaWeights,
     m: int,
     tols: Tolerances = DEFAULT_TOLS,
-    spectra: np.ndarray | None = None,
+    phase: SingletonPhase | None = None,
 ) -> GainVector:
     """Pick gains that stabilise every nonempty leader set.
 
@@ -259,17 +259,16 @@ def auto_gains(
     the recipe is (a, 2a, 2a, 2a) with a doubled until both order-4
     condition slacks exceed 0.5.
 
-    ``spectra`` is ``singleton_spectra(graph, kappa)`` when the caller
-    already holds it; otherwise it is computed here.
+    ``phase`` is ``singleton_phase(graph, kappa)`` when the caller already
+    holds it; otherwise it is computed here (and refuses a disconnected
+    graph).
     """
     if not 1 <= m <= 4:
         raise UnsupportedOrderError(f"order {m} outside supported range 1..4")
-    if spectra is None:
-        spectra = singleton_spectra(graph, kappa)
-    lam_mins = spectra[:, 0].tolist()
+    if phase is None:
+        phase = singleton_phase(graph, kappa)
+    lam_mins = phase.lambda_mins.tolist()
     lam_star = min(lam_mins)
-    if lam_star <= 0:
-        raise ValueError("graph must be connected for the gain rule")
     a = float(math.ceil(max(1.0 / lm for lm in lam_mins)))
     if m <= 2:
         return GainVector((a,) * m)

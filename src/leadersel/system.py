@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyLeaderSetError, UnsupportedOrderError
-from .graphs import Graph, KappaWeights, LeaderSet, laplacian
-from .linalg import DEFAULT_TOLS, SpectralDecomposition, spd_inverse, sym_eigenvalues
+from .errors import EmptyLeaderSetError, GraphError, UnsupportedOrderError
+from .graphs import Graph, KappaWeights, LeaderSet, is_connected, laplacian
+from .linalg import DEFAULT_TOLS, SpectralDecomposition, spd_inverse, sym_eigenvalues, sym_eigh
 
 MAX_ORDER = 4
 
@@ -61,22 +61,74 @@ def grounded_matrix(graph: Graph, kappa: KappaWeights, leaders: LeaderSet) -> np
     return q
 
 
-def singleton_spectra(graph: Graph, kappa: KappaWeights) -> np.ndarray:
-    """Ascending eigenvalues of Q_v for every single leader v, one row per v.
+@dataclass(frozen=True, eq=False)
+class SingletonPhase:
+    """Every single-leader quantity from one eigendecomposition L = U diag(lam) U^T.
 
-    Each Q_v is built as the Laplacian plus kappa_v at (v, v), the same
-    arithmetic as every other grounded matrix, so a row equals the
-    spectrum any other path computes for that singleton, bit for bit.
+    Each Q_v = L + kappa_v e_v e_v^T is a rank-one change of L, so with the
+    weights W = U o U (W[v, i] = U[v, i]^2) a diagonal (f(L))_vv is W f(lam),
+    O(n^2) for all v at once, and lambda_min(Q_v) is a root of the secular
+    equation.  Both are sums over eigenspaces, so neither depends on the
+    basis chosen inside a repeated eigenvalue.  The graph is connected, so
+    L has the single zero eigenvalue with eigenvector 1/sqrt(n); only the
+    nonzero spectrum and its weights are kept.
+    """
+
+    kappa: np.ndarray
+    eigenvalues: np.ndarray  # lam_1 <= ... <= lam_{n-1}
+    weights: np.ndarray      # shape (n, n - 1), the columns of W for lam_1 ..
+
+    @property
+    def n(self) -> int:
+        return len(self.kappa)
+
+    @cached_property
+    def lambda_mins(self) -> np.ndarray:
+        """lambda_min(Q_v) for every v, by vectorized bisection.
+
+        The root of 1 + kappa_v (sum_i W_vi / (lam_i - mu) - 1 / (n mu)) = 0
+        lies in (0, min(lam_1, kappa_v / n)]: kappa_v / n is the Rayleigh
+        quotient of the all-ones vector, and it also closes the bracket for
+        n = 1, where there is no lam_1.  When the weight on lam_1 vanishes
+        the bisection ends at lam_1, which is then the smallest eigenvalue.
+        It stops once every bracket is two adjacent floats and returns the
+        upper ends, so reruns are byte-identical.
+        """
+        n = self.n
+        lo = np.zeros(n)
+        hi = self.kappa / n
+        if n > 1:
+            hi = np.minimum(hi, self.eigenvalues[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                mid = 0.5 * (lo + hi)
+                if not np.any((lo < mid) & (mid < hi)):
+                    return hi
+                poles = (self.weights / (self.eigenvalues - mid[:, None])).sum(axis=1)
+                below = 1.0 + self.kappa * (poles - 1.0 / (n * mid)) < 0.0
+                lo = np.where(below, mid, lo)
+                hi = np.where(below, hi, mid)
+
+
+def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
+    """The singleton phase of (graph, kappa); refuses a disconnected graph.
+
+    Connectivity is decided on the edges, not on the sign of a rounded
+    eigenvalue: on a disconnected graph some Q_v is singular, and the
+    bisection would return a tiny positive lambda_min instead.
     """
     if len(kappa) != graph.n:
         raise ValueError(f"kappa length {len(kappa)} != node count {graph.n}")
-    lap = laplacian(graph)
-    out = np.empty((graph.n, graph.n))
-    for v in range(graph.n):
-        q = lap.copy()
-        q[v, v] += kappa.values[v]
-        out[v] = sym_eigenvalues(q).eigenvalues
-    return out
+    if not is_connected(graph):
+        raise GraphError(
+            "graph is not connected: no single leader grounds every component"
+        )
+    lam, vectors = sym_eigh(laplacian(graph))
+    return SingletonPhase(
+        kappa=kappa.as_array(),
+        eigenvalues=lam[1:],
+        weights=vectors[:, 1:] ** 2,
+    )
 
 
 @dataclass(frozen=True)

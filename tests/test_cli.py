@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from leadersel.cli import main
 from leadersel.graphs import build_graph, unit_kappa, write_graph
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "schemas"
@@ -133,6 +134,40 @@ def test_select_six_node_second_order_both():
 def test_select_k_zero_usage_error(k2_file):
     proc = run_cli("select", str(k2_file), "--order", "2", "--gains", "1,1", "--k", "0")
     assert proc.returncode == 1
+
+
+def _blocks(*sizes):
+    """Disjoint complete graphs of the given sizes, numbered consecutively."""
+    edges, start = [], 0
+    for size in sizes:
+        block = range(start, start + size)
+        edges += [(i, j, 1.0) for i in block for j in block if i < j]
+        start += size
+    return build_graph(start, edges)
+
+
+DISCONNECTED = {
+    "2xK2": _blocks(2, 2),
+    "K3+K3": _blocks(3, 3),
+    "K2+isolated": _blocks(2, 1),
+    "dense10": _blocks(5, 5),
+    "dense30": _blocks(15, 15),
+}
+GAINS = {1: "1", 2: "1,1", 3: "2,2,2", 4: "2,4,4,4"}
+
+
+@pytest.mark.parametrize("name", sorted(DISCONNECTED))
+@pytest.mark.parametrize("gains", ["auto", "explicit"])
+def test_select_refuses_disconnected_graph(tmp_path, capsys, name, gains):
+    graph = DISCONNECTED[name]
+    path = tmp_path / "g.json"
+    write_graph(graph, unit_kappa(graph.n), path)
+    for m in (1, 2, 3, 4):
+        chosen = ["--auto-gains"] if gains == "auto" else ["--gains", GAINS[m]]
+        code = main(["select", str(path), "--order", str(m), *chosen, "--k", "2"])
+        err = capsys.readouterr().err
+        assert code == 2, (m, err)
+        assert "not connected" in err
 
 
 # -- gen ---------------------------------------------------------------------------

