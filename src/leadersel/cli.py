@@ -28,7 +28,6 @@ from .errors import (
     PreconditionViolatedError,
     SchemaError,
     StepTooLargeError,
-    UnstableGainsError,
     UnstableSystemError,
 )
 from .experiments import ExperimentConfig, run_experiment
@@ -337,7 +336,6 @@ _INPUT_ERRORS = (
     PreconditionViolatedError,
     StepTooLargeError,
 )
-_UNSTABLE_ERRORS = (UnstableSystemError, UnstableGainsError)
 
 
 def main(argv=None) -> int:
@@ -351,7 +349,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _UNSTABLE_ERRORS as exc:
+    except UnstableSystemError as exc:
         print(f"unstable system: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except _INPUT_ERRORS as exc:

@@ -33,6 +33,7 @@ class Tolerances:
     stability_slack: float = 1e-12        # strictness of stability inequalities
     coherence_margin: float = 1e-9        # below this slack, refuse closed forms
     spectral_margin: float = 1e-9         # oracle: stable iff max Re < -margin
+    connectivity_rtol: float = 1e-10      # lambda_1(L) <= this * lambda_max(L): disconnected
     greedy_improvement: float = 1e-12
     subset_cap: int = 10**6               # exhaustive-search subset budget
     submodular_slack: float = 1e-9
@@ -44,9 +45,10 @@ DEFAULT_TOLS = Tolerances()
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues of a symmetric matrix."""
+    """Ascending eigenvalues of a symmetric matrix, and on request its eigenvectors."""
 
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray | None = None  # orthonormal columns, when asked for
 
     @property
     def smallest(self) -> float:
@@ -63,21 +65,18 @@ def _require_symmetric(m: np.ndarray, tols: Tolerances) -> np.ndarray:
     return m
 
 
-def sym_eigenvalues(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
-    """Eigenvalues of a symmetric matrix, ascending."""
+def sym_eigenvalues(
+    m: np.ndarray,
+    tols: Tolerances = DEFAULT_TOLS,
+    vectors: bool = False,
+) -> SpectralDecomposition:
+    """Eigenvalues of a symmetric matrix, ascending; with ``vectors``, also its eigenvectors."""
     m = _require_symmetric(m, tols)
     try:
-        values = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenFailureError(str(exc)) from exc
-    return SpectralDecomposition(eigenvalues=values)
-
-
-def sym_eigh(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (as columns) of a symmetric matrix."""
-    m = _require_symmetric(m, tols)
-    try:
-        return np.linalg.eigh(m)
+        if vectors:
+            values, basis = np.linalg.eigh(m)
+            return SpectralDecomposition(eigenvalues=values, eigenvectors=basis)
+        return SpectralDecomposition(eigenvalues=np.linalg.eigvalsh(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenFailureError(str(exc)) from exc
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyLeaderSetError, GraphError, UnsupportedOrderError
 from .graphs import Graph, KappaWeights, LeaderSet, is_connected, laplacian
-from .linalg import DEFAULT_TOLS, SpectralDecomposition, spd_inverse, sym_eigenvalues, sym_eigh
+from .linalg import DEFAULT_TOLS, SpectralDecomposition, spd_inverse, sym_eigenvalues
 
 MAX_ORDER = 4
 
@@ -115,7 +115,10 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
 
     Connectivity is decided on the edges, not on the sign of a rounded
     eigenvalue: on a disconnected graph some Q_v is singular, and the
-    bisection would return a tiny positive lambda_min instead.
+    bisection would return a tiny positive lambda_min instead.  A graph
+    whose edges connect it but whose lambda_1(L) is lost in rounding (say
+    two blocks joined by a 1e-20 bridge) is refused as well: eigh mixes
+    its near-null eigenvectors, so the phase has no isolated zero to drop.
     """
     if len(kappa) != graph.n:
         raise ValueError(f"kappa length {len(kappa)} != node count {graph.n}")
@@ -123,11 +126,18 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
         raise GraphError(
             "graph is not connected: no single leader grounds every component"
         )
-    lam, vectors = sym_eigh(laplacian(graph))
+    dec = sym_eigenvalues(laplacian(graph), DEFAULT_TOLS, vectors=True)
+    lam = dec.eigenvalues
+    rtol = DEFAULT_TOLS.connectivity_rtol
+    if graph.n > 1 and lam[1] <= rtol * lam[-1]:
+        raise GraphError(
+            f"graph is not connected numerically: lambda_1(L) = {lam[1]:.3g} is "
+            f"below {rtol:g} * lambda_max(L) = {lam[-1]:.3g}"
+        )
     return SingletonPhase(
         kappa=kappa.as_array(),
         eigenvalues=lam[1:],
-        weights=vectors[:, 1:] ** 2,
+        weights=dec.eigenvectors[:, 1:] ** 2,
     )
 
 

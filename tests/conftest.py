@@ -19,6 +19,20 @@ def random_connected_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> 
             return g
 
 
+def cliques(*sizes: int) -> Graph:
+    """Disjoint complete graphs of the given sizes, numbered consecutively."""
+    edges, start = [], 0
+    for size in sizes:
+        block = range(start, start + size)
+        edges += [(i, j, 1.0) for i in block for j in block if i < j]
+        start += size
+    return build_graph(start, edges)
+
+
+def cycle(n: int) -> Graph:
+    return build_graph(n, [(min(i, (i + 1) % n), max(i, (i + 1) % n), 1.0) for i in range(n)])
+
+
 @st.composite
 def graphs(draw, min_nodes: int = 2, max_nodes: int = 7, connected: bool = True):
     """Unit-weight graph strategy; a random spanning path keeps it connected."""

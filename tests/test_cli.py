@@ -9,6 +9,8 @@ from jsonschema import validate
 from leadersel.cli import main
 from leadersel.graphs import build_graph, unit_kappa, write_graph
 
+from conftest import cliques
+
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "schemas"
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "six_node_example.json"
 
@@ -136,22 +138,14 @@ def test_select_k_zero_usage_error(k2_file):
     assert proc.returncode == 1
 
 
-def _blocks(*sizes):
-    """Disjoint complete graphs of the given sizes, numbered consecutively."""
-    edges, start = [], 0
-    for size in sizes:
-        block = range(start, start + size)
-        edges += [(i, j, 1.0) for i in block for j in block if i < j]
-        start += size
-    return build_graph(start, edges)
-
-
 DISCONNECTED = {
-    "2xK2": _blocks(2, 2),
-    "K3+K3": _blocks(3, 3),
-    "K2+isolated": _blocks(2, 1),
-    "dense10": _blocks(5, 5),
-    "dense30": _blocks(15, 15),
+    "2xK2": cliques(2, 2),
+    "K3+K3": cliques(3, 3),
+    "K2+isolated": cliques(2, 1),
+    "dense10": cliques(5, 5),
+    "dense30": cliques(15, 15),
+    # connected by its edges, but lambda_1(L) ~ 1e-20 is lost in rounding
+    "K5~K5": build_graph(10, [*cliques(5, 5).edges, (4, 5, 1e-20)]),
 }
 GAINS = {1: "1", 2: "1,1", 3: "2,2,2", 4: "2,4,4,4"}
 
@@ -168,6 +162,22 @@ def test_select_refuses_disconnected_graph(tmp_path, capsys, name, gains):
         err = capsys.readouterr().err
         assert code == 2, (m, err)
         assert "not connected" in err
+
+
+# Known defect, pinned until it is mended (ROADMAP item 1(a), "Open"): on
+# G(1000, 0.5) the order-3 auto gains leave c lambda* - 1 = 7.6e-4, so
+# cond(cQ - I) is about 5e8 and the end-of-greedy check_inverse refuses the
+# result.  The test keeps that refusal an input error (exit 2) rather than a
+# crash or an unchecked answer; when the defect is mended it must expect
+# exit 0.  CI runs the same graph at order 4, where the gains have slack.
+def test_select_order_three_at_n1000_refuses_on_inverse_residual(tmp_path, capsys):
+    path = tmp_path / "g1000.json"
+    assert main(["gen", "--n", "1000", "--p", "0.5", "--seed", "1", "--connected",
+                 "--output", str(path)]) == 0
+    code = main(["select", str(path), "--order", "3", "--auto-gains", "--k", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "(c Q_S - I)^-1 drifted" in err
 
 
 # -- gen ---------------------------------------------------------------------------

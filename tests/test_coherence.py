@@ -24,7 +24,7 @@ from leadersel.graphs import erdos_renyi_connected
 from leadersel.stability import auto_gains, singleton_lambda_mins
 from leadersel.system import GainVector, GroundedSystem, grounded_matrix, singleton_phase
 
-from conftest import graphs, random_connected_graph
+from conftest import cliques, cycle, graphs, random_connected_graph
 
 SINGLE = build_graph(1, [])
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -325,19 +325,11 @@ def test_coherence_report_fields():
 # nothing depends on the basis chosen inside an eigenspace.
 
 
-def _complete(n):
-    return build_graph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
-
-
-def _cycle(n):
-    return build_graph(n, [(min(i, (i + 1) % n), max(i, (i + 1) % n), 1.0) for i in range(n)])
-
-
 def _phase_graphs():
     six = six_node_example()
     return [
-        ("K12", _complete(12), unit_kappa(12)),
-        ("C12", _cycle(12), unit_kappa(12)),
+        ("K12", cliques(12), unit_kappa(12)),
+        ("C12", cycle(12), unit_kappa(12)),
         ("star9", build_graph(9, [(0, j, 1.0) for j in range(1, 9)]), unit_kappa(9)),
         ("K34", build_graph(7, [(i, j, 1.0) for i in range(3) for j in range(3, 7)]), unit_kappa(7)),
         ("six", six.graph, six.kappa),

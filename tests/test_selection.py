@@ -30,7 +30,7 @@ from leadersel.selection import (
 from leadersel.stability import auto_gains
 from leadersel.system import GainVector
 
-from conftest import graphs, random_connected_graph
+from conftest import cliques, cycle, graphs, random_connected_graph
 
 K2 = build_graph(2, [(0, 1, 1.0)])
 P3 = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -85,14 +85,6 @@ def test_k2_symmetric_tie_breaks_to_smaller_id():
     assert greedy.h_values[0] == pytest.approx(3.5, rel=1e-12)
 
 
-def _complete(n):
-    return build_graph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
-
-
-def _cycle(n):
-    return build_graph(n, [(min(i, (i + 1) % n), max(i, (i + 1) % n), 1.0) for i in range(n)])
-
-
 # C40 at order 3 is left out: its singleton values spread 1.4e-10 relative
 # (the 1/(c lambda_min - 1) amplification of last-bit differences), above
 # the 1e-12 tie threshold, so the pick there is not node 0.
@@ -104,7 +96,7 @@ def _cycle(n):
 ])
 def test_vertex_transitive_round_one_tie_breaks_to_node_zero(name, m):
     size = int(name[1:])
-    graph = _complete(size) if name[0] == "K" else _cycle(size)
+    graph = cliques(size) if name[0] == "K" else cycle(size)
     ctx = context_for(graph, m)
     assert greedy_select(ctx, 1).chosen == (0,)
     assert exhaustive_select(ctx, 1).chosen == (0,)
