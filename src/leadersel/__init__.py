@@ -35,9 +35,8 @@ from .graphs import (
     write_graph,
 )
 from .linalg import (
-    DEFAULT_TOLS,
+    TOLERANCES,
     SpectralDecomposition,
-    Tolerances,
     lyapunov_solve,
     sherman_morrison_update,
     spd_inverse,
@@ -76,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundCertificate",
     "CoherenceReport",
-    "DEFAULT_TOLS",
     "GainVector",
     "Graph",
     "GraphFile",
@@ -90,7 +88,7 @@ __all__ = [
     "StabilityReport",
     "StateMatrices",
     "SystemContext",
-    "Tolerances",
+    "TOLERANCES",
     "TraceSetFunction",
     "Violation",
     "auto_gains",

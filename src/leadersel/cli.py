@@ -3,15 +3,17 @@
 Subcommands: gen, stability, coherence, select, experiment, simulate.
 Results print as JSON (or flattened CSV with --format csv) on stdout.
 
-Exit codes: 0 success, 1 usage error, 2 input/config error, 3 the system
-under test is unstable.  Node ids on the command line and in outputs are
-in the graph file's label space (``label_base``, default 1).
+Exit codes: 0 success (also when the reader closes stdout early), 1 usage
+error, 2 input/config error, 3 the system under test is unstable.  Node
+ids on the command line and in outputs are in the graph file's label
+space (``label_base``, default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,17 +61,26 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1.
+
+    Flags must be spelled in full: with prefix matching, ``gen --out`` would
+    silently mean ``gen --output``.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument("--out", default=None,
-                        help="output directory for file-producing commands")
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False, out: bool = False) -> None:
+    """Common flags; only the subcommands that read ``--seed`` or ``--out`` take them."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master random seed")
+    if out:
+        parser.add_argument("--out", default=None, help="output directory for written files")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="stdout payload format")
 
@@ -91,7 +102,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("gen", help="sample a random graph file")
-    _add_common(p_gen)
+    _add_common(p_gen, seed=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=float, required=True)
     p_gen.add_argument("--weight", type=float, default=1.0)
@@ -119,11 +130,11 @@ def build_parser() -> _Parser:
                        default="greedy")
 
     p_exp = sub.add_parser("experiment", help="run a configured experiment")
-    _add_common(p_exp)
+    _add_common(p_exp, out=True)
     p_exp.add_argument("config", help="experiment config JSON file")
 
     p_sim = sub.add_parser("simulate", help="empirical coherence via integration")
-    _add_common(p_sim)
+    _add_common(p_sim, seed=True, out=True)
     _add_system_args(p_sim)
     p_sim.add_argument("--dt", type=float, default=1e-3)
     p_sim.add_argument("--total-time", type=float, default=500.0)
@@ -346,6 +357,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        # The reader closed stdout (say `leadersel gen ... | head`): not an
+        # input error.  Point stdout at devnull so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

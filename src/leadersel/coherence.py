@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .graphs import Graph, KappaWeights, LeaderSet, laplacian
-from .linalg import DEFAULT_TOLS, Tolerances, lyapunov_solve, sym_eigenvalues
+from .linalg import TOLERANCES, lyapunov_solve, sym_eigenvalues
 from .stability import auto_gains, build_state_matrices, check_stability, report_for
 from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix, singleton_phase
 
@@ -142,7 +142,6 @@ def normalized_after_rank_one(
     shifted_inv: np.ndarray | None,
     kappa: np.ndarray,
     candidates: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> np.ndarray:
     """rho * H(S + v) for every node v, from M = Q_S^-1 and S = (c Q_S - I)^-1.
 
@@ -164,7 +163,7 @@ def normalized_after_rank_one(
 
     def coefficient(scale: np.ndarray, diag: np.ndarray) -> np.ndarray:
         denom = 1.0 + scale * diag
-        low = candidates & (denom <= tols.rank_one_denominator_min)
+        low = candidates & (denom <= TOLERANCES.rank_one_denominator_min)
         if low.any():
             raise SingularUpdateError(
                 f"update denominator {denom[low].min()} at or below tolerance"
@@ -198,11 +197,11 @@ def normalized_after_rank_one(
     return second + b2 * third
 
 
-def _require_evaluable(system: GroundedSystem, tols: Tolerances) -> None:
+def _require_evaluable(system: GroundedSystem) -> None:
     if not system.leaders.members:
         raise EmptyLeaderSetError("coherence needs a nonempty leader set")
-    report = check_stability(system, tols)
-    if not report.stable or report.margin < tols.coherence_margin:
+    report = check_stability(system)
+    if not report.stable or report.margin < TOLERANCES.coherence_margin:
         raise UnstableSystemError(
             f"system not stable enough for closed forms (margin {report.margin:.3e})"
         )
@@ -211,7 +210,6 @@ def _require_evaluable(system: GroundedSystem, tols: Tolerances) -> None:
 def coherence_closed(
     system: GroundedSystem,
     method: Literal["eigen", "inverse"] = "eigen",
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> CoherenceReport:
     """Closed-form coherence on the eigenvalue path or the matrix-inverse path.
 
@@ -220,7 +218,7 @@ def coherence_closed(
     direct product tr(Q^-2 (b1 Q - I) ((b1 - b2) Q - I)^-1), which
     shares no rearrangement with the greedy's scoring.
     """
-    _require_evaluable(system, tols)
+    _require_evaluable(system)
     gains = system.gains
     factor = 1.0 / trace_normalizer(gains)
     if method == "eigen":
@@ -239,9 +237,7 @@ def coherence_closed(
     return CoherenceReport(gains.m, factor * trace, "closed_inv", system.leaders, gains)
 
 
-def coherence_lyapunov_oracle(
-    system: GroundedSystem, tols: Tolerances = DEFAULT_TOLS
-) -> CoherenceReport:
+def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
     """Coherence as tr(C P C^T) with P solving A P + P A^T + B B^T = 0.
 
     Independent of the closed forms: builds the full state matrices and
@@ -250,11 +246,10 @@ def coherence_lyapunov_oracle(
     """
     if not system.leaders.members:
         raise EmptyLeaderSetError("coherence needs a nonempty leader set")
-    report = check_stability(system, tols)
-    if not report.stable:
+    if not check_stability(system).stable:
         raise UnstableSystemError("Lyapunov Gramian exists only for stable systems")
     mats = build_state_matrices(system)
-    gramian = lyapunov_solve(mats.a, mats.b @ mats.b.T, tols)
+    gramian = lyapunov_solve(mats.a, mats.b @ mats.b.T)
     value = float(np.trace(mats.c @ gramian @ mats.c.T))
     return CoherenceReport(system.m, value, "lyapunov", system.leaders, system.gains)
 
@@ -328,9 +323,9 @@ class SystemContext:
         """
         return report_for(self.gains, min(self.singleton_lambda_mins))
 
-    def ensure_stable(self, tols: Tolerances = DEFAULT_TOLS) -> None:
+    def ensure_stable(self) -> None:
         report = self.binding_report
-        if not report.stable or report.margin < tols.coherence_margin:
+        if not report.stable or report.margin < TOLERANCES.coherence_margin:
             raise UnstableGainsError(
                 f"gains do not stabilise every leader set (margin {report.margin:.3e})"
             )

@@ -2,7 +2,8 @@
 
 Thin, contract-checked wrappers over LAPACK (via numpy) plus a
 Kronecker-vectorization Lyapunov solver.  All numeric tolerances used
-anywhere in the package live in the ``Tolerances`` record below.
+anywhere in the package live in the one ``TOLERANCES`` record below;
+every check reads it where it checks, and no function takes an override.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central tolerance/cap configuration (all tests run at these defaults)."""
+    """Tolerance and cap fields of ``TOLERANCES``, the package's one table."""
 
     symmetry_rtol: float = 1e-10          # relative symmetry check for eigensolves
     inverse_residual_per_n: float = 1e-10  # ||M M^-1 - I||_F <= this * n
@@ -40,7 +41,7 @@ class Tolerances:
     step_norm_guard: float = 0.1          # require dt * ||A||_2 below this
 
 
-DEFAULT_TOLS = Tolerances()
+TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -55,23 +56,19 @@ class SpectralDecomposition:
         return float(self.eigenvalues[0])
 
 
-def _require_symmetric(m: np.ndarray, tols: Tolerances) -> np.ndarray:
+def _require_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {m.shape}")
     scale = np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > tols.symmetry_rtol * max(scale, 1.0):
+    if np.linalg.norm(m - m.T) > TOLERANCES.symmetry_rtol * max(scale, 1.0):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     return m
 
 
-def sym_eigenvalues(
-    m: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLS,
-    vectors: bool = False,
-) -> SpectralDecomposition:
+def sym_eigenvalues(m: np.ndarray, vectors: bool = False) -> SpectralDecomposition:
     """Eigenvalues of a symmetric matrix, ascending; with ``vectors``, also its eigenvectors."""
-    m = _require_symmetric(m, tols)
+    m = _require_symmetric(m)
     try:
         if vectors:
             values, basis = np.linalg.eigh(m)
@@ -81,9 +78,9 @@ def sym_eigenvalues(
         raise EigenFailureError(str(exc)) from exc
 
 
-def spd_solve(m: np.ndarray, rhs: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def spd_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs for symmetric positive definite M."""
-    m = _require_symmetric(m, tols)
+    m = _require_symmetric(m)
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -91,18 +88,13 @@ def spd_solve(m: np.ndarray, rhs: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -
     return np.linalg.solve(m, rhs)
 
 
-def spd_inverse(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def spd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, symmetrized."""
-    inv = spd_solve(m, np.eye(m.shape[0] if hasattr(m, "shape") else len(m)), tols)
+    inv = spd_solve(m, np.eye(m.shape[0] if hasattr(m, "shape") else len(m)))
     return (inv + inv.T) / 2.0
 
 
-def sherman_morrison_update(
-    inv: np.ndarray,
-    index: int,
-    scale: float,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> np.ndarray:
+def sherman_morrison_update(inv: np.ndarray, index: int, scale: float) -> np.ndarray:
     """Inverse of M + scale * e_i e_i^T given inv = M^-1.
 
     The update costs O(n^2); the denominator 1 + scale * inv[i, i] must
@@ -110,18 +102,13 @@ def sherman_morrison_update(
     """
     inv = np.asarray(inv, dtype=float)
     denom = 1.0 + scale * inv[index, index]
-    if denom <= tols.rank_one_denominator_min:
+    if denom <= TOLERANCES.rank_one_denominator_min:
         raise SingularUpdateError(f"update denominator {denom} at or below tolerance")
     col = inv[:, index]
     return inv - (scale / denom) * np.outer(col, col)
 
 
-def check_inverse(
-    m: np.ndarray,
-    inv: np.ndarray,
-    what: str,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> None:
+def check_inverse(m: np.ndarray, inv: np.ndarray, what: str) -> None:
     """Raise SingularUpdateError unless ||M inv - I||_F <= inverse_residual_per_n * n.
 
     Guards inverses maintained by rank-one updates against drift: a
@@ -129,31 +116,27 @@ def check_inverse(
     """
     n = m.shape[0]
     residual = float(np.linalg.norm(m @ inv - np.eye(n)))
-    if not residual <= tols.inverse_residual_per_n * n:
+    if not residual <= TOLERANCES.inverse_residual_per_n * n:
         raise SingularUpdateError(
             f"{what} drifted: residual {residual:.3e} exceeds "
-            f"{tols.inverse_residual_per_n:.1e} * n (n={n})"
+            f"{TOLERANCES.inverse_residual_per_n:.1e} * n (n={n})"
         )
 
 
-def lyapunov_solve(
-    a: np.ndarray,
-    rhs: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> np.ndarray:
+def lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A P + P A^T + RHS = 0 by Kronecker vectorization.
 
     Intended as a small-scale oracle: the caller guarantees A is stable,
     and the state dimension is capped.  The returned P is symmetrized and
-    the residual is verified against the configured bound.
+    the residual is verified against ``lyapunov_residual_rtol``.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or rhs.shape != (n, n):
         raise UnstableMatrixError(f"shape mismatch: A {a.shape}, RHS {rhs.shape}")
-    if n > tols.lyapunov_dim_cap:
-        raise DimensionCapError(f"dimension {n} exceeds cap {tols.lyapunov_dim_cap}")
+    if n > TOLERANCES.lyapunov_dim_cap:
+        raise DimensionCapError(f"dimension {n} exceeds cap {TOLERANCES.lyapunov_dim_cap}")
     eye = np.eye(n)
     system = np.kron(eye, a) + np.kron(a, eye)
     try:
@@ -163,7 +146,7 @@ def lyapunov_solve(
     p = vec_p.reshape(n, n)
     p = (p + p.T) / 2.0
     residual = np.linalg.norm(a @ p + p @ a.T + rhs)
-    bound = tols.lyapunov_residual_rtol * max(np.linalg.norm(rhs), 1e-300)
+    bound = TOLERANCES.lyapunov_residual_rtol * max(np.linalg.norm(rhs), 1e-300)
     if residual > bound:
         raise UnstableMatrixError(
             f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"

@@ -31,8 +31,7 @@ from .coherence import (
 )
 from .errors import CombinatorialCapError
 from .linalg import (
-    DEFAULT_TOLS,
-    Tolerances,
+    TOLERANCES,
     check_inverse,
     sherman_morrison_update,
     spd_inverse,
@@ -82,30 +81,29 @@ class BoundCertificate:
         }
 
 
-def _tie_eps(scale: float, tols: Tolerances) -> float:
+def _tie_eps(scale: float) -> float:
     """Improvement below this threshold counts as a tie (goes to smaller ids).
 
     Scaled so that mathematically equal candidates, which differ by a few
     ulps between factorizations, never flip the deterministic pick.
     """
-    return tols.greedy_improvement * max(1.0, abs(scale))
+    return TOLERANCES.greedy_improvement * max(1.0, abs(scale))
 
 
 def greedy_select(
     context: SystemContext,
     k: int,
     incremental: bool = True,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> SelectionResult:
     """Greedy leader choice; ties go to the smallest node id.
 
-    Stops early once no candidate improves f by more than the configured
-    threshold.  ``incremental=False`` recomputes every candidate from
+    Stops early once no candidate improves f by more than
+    ``greedy_improvement``.  ``incremental=False`` recomputes every candidate from
     scratch and exists as the reference oracle for the rank-one path.
     """
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
-    context.ensure_stable(tols)
+    context.ensure_stable()
     n = context.n
     gains = context.gains
     rho = trace_normalizer(gains)
@@ -117,7 +115,7 @@ def greedy_select(
     singleton = context.singleton_normalized
     best_v = 0
     for v in range(1, n):
-        if singleton[v] < singleton[best_v] - _tie_eps(singleton[best_v], tols):
+        if singleton[v] < singleton[best_v] - _tie_eps(singleton[best_v]):
             best_v = v
     chosen = [best_v]
     norm_value = singleton[best_v]
@@ -129,9 +127,9 @@ def greedy_select(
     incremental = incremental and k > 1
     if incremental:
         q = context.grounded(chosen)
-        inv = spd_inverse(q, tols)
+        inv = spd_inverse(q)
         if c_shift is not None:
-            shifted_inv = spd_inverse(c_shift * q - np.eye(n), tols)
+            shifted_inv = spd_inverse(c_shift * q - np.eye(n))
         candidates = np.ones(n, dtype=bool)
         candidates[best_v] = False
 
@@ -139,7 +137,7 @@ def greedy_select(
     while len(chosen) < min(k, n):
         if incremental:
             scores = normalized_after_rank_one(
-                gains, inv, shifted_inv, kappa, candidates, tols
+                gains, inv, shifted_inv, kappa, candidates
             ).tolist()
         best = None  # (f, v, norm)
         for v in range(n):
@@ -151,9 +149,9 @@ def greedy_select(
                 norm = context.normalized_coherence(members | {v})
             evaluations += 1
             f_v = offset - norm
-            if best is None or f_v > best[0] + _tie_eps(best[0], tols):
+            if best is None or f_v > best[0] + _tie_eps(best[0]):
                 best = (f_v, v, norm)
-        if best is None or best[0] - f_values[-1] <= tols.greedy_improvement:
+        if best is None or best[0] - f_values[-1] <= TOLERANCES.greedy_improvement:
             break
         f_v, v, norm = best
         members.add(v)
@@ -162,14 +160,14 @@ def greedy_select(
         h_values.append(float(norm / rho))
         if incremental:
             candidates[v] = False
-            inv = sherman_morrison_update(inv, v, kappa[v], tols)
+            inv = sherman_morrison_update(inv, v, kappa[v])
             if c_shift is not None:
-                shifted_inv = sherman_morrison_update(shifted_inv, v, c_shift * kappa[v], tols)
+                shifted_inv = sherman_morrison_update(shifted_inv, v, c_shift * kappa[v])
     if incremental:
         q = context.grounded(chosen)
-        check_inverse(q, inv, "Q_S^-1", tols)
+        check_inverse(q, inv, "Q_S^-1")
         if c_shift is not None:
-            check_inverse(c_shift * q - np.eye(n), shifted_inv, "(c Q_S - I)^-1", tols)
+            check_inverse(c_shift * q - np.eye(n), shifted_inv, "(c Q_S - I)^-1")
     return SelectionResult(
         m=gains.m,
         chosen=tuple(chosen),
@@ -180,11 +178,7 @@ def greedy_select(
     )
 
 
-def exhaustive_select(
-    context: SystemContext,
-    k: int,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> SelectionResult:
+def exhaustive_select(context: SystemContext, k: int) -> SelectionResult:
     """Exact minimizer of coherence over nonempty leader sets of size <= k.
 
     Subsets are enumerated smallest size first, lexicographically within a
@@ -198,11 +192,11 @@ def exhaustive_select(
     n = context.n
     k_eff = min(k, n)
     total = sum(math.comb(n, j) for j in range(1, k_eff + 1))
-    if total > tols.subset_cap:
+    if total > TOLERANCES.subset_cap:
         raise CombinatorialCapError(
-            f"{total} subsets exceed the cap of {tols.subset_cap}"
+            f"{total} subsets exceed the cap of {TOLERANCES.subset_cap}"
         )
-    context.ensure_stable(tols)
+    context.ensure_stable()
     rho = trace_normalizer(context.gains)
     singleton = context.singleton_normalized
     best_norm = None
@@ -216,7 +210,7 @@ def exhaustive_select(
                 lams = sym_eigenvalues(context.grounded(subset)).eigenvalues
                 norm = normalized_eigenvalue_terms(context.gains, lams)
             evaluations += 1
-            if best_norm is None or norm < best_norm - _tie_eps(best_norm, tols):
+            if best_norm is None or norm < best_norm - _tie_eps(best_norm):
                 best_norm = norm
                 best_subset = subset
     assert best_subset is not None and best_norm is not None
@@ -230,14 +224,10 @@ def exhaustive_select(
     )
 
 
-def certify_bound(
-    context: SystemContext,
-    k: int,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> BoundCertificate:
+def certify_bound(context: SystemContext, k: int) -> BoundCertificate:
     """Compare greedy against the exact optimum and check both guarantees."""
-    greedy = greedy_select(context, k, tols=tols)
-    optimal = exhaustive_select(context, k, tols=tols)
+    greedy = greedy_select(context, k)
+    optimal = exhaustive_select(context, k)
     f_greedy = float(greedy.f_values[-1])
     f_star = float(optimal.f_values[-1])
     ratio = (f_star - f_greedy) / f_star if f_star > 0 else 0.0
@@ -277,21 +267,21 @@ def check_monotone_submodular(
     seed: int = 0,
     value_fn=None,
     n: int | None = None,
-    slack: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> list[Violation]:
     """Check the surrogate's structure numerically; returns violations found.
 
-    Three families of inequalities, each allowed the configured negative
-    slack before counting as a violation:
+    Two families of inequalities, each allowed ``submodular_slack`` before
+    counting as a violation:
 
     * submodularity   f(A) + f(B) >= f(A | B) + f(A & B)
     * monotonicity    A <= B implies f(A) <= f(B)
-    * marginal decay  the gain of adding a fixed node never grows with
-      the base set
 
+    With A = S1 + v and B = S2 for S1 <= S2 and v not in S2, the
+    submodularity pair is exactly diminishing returns,
+    f(S1 + v) - f(S1) >= f(S2 + v) - f(S2), so no third family is needed.
     Exhaustive mode enumerates all subset pairs (n <= 8 required);
-    sampled mode draws ``samples`` random instances per family.
+    sampled mode draws ``samples`` random pairs, each also checked against
+    their union, plus ``samples`` random diminishing-returns pairs.
     """
     if value_fn is None:
         if context is None:
@@ -301,8 +291,7 @@ def check_monotone_submodular(
         if context is None:
             raise ValueError("need a context or an explicit node count")
         n = context.n
-    if slack is None:
-        slack = tols.submodular_slack
+    slack = TOLERANCES.submodular_slack
 
     cache: dict[int, float] = {}
 
@@ -329,13 +318,6 @@ def check_monotone_submodular(
             if mono < -slack:
                 record("monotonicity", mono, a, b)
 
-    def check_derived(node: int, s1: int, s2: int) -> None:
-        bit = 1 << node
-        gain1 = value(s1 | bit) - value(s1)
-        gain2 = value(s2 | bit) - value(s2)
-        if gain1 - gain2 < -slack:
-            record("derived_decrease", gain1 - gain2, bit, s1, s2)
-
     if mode == "exhaustive":
         if n > 8:
             raise CombinatorialCapError(f"exhaustive pair check limited to n <= 8, got {n}")
@@ -343,23 +325,6 @@ def check_monotone_submodular(
         for a in range(full):
             for b in range(a, full):
                 check_pair(a, b)
-        for node in range(n):
-            rest = [i for i in range(n) if i != node]
-            for picks2 in range(1 << len(rest)):
-                s2 = 0
-                for j, i in enumerate(rest):
-                    if picks2 >> j & 1:
-                        s2 |= 1 << i
-                sub = picks2
-                while True:  # all submasks of picks2, including 0
-                    s1 = 0
-                    for j, i in enumerate(rest):
-                        if sub >> j & 1:
-                            s1 |= 1 << i
-                    check_derived(node, s1, s2)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & picks2
     elif mode == "sampled":
         rng = np.random.Generator(np.random.PCG64(seed))
         full = 1 << n
@@ -368,11 +333,10 @@ def check_monotone_submodular(
             b = int(rng.integers(0, full))
             check_pair(a, b)
             check_pair(a, a | b)
-            node = int(rng.integers(0, n))
-            bit = 1 << node
+            bit = 1 << int(rng.integers(0, n))
             s2 = int(rng.integers(0, full)) & ~bit
             s1 = int(rng.integers(0, full)) & s2
-            check_derived(node, s1, s2)
+            check_pair(s1 | bit, s2)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return violations

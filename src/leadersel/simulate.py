@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StepTooLargeError, UnstableSystemError
-from .linalg import DEFAULT_TOLS, Tolerances
+from .linalg import TOLERANCES
 from .stability import build_state_matrices, check_stability
 from .system import GroundedSystem
 
@@ -67,7 +67,6 @@ def simulate_coherence(
     record_stride: int | None = None,
     x0: np.ndarray | None = None,
     noise: bool = True,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
     """Estimate coherence empirically; returns (estimate, standard error, recorded).
 
@@ -82,13 +81,13 @@ def simulate_coherence(
     """
     if record_stride is not None and record_stride < 1:
         raise ValueError("record_stride must be >= 1")
-    if not check_stability(spec.system, tols).stable:
+    if not check_stability(spec.system).stable:
         raise UnstableSystemError("refusing to integrate an unstable system")
     a = build_state_matrices(spec.system).a
     growth = spec.dt * float(np.linalg.norm(a, 2))
-    if growth >= tols.step_norm_guard:
+    if growth >= TOLERANCES.step_norm_guard:
         raise StepTooLargeError(
-            f"dt * ||A||_2 = {growth:.3g} >= {tols.step_norm_guard}; shrink dt"
+            f"dt * ||A||_2 = {growth:.3g} >= {TOLERANCES.step_norm_guard}; shrink dt"
         )
     n = spec.system.n
     nm = a.shape[0]
@@ -145,8 +144,7 @@ def simulate_coherence(
 
 
 def simulate_trajectory(
-    spec: SimulationSpec, path: str | Path, record_stride: int = 1,
-    tols: Tolerances = DEFAULT_TOLS,
+    spec: SimulationSpec, path: str | Path, record_stride: int = 1
 ) -> tuple[float, float]:
     """Estimate coherence and write run 0's trajectory to ``path`` in one pass.
 
@@ -154,7 +152,7 @@ def simulate_trajectory(
     the CSV holds the states it records every ``record_stride`` steps.
     Parent directories are created once the integration has succeeded.
     """
-    estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride, tols=tols)
+    estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(path, times, outputs)
     return estimate, stderr

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EigenFailureError, UnsupportedOrderError
 from .graphs import Graph, KappaWeights, LeaderSet
-from .linalg import DEFAULT_TOLS, Tolerances, sym_eigenvalues
+from .linalg import TOLERANCES, sym_eigenvalues
 from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix, singleton_phase
 
 
@@ -107,13 +107,10 @@ def hurwitz_determinants(gains: GainVector, lam: float) -> tuple[float, ...]:
     raise UnsupportedOrderError(f"order {m} not supported")
 
 
-def stability_conditions(
-    gains: GainVector, lam: float, tols: Tolerances = DEFAULT_TOLS
-) -> list[StabilityCondition]:
+def stability_conditions(gains: GainVector, lam: float) -> list[StabilityCondition]:
     """Order-specific gain inequalities evaluated at a single eigenvalue."""
     a = gains.values
     m = gains.m
-    tol = tols.stability_slack
     conditions: list[StabilityCondition] = []
 
     def add(name: str, lhs: float, rhs: float) -> None:
@@ -123,7 +120,7 @@ def stability_conditions(
                 name=name,
                 detail=f"{name}: {lhs:.12g} > {rhs:g}",
                 slack=slack,
-                satisfied=slack > tol,
+                satisfied=slack > TOLERANCES.stability_slack,
             )
         )
 
@@ -139,12 +136,12 @@ def stability_conditions(
     return conditions
 
 
-def report_for(gains: GainVector, lambda_min: float, tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
+def report_for(gains: GainVector, lambda_min: float) -> StabilityReport:
     """Stability report for a system whose smallest grounded eigenvalue is known."""
-    conditions = tuple(stability_conditions(gains, lambda_min, tols))
+    conditions = tuple(stability_conditions(gains, lambda_min))
     margin = min(c.slack for c in conditions)
     stable = all(c.satisfied for c in conditions)
-    marginal = (not stable) and margin >= -tols.spectral_margin
+    marginal = (not stable) and margin >= -TOLERANCES.spectral_margin
     return StabilityReport(
         stable=stable,
         marginal=marginal,
@@ -155,7 +152,7 @@ def report_for(gains: GainVector, lambda_min: float, tols: Tolerances = DEFAULT_
     )
 
 
-def check_stability(system: GroundedSystem, tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
+def check_stability(system: GroundedSystem) -> StabilityReport:
     """Decide stability via the gain inequalities at lambda_min.
 
     All conditions increase with lam, so the smallest grounded eigenvalue
@@ -163,7 +160,7 @@ def check_stability(system: GroundedSystem, tols: Tolerances = DEFAULT_TOLS) -> 
     tolerance, and an exactly-boundary system is reported unstable with
     the ``marginal`` flag set.
     """
-    return report_for(system.gains, system.lambda_min, tols)
+    return report_for(system.gains, system.lambda_min)
 
 
 def equal_gain_verdict(m: int) -> bool:
@@ -210,9 +207,7 @@ def build_state_matrices(system: GroundedSystem) -> StateMatrices:
     return StateMatrices(a=a, b=b, c=c)
 
 
-def spectral_stability_oracle(
-    a: np.ndarray, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[bool, float]:
+def spectral_stability_oracle(a: np.ndarray) -> tuple[bool, float]:
     """Stability via the eigenvalues of the (nonsymmetric) state matrix.
 
     Returns (stable, max real part); stable iff the spectrum sits
@@ -226,7 +221,7 @@ def spectral_stability_oracle(
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(str(exc)) from exc
     max_real = float(np.max(values.real))
-    return max_real < -tols.spectral_margin, max_real
+    return max_real < -TOLERANCES.spectral_margin, max_real
 
 
 def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:
@@ -246,7 +241,6 @@ def auto_gains(
     graph: Graph,
     kappa: KappaWeights,
     m: int,
-    tols: Tolerances = DEFAULT_TOLS,
     phase: SingletonPhase | None = None,
 ) -> GainVector:
     """Pick gains that stabilise every nonempty leader set.
@@ -273,7 +267,7 @@ def auto_gains(
     if m <= 2:
         return GainVector((a,) * m)
     if m == 3:
-        while a * lam_star - 1.0 <= tols.coherence_margin:
+        while a * lam_star - 1.0 <= TOLERANCES.coherence_margin:
             a *= 2.0
         return GainVector((a, a, a))
     while a * lam_star - 1.0 <= 0.5:

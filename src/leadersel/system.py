@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyLeaderSetError, GraphError, UnsupportedOrderError
 from .graphs import Graph, KappaWeights, LeaderSet, is_connected, laplacian
-from .linalg import DEFAULT_TOLS, SpectralDecomposition, spd_inverse, sym_eigenvalues
+from .linalg import TOLERANCES, SpectralDecomposition, spd_inverse, sym_eigenvalues
 
 MAX_ORDER = 4
 
@@ -126,9 +126,9 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
         raise GraphError(
             "graph is not connected: no single leader grounds every component"
         )
-    dec = sym_eigenvalues(laplacian(graph), DEFAULT_TOLS, vectors=True)
+    dec = sym_eigenvalues(laplacian(graph), vectors=True)
     lam = dec.eigenvalues
-    rtol = DEFAULT_TOLS.connectivity_rtol
+    rtol = TOLERANCES.connectivity_rtol
     if graph.n > 1 and lam[1] <= rtol * lam[-1]:
         raise GraphError(
             f"graph is not connected numerically: lambda_1(L) = {lam[1]:.3g} is "
@@ -184,7 +184,7 @@ class GroundedSystem:
 
     @cached_property
     def decomposition(self) -> SpectralDecomposition:
-        return sym_eigenvalues(self.matrix, DEFAULT_TOLS)
+        return sym_eigenvalues(self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -135,7 +135,7 @@ def test_criterion_5_submodularity_suite():
         kappa = unit_kappa(n)
         for m in (2, 3, 4):
             ctx = SystemContext(graph=g, kappa=kappa, gains=auto_gains(g, kappa, m))
-            violations = check_monotone_submodular(ctx, mode="exhaustive", slack=1e-9)
+            violations = check_monotone_submodular(ctx, mode="exhaustive")
             assert violations == [], (index, m, violations[:3])
         lam_floor = min(
             SystemContext(graph=g, kappa=kappa, gains=GainVector.of(1.0))
@@ -149,7 +149,7 @@ def test_criterion_5_submodularity_suite():
             b3=b3,
         )
         assert check_monotone_submodular(
-            value_fn=product.value, n=n, mode="exhaustive", slack=1e-9
+            value_fn=product.value, n=n, mode="exhaustive"
         ) == []
         b2 = float(rng.uniform(0.1, 2.0))
         quartic = TraceSetFunction(
@@ -158,7 +158,7 @@ def test_criterion_5_submodularity_suite():
             b2=b2,
         )
         assert check_monotone_submodular(
-            value_fn=quartic.value, n=n, mode="exhaustive", slack=1e-9
+            value_fn=quartic.value, n=n, mode="exhaustive"
         ) == []
     _pass(5, "10 graphs x (f2, f3, f4, product, fourth-order): zero violations",
           started, 120.0)

@@ -203,6 +203,26 @@ def test_gen_rejects_bad_probability():
     assert proc.returncode == 2
 
 
+def test_gen_into_closed_pipe_exits_zero_quietly():
+    # about 1 MB of JSON: the write outlasts the pipe buffer and meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leadersel", "gen", "--n", "400", "--p", "0.5", "--seed", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+def test_gen_into_missing_directory_is_input_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "g.json"
+    assert main(["gen", "--n", "5", "--p", "0.5", "--output", str(target)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 # -- experiment ----------------------------------------------------------------------
 
 def test_experiment_fig3_reproduces_leader_split(tmp_path):
@@ -354,3 +374,52 @@ def test_csv_format_flattens_payload(k2_file):
 def test_unknown_subcommand_usage_error():
     proc = run_cli("frobnicate")
     assert proc.returncode == 1
+
+
+# -- common flags: each subcommand takes only those it reads ---------------------------
+
+SYSTEM = [str(FIXTURE), "--order", "2", "--gains", "1,1", "--leaders", "1"]
+
+
+@pytest.mark.parametrize("command, args, flag", [
+    ("stability", SYSTEM, "--seed"),
+    ("coherence", SYSTEM, "--seed"),
+    ("select", SYSTEM[:5] + ["--k", "2"], "--seed"),
+    ("experiment", ["fig3.json"], "--seed"),
+    ("gen", ["--n", "5", "--p", "0.5"], "--out"),
+    ("stability", SYSTEM, "--out"),
+    ("coherence", SYSTEM, "--out"),
+    ("select", SYSTEM[:5] + ["--k", "2"], "--out"),
+])
+def test_unread_common_flag_is_usage_error(tmp_path, capsys, command, args, flag):
+    value = str(tmp_path / "g.json") if flag == "--out" else "123"
+    assert main([command, *args, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kept_common_flags_are_read(tmp_path, capsys, k2_file):
+    def gen(seed):
+        assert main(["gen", "--n", "8", "--p", "0.5", "--seed", seed]) == 0
+        return capsys.readouterr().out
+
+    assert gen("3") == gen("3") != gen("4")
+
+    def simulate(*extra):
+        assert main(["simulate", str(k2_file), "--order", "2", "--gains", "1,1",
+                     "--leaders", "0", "--dt", "1e-2", "--total-time", "5",
+                     "--burn-in", "1", *extra]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert simulate("--seed", "8")["seed"] == 8
+    assert simulate("--seed", "8")["estimate"] != simulate("--seed", "9")["estimate"]
+    payload = simulate("--out", str(tmp_path / "sim"), "--trajectory", "t.csv")
+    assert payload["trajectory"] == str(tmp_path / "sim" / "t.csv")
+    assert (tmp_path / "sim" / "t.csv").exists()
+
+    config = tmp_path / "fig3.json"
+    config.write_text(json.dumps({"experiment": "fig3", "orders": [1], "gain_rule": "auto"}))
+    assert main(["experiment", str(config), "--out", str(tmp_path / "exp")]) == 0
+    assert json.loads(capsys.readouterr().out)["output_dir"] == str(tmp_path / "exp")
+    assert (tmp_path / "exp" / "summary.json").exists()

@@ -20,7 +20,7 @@ from leadersel.errors import (
     UnstableGainsError,
 )
 from leadersel.graphs import build_graph, erdos_renyi_connected, unit_kappa
-from leadersel.linalg import Tolerances, sherman_morrison_update, spd_inverse
+from leadersel.linalg import sherman_morrison_update, spd_inverse
 from leadersel.selection import (
     certify_bound,
     check_monotone_submodular,
@@ -206,8 +206,8 @@ def test_greedy_refuses_drifted_inverse(monkeypatch, m, drifting, message):
     ctx = context_for(graph, m)
     assert shift_coefficient(ctx.gains) != 1.0
 
-    def drifting_update(inv, index, scale, tols=Tolerances()):
-        updated = sherman_morrison_update(inv, index, scale, tols)
+    def drifting_update(inv, index, scale):
+        updated = sherman_morrison_update(inv, index, scale)
         if (scale == 1.0) == (drifting == "inverse"):
             updated = updated + 1e-6
         return updated
@@ -225,10 +225,11 @@ def test_exhaustive_equals_greedy_for_k1(six_node):
         assert exhaustive_select(ctx, 1).chosen == greedy_select(ctx, 1).chosen
 
 
-def test_exhaustive_respects_cap(six_node):
-    tols = Tolerances(subset_cap=5)
-    with pytest.raises(CombinatorialCapError):
-        exhaustive_select(context_for(six_node.graph, 2), 3, tols=tols)
+def test_exhaustive_respects_cap():
+    # C(60, 1) + ... + C(60, 5) subsets: refused before any is enumerated
+    graph, _ = erdos_renyi_connected(60, 0.5, seed=1)
+    with pytest.raises(CombinatorialCapError, match="5985197 subsets exceed the cap of 1000000"):
+        exhaustive_select(context_for(graph, 2), 5)
 
 
 def test_exhaustive_prefers_smaller_subsets_on_budget():
@@ -288,6 +289,30 @@ def test_trivial_pair_identity(six_node):
     ctx = context_for(six_node.graph, 2)
     violations = check_monotone_submodular(ctx, mode="sampled", samples=1, seed=0)
     assert violations == []
+
+
+@pytest.mark.parametrize("mode, expected", [("exhaustive", 55), ("sampled", 202)])
+def test_supermodular_function_reports_submodularity_violations(mode, expected):
+    # f(S) = |S|^2 gains more the larger S is; in sampled mode 88 of the
+    # violations come from random pairs and 114 from diminishing-returns pairs
+    violations = check_monotone_submodular(value_fn=lambda s: len(s) ** 2, n=4, mode=mode)
+    assert len(violations) == expected
+    assert {v.kind for v in violations} == {"submodularity"}
+    for v in violations:
+        a, b = (set(s) for s in v.sets)
+        assert v.gap == len(a) ** 2 + len(b) ** 2 - len(a | b) ** 2 - len(a & b) ** 2 < 0
+
+
+@pytest.mark.parametrize("mode, expected", [("exhaustive", 65), ("sampled", 188)])
+def test_decreasing_function_reports_monotonicity_violations(mode, expected):
+    # f(S) = -|S| is modular, so only monotonicity fails: every proper
+    # subset pair, 3^4 - 2^4 = 65 of them, in exhaustive mode
+    violations = check_monotone_submodular(value_fn=lambda s: -len(s), n=4, mode=mode)
+    assert len(violations) == expected
+    assert {v.kind for v in violations} == {"monotonicity"}
+    for v in violations:
+        a, b = (set(s) for s in v.sets)
+        assert a < b and v.gap == len(a) - len(b)
 
 
 def test_generalized_product_form_clean():
