@@ -22,16 +22,7 @@ from .coherence import (
     coherence_closed,
     coherence_lyapunov_oracle,
 )
-from .errors import (
-    CombinatorialCapError,
-    DimensionCapError,
-    LeaderSelError,
-    ParseError,
-    PreconditionViolatedError,
-    SchemaError,
-    StepTooLargeError,
-    UnstableSystemError,
-)
+from .errors import LeaderSelError, UnstableSystemError
 from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
     GraphFile,
@@ -56,7 +47,7 @@ class UsageError(Exception):
     pass
 
 
-class InputError(Exception):
+class InputError(LeaderSelError):
     pass
 
 
@@ -281,11 +272,13 @@ def _cmd_select(args) -> int:
         return data
 
     if args.algorithm in ("greedy", "both"):
-        payload["greedy"] = labelled(greedy_select(context, args.k))
+        greedy = greedy_select(context, args.k)
+        payload["greedy"] = labelled(greedy)
     if args.algorithm in ("exhaustive", "both"):
-        payload["exhaustive"] = labelled(exhaustive_select(context, args.k))
+        optimal = exhaustive_select(context, args.k)
+        payload["exhaustive"] = labelled(optimal)
     if args.algorithm == "both":
-        payload["certificate"] = certify_bound(context, args.k).to_dict()
+        payload["certificate"] = certify_bound(context, greedy, optimal).to_dict()
     _emit(payload, args.format)
     return EXIT_OK
 
@@ -338,17 +331,6 @@ _HANDLERS = {
     "simulate": _cmd_simulate,
 }
 
-_INPUT_ERRORS = (
-    ParseError,
-    SchemaError,
-    InputError,
-    CombinatorialCapError,
-    DimensionCapError,
-    PreconditionViolatedError,
-    StepTooLargeError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -368,9 +350,6 @@ def main(argv=None) -> int:
     except UnstableSystemError as exc:
         print(f"unstable system: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (OSError, ValueError, LeaderSelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,8 +8,8 @@ Closed forms, per order, as functions of the grounded matrix Q:
   H_4 = 1/(2 a1 a2) * tr(Q^-2 (b1 Q - I) ((b1 - b2) Q - I)^-1)
         with b1 = a3 a4 / a2 and b2 = a1 a4^2 / a2^2
 
-Each is evaluated either on the spectrum of Q (default) or literally on
-matrix inverses; a Lyapunov-Gramian oracle provides an independent check.
+Each is evaluated on the spectrum of Q; the Lyapunov-Gramian oracle is an
+independent check.
 
 The selection surrogate is f(S) = 0 for empty S and C - rho * H(S)
 otherwise, where rho * H(S) is a plain trace (rho = 2a1, 2a1a2,
@@ -29,16 +29,29 @@ from .errors import (
     EmptyLeaderSetError,
     PreconditionViolatedError,
     SingularUpdateError,
-    UnstableGainsError,
     UnstableSystemError,
     UnsupportedOrderError,
 )
 from .graphs import Graph, KappaWeights, LeaderSet, laplacian
 from .linalg import TOLERANCES, lyapunov_solve, sym_eigenvalues
-from .stability import auto_gains, build_state_matrices, check_stability, report_for
-from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix, singleton_phase
+from .stability import (
+    auto_gains,
+    build_state_matrices,
+    check_stability,
+    report_for,
+    require_evaluable,
+)
+from .system import (
+    GainVector,
+    GroundedSystem,
+    SingletonPhase,
+    fourth_order_coefficients,
+    grounded_matrix,
+    shift_coefficient,
+    singleton_phase,
+)
 
-Method = Literal["closed_eig", "closed_inv", "lyapunov"]
+Method = Literal["closed_eig", "lyapunov"]
 
 
 @dataclass(frozen=True)
@@ -71,27 +84,8 @@ def trace_normalizer(gains: GainVector) -> float:
     raise UnsupportedOrderError(f"order {gains.m} not supported")
 
 
-def shift_coefficient(gains: GainVector) -> float | None:
-    """Coefficient c of the auxiliary factor (c Q - I) used by orders 3 and 4."""
-    a = gains.values
-    if gains.m == 3:
-        return a[1] * a[2] / a[0]
-    if gains.m == 4:
-        b1, b2 = fourth_order_coefficients(gains)
-        return b1 - b2
-    return None
-
-
-def fourth_order_coefficients(gains: GainVector) -> tuple[float, float]:
-    a = gains.values
-    if gains.m != 4:
-        raise UnsupportedOrderError("fourth-order coefficients need m = 4")
-    return a[2] * a[3] / a[1], a[0] * a[3] ** 2 / a[1] ** 2
-
-
 def normalized_eigenvalue_terms(gains: GainVector, lams: Iterable[float]) -> float:
     """Sum of per-eigenvalue terms of rho * H (the normalized coherence)."""
-    a = gains.values
     m = gains.m
     total = 0.0
     if m == 1:
@@ -101,7 +95,7 @@ def normalized_eigenvalue_terms(gains: GainVector, lams: Iterable[float]) -> flo
         for lam in lams:
             total += 1.0 / lam**2
     elif m == 3:
-        c = a[1] * a[2] / a[0]
+        c = shift_coefficient(gains)
         for lam in lams:
             total += 1.0 / (lam * (c * lam - 1.0))
     elif m == 4:
@@ -116,10 +110,11 @@ def normalized_eigenvalue_terms(gains: GainVector, lams: Iterable[float]) -> flo
 def normalized_from_inverses(
     gains: GainVector, inv: np.ndarray, shifted_inv: np.ndarray | None
 ) -> float:
-    """rho * H from the maintained inverses Q^-1 and (c Q - I)^-1.
+    """rho * H from the inverses Q^-1 and (c Q - I)^-1.
 
-    Traces of products of symmetric matrices reduce to elementwise sums,
-    which is what keeps the incremental greedy at O(n^2) per candidate.
+    Traces of products of symmetric matrices reduce to elementwise sums.
+    This is the named oracle of ``normalized_after_rank_one``: tests apply
+    each rank-one update explicitly and score the result here.
     """
     m = gains.m
     if m == 1:
@@ -197,44 +192,17 @@ def normalized_after_rank_one(
     return second + b2 * third
 
 
-def _require_evaluable(system: GroundedSystem) -> None:
-    if not system.leaders.members:
-        raise EmptyLeaderSetError("coherence needs a nonempty leader set")
-    report = check_stability(system)
-    if not report.stable or report.margin < TOLERANCES.coherence_margin:
-        raise UnstableSystemError(
-            f"system not stable enough for closed forms (margin {report.margin:.3e})"
-        )
+def coherence_closed(system: GroundedSystem) -> CoherenceReport:
+    """Closed-form coherence from the eigenvalues of the grounded matrix.
 
-
-def coherence_closed(
-    system: GroundedSystem,
-    method: Literal["eigen", "inverse"] = "eigen",
-) -> CoherenceReport:
-    """Closed-form coherence on the eigenvalue path or the matrix-inverse path.
-
-    At orders 1-3 the inverse path is ``normalized_from_inverses``.  At
-    order 4 it is the named oracle for that function's split form: the
-    direct product tr(Q^-2 (b1 Q - I) ((b1 - b2) Q - I)^-1), which
-    shares no rearrangement with the greedy's scoring.
+    Refused near the stability boundary by ``require_evaluable``; an empty
+    leader set is refused by ``lambda_min``.
     """
-    _require_evaluable(system)
+    require_evaluable(check_stability(system))
     gains = system.gains
     factor = 1.0 / trace_normalizer(gains)
-    if method == "eigen":
-        value = factor * normalized_eigenvalue_terms(gains, system.eigenvalues)
-        return CoherenceReport(gains.m, float(value), "closed_eig", system.leaders, gains)
-
-    inv = system.inverse
-    if gains.m == 4:
-        b1, b2 = fourth_order_coefficients(gains)
-        middle = b1 * system.matrix - np.eye(system.n)
-        trace = float(np.trace(inv @ inv @ middle @ system.shifted_inverse(b1 - b2)))
-    else:
-        c = shift_coefficient(gains)
-        shifted = None if c is None else system.shifted_inverse(c)
-        trace = normalized_from_inverses(gains, inv, shifted)
-    return CoherenceReport(gains.m, factor * trace, "closed_inv", system.leaders, gains)
+    value = factor * normalized_eigenvalue_terms(gains, system.eigenvalues)
+    return CoherenceReport(gains.m, float(value), "closed_eig", system.leaders, gains)
 
 
 def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
@@ -244,8 +212,6 @@ def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
     solves the Lyapunov equation directly.  Capped at small state
     dimensions; meant as a validation oracle, not a fast path.
     """
-    if not system.leaders.members:
-        raise EmptyLeaderSetError("coherence needs a nonempty leader set")
     if not check_stability(system).stable:
         raise UnstableSystemError("Lyapunov Gramian exists only for stable systems")
     mats = build_state_matrices(system)
@@ -287,9 +253,6 @@ class SystemContext:
     def m(self) -> int:
         return self.gains.m
 
-    def system(self, leaders) -> GroundedSystem:
-        return GroundedSystem.create(self.graph, self.kappa, leaders, self.gains)
-
     @cached_property
     def _laplacian(self) -> np.ndarray:
         return laplacian(self.graph)
@@ -311,24 +274,13 @@ class SystemContext:
         return singleton_phase(self.graph, self.kappa)
 
     @cached_property
-    def singleton_lambda_mins(self) -> tuple[float, ...]:
-        return tuple(self.singleton_phase.lambda_mins.tolist())
-
-    @cached_property
     def binding_report(self):
         """Stability report at the worst single-leader eigenvalue.
 
         Conditions only improve as leaders are added, so a pass here
         covers every nonempty leader set.
         """
-        return report_for(self.gains, min(self.singleton_lambda_mins))
-
-    def ensure_stable(self) -> None:
-        report = self.binding_report
-        if not report.stable or report.margin < TOLERANCES.coherence_margin:
-            raise UnstableGainsError(
-                f"gains do not stabilise every leader set (margin {report.margin:.3e})"
-            )
+        return report_for(self.gains, float(self.singleton_phase.lambda_mins.min()))
 
     def normalized_coherence(self, leaders) -> float:
         """rho * H over the given leader set (a bare trace)."""
@@ -355,12 +307,14 @@ class SystemContext:
           <Q_v^-1, (c Q_v - I)^-1> = tr(L^+ T) - n d
                                      - beta ((T L^+ T)_vv + 2 (T L^+)_vv + d).
 
-        Every diagonal is W f(lam).  ``ensure_stable`` runs first: stable
+        Every diagonal is W f(lam).  ``require_evaluable`` passes the
+        binding report first, so the set function and the selection
+        searches built on it share the closed forms' margin rule: stable
         gains give c lam_1 >= c lambda_min(Q_v) > 1 by interlacing, so T
         exists.  At order 3 a value carries the conditioning
         1 / (c lambda_min(Q_v) - 1) of the closed form itself.
         """
-        self.ensure_stable()
+        require_evaluable(self.binding_report)
         phase = self.singleton_phase
         n, kappa, lam = phase.n, phase.kappa, phase.eigenvalues
         pinv = 1.0 / lam  # the spectrum of L^+
@@ -387,9 +341,6 @@ class SystemContext:
     def offset(self) -> float:
         """The surrogate constant C: twice the worst single-leader trace."""
         return 2.0 * max(self.singleton_normalized)
-
-    def coherence(self, leaders) -> float:
-        return self.normalized_coherence(leaders) / trace_normalizer(self.gains)
 
     def set_value(self, leaders) -> float:
         """The monotone submodular surrogate f(S); maximizing it minimizes H."""

@@ -79,10 +79,6 @@ class UnstableSystemError(LeaderSelError):
     """System fails the stability conditions (or is within the marginal band)."""
 
 
-class UnstableGainsError(UnstableSystemError):
-    """Gains do not stabilise every nonempty leader set of the graph."""
-
-
 class PreconditionViolatedError(LeaderSelError):
     pass
 

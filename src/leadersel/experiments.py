@@ -18,7 +18,7 @@ rows so downstream checks never need to re-run the protocol.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .coherence import SystemContext, trace_normalizer
 from .errors import SchemaError
 from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_example, unit_kappa
-from .selection import certify_bound, exhaustive_select
+from .selection import certify_bound, exhaustive_select, greedy_select
 from .system import GainVector
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
@@ -104,13 +104,6 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.write_text("\n".join([header, *rows]) + "\n")
 
 
-@dataclass
-class _TrialData:
-    seed: int
-    resamples: int
-    gains: dict = field(default_factory=dict)
-
-
 def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
     """Shared driver for fig1 (metric='optimal_h') and fig2 (metric='ratio')."""
     per_trial_rows: list[str] = []
@@ -120,20 +113,21 @@ def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
         trial_seed = derive_seed(config.seed, trial)
         graph, resamples = erdos_renyi_connected(config.n, config.p, trial_seed)
         kappa = unit_kappa(config.n)
-        meta = _TrialData(seed=trial_seed, resamples=resamples)
+        gains: dict[str, list[float]] = {}
+        trials_meta.append(
+            {"trial": trial, "seed": trial_seed, "resamples": resamples, "gains": gains}
+        )
         for m in config.orders:
             context = context_for(config, graph, kappa, m)
-            meta.gains[str(m)] = list(context.gains.values)
+            gains[str(m)] = list(context.gains.values)
             for k in range(1, config.k_max + 1):
                 if metric == "optimal_h":
                     value = exhaustive_select(context, k).h_values[-1]
                 else:
-                    value = certify_bound(context, k).ratio
+                    greedy = greedy_select(context, k)
+                    value = certify_bound(context, greedy, exhaustive_select(context, k)).ratio
                 values.setdefault((k, m), []).append(value)
                 per_trial_rows.append(f"{k},{m},{trial},{value!r}")
-        trials_meta.append(
-            {"trial": trial, "seed": meta.seed, "resamples": meta.resamples, "gains": meta.gains}
-        )
 
     name = config.experiment
     if metric == "optimal_h":

@@ -51,10 +51,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None  # orthonormal columns, when asked for
 
-    @property
-    def smallest(self) -> float:
-        return float(self.eigenvalues[0])
-
 
 def _require_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)

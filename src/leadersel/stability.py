@@ -23,10 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenFailureError, UnsupportedOrderError
+from .errors import EigenFailureError, UnstableSystemError, UnsupportedOrderError
 from .graphs import Graph, KappaWeights, LeaderSet
 from .linalg import TOLERANCES, sym_eigenvalues
-from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix, singleton_phase
+from .system import (
+    GainVector,
+    GroundedSystem,
+    SingletonPhase,
+    fourth_order_coefficients,
+    grounded_matrix,
+    shift_coefficient,
+    singleton_phase,
+)
 
 
 @dataclass(frozen=True)
@@ -127,12 +135,11 @@ def stability_conditions(gains: GainVector, lam: float) -> list[StabilityConditi
     for j in range(m):
         add(f"a{j + 1} > 0", a[j], 0.0)
     if m == 3:
-        add("(a2*a3/a1)*lambda_min > 1", (a[1] * a[2] / a[0]) * lam, 1.0)
+        add("(a2*a3/a1)*lambda_min > 1", shift_coefficient(gains) * lam, 1.0)
     elif m == 4:
-        c1 = a[2] * a[3] / a[1]
-        c2 = c1 - a[0] * a[3] ** 2 / a[1] ** 2
-        add("(a3*a4/a2)*lambda_min > 1", c1 * lam, 1.0)
-        add("((a3*a4/a2)-(a1*a4^2/a2^2))*lambda_min > 1", c2 * lam, 1.0)
+        b1, _ = fourth_order_coefficients(gains)
+        add("(a3*a4/a2)*lambda_min > 1", b1 * lam, 1.0)
+        add("((a3*a4/a2)-(a1*a4^2/a2^2))*lambda_min > 1", shift_coefficient(gains) * lam, 1.0)
     return conditions
 
 
@@ -161,6 +168,20 @@ def check_stability(system: GroundedSystem) -> StabilityReport:
     the ``marginal`` flag set.
     """
     return report_for(system.gains, system.lambda_min)
+
+
+def require_evaluable(report: StabilityReport) -> None:
+    """Refuse the closed forms unless the report is stable by ``coherence_margin``.
+
+    Near the boundary the order-3/4 trace terms diverge, so the closed
+    forms and everything built on them (the selection surrogate) share
+    this one rule.
+    """
+    if not report.stable or report.margin < TOLERANCES.coherence_margin:
+        raise UnstableSystemError(
+            f"system not stable enough for closed forms (lambda_min "
+            f"{report.lambda_min:.6g}, margin {report.margin:.3e})"
+        )
 
 
 def equal_gain_verdict(m: int) -> bool:
@@ -233,7 +254,7 @@ def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:
     out = []
     for v in range(graph.n):
         q = grounded_matrix(graph, kappa, LeaderSet.of([v]))
-        out.append(sym_eigenvalues(q).smallest)
+        out.append(float(sym_eigenvalues(q).eigenvalues[0]))
     return out
 
 

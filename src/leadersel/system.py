@@ -8,14 +8,14 @@ what makes the coherence expressions finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyLeaderSetError, GraphError, UnsupportedOrderError
 from .graphs import Graph, KappaWeights, LeaderSet, is_connected, laplacian
-from .linalg import TOLERANCES, SpectralDecomposition, spd_inverse, sym_eigenvalues
+from .linalg import TOLERANCES, sym_eigenvalues
 
 MAX_ORDER = 4
 
@@ -48,6 +48,25 @@ class GainVector:
 
     def __getitem__(self, j: int) -> float:
         return self.values[j]
+
+
+def shift_coefficient(gains: GainVector) -> float | None:
+    """Coefficient c of the auxiliary factor (c Q - I) used by orders 3 and 4."""
+    a = gains.values
+    if gains.m == 3:
+        return a[1] * a[2] / a[0]
+    if gains.m == 4:
+        b1, b2 = fourth_order_coefficients(gains)
+        return b1 - b2
+    return None
+
+
+def fourth_order_coefficients(gains: GainVector) -> tuple[float, float]:
+    """(b1, b2) = (a3 a4 / a2, a1 a4^2 / a2^2) of the order-4 closed form."""
+    a = gains.values
+    if gains.m != 4:
+        raise UnsupportedOrderError("fourth-order coefficients need m = 4")
+    return a[2] * a[3] / a[1], a[0] * a[3] ** 2 / a[1] ** 2
 
 
 def grounded_matrix(graph: Graph, kappa: KappaWeights, leaders: LeaderSet) -> np.ndarray:
@@ -145,15 +164,13 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
 class GroundedSystem:
     """A graph with kappa weights, a leader set, and feedback gains.
 
-    Spectral and inverse caches are computed lazily and never mutate;
-    deriving a new system (e.g. adding a leader) builds a fresh value.
+    The grounded matrix and its eigenvalues are computed lazily, once.
     """
 
     graph: Graph
     kappa: KappaWeights
     leaders: LeaderSet
     gains: GainVector
-    _shifted_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def create(
@@ -183,31 +200,11 @@ class GroundedSystem:
         return grounded_matrix(self.graph, self.kappa, self.leaders)
 
     @cached_property
-    def decomposition(self) -> SpectralDecomposition:
-        return sym_eigenvalues(self.matrix)
-
-    @property
     def eigenvalues(self) -> np.ndarray:
-        return self.decomposition.eigenvalues
+        return sym_eigenvalues(self.matrix).eigenvalues
 
     @property
     def lambda_min(self) -> float:
         if not self.leaders.members:
             raise EmptyLeaderSetError("grounded matrix is singular without leaders")
-        return self.decomposition.smallest
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        if not self.leaders.members:
-            raise EmptyLeaderSetError("grounded matrix is singular without leaders")
-        return spd_inverse(self.matrix)
-
-    def shifted_inverse(self, coefficient: float) -> np.ndarray:
-        """Inverse of (coefficient * Q - I); cached per coefficient."""
-        key = float(coefficient)
-        cached = self._shifted_cache.get(key)
-        if cached is None:
-            shifted = key * self.matrix - np.eye(self.n)
-            cached = spd_inverse(shifted)
-            self._shifted_cache[key] = cached
-        return cached
+        return float(self.eigenvalues[0])

@@ -115,7 +115,7 @@ def test_criterion_4_greedy_bound_desk_scale():
         for m in (1, 2, 3, 4):
             ctx = SystemContext(graph=g, kappa=kappa, gains=auto_gains(g, kappa, m))
             for k in (1, 2, 3):
-                cert = certify_bound(ctx, k)
+                cert = certify_bound(ctx, greedy_select(ctx, k), exhaustive_select(ctx, k))
                 assert cert.holds
                 assert cert.ratio <= 1.0 / math.e + 1e-12
                 if k == 1:
@@ -139,7 +139,7 @@ def test_criterion_5_submodularity_suite():
             assert violations == [], (index, m, violations[:3])
         lam_floor = min(
             SystemContext(graph=g, kappa=kappa, gains=GainVector.of(1.0))
-            .singleton_lambda_mins
+            .singleton_phase.lambda_mins
         )
         b3 = float(rng.uniform(0.0, 1.5))
         product = TraceSetFunction(

@@ -6,8 +6,15 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+import leadersel.cli as cli
+import leadersel.errors as errors
+import leadersel.selection as selection
 from leadersel.cli import main
+from leadersel.coherence import SystemContext, coherence_closed
 from leadersel.graphs import build_graph, unit_kappa, write_graph
+from leadersel.selection import exhaustive_select, greedy_select
+from leadersel.stability import check_stability
+from leadersel.system import GainVector, GroundedSystem
 
 from conftest import cliques
 
@@ -131,6 +138,24 @@ def test_select_six_node_second_order_both():
     assert payload["exhaustive"]["chosen"] == [4]
     assert payload["certificate"]["ratio"] == 0.0
     assert payload["certificate"]["holds"] is True
+
+
+def test_select_both_runs_each_algorithm_once(monkeypatch, capsys):
+    calls = {"greedy_select": 0, "exhaustive_select": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, selection):
+        for name, fn in (("greedy_select", greedy_select), ("exhaustive_select", exhaustive_select)):
+            monkeypatch.setattr(module, name, counted(name, fn))
+    assert main(["select", str(FIXTURE), "--order", "3", "--auto-gains", "--k", "3",
+                 "--algorithm", "both"]) == 0
+    assert "certificate" in json.loads(capsys.readouterr().out)
+    assert calls == {"greedy_select": 1, "exhaustive_select": 1}
 
 
 def test_select_k_zero_usage_error(k2_file):
@@ -358,6 +383,50 @@ def test_simulate_rejects_oversized_step(k2_file):
                    "--leaders", "0", "--dt", "0.5", "--total-time", "10",
                    "--burn-in", "1")
     assert proc.returncode == 2
+
+
+# -- exit codes ------------------------------------------------------------------------
+
+def test_closed_form_margin_is_one_gate(tmp_path, capsys):
+    """Closed forms, both searches and the set function refuse alike within
+    coherence_margin of the boundary; the CLI exits 3 for both commands."""
+    graph, kappa = build_graph(2, [(0, 1, 1.0)]), unit_kappa(2)
+    lam = (3.0 - 5.0**0.5) / 2.0  # lambda_min(Q_{0}) = lambda_min(Q_{1}) on K2
+    gains = GainVector.of(1.0, 1.0, (1.0 + 5e-10) / lam)
+    system = GroundedSystem.create(graph, kappa, [0], gains)
+    assert 0.0 < gains[2] * system.lambda_min - 1.0 < 1e-9
+    assert check_stability(system).stable
+    ctx = SystemContext(graph=graph, kappa=kappa, gains=gains)
+    messages = set()
+    for call in (lambda: coherence_closed(system), lambda: greedy_select(ctx, 1),
+                 lambda: exhaustive_select(ctx, 1), lambda: ctx.set_value([0])):
+        with pytest.raises(errors.UnstableSystemError) as info:
+            call()
+        assert type(info.value) is errors.UnstableSystemError
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    (message,) = messages
+
+    path = tmp_path / "k2.json"
+    write_graph(graph, kappa, path, label_base=0)
+    flags = ["--order", "3", "--gains", ",".join(repr(a) for a in gains.values)]
+    for argv in (["coherence", str(path), *flags, "--leaders", "0"],
+                 ["select", str(path), *flags, "--k", "1", "--algorithm", "both"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"unstable system: {message}\n"
+
+
+@pytest.mark.parametrize("error", [
+    errors.ParseError, errors.SchemaError, cli.InputError, errors.CombinatorialCapError,
+    errors.DimensionCapError, errors.PreconditionViolatedError, errors.StepTooLargeError,
+])
+def test_input_errors_exit_two(monkeypatch, capsys, error):
+    def handler(args):
+        raise error("bad input")
+
+    monkeypatch.setitem(cli._HANDLERS, "gen", handler)
+    assert main(["gen", "--n", "3", "--p", "0.5"]) == 2
+    assert capsys.readouterr().err == "input error: bad input\n"
 
 
 # -- output formats ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from leadersel.errors import (
 )
 from leadersel.graphs import KappaWeights, LeaderSet, build_graph, six_node_example, unit_kappa
 from leadersel.graphs import erdos_renyi_connected
+from leadersel.linalg import spd_inverse
 from leadersel.stability import auto_gains, singleton_lambda_mins
 from leadersel.system import GainVector, GroundedSystem, grounded_matrix, singleton_phase
 
@@ -84,13 +85,24 @@ def test_empty_leaders_refused():
         coherence_closed(system)
 
 
+def inverse_path_h(system):
+    """H from dense inverses: normalized_from_inverses(Q^-1, (c Q - I)^-1) / rho.
+
+    At order 4 this is the split form the greedy scores with,
+    (tr(Q^-2) + b2 tr(Q^-1 ((b1-b2) Q - I)^-1)) / (2 a1 a2)."""
+    gains = system.gains
+    c = shift_coefficient(gains)
+    shifted = None if c is None else spd_inverse(c * system.matrix - np.eye(system.n))
+    trace = normalized_from_inverses(gains, spd_inverse(system.matrix), shifted)
+    return trace / trace_normalizer(gains)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_eigen_and_inverse_paths_agree(m):
     for seed in range(8):
         system = stable_random_system(seed, 6, m)
-        eig = coherence_closed(system, "eigen").value
-        inv = coherence_closed(system, "inverse").value
-        assert inv == pytest.approx(eig, rel=1e-8)
+        eig = coherence_closed(system).value
+        assert inverse_path_h(system) == pytest.approx(eig, rel=1e-8)
 
 
 # -- Lyapunov oracle -------------------------------------------------------------
@@ -120,33 +132,22 @@ def test_closed_forms_match_oracle(m):
 
 # -- rearranged fourth-order form -------------------------------------------------
 
-def rearranged_h4(system):
-    """H4 in the split form the greedy scores with:
-    (tr(Q^-2) + b2 tr(Q^-1 ((b1-b2) Q - I)^-1)) / (2 a1 a2)."""
-    gains = system.gains
-    shifted = system.shifted_inverse(shift_coefficient(gains))
-    return normalized_from_inverses(gains, system.inverse, shifted) / trace_normalizer(gains)
-
-
 def test_rearranged_matches_direct_single_node():
     system = single_system((1, 2, 3, 2))
-    assert rearranged_h4(system) == pytest.approx(0.5, rel=1e-12)
-    assert rearranged_h4(system) == pytest.approx(coherence_closed(system).value, rel=1e-12)
+    assert inverse_path_h(system) == pytest.approx(0.5, rel=1e-12)
+    assert inverse_path_h(system) == pytest.approx(coherence_closed(system).value, rel=1e-12)
 
 
 def test_rearranged_matches_direct_random():
     for seed in range(10):
         system = stable_random_system(200 + seed, 5, 4)
-        for method in ("eigen", "inverse"):
-            assert rearranged_h4(system) == pytest.approx(
-                coherence_closed(system, method).value, rel=1e-10
-            )
+        assert inverse_path_h(system) == pytest.approx(coherence_closed(system).value, rel=1e-10)
 
 
 def test_rearranged_matches_oracle_k2():
     gains = auto_gains(K2, unit_kappa(2), 4)
     system = GroundedSystem.create(K2, unit_kappa(2), [0], gains)
-    assert rearranged_h4(system) == pytest.approx(
+    assert inverse_path_h(system) == pytest.approx(
         coherence_lyapunov_oracle(system).value, rel=1e-6
     )
 
@@ -286,8 +287,8 @@ def test_adding_a_leader_reduces_coherence(g, m, seed):
     if not outside:
         return
     ctx = SystemContext(graph=g, kappa=unit_kappa(g.n), gains=gains)
-    before = ctx.coherence(members)
-    after = ctx.coherence(members + [outside[0]])
+    before = ctx.normalized_coherence(members) / trace_normalizer(ctx.gains)
+    after = ctx.normalized_coherence(members + [outside[0]]) / trace_normalizer(ctx.gains)
     assert after <= before
     assert before - after > 1e-12  # strict with positive kappa
 

@@ -13,11 +13,12 @@ from leadersel.coherence import (
     normalized_after_rank_one,
     normalized_from_inverses,
     shift_coefficient,
+    trace_normalizer,
 )
 from leadersel.errors import (
     CombinatorialCapError,
     SingularUpdateError,
-    UnstableGainsError,
+    UnstableSystemError,
 )
 from leadersel.graphs import build_graph, erdos_renyi_connected, unit_kappa
 from leadersel.linalg import sherman_morrison_update, spd_inverse
@@ -74,7 +75,8 @@ def test_path_first_order_middle_node():
     assert result.chosen == (1,)
     assert result.h_values[0] == pytest.approx(2.5, rel=1e-12)
     # end nodes are strictly worse
-    assert ctx.coherence([0]) == pytest.approx(3.0, rel=1e-12)
+    assert ctx.normalized_coherence([0]) / trace_normalizer(ctx.gains) == pytest.approx(
+        3.0, rel=1e-12)
 
 
 def test_k2_symmetric_tie_breaks_to_smaller_id():
@@ -119,7 +121,7 @@ def test_greedy_rejects_bad_budget(six_node):
 
 def test_greedy_rejects_unstable_gains():
     ctx = context_for(K2, 3, gains=GainVector.of(1, 1, 1))  # a*lambda_min < 1
-    with pytest.raises(UnstableGainsError):
+    with pytest.raises(UnstableSystemError):
         greedy_select(ctx, 1)
 
 
@@ -242,14 +244,16 @@ def test_exhaustive_prefers_smaller_subsets_on_budget():
 
 def test_certificate_ratio_zero_for_k1(six_node):
     for m in (1, 2, 3, 4):
-        cert = certify_bound(context_for(six_node.graph, m), 1)
+        ctx = context_for(six_node.graph, m)
+        cert = certify_bound(ctx, greedy_select(ctx, 1), exhaustive_select(ctx, 1))
         assert cert.ratio == 0.0
         assert cert.holds
 
 
 def test_certificate_single_node_graph_degenerate():
     single = build_graph(1, [])
-    cert = certify_bound(context_for(single, 2, gains=GainVector.of(1, 1)), 1)
+    ctx = context_for(single, 2, gains=GainVector.of(1, 1))
+    cert = certify_bound(ctx, greedy_select(ctx, 1), exhaustive_select(ctx, 1))
     assert cert.ratio == 0.0
     assert cert.holds
 
@@ -261,7 +265,8 @@ def test_certificate_holds_on_random_instances():
         g = random_connected_graph(rng, n)
         m = int(rng.integers(1, 5))
         k = int(rng.integers(1, 4))
-        cert = certify_bound(context_for(g, m), k)
+        ctx = context_for(g, m)
+        cert = certify_bound(ctx, greedy_select(ctx, k), exhaustive_select(ctx, k))
         assert cert.holds
         assert cert.ratio <= 1.0 / math.e + 1e-12
         assert cert.coherence_greedy <= cert.coherence_bound * (1 + 1e-12)
