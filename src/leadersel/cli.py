@@ -4,7 +4,8 @@ Subcommands: gen, stability, coherence, select, experiment, simulate.
 Results print as JSON (or flattened CSV with --format csv) on stdout.
 
 Exit codes: 0 success (also when the reader closes stdout early), 1 usage
-error, 2 input/config error, 3 the system under test is unstable.  Node
+error, 2 input/config error (or the Lyapunov oracle cannot meet its
+residual bound), 3 the system under test is unstable.  Node
 ids on the command line and in outputs are in the graph file's label
 space (``label_base``, default 1).
 """
@@ -22,7 +23,7 @@ from .coherence import (
     coherence_closed,
     coherence_lyapunov_oracle,
 )
-from .errors import LeaderSelError, UnstableSystemError
+from .errors import LeaderSelError, LyapunovAccuracyError, UnstableSystemError
 from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
     GraphFile,
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
     except UnstableSystemError as exc:
         print(f"unstable system: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
+    except LyapunovAccuracyError as exc:
+        print(f"oracle accuracy limit: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (OSError, ValueError, LeaderSelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -209,8 +209,9 @@ def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
     """Coherence as tr(C P C^T) with P solving A P + P A^T + B B^T = 0.
 
     Independent of the closed forms: builds the full state matrices and
-    solves the Lyapunov equation directly.  Capped at small state
-    dimensions; meant as a validation oracle, not a fast path.
+    solves the Lyapunov equation directly, in O((nm)^3) time.  Capped at
+    state dimension ``lyapunov_dim_cap``; meant as a validation oracle,
+    not a fast path.
     """
     if not check_stability(system).stable:
         raise UnstableSystemError("Lyapunov Gramian exists only for stable systems")

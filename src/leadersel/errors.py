@@ -54,7 +54,11 @@ class SingularUpdateError(LeaderSelError):
 
 
 class UnstableMatrixError(LeaderSelError):
-    """Lyapunov solve failed or violated its residual bound."""
+    """Lyapunov solve failed: A is singular, not stable, or the residual bound is missed."""
+
+
+class LyapunovAccuracyError(UnstableMatrixError):
+    """The Lyapunov solution misses its residual bound (A too close to the boundary)."""
 
 
 class DimensionCapError(LeaderSelError):

@@ -8,8 +8,12 @@ entering the highest-order block: per step,
 The coherence estimate is the time-and-ensemble average of the squared
 first-order states after a burn-in window.  Noise streams come from
 PCG64 seeded with SeedSequence([seed, run_index]), so every run is
-reproducible independently of chunking or ensemble size.  Accumulation
-is chunkwise pairwise summation, deterministic for a fixed seed.
+reproducible independently of chunking or ensemble size.  Each run's
+noise is drawn in blocks of ``_NOISE_BLOCK`` steps, generator by
+generator, which consumes every stream in the same order as one draw
+per chunk would, so memory stays bounded and results do not depend on
+the block size.  Accumulation is chunkwise pairwise summation over
+``_CHUNK`` steps, deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .stability import build_state_matrices, check_stability
 from .system import GroundedSystem
 
 _CHUNK = 65536
+_NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -109,18 +114,19 @@ def simulate_coherence(
     counted = 0
     step = 0
     steps, burn_steps = spec.steps, spec.burn_steps
+    draws = np.empty((_NOISE_BLOCK, n, runs))
     while step < steps:
         chunk = min(_CHUNK, steps - step)
-        if noise:
-            draws = np.stack(
-                [g.standard_normal((chunk, n)) for g in gens], axis=2
-            )  # (chunk, n, runs)
         fill = 0
         for t in range(chunk):
+            if noise and t % _NOISE_BLOCK == 0:
+                block = min(_NOISE_BLOCK, chunk - t)
+                for r, g in enumerate(gens):
+                    draws[:block, :, r] = g.standard_normal((block, n))
             np.matmul(m_step, x, out=scratch)
             x, scratch = scratch, x
             if noise:
-                x[lo:, :] += sqdt * draws[t]
+                x[lo:, :] += sqdt * draws[t % _NOISE_BLOCK]
             step += 1
             if step > burn_steps:
                 y = x[:n, :]

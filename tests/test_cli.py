@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -414,6 +415,25 @@ def test_closed_form_margin_is_one_gate(tmp_path, capsys):
                  ["select", str(path), *flags, "--k", "1", "--algorithm", "both"]):
         assert main(argv) == 3
         assert capsys.readouterr().err == f"unstable system: {message}\n"
+
+
+def test_lyapunov_accuracy_limit_has_its_own_prefix(k2_file, capsys):
+    """A stable order-3 K2 system 2e-9 inside the boundary: the closed form
+    answers, the Gramian oracle cannot meet its residual bound and says so."""
+    flags = ["--order", "3", "--gains", "1,1,2.6180339939859634", "--leaders", "0"]
+    assert main(["coherence", str(k2_file), *flags]) == 0
+    capsys.readouterr()
+    assert main(["coherence", str(k2_file), *flags, "--method", "lyapunov"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    match = re.fullmatch(
+        r"oracle accuracy limit: the Gramian oracle cannot meet its residual bound "
+        r"on this system: residual (\S+) exceeds bound (\S+)\n",
+        captured.err,
+    )
+    assert match, captured.err
+    residual, bound = float(match[1]), float(match[2])
+    assert residual > bound == pytest.approx(1e-8 * 2**0.5, rel=1e-3)
 
 
 @pytest.mark.parametrize("error", [

@@ -130,6 +130,18 @@ def test_closed_forms_match_oracle(m):
         assert closed == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_closed_forms_match_oracle_at_selection_scale(n):
+    """The `gen --n N --p 0.5 --seed 1 --connected` graphs with auto gains
+    and leaders 0-4: state dimension up to 800, criterion-2 tolerance."""
+    g, _ = erdos_renyi_connected(n, 0.5, 1)
+    kappa = unit_kappa(n)
+    for m in (2, 3, 4):
+        system = GroundedSystem.create(g, kappa, [0, 1, 2, 3, 4], auto_gains(g, kappa, m))
+        closed = coherence_closed(system).value
+        assert coherence_lyapunov_oracle(system).value == pytest.approx(closed, rel=1e-6), m
+
+
 # -- rearranged fourth-order form -------------------------------------------------
 
 def test_rearranged_matches_direct_single_node():

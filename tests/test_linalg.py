@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 from leadersel.errors import (
     DimensionCapError,
+    LyapunovAccuracyError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularUpdateError,
     UnstableMatrixError,
 )
+from leadersel.graphs import build_graph, unit_kappa
 from leadersel.linalg import (
+    TOLERANCES,
     check_inverse,
     lyapunov_solve,
     sherman_morrison_update,
@@ -20,6 +24,10 @@ from leadersel.linalg import (
     spd_solve,
     sym_eigenvalues,
 )
+from leadersel.stability import auto_gains, build_state_matrices, companion_state_matrix
+from leadersel.system import GainVector, GroundedSystem
+
+from conftest import random_connected_graph
 
 
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -191,7 +199,7 @@ def test_lyapunov_residual_and_symmetry(n, seed):
 
 
 def test_lyapunov_dimension_cap():
-    n = 61
+    n = TOLERANCES.lyapunov_dim_cap + 1
     with pytest.raises(DimensionCapError):
         lyapunov_solve(-np.eye(n), np.eye(n))
 
@@ -199,3 +207,114 @@ def test_lyapunov_dimension_cap():
 def test_lyapunov_rejects_singular_system():
     with pytest.raises(UnstableMatrixError):
         lyapunov_solve(np.array([[0.0]]), np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[0.5]]),
+    np.array([[-1.0, 0.0], [0.0, 2.0]]),
+    np.array([[0.1, 1.0], [-1.0, 0.1]]),  # complex pair in the right half-plane
+    companion_state_matrix(np.eye(2), (1.0, 1.0, 1.0, 1.0)),  # equal-gain order 4
+])
+def test_lyapunov_rejects_right_half_plane_eigenvalue(a):
+    assert np.max(np.linalg.eigvals(a).real) > 0
+    with pytest.raises(UnstableMatrixError) as info:
+        lyapunov_solve(a, np.eye(a.shape[0]))
+    assert type(info.value) is UnstableMatrixError
+
+
+# -- Lyapunov solve against the Kronecker oracle --------------------------------
+
+def kronecker_lyapunov_oracle(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Independent test oracle: solve (I (x) A + A (x) I) vec P = -vec RHS densely.
+
+    Returns the symmetrized P and whether its residual meets the same
+    ``lyapunov_residual_rtol`` bound that ``lyapunov_solve`` enforces.
+    O(n^6) time and O(n^4) memory, so kept to small n.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    p = np.linalg.solve(np.kron(eye, a) + np.kron(a, eye), -rhs.reshape(-1)).reshape(n, n)
+    p = (p + p.T) / 2.0
+    residual = np.linalg.norm(a @ p + p @ a.T + rhs)
+    return p, residual <= TOLERANCES.lyapunov_residual_rtol * np.linalg.norm(rhs)
+
+
+def random_stable(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Dense non-normal matrix shifted so its spectrum sits left of -0.1."""
+    a = rng.standard_normal((n, n))
+    return a - (np.max(np.linalg.eigvals(a).real) + 0.1 + rng.uniform()) * np.eye(n)
+
+
+def random_companion(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """Stable order-m companion state matrix (non-normal) on a random graph."""
+    g = random_connected_graph(rng, n)
+    kappa = unit_kappa(n)
+    leaders = sorted({int(v) for v in rng.integers(0, n, 2)})
+    system = GroundedSystem.create(g, kappa, leaders, auto_gains(g, kappa, m))
+    a = companion_state_matrix(system.matrix, system.gains.values)
+    assert np.max(np.linalg.eigvals(a).real) < 0
+    return a
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lyapunov_matches_kronecker_oracle(seed):
+    rng = np.random.default_rng(seed)
+    dims = (2, 3, 5, 8, 13, 21, 30)
+    n = dims[seed % len(dims)]
+    w = rng.standard_normal((n, n))
+    cases = [random_stable(rng, n)]
+    for m in (2, 3, 4):
+        if n % m == 0 and n // m >= 2:
+            cases.append(random_companion(rng, n // m, m))
+    for a in cases:
+        rhs = w @ w.T
+        expected, accepted = kronecker_lyapunov_oracle(a, rhs)
+        assert accepted
+        p = lyapunov_solve(a, rhs)
+        assert np.linalg.norm(p - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("graph", ["K2", "G10"])
+def test_lyapunov_accepts_what_kronecker_accepts_near_boundary(graph):
+    """Order 3 at c lambda_min - 1 = margin, from 1e-1 down to 1e-9: every
+    system the Kronecker oracle solves within the residual bound,
+    lyapunov_solve solves too, to the same Gramian trace; the rest it
+    refuses with LyapunovAccuracyError, never with a wrong answer."""
+    if graph == "K2":
+        g = build_graph(2, [(0, 1, 1.0)])
+    else:
+        g = random_connected_graph(np.random.default_rng(10), 10)
+    leaders = [0] if graph == "K2" else [0, 3, 7]
+    base = GroundedSystem.create(g, unit_kappa(g.n), leaders, GainVector.of(1, 1, 1))
+    accepted = 0
+    for margin in np.logspace(-1, -9, 17):
+        gains = GainVector.of(1.0, 1.0, (1.0 + margin) / base.lambda_min)
+        mats = build_state_matrices(GroundedSystem.create(g, unit_kappa(g.n), leaders, gains))
+        rhs = mats.b @ mats.b.T
+        expected, oracle_ok = kronecker_lyapunov_oracle(mats.a, rhs)
+        try:
+            p = lyapunov_solve(mats.a, rhs)
+        except LyapunovAccuracyError:
+            assert not oracle_ok, margin
+            continue
+        accepted += 1
+        if oracle_ok:
+            assert np.trace(p[: g.n, : g.n]) == pytest.approx(
+                np.trace(expected[: g.n, : g.n]), rel=1e-7
+            )
+    assert accepted >= 10
+
+
+def test_lyapunov_solve_memory_is_quadratic():
+    """At state dimension 60 the peak traced allocation stays below 16 MB
+    (a dense Kronecker system alone would take 104 MB)."""
+    a = random_companion(np.random.default_rng(5), 15, 4)
+    rhs = np.eye(60)
+    lyapunov_solve(a, rhs)  # warm up lazily allocated numpy internals
+    tracemalloc.start()
+    try:
+        lyapunov_solve(a, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak

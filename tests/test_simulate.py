@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import leadersel.simulate as simulate
+
 from leadersel.errors import StepTooLargeError, UnstableSystemError
-from leadersel.graphs import KappaWeights, build_graph, unit_kappa
+from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, unit_kappa
 from leadersel.simulate import (
     SimulationSpec,
     noise_stream,
@@ -10,7 +14,7 @@ from leadersel.simulate import (
     simulate_trajectory,
     write_trajectory_csv,
 )
-from leadersel.stability import build_state_matrices
+from leadersel.stability import auto_gains, build_state_matrices
 from leadersel.system import GainVector, GroundedSystem
 
 SINGLE = build_graph(1, [])
@@ -195,3 +199,40 @@ def test_record_stride_must_be_positive(tmp_path):
     with pytest.raises(ValueError, match="record_stride"):
         simulate_trajectory(spec, tmp_path / "sub" / "t.csv", record_stride=0)
     assert not (tmp_path / "sub").exists()
+
+
+# -- noise blocks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [simulate._CHUNK, 1000])
+def test_noise_block_size_leaves_every_output_bit_equal(monkeypatch, chunk):
+    """Blocks of 1, 7 and the default draw the same numbers into the same
+    steps, also when chunk boundaries fall inside a block."""
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=26.0, burn_in=3.0,
+                          seed=12, ensemble=3)
+    assert spec.steps > 2 * simulate._NOISE_BLOCK
+    results = []
+    for block in (1, 7, simulate._NOISE_BLOCK):
+        monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
+        estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride=9)
+        results.append((estimate, stderr, times.tobytes(), outputs.tobytes()))
+    assert results[0] == results[1] == results[2]
+
+
+def test_simulation_memory_is_bounded_in_steps():
+    """30 000 steps x 16 runs on a 15-node order-4 system peak below 32 MB
+    of traced allocations (a noise array for the whole chunk takes 58 MB)."""
+    g, _ = erdos_renyi_connected(15, 0.5, 3)
+    system = GroundedSystem.create(g, unit_kappa(15), [0, 5, 9], auto_gains(g, unit_kappa(15), 4))
+    dt = 0.05 / float(np.linalg.norm(build_state_matrices(system).a, 2))
+    spec = SimulationSpec(system=system, dt=dt, total_time=30000 * dt, burn_in=7500 * dt,
+                          seed=1, ensemble=16)
+    assert spec.steps == 30000
+    tracemalloc.start()
+    try:
+        estimate, _, _ = simulate_coherence(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(estimate) and estimate > 0
+    assert peak < 32 * 2**20, peak
