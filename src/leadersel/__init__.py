@@ -15,7 +15,6 @@ from .coherence import (
     TraceSetFunction,
     coherence_closed,
     coherence_lyapunov_oracle,
-    trace_normalizer,
 )
 from .errors import LeaderSelError
 from .graphs import (
@@ -119,7 +118,6 @@ __all__ = [
     "spd_solve",
     "spectral_stability_oracle",
     "sym_eigenvalues",
-    "trace_normalizer",
     "unit_kappa",
     "write_graph",
     "write_trajectory_csv",

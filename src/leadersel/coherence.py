@@ -11,17 +11,29 @@ Closed forms, per order, as functions of the grounded matrix Q:
 Each is evaluated on the spectrum of Q; the Lyapunov-Gramian oracle is an
 independent check.
 
+Every order is one weighted trace.  With M = Q^-1 and S = (c Q - I)^-1,
+
+  rho * H = w1 tr(M) + w2 ||M||_F^2 + w3 <M, S>
+
+  order  rho          (w1, w2, w3)   c
+  1      2 a1         (1, 0, 0)      -
+  2      2 a1 a2      (0, 1, 0)      -
+  3      2 a1^2 / a3  (0, 0, 1)      a2 a3 / a1
+  4      2 a1 a2      (0, 1, b2)     b1 - b2
+
+``GainVector.form`` holds this record; every path below computes only
+the terms of nonzero weight, so none branches on the order.
+
 The selection surrogate is f(S) = 0 for empty S and C - rho * H(S)
-otherwise, where rho * H(S) is a plain trace (rho = 2a1, 2a1a2,
-2a1^2/a3, 2a1a2 for orders 1..4) and C is twice the worst single-leader
-value, so f is nonnegative, nondecreasing, and submodular.
+otherwise, where C is twice the worst single-leader value of the trace,
+so f is nonnegative, nondecreasing, and submodular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -30,9 +42,8 @@ from .errors import (
     PreconditionViolatedError,
     SingularUpdateError,
     UnstableSystemError,
-    UnsupportedOrderError,
 )
-from .graphs import Graph, KappaWeights, LeaderSet, laplacian
+from .graphs import Graph, KappaWeights, LeaderSet
 from .linalg import TOLERANCES, lyapunov_solve, sym_eigenvalues
 from .stability import (
     auto_gains,
@@ -45,9 +56,7 @@ from .system import (
     GainVector,
     GroundedSystem,
     SingletonPhase,
-    fourth_order_coefficients,
     grounded_matrix,
-    shift_coefficient,
     singleton_phase,
 )
 
@@ -72,39 +81,21 @@ class CoherenceReport:
         }
 
 
-def trace_normalizer(gains: GainVector) -> float:
-    """The factor rho with rho * H(S) equal to a bare trace expression."""
-    a = gains.values
-    if gains.m == 1:
-        return 2.0 * a[0]
-    if gains.m == 2 or gains.m == 4:
-        return 2.0 * a[0] * a[1]
-    if gains.m == 3:
-        return 2.0 * a[0] ** 2 / a[2]
-    raise UnsupportedOrderError(f"order {gains.m} not supported")
+def normalized_eigenvalue_terms(gains: GainVector, lams: np.ndarray) -> float:
+    """Sum of per-eigenvalue terms of rho * H (the normalized coherence).
 
-
-def normalized_eigenvalue_terms(gains: GainVector, lams: Iterable[float]) -> float:
-    """Sum of per-eigenvalue terms of rho * H (the normalized coherence)."""
-    m = gains.m
-    total = 0.0
-    if m == 1:
-        for lam in lams:
-            total += 1.0 / lam
-    elif m == 2:
-        for lam in lams:
-            total += 1.0 / lam**2
-    elif m == 3:
-        c = shift_coefficient(gains)
-        for lam in lams:
-            total += 1.0 / (lam * (c * lam - 1.0))
-    elif m == 4:
-        b1, b2 = fourth_order_coefficients(gains)
-        for lam in lams:
-            total += (b1 * lam - 1.0) / (lam**2 * ((b1 - b2) * lam - 1.0))
-    else:
-        raise UnsupportedOrderError(f"order {m} not supported")
-    return float(total)
+    Each term is w1/lam + w2/lam^2 + w3/(lam (c lam - 1)), all positive;
+    the terms are summed in order.
+    """
+    form = gains.form
+    terms = np.zeros(len(lams))
+    if form.tr:
+        terms += form.tr / lams
+    if form.sq:
+        terms += form.sq / lams**2
+    if form.shift:
+        terms += form.shift / (lams * (form.c * lams - 1.0))
+    return float(sum(terms.tolist()))
 
 
 def normalized_from_inverses(
@@ -116,19 +107,15 @@ def normalized_from_inverses(
     This is the named oracle of ``normalized_after_rank_one``: tests apply
     each rank-one update explicitly and score the result here.
     """
-    m = gains.m
-    if m == 1:
-        return float(np.trace(inv))
-    if m == 2:
-        return float(np.sum(inv * inv))
-    if m == 3:
-        assert shifted_inv is not None
-        return float(np.sum(inv * shifted_inv))
-    if m == 4:
-        assert shifted_inv is not None
-        _, b2 = fourth_order_coefficients(gains)
-        return float(np.sum(inv * inv) + b2 * np.sum(inv * shifted_inv))
-    raise UnsupportedOrderError(f"order {m} not supported")
+    form = gains.form
+    total = 0.0
+    if form.tr:
+        total += form.tr * np.trace(inv)
+    if form.sq:
+        total += form.sq * np.sum(inv * inv)
+    if form.shift:
+        total += form.shift * np.sum(inv * shifted_inv)
+    return float(total)
 
 
 def normalized_after_rank_one(
@@ -165,31 +152,27 @@ def normalized_after_rank_one(
             )
         return scale / denom
 
-    m = gains.m
+    form = gains.form
     alpha = coefficient(kappa, np.diagonal(inv))
     sq_diag = np.einsum("ij,ij->j", inv, inv)  # (M^2)_vv
-    if m == 1:
-        return np.trace(inv) - alpha * sq_diag
-    if m in (2, 4):
+    total = 0.0
+    if form.tr:
+        total = total + form.tr * (np.trace(inv) - alpha * sq_diag)
+    if form.sq:
         cube_diag = np.einsum("ij,ij->j", inv @ inv, inv)  # (M^3)_vv
         second = np.sum(inv * inv) - 2.0 * alpha * cube_diag + alpha**2 * sq_diag**2
-        if m == 2:
-            return second
-    if shifted_inv is None:
-        raise UnsupportedOrderError(f"order {m} needs the shifted inverse")
-    c = shift_coefficient(gains)
-    beta = coefficient(c * kappa, np.diagonal(shifted_inv))
-    prod = inv @ shifted_inv  # MS; SM is its transpose
-    third = (
-        np.sum(inv * shifted_inv)
-        - alpha * np.einsum("ij,ji->i", prod, inv)  # (MSM)_vv
-        - beta * np.einsum("ij,ij->j", prod, shifted_inv)  # (SMS)_vv
-        + alpha * beta * np.diagonal(prod) ** 2
-    )
-    if m == 3:
-        return third
-    _, b2 = fourth_order_coefficients(gains)
-    return second + b2 * third
+        total = total + form.sq * second
+    if form.shift:
+        beta = coefficient(form.c * kappa, np.diagonal(shifted_inv))
+        prod = inv @ shifted_inv  # MS; SM is its transpose
+        third = (
+            np.sum(inv * shifted_inv)
+            - alpha * np.einsum("ij,ji->i", prod, inv)  # (MSM)_vv
+            - beta * np.einsum("ij,ij->j", prod, shifted_inv)  # (SMS)_vv
+            + alpha * beta * np.diagonal(prod) ** 2
+        )
+        total = total + form.shift * third
+    return total
 
 
 def coherence_closed(system: GroundedSystem) -> CoherenceReport:
@@ -200,7 +183,7 @@ def coherence_closed(system: GroundedSystem) -> CoherenceReport:
     """
     require_evaluable(check_stability(system))
     gains = system.gains
-    factor = 1.0 / trace_normalizer(gains)
+    factor = 1.0 / gains.form.rho
     value = factor * normalized_eigenvalue_terms(gains, system.eigenvalues)
     return CoherenceReport(gains.m, float(value), "closed_eig", system.leaders, gains)
 
@@ -254,16 +237,12 @@ class SystemContext:
     def m(self) -> int:
         return self.gains.m
 
-    @cached_property
-    def _laplacian(self) -> np.ndarray:
-        return laplacian(self.graph)
-
     def grounded(self, leaders) -> np.ndarray:
-        # hot path for exhaustive sweeps; reuse the cached Laplacian
+        # hot path for exhaustive sweeps; reuse the singleton phase's Laplacian
         if not isinstance(leaders, LeaderSet):
             leaders = LeaderSet.of(leaders)
         leaders.validate(self.n)
-        q = self._laplacian.copy()
+        q = self.singleton_phase.laplacian.copy()
         for v in leaders.members:
             q[v, v] += self.kappa.values[v]
         return q
@@ -319,24 +298,25 @@ class SystemContext:
         phase = self.singleton_phase
         n, kappa, lam = phase.n, phase.kappa, phase.eigenvalues
         pinv = 1.0 / lam  # the spectrum of L^+
-        c = shift_coefficient(self.gains)
+        form = self.gains.form
         columns = [pinv, pinv**2]
-        if c is not None:
-            t = 1.0 / (c * lam - 1.0)  # the spectrum of T off the ones vector
+        if form.shift:
+            t = 1.0 / (form.c * lam - 1.0)  # the spectrum of T off the ones vector
             columns += [t, pinv * t, pinv * t * t]
         diag = phase.weights @ np.column_stack(columns)  # (f(L))_vv off the ones vector
         d = diag[:, 0] + 1.0 / kappa
-        if self.m == 1:
-            return tuple((pinv.sum() + n * d).tolist())
-        second = np.sum(pinv**2) + 2.0 * n * diag[:, 1] + n**2 * d**2
-        if self.m == 2:
-            return tuple(second.tolist())
-        beta = c * kappa / (1.0 + c * kappa * (diag[:, 2] - 1.0 / n))  # T_vv = diag - 1/n
-        third = np.sum(pinv * t) - n * d - beta * (diag[:, 4] + 2.0 * diag[:, 3] + d)
-        if self.m == 3:
-            return tuple(third.tolist())
-        _, b2 = fourth_order_coefficients(self.gains)
-        return tuple((second + b2 * third).tolist())
+        total = 0.0
+        if form.tr:
+            total = total + form.tr * (pinv.sum() + n * d)
+        if form.sq:
+            second = np.sum(pinv**2) + 2.0 * n * diag[:, 1] + n**2 * d**2
+            total = total + form.sq * second
+        if form.shift:
+            c = form.c
+            beta = c * kappa / (1.0 + c * kappa * (diag[:, 2] - 1.0 / n))  # T_vv = diag - 1/n
+            third = np.sum(pinv * t) - n * d - beta * (diag[:, 4] + 2.0 * diag[:, 3] + d)
+            total = total + form.shift * third
+        return tuple(total.tolist())
 
     @cached_property
     def offset(self) -> float:

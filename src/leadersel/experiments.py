@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import SystemContext, trace_normalizer
+from .coherence import SystemContext
 from .errors import SchemaError
 from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_example, unit_kappa
 from .selection import certify_bound, exhaustive_select, greedy_select
@@ -157,7 +157,7 @@ def _run_singleton_table(config: ExperimentConfig, out: Path, gf: GraphFile) -> 
         context = context_for(config, graph, kappa, m)
         gains_used[str(m)] = list(context.gains.values)
         best = exhaustive_select(context, 1)
-        rho = trace_normalizer(context.gains)
+        rho = context.gains.form.rho
         for v, norm in enumerate(context.singleton_normalized):
             rows.append(f"{gf.to_label(v)},{m},{norm / rho!r}")
         argmin[str(m)] = gf.to_label(best.chosen[0])

@@ -13,6 +13,7 @@ edge set is therefore bit-reproducible for a fixed (n, p, seed).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -58,8 +59,9 @@ class KappaWeights:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(k <= 0 for k in self.values):
-            raise NonPositiveWeightError("every kappa weight must be positive")
+        for k in self.values:
+            if not (k > 0 and math.isfinite(k)):
+                raise NonPositiveWeightError(f"kappa weight {k} must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -111,8 +113,8 @@ def build_graph(n: int, edges: Sequence[tuple[int, int, float]]) -> Graph:
             raise SelfLoopError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise NodeOutOfRangeError(f"edge ({u}, {v}) references a node outside [0, {n})")
-        if w <= 0:
-            raise NonPositiveWeightError(f"edge ({u}, {v}) has non-positive weight {w}")
+        if not (w > 0 and math.isfinite(w)):
+            raise NonPositiveWeightError(f"edge ({u}, {v}) weight {w} must be positive and finite")
         key = (min(u, v), max(u, v))
         if key in seen:
             raise DuplicateEdgeError(f"duplicate undirected edge {key}")

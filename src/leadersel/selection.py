@@ -1,17 +1,20 @@
-"""Leader selection: incremental greedy, exhaustive search, and bound checks.
+"""Leader selection: greedy, exhaustive search, and bound checks.
 
 The greedy maximizes the surrogate f(S) = C - rho * H(S).  Because f is
 nondecreasing and submodular, the greedy value is within a factor
 (1 - 1/e) of optimal; equivalently
 H(S_greedy) <= C/(rho e) + (1 - 1/e) H(S_opt).
 
-Iteration 1 reads every singleton value from the context's singleton
-phase (one eigendecomposition of the Laplacian).  Later iterations keep
-Q_S^-1 (and, for orders 3-4, the shifted inverse (c Q_S - I)^-1) and
-score every candidate at once in closed form from a few diagonals of their products; only the
-chosen node's rank-one update is applied.  Each round costs O(n^3) and
-the whole run O(k n^3).  At the end the maintained inverses are checked
+The greedy has one path.  Round 1 reads every singleton value from the
+context's singleton phase (one eigendecomposition of the Laplacian).
+Later rounds keep Q_S^-1 (and, when the trace has a shift term, the
+shifted inverse (c Q_S - I)^-1) and score every candidate at once in
+closed form from a few diagonals of their products; only the chosen
+node's rank-one update is applied.  Each round costs O(n^3) and the
+whole run O(k n^3).  At the end the maintained inverses are checked
 against the grounded matrix, so rank-one drift is refused, not returned.
+A naive greedy that rescores every candidate from scratch is kept in
+the tests as the named oracle of this path.
 """
 
 from __future__ import annotations
@@ -22,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import (
-    SystemContext,
-    normalized_after_rank_one,
-    normalized_eigenvalue_terms,
-    trace_normalizer,
-)
+from .coherence import SystemContext, normalized_after_rank_one, normalized_eigenvalue_terms
 from .errors import CombinatorialCapError
 from .linalg import (
     TOLERANCES,
@@ -36,7 +34,6 @@ from .linalg import (
     spd_inverse,
     sym_eigenvalues,
 )
-from .system import shift_coefficient
 
 
 @dataclass(frozen=True)
@@ -90,23 +87,18 @@ def _tie_eps(scale: float) -> float:
     return TOLERANCES.greedy_improvement * max(1.0, abs(scale))
 
 
-def greedy_select(
-    context: SystemContext,
-    k: int,
-    incremental: bool = True,
-) -> SelectionResult:
+def greedy_select(context: SystemContext, k: int) -> SelectionResult:
     """Greedy leader choice; ties go to the smallest node id.
 
     Stops early once no candidate improves f by more than
-    ``greedy_improvement``.  ``incremental=False`` recomputes every candidate from
-    scratch and exists as the reference oracle for the rank-one path.
+    ``greedy_improvement``.  A budget of 1 returns after the singleton
+    round, without forming any inverse.
     """
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     n = context.n
     gains = context.gains
-    rho = trace_normalizer(gains)
-    c_shift = shift_coefficient(gains)
+    form = gains.form
     kappa = context.kappa.as_array()
     offset = context.offset
 
@@ -117,56 +109,37 @@ def greedy_select(
         if singleton[v] < singleton[best_v] - _tie_eps(singleton[best_v]):
             best_v = v
     chosen = [best_v]
-    norm_value = singleton[best_v]
-    f_values = [float(offset - norm_value)]
-    h_values = [float(norm_value / rho)]
+    f_values = [float(offset - singleton[best_v])]
+    h_values = [float(singleton[best_v] / form.rho)]
 
-    inv = None
-    shifted_inv = None
-    incremental = incremental and k > 1
-    if incremental:
+    if k > 1:  # later rounds score every candidate from the maintained inverses
         q = context.grounded(chosen)
         inv = spd_inverse(q)
-        if c_shift is not None:
-            shifted_inv = spd_inverse(c_shift * q - np.eye(n))
+        shifted_inv = spd_inverse(form.c * q - np.eye(n)) if form.shift else None
         candidates = np.ones(n, dtype=bool)
         candidates[best_v] = False
-
-    members = set(chosen)
-    while len(chosen) < min(k, n):
-        if incremental:
-            scores = normalized_after_rank_one(
-                gains, inv, shifted_inv, kappa, candidates
-            ).tolist()
-        best = None  # (f, v, norm)
-        for v in range(n):
-            if v in members:
-                continue
-            if incremental:
-                norm = scores[v]
-            else:
-                norm = context.normalized_coherence(members | {v})
-            evaluations += 1
-            f_v = offset - norm
-            if best is None or f_v > best[0] + _tie_eps(best[0]):
-                best = (f_v, v, norm)
-        if best is None or best[0] - f_values[-1] <= TOLERANCES.greedy_improvement:
-            break
-        f_v, v, norm = best
-        members.add(v)
-        chosen.append(v)
-        f_values.append(float(f_v))
-        h_values.append(float(norm / rho))
-        if incremental:
+        while len(chosen) < min(k, n):
+            scores = normalized_after_rank_one(gains, inv, shifted_inv, kappa, candidates).tolist()
+            best = None  # (f, v)
+            for v in np.flatnonzero(candidates).tolist():
+                evaluations += 1
+                f_v = offset - scores[v]
+                if best is None or f_v > best[0] + _tie_eps(best[0]):
+                    best = (f_v, v)
+            f_v, v = best
+            if f_v - f_values[-1] <= TOLERANCES.greedy_improvement:
+                break
             candidates[v] = False
+            chosen.append(v)
+            f_values.append(float(f_v))
+            h_values.append(float(scores[v] / form.rho))
             inv = sherman_morrison_update(inv, v, kappa[v])
-            if c_shift is not None:
-                shifted_inv = sherman_morrison_update(shifted_inv, v, c_shift * kappa[v])
-    if incremental:
+            if form.shift:
+                shifted_inv = sherman_morrison_update(shifted_inv, v, form.c * kappa[v])
         q = context.grounded(chosen)
         check_inverse(q, inv, "Q_S^-1")
-        if c_shift is not None:
-            check_inverse(c_shift * q - np.eye(n), shifted_inv, "(c Q_S - I)^-1")
+        if form.shift:
+            check_inverse(form.c * q - np.eye(n), shifted_inv, "(c Q_S - I)^-1")
     return SelectionResult(
         m=gains.m,
         chosen=tuple(chosen),
@@ -195,7 +168,6 @@ def exhaustive_select(context: SystemContext, k: int) -> SelectionResult:
         raise CombinatorialCapError(
             f"{total} subsets exceed the cap of {TOLERANCES.subset_cap}"
         )
-    rho = trace_normalizer(context.gains)
     singleton = context.singleton_normalized
     best_norm = None
     best_subset: tuple[int, ...] | None = None
@@ -216,7 +188,7 @@ def exhaustive_select(context: SystemContext, k: int) -> SelectionResult:
         m=context.m,
         chosen=best_subset,
         f_values=(float(context.offset - best_norm),),
-        h_values=(float(best_norm / rho),),
+        h_values=(float(best_norm / context.gains.form.rho),),
         evaluations=evaluations,
         method="exhaustive",
     )
@@ -231,7 +203,7 @@ def certify_bound(
     f_star = float(optimal.f_values[-1])
     ratio = (f_star - f_greedy) / f_star if f_star > 0 else 0.0
     bound = 1.0 / math.e
-    rho = trace_normalizer(context.gains)
+    rho = context.gains.form.rho
     coherence_bound = float(
         context.offset / (rho * math.e) + (1.0 - 1.0 / math.e) * optimal.h_values[-1]
     )

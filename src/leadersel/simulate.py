@@ -18,6 +18,7 @@ the block size.  Accumulation is chunkwise pairwise summation over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +43,9 @@ class SimulationSpec:
     ensemble: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("dt", "total_time", "burn_in"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0 <= self.burn_in < self.total_time:

@@ -30,9 +30,7 @@ from .system import (
     GainVector,
     GroundedSystem,
     SingletonPhase,
-    fourth_order_coefficients,
     grounded_matrix,
-    shift_coefficient,
     singleton_phase,
 )
 
@@ -135,11 +133,10 @@ def stability_conditions(gains: GainVector, lam: float) -> list[StabilityConditi
     for j in range(m):
         add(f"a{j + 1} > 0", a[j], 0.0)
     if m == 3:
-        add("(a2*a3/a1)*lambda_min > 1", shift_coefficient(gains) * lam, 1.0)
+        add("(a2*a3/a1)*lambda_min > 1", gains.form.c * lam, 1.0)
     elif m == 4:
-        b1, _ = fourth_order_coefficients(gains)
-        add("(a3*a4/a2)*lambda_min > 1", b1 * lam, 1.0)
-        add("((a3*a4/a2)-(a1*a4^2/a2^2))*lambda_min > 1", shift_coefficient(gains) * lam, 1.0)
+        add("(a3*a4/a2)*lambda_min > 1", a[2] * a[3] / a[1] * lam, 1.0)
+        add("((a3*a4/a2)-(a1*a4^2/a2^2))*lambda_min > 1", gains.form.c * lam, 1.0)
     return conditions
 
 

@@ -8,6 +8,7 @@ what makes the coherence expressions finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,8 +32,9 @@ class GainVector:
             raise UnsupportedOrderError(
                 f"order {len(self.values)} outside supported range 1..{MAX_ORDER}"
             )
-        if any(a == 0 for a in self.values):
-            raise UnsupportedOrderError("gains must be nonzero")
+        for j, a in enumerate(self.values):
+            if a == 0 or not math.isfinite(a):
+                raise UnsupportedOrderError(f"gain a{j + 1} = {a} must be nonzero and finite")
         object.__setattr__(self, "values", tuple(float(a) for a in self.values))
 
     @classmethod
@@ -49,24 +51,33 @@ class GainVector:
     def __getitem__(self, j: int) -> float:
         return self.values[j]
 
+    @cached_property
+    def form(self) -> "TraceForm":
+        """The order's weights in rho * H; the one place they are spelled out."""
+        a = self.values
+        if self.m == 1:
+            return TraceForm(rho=2.0 * a[0], tr=1.0)
+        if self.m == 2:
+            return TraceForm(rho=2.0 * a[0] * a[1], sq=1.0)
+        if self.m == 3:
+            return TraceForm(rho=2.0 * a[0] ** 2 / a[2], shift=1.0, c=a[1] * a[2] / a[0])
+        b1, b2 = a[2] * a[3] / a[1], a[0] * a[3] ** 2 / a[1] ** 2
+        return TraceForm(rho=2.0 * a[0] * a[1], sq=1.0, shift=b2, c=b1 - b2)
 
-def shift_coefficient(gains: GainVector) -> float | None:
-    """Coefficient c of the auxiliary factor (c Q - I) used by orders 3 and 4."""
-    a = gains.values
-    if gains.m == 3:
-        return a[1] * a[2] / a[0]
-    if gains.m == 4:
-        b1, b2 = fourth_order_coefficients(gains)
-        return b1 - b2
-    return None
 
+@dataclass(frozen=True)
+class TraceForm:
+    """rho * H = tr * tr(M) + sq * ||M||_F^2 + shift * <M, S>.
 
-def fourth_order_coefficients(gains: GainVector) -> tuple[float, float]:
-    """(b1, b2) = (a3 a4 / a2, a1 a4^2 / a2^2) of the order-4 closed form."""
-    a = gains.values
-    if gains.m != 4:
-        raise UnsupportedOrderError("fourth-order coefficients need m = 4")
-    return a[2] * a[3] / a[1], a[0] * a[3] ** 2 / a[1] ** 2
+    Here M = Q^-1 and S = (c Q - I)^-1; c is None when shift is zero, and
+    only the terms of nonzero weight are ever computed.
+    """
+
+    rho: float
+    tr: float = 0.0
+    sq: float = 0.0
+    shift: float = 0.0
+    c: float | None = None
 
 
 def grounded_matrix(graph: Graph, kappa: KappaWeights, leaders: LeaderSet) -> np.ndarray:
@@ -94,6 +105,7 @@ class SingletonPhase:
     """
 
     kappa: np.ndarray
+    laplacian: np.ndarray    # the L decomposed; contexts ground copies of it
     eigenvalues: np.ndarray  # lam_1 <= ... <= lam_{n-1}
     weights: np.ndarray      # shape (n, n - 1), the columns of W for lam_1 ..
 
@@ -145,7 +157,8 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
         raise GraphError(
             "graph is not connected: no single leader grounds every component"
         )
-    dec = sym_eigenvalues(laplacian(graph), vectors=True)
+    lap = laplacian(graph)
+    dec = sym_eigenvalues(lap, vectors=True)
     lam = dec.eigenvalues
     rtol = TOLERANCES.connectivity_rtol
     if graph.n > 1 and lam[1] <= rtol * lam[-1]:
@@ -155,6 +168,7 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
         )
     return SingletonPhase(
         kappa=kappa.as_array(),
+        laplacian=lap,
         eigenvalues=lam[1:],
         weights=dec.eigenvectors[:, 1:] ** 2,
     )

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from leadersel.graphs import Graph, build_graph, is_connected, six_node_example
+from leadersel.linalg import TOLERANCES
+from leadersel.selection import SelectionResult, _tie_eps
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
@@ -45,6 +47,49 @@ def graphs(draw, min_nodes: int = 2, max_nodes: int = 7, connected: bool = True)
         for a, b in zip(order, order[1:]):
             chosen.add((min(a, b), max(a, b)))
     return build_graph(n, [(u, v, 1.0) for u, v in sorted(chosen)])
+
+
+def naive_greedy(context, k: int) -> SelectionResult:
+    """Named oracle for ``greedy_select``: every candidate rescored from scratch.
+
+    Round 1 reads the context's singleton values, as the greedy does; later
+    rounds score S + v with one eigensolve of its grounded matrix each.
+    Same tie rule, same early stop, same ``evaluations`` count.
+    """
+    n, rho = context.n, context.gains.form.rho
+    singleton = context.singleton_normalized
+    best_v = 0
+    for v in range(1, n):
+        if singleton[v] < singleton[best_v] - _tie_eps(singleton[best_v]):
+            best_v = v
+    chosen = [best_v]
+    f_values = [float(context.offset - singleton[best_v])]
+    h_values = [float(singleton[best_v] / rho)]
+    evaluations = n
+    while len(chosen) < min(k, n):
+        best = None  # (f, v, norm)
+        for v in range(n):
+            if v in chosen:
+                continue
+            norm = context.normalized_coherence(chosen + [v])
+            evaluations += 1
+            f_v = context.offset - norm
+            if best is None or f_v > best[0] + _tie_eps(best[0]):
+                best = (f_v, v, norm)
+        f_v, v, norm = best
+        if f_v - f_values[-1] <= TOLERANCES.greedy_improvement:
+            break
+        chosen.append(v)
+        f_values.append(float(f_v))
+        h_values.append(float(norm / rho))
+    return SelectionResult(
+        m=context.m,
+        chosen=tuple(chosen),
+        f_values=tuple(f_values),
+        h_values=tuple(h_values),
+        evaluations=evaluations,
+        method="greedy",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -388,6 +388,43 @@ def test_simulate_rejects_oversized_step(k2_file):
 
 # -- exit codes ------------------------------------------------------------------------
 
+NON_FINITE = [
+    (["coherence", "{k2}", "--order", "2", "--gains", "inf,1", "--leaders", "0"],
+     "gain a1 = inf must be nonzero and finite"),
+    (["select", "{k2}", "--order", "2", "--gains", "inf,1", "--k", "2"],
+     "gain a1 = inf must be nonzero and finite"),
+    (["coherence", "{k2}", "--order", "2", "--gains", "nan,1", "--leaders", "0"],
+     "gain a1 = nan must be nonzero and finite"),
+    (["gen", "--n", "4", "--p", "1", "--weight", "nan"], "weight nan must be positive and finite"),
+    (["coherence", "{inf_weight}", "--order", "1", "--gains", "1", "--leaders", "0"],
+     "weight inf must be positive and finite"),
+    (["coherence", "{nan_kappa}", "--order", "1", "--gains", "1", "--leaders", "0"],
+     "kappa weight nan must be positive and finite"),
+    (["simulate", "{k2}", "--order", "2", "--gains", "1,1", "--leaders", "0",
+      "--total-time", "inf"], "total_time must be finite, got inf"),
+    (["simulate", "{k2}", "--order", "2", "--gains", "1,1", "--leaders", "0",
+      "--dt", "nan"], "dt must be finite, got nan"),
+    (["simulate", "{k2}", "--order", "2", "--gains", "1,1", "--leaders", "0",
+      "--burn-in", "nan"], "burn_in must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NON_FINITE)
+def test_non_finite_input_is_refused_by_value(tmp_path, capsys, k2_file, argv, message):
+    files = {"k2": str(k2_file)}
+    for name, weight, kappa in (("inf_weight", float("inf"), 1.0),
+                                ("nan_kappa", 1.0, float("nan"))):
+        path = tmp_path / f"{name}.json"  # json writes Infinity / NaN tokens
+        path.write_text(json.dumps({"label_base": 0, "n": 2, "edges": [[0, 1, weight]],
+                                    "kappa": [kappa, 1.0]}))
+        files[name] = str(path)
+    code = main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_closed_form_margin_is_one_gate(tmp_path, capsys):
     """Closed forms, both searches and the set function refuse alike within
     coherence_margin of the boundary; the CLI exits 3 for both commands."""

@@ -10,9 +10,8 @@ from leadersel.coherence import (
     TraceSetFunction,
     coherence_closed,
     coherence_lyapunov_oracle,
+    normalized_eigenvalue_terms,
     normalized_from_inverses,
-    shift_coefficient,
-    trace_normalizer,
 )
 from leadersel.errors import (
     EmptyLeaderSetError,
@@ -91,10 +90,60 @@ def inverse_path_h(system):
     At order 4 this is the split form the greedy scores with,
     (tr(Q^-2) + b2 tr(Q^-1 ((b1-b2) Q - I)^-1)) / (2 a1 a2)."""
     gains = system.gains
-    c = shift_coefficient(gains)
+    c = gains.form.c
     shifted = None if c is None else spd_inverse(c * system.matrix - np.eye(system.n))
     trace = normalized_from_inverses(gains, spd_inverse(system.matrix), shifted)
-    return trace / trace_normalizer(gains)
+    return trace / gains.form.rho
+
+
+def paper_trace_h(system):
+    """H_m as the module docstring writes it, from dense inverses of the
+    unsplit products; independent of the per-order weight record."""
+    q, eye = system.matrix, np.eye(system.n)
+    a = system.gains.values
+    if system.m == 1:
+        return np.trace(np.linalg.inv(q)) / (2 * a[0])
+    if system.m == 2:
+        return np.trace(np.linalg.inv(q @ q)) / (2 * a[0] * a[1])
+    if system.m == 3:
+        c = a[1] * a[2] / a[0]
+        return a[2] / (2 * a[0] ** 2) * np.trace(np.linalg.inv(q @ (c * q - eye)))
+    b1, b2 = a[2] * a[3] / a[1], a[0] * a[3] ** 2 / a[1] ** 2
+    product = np.linalg.inv(q @ q @ ((b1 - b2) * q - eye)) @ (b1 * q - eye)
+    return np.trace(product) / (2 * a[0] * a[1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_closed_form_matches_paper_traces(m):
+    for seed in range(8):
+        system = stable_random_system(500 + seed, 7, m)
+        assert coherence_closed(system).value == pytest.approx(paper_trace_h(system), rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_eigenvalue_terms_match_per_eigenvalue_loop(m):
+    """The weighted sum keeps each term and the in-order summation of the
+    per-order loop: bit-equal at orders 1-3; order 4 regroups its term
+    (b1 lam - 1) / (lam^2 ((b1 - b2) lam - 1)) into two positive parts."""
+    for seed in range(8):
+        system = stable_random_system(700 + seed, 9, m)
+        a = system.gains.values
+        total = 0.0
+        for lam in system.eigenvalues:
+            if m == 1:
+                total += 1.0 / lam
+            elif m == 2:
+                total += 1.0 / lam**2
+            elif m == 3:
+                total += 1.0 / (lam * (a[1] * a[2] / a[0] * lam - 1.0))
+            else:
+                b1, b2 = a[2] * a[3] / a[1], a[0] * a[3] ** 2 / a[1] ** 2
+                total += (b1 * lam - 1.0) / (lam**2 * ((b1 - b2) * lam - 1.0))
+        got = normalized_eigenvalue_terms(system.gains, system.eigenvalues)
+        if m < 4:
+            assert got == total
+        else:
+            assert got == pytest.approx(total, rel=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -197,7 +246,7 @@ def test_surrogate_consistent_with_coherence(m):
     members = system.leaders.sorted_members
     f = ctx.set_value(members)
     h = coherence_closed(system).value
-    rho = trace_normalizer(system.gains)
+    rho = system.gains.form.rho
     assert f == pytest.approx(ctx.offset - rho * h, rel=1e-9)
 
 
@@ -299,8 +348,8 @@ def test_adding_a_leader_reduces_coherence(g, m, seed):
     if not outside:
         return
     ctx = SystemContext(graph=g, kappa=unit_kappa(g.n), gains=gains)
-    before = ctx.normalized_coherence(members) / trace_normalizer(ctx.gains)
-    after = ctx.normalized_coherence(members + [outside[0]]) / trace_normalizer(ctx.gains)
+    before = ctx.normalized_coherence(members) / ctx.gains.form.rho
+    after = ctx.normalized_coherence(members + [outside[0]]) / ctx.gains.form.rho
     assert after <= before
     assert before - after > 1e-12  # strict with positive kappa
 
@@ -376,7 +425,7 @@ def test_singleton_normalized_matches_per_node_oracle(m):
         lam = np.array(singleton_lambda_mins(graph, kappa))
         scale = np.ones(graph.n)
         if m == 3:
-            scale = np.maximum(1.0, 1.0 / (shift_coefficient(ctx.gains) * lam - 1.0))
+            scale = np.maximum(1.0, 1.0 / (ctx.gains.form.c * lam - 1.0))
         for v in range(graph.n):
             oracle = ctx.normalized_coherence([v])
             gap = abs(ctx.singleton_normalized[v] - oracle) / oracle

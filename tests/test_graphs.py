@@ -65,6 +65,9 @@ def test_build_graph_six_node(six_node):
         ([(0, 1, 0.0)], NonPositiveWeightError),
         ([(0, 1, -2.0)], NonPositiveWeightError),
         ([(0, 5, 1.0)], NodeOutOfRangeError),
+        ([(0, 1, math.nan)], NonPositiveWeightError),
+        ([(0, 1, math.inf)], NonPositiveWeightError),
+        ([(0, 1, -math.inf)], NonPositiveWeightError),
     ],
 )
 def test_build_graph_rejects(edges, error):

@@ -12,8 +12,6 @@ from leadersel.coherence import (
     TraceSetFunction,
     normalized_after_rank_one,
     normalized_from_inverses,
-    shift_coefficient,
-    trace_normalizer,
 )
 from leadersel.errors import (
     CombinatorialCapError,
@@ -31,7 +29,7 @@ from leadersel.selection import (
 from leadersel.stability import auto_gains
 from leadersel.system import GainVector
 
-from conftest import cliques, cycle, graphs, random_connected_graph
+from conftest import cliques, cycle, graphs, naive_greedy, random_connected_graph
 
 K2 = build_graph(2, [(0, 1, 1.0)])
 P3 = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -75,7 +73,7 @@ def test_path_first_order_middle_node():
     assert result.chosen == (1,)
     assert result.h_values[0] == pytest.approx(2.5, rel=1e-12)
     # end nodes are strictly worse
-    assert ctx.normalized_coherence([0]) / trace_normalizer(ctx.gains) == pytest.approx(
+    assert ctx.normalized_coherence([0]) / ctx.gains.form.rho == pytest.approx(
         3.0, rel=1e-12)
 
 
@@ -141,8 +139,8 @@ def test_greedy_budget_beyond_n_selects_everything():
 @settings(max_examples=30, deadline=None)
 def test_incremental_greedy_equals_naive(g, m, k):
     ctx = context_for(g, m)
-    fast = greedy_select(ctx, k, incremental=True)
-    slow = greedy_select(ctx, k, incremental=False)
+    fast = greedy_select(ctx, k)
+    slow = naive_greedy(ctx, k)
     assert fast.chosen == slow.chosen
     np.testing.assert_allclose(fast.f_values, slow.f_values, rtol=1e-9)
     np.testing.assert_allclose(fast.h_values, slow.h_values, rtol=1e-9)
@@ -152,8 +150,8 @@ def test_incremental_greedy_equals_naive(g, m, k):
 def test_incremental_greedy_equals_naive_at_scale(m):
     graph, _ = erdos_renyi_connected(64, 0.5, seed=64)
     ctx = context_for(graph, m)
-    fast = greedy_select(ctx, 10, incremental=True)
-    slow = greedy_select(context_for(graph, m), 10, incremental=False)
+    fast = greedy_select(ctx, 10)
+    slow = naive_greedy(context_for(graph, m), 10)
     assert fast.chosen == slow.chosen
     assert fast.evaluations == slow.evaluations
     np.testing.assert_allclose(fast.f_values, slow.f_values, rtol=1e-9)
@@ -166,7 +164,7 @@ def test_closed_form_scores_match_explicit_updates(g, m, seed):
     rng = np.random.default_rng(seed)
     leaders = [int(v) for v in rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)]
     q = ctx.grounded(leaders)
-    c = shift_coefficient(ctx.gains)
+    c = ctx.gains.form.c
     inv = spd_inverse(q)
     shifted = spd_inverse(c * q - np.eye(g.n)) if c is not None else None
     kappa = ctx.kappa.as_array()
@@ -206,7 +204,7 @@ def test_greedy_refuses_drifted_inverse(monkeypatch, m, drifting, message):
     """
     graph, _ = erdos_renyi_connected(12, 0.5, seed=5)
     ctx = context_for(graph, m)
-    assert shift_coefficient(ctx.gains) != 1.0
+    assert ctx.gains.form.c != 1.0
 
     def drifting_update(inv, index, scale):
         updated = sherman_morrison_update(inv, index, scale)

@@ -61,6 +61,9 @@ def test_gain_vector_rejects_bad_orders():
         GainVector((1.0,) * 5)
     with pytest.raises(UnsupportedOrderError):
         GainVector((1.0, 0.0))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(UnsupportedOrderError, match="must be nonzero and finite"):
+            GainVector((1.0, bad))
 
 
 # -- stability verdicts -------------------------------------------------------
