@@ -27,7 +27,6 @@ from .graphs import (
     erdos_renyi_connected,
     is_connected,
     laplacian,
-    read_graph,
     read_graph_file,
     six_node_example,
     unit_kappa,
@@ -108,7 +107,6 @@ __all__ = [
     "is_connected",
     "laplacian",
     "lyapunov_solve",
-    "read_graph",
     "read_graph_file",
     "sherman_morrison_update",
     "simulate_coherence",

@@ -219,7 +219,7 @@ def _cmd_gen(args) -> int:
     text = json.dumps(payload)
     if args.output:
         Path(args.output).write_text(text + "\n")
-        _emit({"written": args.output, "edges": len(graph.edges), "resamples": resamples},
+        _emit({"written": args.output, "edges": len(graph.w), "resamples": resamples},
               args.format)
     else:
         print(text)

@@ -1,8 +1,14 @@
 """Graph data model, Laplacian construction, random graphs, and file I/O.
 
+A ``Graph`` is its node count and three read-only edge arrays, ``u < v``
+(``intp``) and ``w``, sorted by (u, v).  ``build_graph`` validates and
+canonicalizes an edge list in one vectorized pass; every reader, writer
+and consumer indexes the arrays directly.
+
 Node ids are 0-based everywhere inside the package.  Graph files carry a
 ``label_base`` field (default 1) so published examples keep their original
-node labels; the I/O layer translates between the two.
+node labels; the I/O layer translates between the two, and error messages
+about a file's edges name its nodes in that label space.
 
 Randomness contract: the Erdos-Renyi sampler uses NumPy's PCG64 generator
 seeded directly with the given 64-bit seed, and draws exactly one uniform
@@ -22,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
+    GraphError,
     InvalidProbabilityError,
     NodeOutOfRangeError,
     NonPositiveWeightError,
@@ -30,26 +37,15 @@ from .errors import (
     SelfLoopError,
 )
 
-Edge = tuple[int, int, float]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Weighted undirected graph with validated, canonically ordered edges.
-
-    ``edges`` stores each undirected edge once as (u, v, w) with u < v,
-    sorted lexicographically, so structural equality is plain ``==``.
-    """
+    """Edge i joins ``u[i] < v[i]`` with weight ``w[i]``; build it with ``build_graph``."""
 
     n: int
-    edges: tuple[Edge, ...]
-
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,65 +93,74 @@ class LeaderSet:
         return len(self.members)
 
 
-def build_graph(n: int, edges: Sequence[tuple[int, int, float]]) -> Graph:
-    """Validate and canonicalize an edge list into a Graph.
+def build_graph(n: int, edges: Sequence | np.ndarray, label_base: int = 0) -> Graph:
+    """Validate and canonicalize (u, v, w) triples, or an (E, 3) table, into a Graph.
 
-    Raises SelfLoopError, DuplicateEdgeError, NonPositiveWeightError, or
-    NodeOutOfRangeError on the corresponding invariant violation.
+    Raises SelfLoopError, NodeOutOfRangeError, NonPositiveWeightError or
+    DuplicateEdgeError for the first offending edge in input order, checked
+    in that order; a repeated edge offends at its second occurrence.
+    Messages name nodes as id + ``label_base``, the label space of the
+    file the edges came from.
     """
     if n < 1:
         raise NodeOutOfRangeError("node count must be positive")
-    seen: set[tuple[int, int]] = set()
-    canonical: list[Edge] = []
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
-        if u == v:
+    table = np.asarray(edges, dtype=float)
+    if table.shape != (0,) and table.shape[1:] != (3,):
+        raise ValueError("edges must be (u, v, w) triples")
+    table = table.reshape(-1, 3)
+    u, v, w = np.trunc(table[:, 0]), np.trunc(table[:, 1]), table[:, 2]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    self_loop = u == v
+    out_of_range = ~((lo >= 0) & (hi < n))
+    bad_weight = ~((w > 0) & np.isfinite(w))
+    # lo * n + hi is exact and one-to-one on in-range edges (n < 2**26); a key
+    # shared with an out-of-range edge marks the later one, never an earlier offender
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(w), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    bad = self_loop | out_of_range | bad_weight | repeat
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = int(u[i]) + label_base, int(v[i]) + label_base
+        if self_loop[i]:
             raise SelfLoopError(f"self-loop at node {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise NodeOutOfRangeError(f"edge ({u}, {v}) references a node outside [0, {n})")
-        if not (w > 0 and math.isfinite(w)):
-            raise NonPositiveWeightError(f"edge ({u}, {v}) weight {w} must be positive and finite")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate undirected edge {key}")
-        seen.add(key)
-        canonical.append((key[0], key[1], w))
-    canonical.sort()
-    return Graph(n=n, edges=tuple(canonical))
+        if out_of_range[i]:
+            raise NodeOutOfRangeError(
+                f"edge ({u}, {v}) references a node outside [{label_base}, {n + label_base})"
+            )
+        if bad_weight[i]:
+            raise NonPositiveWeightError(
+                f"edge ({u}, {v}) weight {float(w[i])} must be positive and finite"
+            )
+        raise DuplicateEdgeError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
+    g = Graph(n=n, u=lo[order].astype(np.intp), v=hi[order].astype(np.intp), w=w[order])
+    for column in (g.u, g.v, g.w):
+        column.flags.writeable = False
+    return g
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian: degree on the diagonal, -w on edges."""
     lap = np.zeros((g.n, g.n))
-    table = np.array(g.edges, dtype=float).reshape(-1, 3)
-    ends = table[:, :2].astype(np.intp)
-    weights = table[:, 2]
-    lap[ends[:, 0], ends[:, 1]] = -weights
-    lap[ends[:, 1], ends[:, 0]] = -weights
-    # bincount adds in index order: each degree is summed in edge order,
-    # exactly as an edge-by-edge loop would
+    lap[g.u, g.v] = lap[g.v, g.u] = -g.w
+    # bincount adds in index order over (u0, v0, u1, v1, ...): each degree
+    # is summed in edge order, exactly as an edge-by-edge loop would
     lap[np.diag_indices(g.n)] = np.bincount(
-        ends.ravel(), weights=np.repeat(weights, 2), minlength=g.n
+        np.column_stack((g.u, g.v)).ravel(), weights=np.repeat(g.w, 2), minlength=g.n
     )
     return lap
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from node 0."""
-    if g.n == 1:
-        return True
-    adj = g.neighbors()
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == g.n
+    """Breadth-first reachability from node 0, one frontier at a time."""
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[g.u, g.v] = adj[g.v, g.u] = True
+    seen = frontier = np.arange(g.n) == 0
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
 
 
 def erdos_renyi(n: int, p: float, seed: int, weight: float = 1.0) -> Graph:
@@ -171,8 +176,8 @@ def erdos_renyi(n: int, p: float, seed: int, weight: float = 1.0) -> Graph:
     rng = np.random.Generator(np.random.PCG64(seed))
     rows, cols = np.triu_indices(n, 1)  # pairs in lexicographic order
     keep = rng.random(n * (n - 1) // 2) < p
-    edges = [(i, j, weight) for i, j in zip(rows[keep].tolist(), cols[keep].tolist())]
-    return build_graph(n, edges)
+    weights = np.full(np.count_nonzero(keep), weight)
+    return build_graph(n, np.column_stack((rows[keep], cols[keep], weights)))
 
 
 def erdos_renyi_connected(
@@ -196,12 +201,8 @@ def erdos_renyi_connected(
     )
 
 
-# -- file format -----------------------------------------------------------
-#
-# {"label_base": 1, "n": 6, "edges": [[1, 5, 1.0], ...], "kappa": [1.0, ...]}
-#
-# Edges are stored with u < v in label space and sorted lexicographically;
-# serialization is canonical (fixed key order, sorted edges), so identical
+# -- file format: README "Graph file format", data/schemas/graph.schema.json.
+# Serialization is canonical (fixed key order, sorted edges), so identical
 # graphs produce byte-identical files.
 
 
@@ -223,73 +224,70 @@ class GraphFile:
 def graph_payload(g: Graph, kappa: KappaWeights, label_base: int = 1) -> dict:
     if len(kappa) != g.n:
         raise SchemaError(f"kappa length {len(kappa)} != node count {g.n}")
-    edges = sorted(
-        [u + label_base, v + label_base, float(w)] for u, v, w in g.edges
-    )
     return {
         "label_base": label_base,
         "n": g.n,
-        "edges": edges,
+        # json writes the (u, v, w) tuples as lists, already in canonical order
+        "edges": list(zip((g.u + label_base).tolist(), (g.v + label_base).tolist(), g.w.tolist())),
         "kappa": [float(k) for k in kappa.values],
     }
 
 
 def write_graph(g: Graph, kappa: KappaWeights, path: str | Path, label_base: int = 1) -> None:
     """Write the canonical JSON form of (graph, kappa) to ``path``."""
-    payload = graph_payload(g, kappa, label_base)
-    Path(path).write_text(json.dumps(payload) + "\n")
+    Path(path).write_text(json.dumps(graph_payload(g, kappa, label_base)) + "\n")
+
+
+def _integer(value: object, field: str) -> int:
+    """A JSON integer: a number with no fractional part (``type`` excludes bool)."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise SchemaError(f"{field} must be an integer, got {value!r}")
+
+
+def _numbers(raw: object, field: str) -> np.ndarray:
+    """A JSON list (of lists) of numbers as a float array; anything else is refused."""
+    try:
+        table = np.array(raw if isinstance(raw, list) else None)
+    except (ValueError, OverflowError) as exc:  # ragged nesting
+        raise SchemaError(f"{field}: {exc}") from exc
+    if table.dtype.kind not in "iuf":  # None, strings, objects, booleans
+        raise SchemaError(f"{field} must be a list of numbers")
+    return table.astype(float)
 
 
 def parse_graph_payload(payload: object) -> GraphFile:
-    if not isinstance(payload, dict):
-        raise SchemaError("graph file must be a JSON object")
+    """Validate a decoded graph file against ``data/schemas/graph.schema.json``."""
+    fields = set(payload) if isinstance(payload, dict) else set()
+    if not {"n", "edges"} <= fields <= {"label_base", "n", "edges", "kappa"}:
+        raise SchemaError(f"graph fields {sorted(fields)} are not n, edges[, label_base, kappa]")
+    label_base = _integer(payload.get("label_base", 1), "label_base")
+    n = _integer(payload["n"], "n")
+    table = _numbers(payload["edges"], "edges")
+    if table.shape != (0,) and table.shape[1:] != (3,):
+        raise SchemaError("each edge entry must be [u, v, w]")
+    table = table.reshape(-1, 3)
+    ends = table[:, :2]
+    if not (np.isfinite(ends) & (np.trunc(ends) == ends)).all():
+        raise SchemaError("edge node labels must be integers")
+    ends -= label_base  # a view: turns the table's labels into node ids
     try:
-        label_base = int(payload.get("label_base", 1))
-        n = int(payload["n"])
-        raw_edges = payload["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"missing or malformed field: {exc}") from exc
-    if not isinstance(raw_edges, list):
-        raise SchemaError("edges must be a list")
-    edges = []
-    for entry in raw_edges:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise SchemaError(f"edge entry must be [u, v, w]: {entry!r}")
-        u, v, w = entry
-        edges.append((int(u) - label_base, int(v) - label_base, float(w)))
-    raw_kappa = payload.get("kappa")
-    if raw_kappa is None:
-        kappa_values = (1.0,) * n
-    else:
-        if not isinstance(raw_kappa, list) or len(raw_kappa) != n:
+        graph = build_graph(n, table, label_base)
+        kappa = _numbers(payload.get("kappa", [1.0] * n), "kappa")
+        if kappa.shape != (n,):
             raise SchemaError("kappa must be a list of length n")
-        kappa_values = tuple(float(k) for k in raw_kappa)
-    try:
-        graph = build_graph(n, edges)
-        kappa = KappaWeights(kappa_values)
-    except (
-        SelfLoopError,
-        DuplicateEdgeError,
-        NonPositiveWeightError,
-        NodeOutOfRangeError,
-    ) as exc:
+        return GraphFile(graph, KappaWeights(tuple(kappa.tolist())), label_base)
+    except GraphError as exc:
         raise SchemaError(str(exc)) from exc
-    return GraphFile(graph=graph, kappa=kappa, label_base=label_base)
 
 
 def read_graph_file(path: str | Path) -> GraphFile:
     """Parse a graph file, keeping the label offset for round-tripping."""
-    text = Path(path).read_text()
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return parse_graph_payload(payload)
-
-
-def read_graph(path: str | Path) -> tuple[Graph, KappaWeights]:
-    gf = read_graph_file(path)
-    return gf.graph, gf.kappa
 
 
 def six_node_example() -> GraphFile:

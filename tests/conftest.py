@@ -1,10 +1,73 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from leadersel.errors import (
+    DuplicateEdgeError,
+    NodeOutOfRangeError,
+    NonPositiveWeightError,
+    SelfLoopError,
+)
 from leadersel.graphs import Graph, build_graph, is_connected, six_node_example
 from leadersel.linalg import TOLERANCES
 from leadersel.selection import SelectionResult, _tie_eps
+
+
+def edge_list(g: Graph) -> tuple[tuple[int, int, float], ...]:
+    """The canonical (u, v, w) edges of ``g`` as Python tuples."""
+    return tuple(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+
+
+def loop_build_graph(n, edges, label_base=0):
+    """Named oracle for ``build_graph``: validate edge by edge, in input order.
+
+    Returns the canonical edge tuple, or raises the error the first
+    offending edge earns, with nodes named in label space.
+    """
+    if n < 1:
+        raise NodeOutOfRangeError("node count must be positive")
+    b = label_base
+    seen = set()
+    canonical = []
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if u == v:
+            raise SelfLoopError(f"self-loop at node {u + b}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise NodeOutOfRangeError(
+                f"edge ({u + b}, {v + b}) references a node outside [{b}, {n + b})"
+            )
+        if not (w > 0 and math.isfinite(w)):
+            raise NonPositiveWeightError(
+                f"edge ({u + b}, {v + b}) weight {w} must be positive and finite"
+            )
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate undirected edge {(key[0] + b, key[1] + b)}")
+        seen.add(key)
+        canonical.append((key[0], key[1], w))
+    return tuple(sorted(canonical))
+
+
+def loop_is_connected(g: Graph) -> bool:
+    """Named oracle for ``is_connected``: breadth-first search over adjacency lists."""
+    adj = [[] for _ in range(g.n)]
+    for u, v, _ in edge_list(g):
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return len(seen) == g.n
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:

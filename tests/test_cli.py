@@ -17,7 +17,7 @@ from leadersel.selection import exhaustive_select, greedy_select
 from leadersel.stability import check_stability
 from leadersel.system import GainVector, GroundedSystem
 
-from conftest import cliques
+from conftest import cliques, edge_list
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "schemas"
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "six_node_example.json"
@@ -171,7 +171,7 @@ DISCONNECTED = {
     "dense10": cliques(5, 5),
     "dense30": cliques(15, 15),
     # connected by its edges, but lambda_1(L) ~ 1e-20 is lost in rounding
-    "K5~K5": build_graph(10, [*cliques(5, 5).edges, (4, 5, 1e-20)]),
+    "K5~K5": build_graph(10, [*edge_list(cliques(5, 5)), (4, 5, 1e-20)]),
 }
 GAINS = {1: "1", 2: "1,1", 3: "2,2,2", 4: "2,4,4,4"}
 
@@ -407,6 +407,16 @@ NON_FINITE = [
     (["simulate", "{k2}", "--order", "2", "--gains", "1,1", "--leaders", "0",
       "--burn-in", "nan"], "burn_in must be finite, got nan"),
 ]
+
+
+def test_graph_file_schema_violation_exits_two(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 2, "edges": [[1, 2, null]]}')
+    code = main(["coherence", str(path), "--order", "1", "--gains", "1", "--leaders", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "edges must be a list of numbers" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, message", NON_FINITE)
