@@ -48,6 +48,7 @@ from .selection import (
     certify_bound,
     check_monotone_submodular,
     exhaustive_select,
+    exhaustive_sweep,
     greedy_select,
 )
 from .simulate import (
@@ -101,6 +102,7 @@ __all__ = [
     "erdos_renyi",
     "erdos_renyi_connected",
     "exhaustive_select",
+    "exhaustive_sweep",
     "greedy_select",
     "grounded_matrix",
     "hurwitz_determinants",

@@ -81,21 +81,22 @@ class CoherenceReport:
         }
 
 
-def normalized_eigenvalue_terms(gains: GainVector, lams: np.ndarray) -> float:
+def normalized_eigenvalue_terms(gains: GainVector, lams: np.ndarray) -> np.ndarray:
     """Sum of per-eigenvalue terms of rho * H (the normalized coherence).
 
-    Each term is w1/lam + w2/lam^2 + w3/(lam (c lam - 1)), all positive;
-    the terms are summed in order.
+    Each term is w1/lam + w2/lam^2 + w3/(lam (c lam - 1)), all positive.
+    ``lams`` holds one spectrum, or a (b, n) stack of them with one sum
+    per row; each row is summed left to right, as a sequential loop adds.
     """
     form = gains.form
-    terms = np.zeros(len(lams))
+    terms = np.zeros(lams.shape)
     if form.tr:
         terms += form.tr / lams
     if form.sq:
         terms += form.sq / lams**2
     if form.shift:
         terms += form.shift / (lams * (form.c * lams - 1.0))
-    return float(sum(terms.tolist()))
+    return np.cumsum(terms, axis=-1)[..., -1]  # accumulates strictly in order
 
 
 def normalized_from_inverses(
@@ -238,7 +239,7 @@ class SystemContext:
         return self.gains.m
 
     def grounded(self, leaders) -> np.ndarray:
-        # hot path for exhaustive sweeps; reuse the singleton phase's Laplacian
+        # reuses the singleton phase's Laplacian, as exhaustive_sweep's stacks do
         if not isinstance(leaders, LeaderSet):
             leaders = LeaderSet.of(leaders)
         leaders.validate(self.n)
@@ -269,7 +270,7 @@ class SystemContext:
         if not leaders.members:
             raise EmptyLeaderSetError("normalized coherence needs leaders")
         lams = sym_eigenvalues(self.grounded(leaders)).eigenvalues
-        return normalized_eigenvalue_terms(self.gains, lams)
+        return float(normalized_eigenvalue_terms(self.gains, lams))
 
     @cached_property
     def singleton_normalized(self) -> tuple[float, ...]:

@@ -18,6 +18,7 @@ edge set is therefore bit-reproducible for a fixed (n, p, seed).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -245,15 +246,32 @@ def _integer(value: object, field: str) -> int:
     raise SchemaError(f"{field} must be an integer, got {value!r}")
 
 
-def _numbers(raw: object, field: str) -> np.ndarray:
-    """A JSON list (of lists) of numbers as a float array; anything else is refused."""
-    try:
-        table = np.array(raw if isinstance(raw, list) else None)
-    except (ValueError, OverflowError) as exc:  # ragged nesting
-        raise SchemaError(f"{field}: {exc}") from exc
-    if table.dtype.kind not in "iuf":  # None, strings, objects, booleans
+_JSON_TYPES = {bool: "boolean", type(None): "null", str: "string", dict: "object", list: "array"}
+
+
+def _numbers(raw: object, field: str, width: int | None = None) -> np.ndarray:
+    """A JSON list of numbers as a float array, or with ``width`` a list of
+    ``width``-long lists of numbers as a (rows, width) array.
+
+    Anything else is refused, booleans included (a numeric cast would
+    read ``true`` as 1), so entry types are checked before any cast.
+    """
+    if not isinstance(raw, list):
         raise SchemaError(f"{field} must be a list of numbers")
-    return table.astype(float)
+    leaves = raw
+    if width is not None:
+        if set(map(type, raw)) - {list} or set(map(len, raw)) - {width}:
+            raise SchemaError(f"each entry of {field} must be a list of {width} numbers")
+        leaves = list(itertools.chain.from_iterable(raw))
+    other = set(map(type, leaves)) - {int, float}
+    if other:
+        names = sorted(_JSON_TYPES.get(t, t.__name__) for t in other)
+        raise SchemaError(f"{field} must be a list of numbers, got {', '.join(names)}")
+    try:
+        values = np.fromiter(leaves, dtype=float, count=len(leaves))
+    except OverflowError as exc:  # an integer beyond float range
+        raise SchemaError(f"{field}: {exc}") from exc
+    return values if width is None else values.reshape(-1, width)
 
 
 def parse_graph_payload(payload: object) -> GraphFile:
@@ -263,10 +281,7 @@ def parse_graph_payload(payload: object) -> GraphFile:
         raise SchemaError(f"graph fields {sorted(fields)} are not n, edges[, label_base, kappa]")
     label_base = _integer(payload.get("label_base", 1), "label_base")
     n = _integer(payload["n"], "n")
-    table = _numbers(payload["edges"], "edges")
-    if table.shape != (0,) and table.shape[1:] != (3,):
-        raise SchemaError("each edge entry must be [u, v, w]")
-    table = table.reshape(-1, 3)
+    table = _numbers(payload["edges"], "edges", width=3)
     ends = table[:, :2]
     if not (np.isfinite(ends) & (np.trunc(ends) == ends)).all():
         raise SchemaError("edge node labels must be integers")

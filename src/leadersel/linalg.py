@@ -56,19 +56,34 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray | None = None  # orthonormal columns, when asked for
 
 
-def _require_symmetric(m: np.ndarray) -> np.ndarray:
+def _require_symmetric(m: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``m`` as a float array, refused unless symmetric within tolerance.
+
+    With ``stack``, a (b, n, n) stack is accepted too, and each of its
+    matrices is checked against its own scale.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > TOLERANCES.symmetry_rtol * max(scale, 1.0):
+    rtol = TOLERANCES.symmetry_rtol
+    if m.ndim == 2:
+        asymmetric = np.linalg.norm(m - m.T) > rtol * max(np.linalg.norm(m), 1.0)
+    else:
+        scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), 1.0)
+        asymmetric = (np.linalg.norm(m - m.transpose(0, 2, 1), axis=(1, 2)) > rtol * scale).any()
+    if asymmetric:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     return m
 
 
 def sym_eigenvalues(m: np.ndarray, vectors: bool = False) -> SpectralDecomposition:
-    """Eigenvalues of a symmetric matrix, ascending; with ``vectors``, also its eigenvectors."""
-    m = _require_symmetric(m)
+    """Eigenvalues of a symmetric matrix, ascending; with ``vectors``, also its eigenvectors.
+
+    A (b, n, n) stack gives one row (and one basis) per matrix, each equal
+    bit for bit to what that matrix alone gives; the stack is refused if
+    any one of its matrices is not symmetric.
+    """
+    m = _require_symmetric(m, stack=True)
     try:
         if vectors:
             values, basis = np.linalg.eigh(m)

@@ -15,6 +15,14 @@ whole run O(k n^3).  At the end the maintained inverses are checked
 against the grounded matrix, so rank-one drift is refused, not returned.
 A naive greedy that rescores every candidate from scratch is kept in
 the tests as the named oracle of this path.
+
+Exhaustive search is the independent, eigenvalue-based oracle the greedy
+is certified against, so it uses no rank-one scoring.  One sweep over
+the subsets, smallest size first, yields the optimum at every budget
+1..k.  Each size after the first is scored in fixed-size, chunked stacks
+of grounded matrices, one stacked eigensolve per chunk, so memory stays
+flat however many subsets there are.  A per-subset loop is kept in the
+tests as the named oracle of this path.
 """
 
 from __future__ import annotations
@@ -150,14 +158,35 @@ def greedy_select(context: SystemContext, k: int) -> SelectionResult:
     )
 
 
-def exhaustive_select(context: SystemContext, k: int) -> SelectionResult:
-    """Exact minimizer of coherence over nonempty leader sets of size <= k.
+def _optimum(
+    context: SystemContext, chosen: tuple[int, ...], norm: float, evaluations: int
+) -> SelectionResult:
+    return SelectionResult(
+        m=context.m,
+        chosen=chosen,
+        f_values=(float(context.offset - norm),),
+        h_values=(float(norm / context.gains.form.rho),),
+        evaluations=evaluations,
+        method="exhaustive",
+    )
+
+
+# Bytes of grounded matrices per eigensolve stack: 64 matrices at n = 20.
+_STACK_BYTES = 200 * 1024
+
+
+def exhaustive_sweep(context: SystemContext, k: int) -> tuple[SelectionResult, ...]:
+    """Exact minimizers of coherence over nonempty leader sets of size <= j,
+    for every budget j = 1..min(k, n), from one pass over the subsets.
 
     Subsets are enumerated smallest size first, lexicographically within a
     size, and only strict improvements replace the incumbent, which fixes
-    the tie-break.  Size 1 reads the context's singleton values, the same
-    ones the greedy's first round reads.  Refuses when the subset count
-    exceeds the cap.
+    the tie-break; entry j - 1 is the incumbent after size j.  Size 1
+    reads the context's singleton values, the same ones the greedy's first
+    round reads.  Each larger size is scored in fixed-size stacks of
+    grounded matrices (about ``_STACK_BYTES`` each, so memory stays flat
+    in the subset count), one eigensolve call per stack.  Refuses up front
+    when the subset count exceeds the cap.
     """
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
@@ -168,30 +197,41 @@ def exhaustive_select(context: SystemContext, k: int) -> SelectionResult:
         raise CombinatorialCapError(
             f"{total} subsets exceed the cap of {TOLERANCES.subset_cap}"
         )
+    laplacian = context.singleton_phase.laplacian
+    kappa = context.kappa.as_array()
+    chunk = max(1, _STACK_BYTES // laplacian.nbytes)
+
     singleton = context.singleton_normalized
-    best_norm = None
-    best_subset: tuple[int, ...] | None = None
-    evaluations = 0
-    for size in range(1, k_eff + 1):
-        for subset in itertools.combinations(range(n), size):
-            if size == 1:
-                norm = singleton[subset[0]]
-            else:
-                lams = sym_eigenvalues(context.grounded(subset)).eigenvalues
-                norm = normalized_eigenvalue_terms(context.gains, lams)
-            evaluations += 1
-            if best_norm is None or norm < best_norm - _tie_eps(best_norm):
-                best_norm = norm
-                best_subset = subset
-    assert best_subset is not None and best_norm is not None
-    return SelectionResult(
-        m=context.m,
-        chosen=best_subset,
-        f_values=(float(context.offset - best_norm),),
-        h_values=(float(best_norm / context.gains.form.rho),),
-        evaluations=evaluations,
-        method="exhaustive",
-    )
+    best_subset, best_norm = (0,), singleton[0]
+    for v in range(1, n):
+        if singleton[v] < best_norm - _tie_eps(best_norm):
+            best_subset, best_norm = (v,), singleton[v]
+    evaluations = n
+    sweep = [_optimum(context, best_subset, best_norm, evaluations)]
+    for size in range(2, k_eff + 1):
+        stack = np.empty((chunk, n, n))
+        rows = np.arange(chunk)[:, None]
+        subsets = itertools.combinations(range(n), size)
+        while batch := list(itertools.islice(subsets, chunk)):
+            b = len(batch)
+            part = np.array(batch, dtype=np.intp)
+            mats = stack[:b]
+            mats[...] = laplacian
+            mats[rows[:b], part, part] += kappa[part]
+            lams = sym_eigenvalues(mats).eigenvalues
+            norms = normalized_eigenvalue_terms(context.gains, lams).tolist()
+            for subset, norm in zip(batch, norms):
+                if norm < best_norm - _tie_eps(best_norm):
+                    best_subset, best_norm = subset, norm
+            evaluations += b
+        sweep.append(_optimum(context, best_subset, best_norm, evaluations))
+    return tuple(sweep)
+
+
+def exhaustive_select(context: SystemContext, k: int) -> SelectionResult:
+    """Exact minimizer of coherence over nonempty leader sets of size <= k:
+    the last entry of ``exhaustive_sweep``."""
+    return exhaustive_sweep(context, k)[-1]
 
 
 def certify_bound(

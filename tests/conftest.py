@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from leadersel.errors import (
     SelfLoopError,
 )
 from leadersel.graphs import Graph, build_graph, is_connected, six_node_example
-from leadersel.linalg import TOLERANCES
+from leadersel.linalg import TOLERANCES, sym_eigenvalues
 from leadersel.selection import SelectionResult, _tie_eps
 
 
@@ -152,6 +153,51 @@ def naive_greedy(context, k: int) -> SelectionResult:
         h_values=tuple(h_values),
         evaluations=evaluations,
         method="greedy",
+    )
+
+
+def loop_normalized(gains, lams) -> float:
+    """rho * H from one spectrum: per-eigenvalue terms summed by a Python loop."""
+    form = gains.form
+    terms = np.zeros(len(lams))
+    if form.tr:
+        terms += form.tr / lams
+    if form.sq:
+        terms += form.sq / lams**2
+    if form.shift:
+        terms += form.shift / (lams * (form.c * lams - 1.0))
+    return float(sum(terms.tolist()))
+
+
+def loop_exhaustive_select(context, k: int) -> SelectionResult:
+    """Named oracle for ``exhaustive_sweep``: one eigensolve per subset.
+
+    Same enumeration (smallest size first, lexicographic within a size),
+    same strict-improvement tie rule, same ``evaluations`` count; size 1
+    reads the context's singleton values.
+    """
+    singleton = context.singleton_normalized
+    best_norm = None
+    best_subset = None
+    evaluations = 0
+    for size in range(1, min(k, context.n) + 1):
+        for subset in itertools.combinations(range(context.n), size):
+            if size == 1:
+                norm = singleton[subset[0]]
+            else:
+                lams = sym_eigenvalues(context.grounded(subset)).eigenvalues
+                norm = loop_normalized(context.gains, lams)
+            evaluations += 1
+            if best_norm is None or norm < best_norm - _tie_eps(best_norm):
+                best_norm = norm
+                best_subset = subset
+    return SelectionResult(
+        m=context.m,
+        chosen=best_subset,
+        f_values=(float(context.offset - best_norm),),
+        h_values=(float(best_norm / context.gains.form.rho),),
+        evaluations=evaluations,
+        method="exhaustive",
     )
 
 

@@ -164,6 +164,19 @@ def test_select_k_zero_usage_error(k2_file):
     assert proc.returncode == 1
 
 
+def test_select_exhaustive_budget_above_cap_exits_two(tmp_path, capsys):
+    path = tmp_path / "g40.json"
+    assert main(["gen", "--n", "40", "--p", "0.5", "--seed", "3", "--connected",
+                 "--output", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["select", str(path), "--order", "1", "--auto-gains", "--k", "6",
+                 "--algorithm", "exhaustive"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "input error: 4598478 subsets exceed the cap of 1000000\n"
+    assert captured.out == ""
+
+
 DISCONNECTED = {
     "2xK2": cliques(2, 2),
     "K3+K3": cliques(3, 3),
@@ -416,6 +429,20 @@ def test_graph_file_schema_violation_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "edges must be a list of numbers" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, text", [
+    ("edges", '{"n": 2, "edges": [[1, 2, true]]}'),
+    ("kappa", '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [1, true]}'),
+])
+def test_graph_file_boolean_among_numbers_exits_two(tmp_path, capsys, field, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code = main(["coherence", str(path), "--order", "1", "--gains", "1", "--leaders", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{field} must be a list of numbers, got boolean" in captured.err
     assert captured.out == ""
 
 

@@ -253,6 +253,10 @@ SCHEMA_VIOLATIONS = {
     "string-weight": '{"n": 2, "edges": [[1, 2, "1.0"]]}',
     "object-label": '{"n": 2, "edges": [[1, {"a": 1}, 1.0]]}',
     "null-kappa-entry": '{"n": 3, "edges": [[1, 2, 1.0]], "kappa": [1, null, 1]}',
+    "boolean-weight": '{"n": 2, "edges": [[1, 2, true]]}',
+    "boolean-label": '{"n": 3, "edges": [[1, 2, 1.0], [true, 3, 2.5]]}',
+    "boolean-kappa-entry": '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [1, true]}',
+    "boolean-kappa-entry-among-floats": '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [false, 1.5]}',
     "fractional-label": '{"n": 3, "edges": [[1.5, 3, 1.0]]}',
     "nan-label": '{"n": 3, "edges": [[NaN, 3, 1.0]]}',
     "fractional-n": '{"n": 3.7, "edges": [[1, 2, 1.0]]}',

@@ -60,6 +60,62 @@ def test_eigenvalues_rejects_asymmetric():
         sym_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]), vectors=True)
 
 
+def random_symmetric_stack(rng: np.random.Generator, b: int, n: int) -> np.ndarray:
+    a = rng.standard_normal((b, n, n))
+    return a + a.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("b, n", [(1, 1), (5, 3), (64, 20), (9, 31)])
+def test_eigenvalues_of_a_stack_equal_per_matrix_calls(b, n):
+    stack = random_symmetric_stack(np.random.default_rng(b * n), b, n)
+    values = sym_eigenvalues(stack).eigenvalues
+    full = sym_eigenvalues(stack, vectors=True)
+    assert values.shape == (b, n)
+    for i, matrix in enumerate(stack):
+        one = sym_eigenvalues(matrix, vectors=True)
+        assert np.array_equal(values[i], sym_eigenvalues(matrix).eigenvalues)
+        assert np.array_equal(full.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(full.eigenvectors[i], one.eigenvectors)
+
+
+def test_stack_with_one_asymmetric_matrix_is_refused():
+    rng = np.random.default_rng(4)
+    stack = random_symmetric_stack(rng, 6, 5)
+    stack[0] *= 1e6  # a large neighbour must not hide the small matrix's asymmetry
+    sym_eigenvalues(stack)
+    stack[3, 1, 2] += 1e-6  # far above 1e-10 of its own norm, below that of the stack's
+    assert 1e-6 < TOLERANCES.symmetry_rtol * np.linalg.norm(stack)
+    for vectors in (False, True):
+        with pytest.raises(NotSymmetricError):
+            sym_eigenvalues(stack, vectors=vectors)
+
+
+def test_two_dimensional_eigensolve_is_unchanged():
+    rng = np.random.default_rng(8)
+    m = random_symmetric_stack(rng, 1, 12)[0]
+    assert np.array_equal(sym_eigenvalues(m).eigenvalues, np.linalg.eigvalsh(m))
+    # the tolerance is relative to the matrix norm, or to 1 below that
+    for scale in (1e-4, 1e4):
+        limit = TOLERANCES.symmetry_rtol * max(np.linalg.norm(m * scale), 1.0)
+        skew = np.zeros_like(m)
+        skew[0, 1] = limit / 2.0
+        sym_eigenvalues(m * scale + skew)
+        skew[0, 1] = limit * 2.0
+        with pytest.raises(NotSymmetricError):
+            sym_eigenvalues(m * scale + skew)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)])
+def test_eigenvalues_refuse_non_square_shapes(shape):
+    with pytest.raises(NotSymmetricError):
+        sym_eigenvalues(np.zeros(shape))
+
+
+def test_spd_solve_refuses_a_stack():
+    with pytest.raises(NotSymmetricError):
+        spd_solve(np.broadcast_to(np.eye(3), (2, 3, 3)), np.ones(3))
+
+
 @given(st.integers(2, 8), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_eigenvalue_trace_det_and_reconstruction(n, seed):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,12 +25,20 @@ from leadersel.selection import (
     certify_bound,
     check_monotone_submodular,
     exhaustive_select,
+    exhaustive_sweep,
     greedy_select,
 )
 from leadersel.stability import auto_gains
 from leadersel.system import GainVector
 
-from conftest import cliques, cycle, graphs, naive_greedy, random_connected_graph
+from conftest import (
+    cliques,
+    cycle,
+    graphs,
+    loop_exhaustive_select,
+    naive_greedy,
+    random_connected_graph,
+)
 
 K2 = build_graph(2, [(0, 1, 1.0)])
 P3 = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -230,6 +239,47 @@ def test_exhaustive_respects_cap():
     graph, _ = erdos_renyi_connected(60, 0.5, seed=1)
     with pytest.raises(CombinatorialCapError, match="5985197 subsets exceed the cap of 1000000"):
         exhaustive_select(context_for(graph, 2), 5)
+
+
+def assert_sweep_equals_oracle(ctx, k):
+    sweep = exhaustive_sweep(ctx, k)
+    assert len(sweep) == min(k, ctx.n)
+    for j, got in enumerate(sweep, start=1):
+        assert got == loop_exhaustive_select(ctx, j), (j, got)  # bit for bit
+    assert exhaustive_select(ctx, k) == sweep[-1]
+
+
+@given(graphs(min_nodes=1, max_nodes=8), st.integers(1, 4), st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_sweep_equals_loop_oracle(g, m, k):
+    assert_sweep_equals_oracle(context_for(g, m), k)
+
+
+# Vertex-transitive graphs: every subset ties with its rotations, so the
+# first strict improvement in enumeration order decides each budget.
+@given(
+    st.sampled_from(["cycle", "clique"]), st.integers(3, 8), st.integers(1, 4), st.integers(1, 10)
+)
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_sweep_equals_loop_oracle_on_ties(family, n, m, k):
+    graph = cycle(n) if family == "cycle" else cliques(n)
+    assert_sweep_equals_oracle(context_for(graph, m), k)
+
+
+def test_exhaustive_sweep_memory_is_chunked():
+    """At n = 30, k = 4 the peak traced allocation stays below 4 MB; one
+    stack of all C(30, 4) grounded matrices would take 197 MB."""
+    graph, _ = erdos_renyi_connected(30, 0.5, seed=2)
+    ctx = context_for(graph, 1)
+    exhaustive_sweep(ctx, 2)  # warm the context's caches and numpy internals
+    tracemalloc.start()
+    try:
+        sweep = exhaustive_sweep(ctx, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sweep[-1].evaluations == sum(math.comb(30, j) for j in range(1, 5))
+    assert peak < 4 * 2**20, peak
 
 
 def test_exhaustive_prefers_smaller_subsets_on_budget():
