@@ -133,8 +133,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--burn-in", type=float, default=20.0)
     p_sim.add_argument("--ensemble", type=int, default=2)
     p_sim.add_argument("--trajectory", help="also write a trajectory CSV to this file")
-    p_sim.add_argument("--stride", type=int, default=100,
-                       help="record every this many steps in the trajectory")
+    p_sim.add_argument("--stride", type=int, default=None,
+                       help="record every this many steps in the trajectory (default 100)")
 
     return parser
 
@@ -295,6 +295,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if not args.trajectory:
+        for flag, value in (("--stride", args.stride), ("--out", args.out)):
+            if value is not None:
+                raise UsageError(f"{flag} is read only with --trajectory")
     gf = _load_graph(args.graph)
     leaders = _parse_leaders(gf, args.leaders)
     gains = _parse_gains(args, gf)
@@ -303,7 +307,8 @@ def _cmd_simulate(args) -> int:
                           burn_in=args.burn_in, seed=args.seed, ensemble=args.ensemble)
     if args.trajectory:
         target = Path(args.out) / args.trajectory if args.out else Path(args.trajectory)
-        estimate, stderr = simulate_trajectory(spec, target, args.stride)
+        stride = 100 if args.stride is None else args.stride
+        estimate, stderr = simulate_trajectory(spec, target, stride)
     else:
         estimate, stderr, _ = simulate_coherence(spec)
     payload = {

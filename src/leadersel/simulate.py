@@ -3,17 +3,29 @@
 Euler-Maruyama on x' = A x + B xi with unit-intensity white noise xi
 entering the highest-order block: per step,
 
-    x <- x + dt * A x + sqrt(dt) * B xi,   xi ~ N(0, I_n).
+    x <- M x + sqrt(dt) * B xi,   M = I + dt * A,   xi ~ N(0, I_n).
 
 The coherence estimate is the time-and-ensemble average of the squared
-first-order states after a burn-in window.  Noise streams come from
-PCG64 seeded with SeedSequence([seed, run_index]), so every run is
-reproducible independently of chunking or ensemble size.  Each run's
-noise is drawn in blocks of ``_NOISE_BLOCK`` steps, generator by
-generator, which consumes every stream in the same order as one draw
-per chunk would, so memory stays bounded and results do not depend on
-the block size.  Accumulation is chunkwise pairwise summation over
-``_CHUNK`` steps, deterministic for a fixed seed.
+first-order states y (the first n rows of x) after a burn-in window.
+
+The kernel is lifted: ``_LIFT`` Euler steps are one linear map
+[K_x | K_w] that takes x_t and the noise xi_t .. xi_{t+_LIFT-1} to the
+outputs y_{t+1} .. y_{t+_LIFT} and the state x_{t+_LIFT}, built once
+from the powers of M.  Noise is drawn in blocks of ``_NOISE_BLOCK``
+steps (a multiple of ``_LIFT``); one batched product applies K_w to
+every lifted chunk of a block, then each chunk costs one K_x product
+and one add.  A horizon that is not a multiple of ``_LIFT`` ends in a
+chunk with zero noise past the last step, whose extra rows are dropped.
+
+Noise streams come from PCG64 seeded with SeedSequence([seed, run_index]);
+each block is drawn generator by generator, so every run consumes its
+own stream in step order whatever the block size.  Per-step squared
+norms are added in step order into one running sum per window of
+``_CHUNK`` steps, and the window sums are added in turn (a two-level
+sum, so rounding grows with the window length, not the horizon).
+Neither the noise block nor the lift moves a window boundary or the
+order of additions, so a fixed seed gives the same bits on every rerun
+and for every block size, in memory that does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -30,7 +42,8 @@ from .stability import build_state_matrices, check_stability
 from .system import GroundedSystem
 
 _CHUNK = 65536
-_NOISE_BLOCK = 1024
+_LIFT = 8
+_NOISE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,27 @@ def noise_stream(seed: int, run: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, run])))
 
 
+def _lifted_operator(m_step: np.ndarray, n: int, sqdt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(K_x, K_w) of ``_LIFT`` Euler steps with noise gain ``sqdt`` on the last n rows.
+
+    Row blocks are y_{t+1} .. y_{t+_LIFT} (n rows each), then x_{t+_LIFT};
+    K_w's column block i takes xi_{t+i}.
+    """
+    nm = m_step.shape[0]
+    lo = nm - n
+    # state after j steps as a map of [x_t; xi_t; ...; xi_{t+_LIFT-1}]
+    state = np.zeros((nm, nm + _LIFT * n))
+    state[:, :nm] = np.eye(nm)
+    blocks = []
+    for j in range(_LIFT):
+        state = m_step @ state
+        state[lo:, nm + j * n:nm + (j + 1) * n] += sqdt * np.eye(n)
+        blocks.append(state[:n])
+    blocks.append(state)
+    lifted = np.vstack(blocks)
+    return np.ascontiguousarray(lifted[:, :nm]), np.ascontiguousarray(lifted[:, nm:])
+
+
 def simulate_coherence(
     spec: SimulationSpec,
     record_stride: int | None = None,
@@ -100,49 +134,62 @@ def simulate_coherence(
         )
     n = spec.system.n
     nm = a.shape[0]
-    lo = nm - n
     runs = spec.ensemble
-    m_step = np.eye(nm) + spec.dt * a
-    sqdt = np.sqrt(spec.dt)
-    gens = [noise_stream(spec.seed, r) for r in range(runs)]
-
     start = np.zeros(nm) if x0 is None else np.asarray(x0, dtype=float)
     if start.shape != (nm,):
         raise ValueError(f"x0 must have shape ({nm},)")
-    x = np.repeat(start[:, None], runs, axis=1)
-    scratch = np.empty_like(x)
-    times = [0.0]
-    outputs = [x[:n, 0].copy()]
-    accum = np.zeros(runs)
-    buf = np.empty((_CHUNK, runs))
-    counted = 0
-    step = 0
+    kx, kw = _lifted_operator(np.eye(nm) + spec.dt * a, n, np.sqrt(spec.dt))
+    gens = [noise_stream(spec.seed, r) for r in range(runs)]
     steps, burn_steps = spec.steps, spec.burn_steps
-    draws = np.empty((_NOISE_BLOCK, n, runs))
+
+    x = np.repeat(start[:, None], runs, axis=1)
+    times = [np.zeros(1)]
+    outputs = [start[None, :n]]
+    accum = np.zeros(runs)
+    window = np.zeros(runs)
+    # draws[t] is xi for step t of the block; zero past the horizon
+    draws = np.zeros((_NOISE_BLOCK, n, runs))
+    lifted = np.empty((_NOISE_BLOCK // _LIFT, kw.shape[0], runs))
+    ys = lifted[:, :_LIFT * n].reshape(-1, _LIFT, n, runs)
+    # sq[1 + t] is |y|^2 after step t of the block; sq[t] takes the running
+    # window sum before that row is added
+    sq = np.empty((_NOISE_BLOCK + 1, runs))
+    step = 0
     while step < steps:
-        chunk = min(_CHUNK, steps - step)
-        fill = 0
-        for t in range(chunk):
-            if noise and t % _NOISE_BLOCK == 0:
-                block = min(_NOISE_BLOCK, chunk - t)
-                for r, g in enumerate(gens):
-                    draws[:block, :, r] = g.standard_normal((block, n))
-            np.matmul(m_step, x, out=scratch)
-            x, scratch = scratch, x
-            if noise:
-                x[lo:, :] += sqdt * draws[t % _NOISE_BLOCK]
-            step += 1
-            if step > burn_steps:
-                y = x[:n, :]
-                buf[fill] = np.einsum("ij,ij->j", y, y)
-                fill += 1
-            if record_stride and step % record_stride == 0:
-                times.append(step * spec.dt)
-                outputs.append(x[:n, 0].copy())
-        if fill:
-            accum += buf[:fill].sum(axis=0)
-            counted += fill
-    estimates = accum / counted
+        block = min(_NOISE_BLOCK, steps - step)
+        chunks = -(-block // _LIFT)
+        if noise:
+            for r, g in enumerate(gens):
+                draws[:block, :, r] = g.standard_normal((block, n))
+        draws[block:chunks * _LIFT] = 0.0
+        np.matmul(kw, draws[:chunks * _LIFT].reshape(chunks, _LIFT * n, runs),
+                  out=lifted[:chunks])
+        for out in lifted[:chunks]:
+            out += kx @ x
+            x = out[_LIFT * n:]
+        x = x.copy()  # the next block's product overwrites ``lifted``
+
+        y = ys[:chunks]
+        np.einsum("cjir,cjir->cjr", y, y,
+                  out=sq[1:1 + chunks * _LIFT].reshape(chunks, _LIFT, runs))
+        # rows past the burn-in, summed in step order within each window
+        i = max(0, burn_steps - step)
+        while i < block:
+            end = min(block, i + _CHUNK - (step + i) % _CHUNK)
+            sq[i] = window
+            window = np.cumsum(sq[i:end + 1], axis=0)[-1]
+            i = end
+            if (step + end) % _CHUNK == 0 or step + end == steps:
+                accum += window
+                window = np.zeros(runs)
+        if record_stride:
+            hits = np.arange(step - step % record_stride + record_stride,
+                             step + block + 1, record_stride)
+            rows = hits - step - 1
+            times.append(hits * spec.dt)
+            outputs.append(y[rows // _LIFT, rows % _LIFT, :, 0])
+        step += block
+    estimates = accum / (steps - burn_steps)
     estimate = float(estimates.mean())
     if runs > 1:
         stderr = float(estimates.std(ddof=1) / np.sqrt(runs))
@@ -150,7 +197,7 @@ def simulate_coherence(
         stderr = 0.0
     if record_stride is None:
         return estimate, stderr, None
-    return estimate, stderr, (np.asarray(times), np.asarray(outputs))
+    return estimate, stderr, (np.concatenate(times), np.concatenate(outputs))
 
 
 def simulate_trajectory(

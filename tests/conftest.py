@@ -14,6 +14,8 @@ from leadersel.errors import (
 from leadersel.graphs import Graph, build_graph, is_connected, six_node_example
 from leadersel.linalg import TOLERANCES, sym_eigenvalues
 from leadersel.selection import SelectionResult, _tie_eps
+from leadersel.simulate import noise_stream
+from leadersel.stability import build_state_matrices
 
 
 def edge_list(g: Graph) -> tuple[tuple[int, int, float], ...]:
@@ -199,6 +201,37 @@ def loop_exhaustive_select(context, k: int) -> SelectionResult:
         evaluations=evaluations,
         method="exhaustive",
     )
+
+
+def euler_oracle(spec, record_stride=None, x0=None, noise=True):
+    """Named oracle for ``simulate_coherence``: one Euler-Maruyama step at a time.
+
+    Every run takes x <- (I + dt A) x + sqrt(dt) B xi per step, drawing
+    xi from its own ``noise_stream`` one step at a time.  Returns
+    (estimate, standard error, (times, outputs)) with run 0 recorded
+    every ``record_stride`` steps after the initial state.
+    """
+    a = build_state_matrices(spec.system).a
+    n, nm, runs = spec.system.n, len(a), spec.ensemble
+    m_step = np.eye(nm) + spec.dt * a
+    gens = [noise_stream(spec.seed, r) for r in range(runs)]
+    start = np.zeros(nm) if x0 is None else np.asarray(x0, dtype=float)
+    x = np.repeat(start[:, None], runs, axis=1)
+    times, outputs = [0.0], [x[:n, 0].copy()]
+    total = np.zeros(runs)
+    for step in range(1, spec.steps + 1):
+        x = m_step @ x
+        if noise:
+            xi = np.column_stack([g.standard_normal(n) for g in gens])
+            x[nm - n:] += np.sqrt(spec.dt) * xi
+        if step > spec.burn_steps:
+            total += (x[:n] ** 2).sum(axis=0)
+        if record_stride and step % record_stride == 0:
+            times.append(step * spec.dt)
+            outputs.append(x[:n, 0].copy())
+    estimates = total / (spec.steps - spec.burn_steps)
+    stderr = float(estimates.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
+    return float(estimates.mean()), stderr, (np.asarray(times), np.asarray(outputs))
 
 
 @pytest.fixture(scope="session")

@@ -384,6 +384,20 @@ def test_simulate_rejects_zero_stride(tmp_path, k2_file):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--stride", "5"), ("--stride", "0"),
+                                         ("--out", "sim")])
+def test_simulate_trajectory_flag_without_trajectory_is_usage_error(tmp_path, capsys,
+                                                                    k2_file, flag, value):
+    if flag == "--out":
+        value = str(tmp_path / value)
+    argv = ["simulate", str(k2_file), "--order", "2", "--gains", "1,1", "--leaders", "0",
+            "--dt", "1e-2", "--total-time", "1", "--burn-in", "0", flag, value]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"usage error: {flag} is read only with --trajectory\n"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_rejects_burn_in_covering_every_step(k2_file):
     # 0.9996 s at dt = 1e-3 rounds to all 1000 steps: nothing left to average
     proc = run_cli("simulate", str(k2_file), "--order", "2", "--gains", "1,1",

@@ -17,6 +17,8 @@ from leadersel.simulate import (
 from leadersel.stability import auto_gains, build_state_matrices
 from leadersel.system import GainVector, GroundedSystem
 
+from conftest import euler_oracle
+
 SINGLE = build_graph(1, [])
 K2 = build_graph(2, [(0, 1, 1.0)])
 
@@ -201,18 +203,63 @@ def test_record_stride_must_be_positive(tmp_path):
     assert not (tmp_path / "sub").exists()
 
 
-# -- noise blocks ---------------------------------------------------------------
+# -- lifted kernel and noise blocks ---------------------------------------------
+
+PATH3 = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+
+
+def path3_system(order):
+    return GroundedSystem.create(PATH3, unit_kappa(3), [0],
+                                 auto_gains(PATH3, unit_kappa(3), order))
+
+
+def assert_matches_oracle(spec, record_stride, **kwargs):
+    estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride, **kwargs)
+    o_estimate, o_stderr, (o_times, o_outputs) = euler_oracle(spec, record_stride, **kwargs)
+    assert estimate == pytest.approx(o_estimate, rel=1e-13, abs=0.0)
+    assert stderr == pytest.approx(o_stderr, rel=1e-13, abs=0.0)
+    assert np.array_equal(times, o_times)
+    # entries near a zero crossing are held to the trajectory's own scale
+    np.testing.assert_allclose(outputs, o_outputs, rtol=1e-13,
+                               atol=1e-13 * np.abs(o_outputs).max())
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_lifted_kernel_equals_euler_oracle(order):
+    """611 steps end in a partial lift chunk, after two noise blocks; the
+    burn-in ends inside a chunk and the stride does not divide the lift."""
+    system = path3_system(order)
+    dt = 0.05 / float(np.linalg.norm(build_state_matrices(system).a, 2))
+    spec = SimulationSpec(system=system, dt=dt, total_time=611 * dt, burn_in=45 * dt,
+                          seed=21, ensemble=3)
+    assert spec.steps == 611 and spec.steps % simulate._LIFT
+    assert spec.burn_steps % simulate._LIFT and simulate._LIFT % 5
+    assert spec.steps > 2 * simulate._NOISE_BLOCK
+    assert_matches_oracle(spec, 5)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_lifted_drift_equals_euler_oracle_from_nonzero_start(order):
+    system = path3_system(order)
+    dt = 0.05 / float(np.linalg.norm(build_state_matrices(system).a, 2))
+    spec = SimulationSpec(system=system, dt=dt, total_time=301 * dt, burn_in=3 * dt,
+                          seed=0, ensemble=3)
+    x0 = np.random.default_rng(order).standard_normal(3 * order)
+    assert_matches_oracle(spec, 3, x0=x0, noise=False)
+
 
 @pytest.mark.parametrize("chunk", [simulate._CHUNK, 1000])
 def test_noise_block_size_leaves_every_output_bit_equal(monkeypatch, chunk):
-    """Blocks of 1, 7 and the default draw the same numbers into the same
-    steps, also when chunk boundaries fall inside a block."""
+    """Blocks of 8, 56 and the default (all multiples of the lift) draw the
+    same numbers into the same steps, also when accumulation window
+    boundaries fall inside a block."""
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
     spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=26.0, burn_in=3.0,
                           seed=12, ensemble=3)
     assert spec.steps > 2 * simulate._NOISE_BLOCK
     results = []
-    for block in (1, 7, simulate._NOISE_BLOCK):
+    for block in (8, 56, simulate._NOISE_BLOCK):
+        assert block % simulate._LIFT == 0
         monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
         estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride=9)
         results.append((estimate, stderr, times.tobytes(), outputs.tobytes()))
