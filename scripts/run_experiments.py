@@ -2,8 +2,8 @@
 """Run the bundled experiment configs and print where the CSVs landed.
 
 Desk-scale configs finish in seconds; --full switches to the full-size
-protocols (n=30, ten trials), which take minutes because the optimal
-baselines are exhaustive searches.
+protocols (n=30, ten trials), which take about a minute on 2 cores because
+the optimal baselines are exhaustive searches.
 """
 
 import argparse

@@ -3,8 +3,9 @@
 Three canned protocols plus a custom one, all emitting plot-ready CSV:
 
 * fig1 - optimal coherence per order and budget k on connected random
-  graphs, averaged over trials; one exhaustive sweep per (graph, order)
-  gives the optimum at every k, and fig2 reads the same sweep.
+  graphs, averaged over trials; per graph, one singleton phase and one
+  exhaustive sweep serve every order and every k, and fig2 reads the
+  same sweep.
 * fig2 - greedy-vs-optimal surrogate ratio per order and k, same graphs.
 * fig3 - per-node single-leader coherence table on the bundled six-node
   network (whose best leader differs between orders).
@@ -28,7 +29,8 @@ from .coherence import SystemContext
 from .errors import SchemaError
 from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_example, unit_kappa
 from .selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
-from .system import GainVector
+from .stability import auto_gains
+from .system import GainVector, singleton_phase
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
 
@@ -87,18 +89,19 @@ def derive_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def context_for(config: ExperimentConfig, graph, kappa, m: int) -> SystemContext:
-    """Selection context with the configured gain rule for order m."""
+def context_for(config: ExperimentConfig, graph, kappa, m: int, phase) -> SystemContext:
+    """Context with the configured gain rule for order m on the graph's ``phase``."""
     if config.gain_rule == "auto":
-        return SystemContext.auto(graph, kappa, m)
-    if isinstance(config.gain_rule, dict):
+        gains = auto_gains(graph, kappa, m, phase=phase)
+    elif isinstance(config.gain_rule, dict):
         try:
             raw = config.gain_rule[str(m)]
         except KeyError as exc:
             raise SchemaError(f"gain_rule has no entry for order {m}") from exc
         gains = GainVector(tuple(float(a) for a in raw))
-        return SystemContext(graph=graph, kappa=kappa, gains=gains)
-    raise SchemaError(f"gain_rule must be 'auto' or a mapping, got {config.gain_rule!r}")
+    else:
+        raise SchemaError(f"gain_rule must be 'auto' or a mapping, got {config.gain_rule!r}")
+    return SystemContext(graph=graph, kappa=kappa, gains=gains, phase=phase)
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
@@ -114,14 +117,14 @@ def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
         trial_seed = derive_seed(config.seed, trial)
         graph, resamples = erdos_renyi_connected(config.n, config.p, trial_seed)
         kappa = unit_kappa(config.n)
-        gains: dict[str, list[float]] = {}
+        phase = singleton_phase(graph, kappa)
+        contexts = [context_for(config, graph, kappa, m, phase) for m in config.orders]
+        gains = {str(m): list(c.gains.values) for m, c in zip(config.orders, contexts)}
         trials_meta.append(
             {"trial": trial, "seed": trial_seed, "resamples": resamples, "gains": gains}
         )
-        for m in config.orders:
-            context = context_for(config, graph, kappa, m)
-            gains[str(m)] = list(context.gains.values)
-            sweep = exhaustive_sweep(context, config.k_max)  # the optimum at every budget
+        sweeps = exhaustive_sweep(contexts, config.k_max)  # every order's optimum at every budget
+        for m, context, sweep in zip(config.orders, contexts, sweeps):
             for k in range(1, config.k_max + 1):
                 optimal = sweep[min(k, len(sweep)) - 1]
                 if metric == "optimal_h":
@@ -152,11 +155,12 @@ def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
 
 def _run_singleton_table(config: ExperimentConfig, out: Path, gf: GraphFile) -> dict:
     graph, kappa = gf.graph, gf.kappa
+    phase = singleton_phase(graph, kappa)
     rows: list[str] = []
     gains_used: dict[str, list[float]] = {}
     argmin: dict[str, int] = {}
     for m in config.orders:
-        context = context_for(config, graph, kappa, m)
+        context = context_for(config, graph, kappa, m, phase)
         gains_used[str(m)] = list(context.gains.values)
         best = exhaustive_select(context, 1)
         rho = context.gains.form.rho

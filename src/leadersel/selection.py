@@ -18,11 +18,11 @@ the tests as the named oracle of this path.
 
 Exhaustive search is the independent, eigenvalue-based oracle the greedy
 is certified against, so it uses no rank-one scoring.  One sweep over
-the subsets, smallest size first, yields the optimum at every budget
-1..k.  Each size after the first is scored in fixed-size, chunked stacks
-of grounded matrices, one stacked eigensolve per chunk, so memory stays
-flat however many subsets there are.  A per-subset loop is kept in the
-tests as the named oracle of this path.
+a graph's subsets, smallest size first, yields the optimum at every
+budget 1..k and order: grounded matrices do not depend on the gains, so
+each spectrum is solved once.  Sizes after the first are scored in
+fixed-size stacks of grounded matrices, one eigensolve per stack, so
+memory stays flat.  A per-subset loop is the tests' named oracle of it.
 """
 
 from __future__ import annotations
@@ -95,6 +95,15 @@ def _tie_eps(scale: float) -> float:
     return TOLERANCES.greedy_improvement * max(1.0, abs(scale))
 
 
+def _improve(items, norms, incumbent: tuple | None = None) -> tuple:
+    """The (item, norm) incumbent after scanning in order: only a drop beyond
+    ``_tie_eps`` replaces it, so a tie keeps the earlier item."""
+    for item, norm in zip(items, norms):
+        if incumbent is None or norm < incumbent[1] - _tie_eps(incumbent[1]):
+            incumbent = item, norm
+    return incumbent
+
+
 def greedy_select(context: SystemContext, k: int) -> SelectionResult:
     """Greedy leader choice; ties go to the smallest node id.
 
@@ -112,10 +121,7 @@ def greedy_select(context: SystemContext, k: int) -> SelectionResult:
 
     evaluations = n
     singleton = context.singleton_normalized
-    best_v = 0
-    for v in range(1, n):
-        if singleton[v] < singleton[best_v] - _tie_eps(singleton[best_v]):
-            best_v = v
+    best_v, _ = _improve(range(n), singleton)
     chosen = [best_v]
     f_values = [float(offset - singleton[best_v])]
     h_values = [float(singleton[best_v] / form.rho)]
@@ -175,39 +181,43 @@ def _optimum(
 _STACK_BYTES = 200 * 1024
 
 
-def exhaustive_sweep(context: SystemContext, k: int) -> tuple[SelectionResult, ...]:
-    """Exact minimizers of coherence over nonempty leader sets of size <= j,
-    for every budget j = 1..min(k, n), from one pass over the subsets.
+def exhaustive_sweep(
+    contexts: list[SystemContext], k: int
+) -> tuple[tuple[SelectionResult, ...], ...]:
+    """One sweep per context: exact minimizers of coherence over nonempty
+    leader sets of size <= j, for every budget j = 1..min(k, n).
 
-    Subsets are enumerated smallest size first, lexicographically within a
-    size, and only strict improvements replace the incumbent, which fixes
-    the tie-break; entry j - 1 is the incumbent after size j.  Size 1
-    reads the context's singleton values, the same ones the greedy's first
-    round reads.  Each larger size is scored in fixed-size stacks of
-    grounded matrices (about ``_STACK_BYTES`` each, so memory stays flat
-    in the subset count), one eigensolve call per stack.  Refuses up front
-    when the subset count exceeds the cap.
+    The contexts (say, one per order) share one graph and one kappa, so
+    each stack of grounded matrices is built and eigensolved once and
+    scored for every context, each against its own incumbent.  Subsets go
+    smallest size first, lexicographically within a size, and only strict
+    improvements replace an incumbent; entry j - 1 is the incumbent after
+    size j.  Size 1 reads each context's singleton values, as the greedy's
+    first round does.  Larger sizes are scored in stacks of about
+    ``_STACK_BYTES`` (memory flat in the subset count), one eigensolve
+    call per stack.  Refuses up front when the subset count exceeds the cap.
     """
+    if not contexts:
+        raise ValueError("exhaustive sweep needs at least one context")
+    first = contexts[0]
+    if any(c.graph is not first.graph or c.kappa != first.kappa for c in contexts):
+        raise ValueError("exhaustive sweep contexts must share one graph and one kappa")
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
-    n = context.n
+    n = first.n
     k_eff = min(k, n)
     total = sum(math.comb(n, j) for j in range(1, k_eff + 1))
     if total > TOLERANCES.subset_cap:
         raise CombinatorialCapError(
             f"{total} subsets exceed the cap of {TOLERANCES.subset_cap}"
         )
-    laplacian = context.singleton_phase.laplacian
-    kappa = context.kappa.as_array()
+    laplacian = first.singleton_phase.laplacian
+    kappa = first.kappa.as_array()
     chunk = max(1, _STACK_BYTES // laplacian.nbytes)
 
-    singleton = context.singleton_normalized
-    best_subset, best_norm = (0,), singleton[0]
-    for v in range(1, n):
-        if singleton[v] < best_norm - _tie_eps(best_norm):
-            best_subset, best_norm = (v,), singleton[v]
+    best = [_improve([(v,) for v in range(n)], c.singleton_normalized) for c in contexts]
     evaluations = n
-    sweep = [_optimum(context, best_subset, best_norm, evaluations)]
+    sweeps = [[_optimum(c, *b, evaluations)] for c, b in zip(contexts, best)]
     for size in range(2, k_eff + 1):
         stack = np.empty((chunk, n, n))
         rows = np.arange(chunk)[:, None]
@@ -219,19 +229,19 @@ def exhaustive_sweep(context: SystemContext, k: int) -> tuple[SelectionResult, .
             mats[...] = laplacian
             mats[rows[:b], part, part] += kappa[part]
             lams = sym_eigenvalues(mats).eigenvalues
-            norms = normalized_eigenvalue_terms(context.gains, lams).tolist()
-            for subset, norm in zip(batch, norms):
-                if norm < best_norm - _tie_eps(best_norm):
-                    best_subset, best_norm = subset, norm
+            for i, context in enumerate(contexts):
+                norms = normalized_eigenvalue_terms(context.gains, lams).tolist()
+                best[i] = _improve(batch, norms, best[i])
             evaluations += b
-        sweep.append(_optimum(context, best_subset, best_norm, evaluations))
-    return tuple(sweep)
+        for sweep, context, b in zip(sweeps, contexts, best):
+            sweep.append(_optimum(context, *b, evaluations))
+    return tuple(tuple(sweep) for sweep in sweeps)
 
 
 def exhaustive_select(context: SystemContext, k: int) -> SelectionResult:
     """Exact minimizer of coherence over nonempty leader sets of size <= k:
-    the last entry of ``exhaustive_sweep``."""
-    return exhaustive_sweep(context, k)[-1]
+    the last entry of the one-context ``exhaustive_sweep``."""
+    return exhaustive_sweep([context], k)[0][-1]
 
 
 def certify_bound(

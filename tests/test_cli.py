@@ -352,6 +352,22 @@ def test_experiment_outputs_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("gain_rule, code, message", [
+    # orders 1 and 2 pass; the equal order-3 gains have a * lambda_min < 1
+    ({"1": [1], "2": [1, 1], "3": [1, 1, 1]}, 3, "unstable system: "),
+    ({"1": [1], "3": [8, 8, 8]}, 2, "input error: gain_rule has no entry for order 2\n"),
+])
+def test_experiment_fig1_gain_rule_refusals_write_no_csv(tmp_path, capsys, gain_rule, code,
+                                                         message):
+    config = tmp_path / "fig1.json"
+    config.write_text(json.dumps({"experiment": "fig1", "n": 8, "trials": 2, "k_max": 2,
+                                  "orders": [1, 2, 3], "gain_rule": gain_rule}))
+    out = tmp_path / "out"
+    assert main(["experiment", str(config), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert list(out.glob("fig*.csv")) == []
+
+
 # -- simulate --------------------------------------------------------------------------
 
 def test_simulate_command_with_trajectory(tmp_path, k2_file):

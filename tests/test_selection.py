@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leadersel.coherence as coherence
 import leadersel.selection as selection
+import leadersel.stability as stability
+import leadersel.system as system
 from leadersel.coherence import (
     SystemContext,
     TraceSetFunction,
@@ -19,8 +22,9 @@ from leadersel.errors import (
     SingularUpdateError,
     UnstableSystemError,
 )
-from leadersel.graphs import build_graph, erdos_renyi_connected, unit_kappa
-from leadersel.linalg import sherman_morrison_update, spd_inverse
+from leadersel.experiments import ExperimentConfig, run_experiment
+from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, unit_kappa
+from leadersel.linalg import sherman_morrison_update, spd_inverse, sym_eigenvalues
 from leadersel.selection import (
     certify_bound,
     check_monotone_submodular,
@@ -241,45 +245,97 @@ def test_exhaustive_respects_cap():
         exhaustive_select(context_for(graph, 2), 5)
 
 
-def assert_sweep_equals_oracle(ctx, k):
-    sweep = exhaustive_sweep(ctx, k)
-    assert len(sweep) == min(k, ctx.n)
-    for j, got in enumerate(sweep, start=1):
-        assert got == loop_exhaustive_select(ctx, j), (j, got)  # bit for bit
-    assert exhaustive_select(ctx, k) == sweep[-1]
+def assert_sweep_equals_oracle(graph, orders, k):
+    """One shared sweep for several orders on one graph: each order's sweep
+    equals the per-subset loop oracle at every budget, bit for bit."""
+    contexts = [context_for(graph, m) for m in orders]
+    sweeps = exhaustive_sweep(contexts, k)
+    assert len(sweeps) == len(contexts)
+    for ctx, sweep in zip(contexts, sweeps):
+        assert len(sweep) == min(k, ctx.n)
+        for j, got in enumerate(sweep, start=1):
+            assert got == loop_exhaustive_select(ctx, j), (ctx.m, j, got)  # bit for bit
+        assert exhaustive_select(ctx, k) == sweep[-1]
 
 
-@given(graphs(min_nodes=1, max_nodes=8), st.integers(1, 4), st.integers(1, 10))
+order_sets = st.sets(st.integers(1, 4), min_size=1).map(sorted)
+
+
+@given(graphs(min_nodes=1, max_nodes=8), order_sets, st.integers(1, 10))
 @settings(max_examples=40, deadline=None)
-def test_exhaustive_sweep_equals_loop_oracle(g, m, k):
-    assert_sweep_equals_oracle(context_for(g, m), k)
+def test_exhaustive_sweep_equals_loop_oracle(g, ms, k):
+    assert_sweep_equals_oracle(g, ms, k)
 
 
 # Vertex-transitive graphs: every subset ties with its rotations, so the
 # first strict improvement in enumeration order decides each budget.
-@given(
-    st.sampled_from(["cycle", "clique"]), st.integers(3, 8), st.integers(1, 4), st.integers(1, 10)
-)
+@given(st.sampled_from(["cycle", "clique"]), st.integers(3, 8), order_sets, st.integers(1, 10))
 @settings(max_examples=40, deadline=None)
-def test_exhaustive_sweep_equals_loop_oracle_on_ties(family, n, m, k):
+def test_exhaustive_sweep_equals_loop_oracle_on_ties(family, n, ms, k):
     graph = cycle(n) if family == "cycle" else cliques(n)
-    assert_sweep_equals_oracle(context_for(graph, m), k)
+    assert_sweep_equals_oracle(graph, ms, k)
+
+
+def test_exhaustive_sweep_refuses_no_contexts():
+    with pytest.raises(ValueError, match="at least one context"):
+        exhaustive_sweep([], 2)
+
+
+def test_exhaustive_sweep_refuses_contexts_on_another_graph():
+    same_edges = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])  # equal to P3, another object
+    with pytest.raises(ValueError, match="share one graph and one kappa"):
+        exhaustive_sweep([context_for(P3, 1), context_for(same_edges, 2)], 2)
+    with pytest.raises(ValueError, match="share one graph and one kappa"):
+        exhaustive_sweep([context_for(P3, 1), context_for(K2, 1)], 2)
+
+
+def test_exhaustive_sweep_refuses_contexts_with_another_kappa():
+    gains = GainVector.of(1.0)
+    other = SystemContext(graph=P3, kappa=KappaWeights((1.0, 2.0, 1.0)), gains=gains)
+    with pytest.raises(ValueError, match="share one graph and one kappa"):
+        exhaustive_sweep([context_for(P3, 1, gains=gains), other], 2)
 
 
 def test_exhaustive_sweep_memory_is_chunked():
-    """At n = 30, k = 4 the peak traced allocation stays below 4 MB; one
-    stack of all C(30, 4) grounded matrices would take 197 MB."""
+    """At n = 30, k = 4 the peak traced allocation stays below 4 MB, for
+    one order and for orders 1-4 in one sweep; one stack of all C(30, 4)
+    grounded matrices would take 197 MB."""
     graph, _ = erdos_renyi_connected(30, 0.5, seed=2)
-    ctx = context_for(graph, 1)
-    exhaustive_sweep(ctx, 2)  # warm the context's caches and numpy internals
-    tracemalloc.start()
-    try:
-        sweep = exhaustive_sweep(ctx, 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sweep[-1].evaluations == sum(math.comb(30, j) for j in range(1, 5))
-    assert peak < 4 * 2**20, peak
+    for contexts in ([context_for(graph, 1)], [context_for(graph, m) for m in (1, 2, 3, 4)]):
+        exhaustive_sweep(contexts, 2)  # warm the contexts' caches and numpy internals
+        tracemalloc.start()
+        try:
+            sweeps = exhaustive_sweep(contexts, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sweeps) == len(contexts)
+        for sweep in sweeps:
+            assert sweep[-1].evaluations == sum(math.comb(30, j) for j in range(1, 5))
+        assert peak < 4 * 2**20, (len(contexts), peak)
+
+
+def test_fig2_solves_each_stack_once_for_every_order(monkeypatch, tmp_path):
+    """fig2 at orders 1-4: per trial graph, one eigh of L (the shared
+    singleton phase) plus one stacked eigensolve per stack of subsets,
+    however many orders read them."""
+    calls = []
+
+    def counted(m, vectors=False):
+        calls.append(np.shape(m))
+        return sym_eigenvalues(m, vectors=vectors)
+
+    for module in (coherence, selection, stability, system):
+        monkeypatch.setattr(module, "sym_eigenvalues", counted)
+    n, k_max, trials = 12, 3, 2
+    config = ExperimentConfig(experiment="fig2", n=n, trials=trials, k_max=k_max,
+                              orders=(1, 2, 3, 4))
+    run_experiment(config, tmp_path)
+    chunk = max(1, selection._STACK_BYTES // (n * n * 8))
+    stacks = sum(-(-math.comb(n, size) // chunk) for size in range(2, k_max + 1))
+    assert stacks == 3  # C(12, 2) = 66 in one stack, C(12, 3) = 220 in two
+    assert len(calls) == trials * (1 + stacks), calls
+    assert calls.count((n, n)) == trials  # the phase's eigh of L, once per graph
 
 
 def test_exhaustive_prefers_smaller_subsets_on_budget():
