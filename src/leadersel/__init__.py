@@ -9,116 +9,22 @@ integrator), and picks near-optimal leader sets with a submodular greedy
 that carries a 1 - 1/e guarantee.
 """
 
-from .coherence import (
-    CoherenceReport,
-    SystemContext,
-    TraceSetFunction,
-    coherence_closed,
-    coherence_lyapunov_oracle,
-)
-from .errors import LeaderSelError
-from .graphs import (
-    Graph,
-    GraphFile,
-    KappaWeights,
-    LeaderSet,
-    build_graph,
-    erdos_renyi,
-    erdos_renyi_connected,
-    is_connected,
-    laplacian,
-    read_graph_file,
-    six_node_example,
-    unit_kappa,
-    write_graph,
-)
-from .linalg import (
-    TOLERANCES,
-    SpectralDecomposition,
-    lyapunov_solve,
-    sherman_morrison_update,
-    spd_inverse,
-    spd_solve,
-    sym_eigenvalues,
-)
-from .selection import (
-    BoundCertificate,
-    SelectionResult,
-    Violation,
-    certify_bound,
-    check_monotone_submodular,
-    exhaustive_select,
-    exhaustive_sweep,
-    greedy_select,
-)
-from .simulate import (
-    SimulationSpec,
-    simulate_coherence,
-    simulate_trajectory,
-    write_trajectory_csv,
-)
-from .stability import (
-    StabilityReport,
-    StateMatrices,
-    auto_gains,
-    build_state_matrices,
-    check_stability,
-    equal_gain_verdict,
-    hurwitz_determinants,
-    spectral_stability_oracle,
-)
-from .system import GainVector, GroundedSystem, grounded_matrix
+from .coherence import SystemContext, coherence_closed
+from .graphs import erdos_renyi_connected, unit_kappa
+from .selection import certify_bound, exhaustive_select, greedy_select
+from .system import GainVector, GroundedSystem
 
 __version__ = "0.1.0"
 
+# The README "Library sketch" names; the rest is imported from its module.
 __all__ = [
-    "BoundCertificate",
-    "CoherenceReport",
     "GainVector",
-    "Graph",
-    "GraphFile",
     "GroundedSystem",
-    "KappaWeights",
-    "LeaderSet",
-    "LeaderSelError",
-    "SelectionResult",
-    "SimulationSpec",
-    "SpectralDecomposition",
-    "StabilityReport",
-    "StateMatrices",
     "SystemContext",
-    "TOLERANCES",
-    "TraceSetFunction",
-    "Violation",
-    "auto_gains",
-    "build_graph",
-    "build_state_matrices",
     "certify_bound",
-    "check_monotone_submodular",
-    "check_stability",
     "coherence_closed",
-    "coherence_lyapunov_oracle",
-    "equal_gain_verdict",
-    "erdos_renyi",
     "erdos_renyi_connected",
     "exhaustive_select",
-    "exhaustive_sweep",
     "greedy_select",
-    "grounded_matrix",
-    "hurwitz_determinants",
-    "is_connected",
-    "laplacian",
-    "lyapunov_solve",
-    "read_graph_file",
-    "sherman_morrison_update",
-    "simulate_coherence",
-    "simulate_trajectory",
-    "six_node_example",
-    "spd_inverse",
-    "spd_solve",
-    "spectral_stability_oracle",
-    "sym_eigenvalues",
     "unit_kappa",
-    "write_graph",
-    "write_trajectory_csv",
 ]

@@ -32,6 +32,7 @@ from .graphs import (
     graph_payload,
     read_graph_file,
     unit_kappa,
+    write_graph,
 )
 from .selection import certify_bound, exhaustive_select, greedy_select
 from .simulate import SimulationSpec, simulate_coherence, simulate_trajectory
@@ -215,14 +216,13 @@ def _cmd_gen(args) -> int:
         graph, resamples = erdos_renyi_connected(args.n, args.p, args.seed, args.weight)
     else:
         graph, resamples = erdos_renyi(args.n, args.p, args.seed, args.weight), 0
-    payload = graph_payload(graph, unit_kappa(args.n), args.label_base)
-    text = json.dumps(payload)
+    kappa = unit_kappa(args.n)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        write_graph(graph, kappa, args.output, args.label_base)
         _emit({"written": args.output, "edges": len(graph.w), "resamples": resamples},
               args.format)
     else:
-        print(text)
+        print(json.dumps(graph_payload(graph, kappa, args.label_base)))
     return EXIT_OK
 
 

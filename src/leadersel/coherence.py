@@ -37,12 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (
-    EmptyLeaderSetError,
-    PreconditionViolatedError,
-    SingularUpdateError,
-    UnstableSystemError,
-)
+from .errors import EmptyLeaderSetError, SingularUpdateError, UnstableSystemError
 from .graphs import Graph, KappaWeights, LeaderSet
 from .linalg import TOLERANCES, lyapunov_solve, sym_eigenvalues
 from .stability import (
@@ -211,8 +206,8 @@ class SystemContext:
 
     Caches the singleton phase (one eigendecomposition of L), the
     single-leader normalized coherences and the surrogate offset constant
-    C = 2 * max over single leaders, which every set-function evaluation
-    reuses.  ``phase`` takes ``singleton_phase(graph, kappa)`` when the
+    C = 2 * max over single leaders, which both selection searches reuse.
+    ``phase`` takes ``singleton_phase(graph, kappa)`` when the
     caller already holds it (see ``auto``); otherwise it is computed on
     first use.
     """
@@ -238,16 +233,6 @@ class SystemContext:
     def m(self) -> int:
         return self.gains.m
 
-    def grounded(self, leaders) -> np.ndarray:
-        # reuses the singleton phase's Laplacian, as exhaustive_sweep's stacks do
-        if not isinstance(leaders, LeaderSet):
-            leaders = LeaderSet.of(leaders)
-        leaders.validate(self.n)
-        q = self.singleton_phase.laplacian.copy()
-        for v in leaders.members:
-            q[v, v] += self.kappa.values[v]
-        return q
-
     @cached_property
     def singleton_phase(self) -> SingletonPhase:
         if self.phase is not None:
@@ -264,12 +249,14 @@ class SystemContext:
         return report_for(self.gains, float(self.singleton_phase.lambda_mins.min()))
 
     def normalized_coherence(self, leaders) -> float:
-        """rho * H over the given leader set (a bare trace)."""
+        """rho * H over the given leader set (a bare trace), from one eigensolve:
+        the tests' per-subset oracle of the greedy and the exhaustive sweep."""
         if not isinstance(leaders, LeaderSet):
             leaders = LeaderSet.of(leaders)
         if not leaders.members:
             raise EmptyLeaderSetError("normalized coherence needs leaders")
-        lams = sym_eigenvalues(self.grounded(leaders)).eigenvalues
+        q = grounded_matrix(self.singleton_phase.laplacian, self.kappa, leaders)
+        lams = sym_eigenvalues(q).eigenvalues
         return float(normalized_eigenvalue_terms(self.gains, lams))
 
     @cached_property
@@ -289,7 +276,7 @@ class SystemContext:
                                      - beta ((T L^+ T)_vv + 2 (T L^+)_vv + d).
 
         Every diagonal is W f(lam).  ``require_evaluable`` passes the
-        binding report first, so the set function and the selection
+        binding report first, so the greedy and the exhaustive
         searches built on it share the closed forms' margin rule: stable
         gains give c lam_1 >= c lambda_min(Q_v) > 1 by interlacing, so T
         exists.  At order 3 a value carries the conditioning
@@ -323,80 +310,3 @@ class SystemContext:
     def offset(self) -> float:
         """The surrogate constant C: twice the worst single-leader trace."""
         return 2.0 * max(self.singleton_normalized)
-
-    def set_value(self, leaders) -> float:
-        """The monotone submodular surrogate f(S); maximizing it minimizes H."""
-        if not isinstance(leaders, LeaderSet):
-            leaders = LeaderSet.of(leaders)
-        if not leaders.members:
-            return 0.0
-        return self.offset - self.normalized_coherence(leaders)
-
-
-@dataclass(frozen=True)
-class TraceSetFunction:
-    """Generalized surrogate family used by the submodularity checks.
-
-    form="product":       C - tr((b1 Q)^-1 (b2 Q - b3 I)^-1)
-                          requires b1, b2 > 0, b3 >= 0, b2 lambda_min > b3.
-    form="fourth_order":  C - tr(Q^-2 (b1 Q - I) ((b1 - b2) Q - I)^-1)
-                          requires b1 > b2 > 0, (b1 - b2) lambda_min > 1.
-
-    With (b1, b2, b3) = (1, 1, 0) the product form is the order-2
-    surrogate; (1, a2 a3/a1, 1) gives order 3; the fourth-order form with
-    (a3 a4/a2, a1 a4^2/a2^2) gives order 4.
-    """
-
-    graph: Graph
-    kappa: KappaWeights
-    form: Literal["product", "fourth_order"]
-    b1: float
-    b2: float
-    b3: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.form == "product":
-            if self.b1 <= 0 or self.b2 <= 0 or self.b3 < 0:
-                raise PreconditionViolatedError(
-                    "product form needs b1, b2 > 0 and b3 >= 0"
-                )
-        elif self.form == "fourth_order":
-            if not self.b1 > self.b2 > 0:
-                raise PreconditionViolatedError("fourth-order form needs b1 > b2 > 0")
-        else:
-            raise PreconditionViolatedError(f"unknown form {self.form!r}")
-
-    def _trace(self, leaders) -> float:
-        if not isinstance(leaders, LeaderSet):
-            leaders = LeaderSet.of(leaders)
-        q = grounded_matrix(self.graph, self.kappa, leaders)
-        lams = sym_eigenvalues(q).eigenvalues
-        lam_min = float(lams[0])
-        if self.form == "product":
-            if self.b2 * lam_min <= self.b3:
-                raise PreconditionViolatedError(
-                    f"b2*lambda_min = {self.b2 * lam_min:.6g} must exceed b3 = {self.b3:.6g}"
-                )
-            return float(sum(1.0 / (self.b1 * lam * (self.b2 * lam - self.b3)) for lam in lams))
-        if (self.b1 - self.b2) * lam_min <= 1.0:
-            raise PreconditionViolatedError(
-                f"(b1-b2)*lambda_min = {(self.b1 - self.b2) * lam_min:.6g} must exceed 1"
-            )
-        return float(
-            sum(
-                (self.b1 * lam - 1.0) / (lam**2 * ((self.b1 - self.b2) * lam - 1.0))
-                for lam in lams
-            )
-        )
-
-    @cached_property
-    def offset(self) -> float:
-        return 2.0 * max(self._trace([v]) for v in range(self.graph.n))
-
-    def value(self, leaders) -> float:
-        if not isinstance(leaders, LeaderSet):
-            leaders = LeaderSet.of(leaders)
-        if not leaders.members:
-            return 0.0
-        return self.offset - self._trace(leaders)
-

@@ -83,10 +83,6 @@ class UnstableSystemError(LeaderSelError):
     """System fails the stability conditions (or is within the marginal band)."""
 
 
-class PreconditionViolatedError(LeaderSelError):
-    pass
-
-
 class CombinatorialCapError(LeaderSelError):
     pass
 

@@ -181,24 +181,22 @@ def erdos_renyi(n: int, p: float, seed: int, weight: float = 1.0) -> Graph:
     return build_graph(n, np.column_stack((rows[keep], cols[keep], weights)))
 
 
-def erdos_renyi_connected(
-    n: int,
-    p: float,
-    seed: int,
-    weight: float = 1.0,
-    max_resamples: int = 1000,
-) -> tuple[Graph, int]:
+MAX_RESAMPLES = 1000
+
+
+def erdos_renyi_connected(n: int, p: float, seed: int, weight: float = 1.0) -> tuple[Graph, int]:
     """Sample G(n, p) conditioned on connectivity.
 
     Disconnected samples are rejected and redrawn with the seed offset by
-    +1 each time.  Returns (graph, resample_count).
+    +1 each time, at most ``MAX_RESAMPLES`` times.  Returns
+    (graph, resample_count).
     """
-    for offset in range(max_resamples + 1):
+    for offset in range(MAX_RESAMPLES + 1):
         g = erdos_renyi(n, p, seed + offset, weight)
         if is_connected(g):
             return g, offset
     raise InvalidProbabilityError(
-        f"no connected sample within {max_resamples} resamples (n={n}, p={p})"
+        f"no connected sample within {MAX_RESAMPLES} resamples (n={n}, p={p})"
     )
 
 

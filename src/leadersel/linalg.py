@@ -93,19 +93,14 @@ def sym_eigenvalues(m: np.ndarray, vectors: bool = False) -> SpectralDecompositi
         raise EigenFailureError(str(exc)) from exc
 
 
-def spd_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for symmetric positive definite M."""
+def spd_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite (Cholesky-checked) matrix, symmetrized."""
     m = _require_symmetric(m)
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("Cholesky factorization failed") from exc
-    return np.linalg.solve(m, rhs)
-
-
-def spd_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    inv = spd_solve(m, np.eye(m.shape[0] if hasattr(m, "shape") else len(m)))
+    inv = np.linalg.solve(m, np.eye(m.shape[0]))
     return (inv + inv.T) / 2.0
 
 

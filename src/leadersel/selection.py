@@ -42,6 +42,7 @@ from .linalg import (
     spd_inverse,
     sym_eigenvalues,
 )
+from .system import grounded_matrix
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,7 @@ def greedy_select(context: SystemContext, k: int) -> SelectionResult:
     gains = context.gains
     form = gains.form
     kappa = context.kappa.as_array()
+    laplacian = context.singleton_phase.laplacian
     offset = context.offset
 
     evaluations = n
@@ -127,7 +129,7 @@ def greedy_select(context: SystemContext, k: int) -> SelectionResult:
     h_values = [float(singleton[best_v] / form.rho)]
 
     if k > 1:  # later rounds score every candidate from the maintained inverses
-        q = context.grounded(chosen)
+        q = grounded_matrix(laplacian, context.kappa, chosen)
         inv = spd_inverse(q)
         shifted_inv = spd_inverse(form.c * q - np.eye(n)) if form.shift else None
         candidates = np.ones(n, dtype=bool)
@@ -150,7 +152,7 @@ def greedy_select(context: SystemContext, k: int) -> SelectionResult:
             inv = sherman_morrison_update(inv, v, kappa[v])
             if form.shift:
                 shifted_inv = sherman_morrison_update(shifted_inv, v, form.c * kappa[v])
-        q = context.grounded(chosen)
+        q = grounded_matrix(laplacian, context.kappa, chosen)
         check_inverse(q, inv, "Q_S^-1")
         if form.shift:
             check_inverse(form.c * q - np.eye(n), shifted_inv, "(c Q_S - I)^-1")
@@ -268,96 +270,3 @@ def certify_bound(
         coherence_greedy=coherence_greedy,
         coherence_bound=coherence_bound,
     )
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    sets: tuple[tuple[int, ...], ...]
-    gap: float
-
-
-def _mask_bits(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if mask >> i & 1)
-
-
-def check_monotone_submodular(
-    context: SystemContext | None = None,
-    mode: str = "exhaustive",
-    samples: int = 200,
-    seed: int = 0,
-    value_fn=None,
-    n: int | None = None,
-) -> list[Violation]:
-    """Check the surrogate's structure numerically; returns violations found.
-
-    Two families of inequalities, each allowed ``submodular_slack`` before
-    counting as a violation:
-
-    * submodularity   f(A) + f(B) >= f(A | B) + f(A & B)
-    * monotonicity    A <= B implies f(A) <= f(B)
-
-    With A = S1 + v and B = S2 for S1 <= S2 and v not in S2, the
-    submodularity pair is exactly diminishing returns,
-    f(S1 + v) - f(S1) >= f(S2 + v) - f(S2), so no third family is needed.
-    Exhaustive mode enumerates all subset pairs (n <= 8 required);
-    sampled mode draws ``samples`` random pairs, each also checked against
-    their union, plus ``samples`` random diminishing-returns pairs.
-    """
-    if value_fn is None:
-        if context is None:
-            raise ValueError("need a context or an explicit value function")
-        value_fn = context.set_value
-    if n is None:
-        if context is None:
-            raise ValueError("need a context or an explicit node count")
-        n = context.n
-    slack = TOLERANCES.submodular_slack
-
-    cache: dict[int, float] = {}
-
-    def value(mask: int) -> float:
-        got = cache.get(mask)
-        if got is None:
-            got = float(value_fn(_mask_bits(mask, n)))
-            cache[mask] = got
-        return got
-
-    violations: list[Violation] = []
-
-    def record(kind: str, gap: float, *masks: int) -> None:
-        violations.append(
-            Violation(kind=kind, sets=tuple(_mask_bits(m, n) for m in masks), gap=gap)
-        )
-
-    def check_pair(a: int, b: int) -> None:
-        gap = value(a) + value(b) - value(a | b) - value(a & b)
-        if gap < -slack:
-            record("submodularity", gap, a, b)
-        if a & b == a and a != b:  # a subset of b
-            mono = value(b) - value(a)
-            if mono < -slack:
-                record("monotonicity", mono, a, b)
-
-    if mode == "exhaustive":
-        if n > 8:
-            raise CombinatorialCapError(f"exhaustive pair check limited to n <= 8, got {n}")
-        full = 1 << n
-        for a in range(full):
-            for b in range(a, full):
-                check_pair(a, b)
-    elif mode == "sampled":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        full = 1 << n
-        for _ in range(samples):
-            a = int(rng.integers(0, full))
-            b = int(rng.integers(0, full))
-            check_pair(a, b)
-            check_pair(a, a | b)
-            bit = 1 << int(rng.integers(0, n))
-            s2 = int(rng.integers(0, full)) & ~bit
-            s1 = int(rng.integers(0, full)) & s2
-            check_pair(s1 | bit, s2)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return violations

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenFailureError, UnstableSystemError, UnsupportedOrderError
-from .graphs import Graph, KappaWeights, LeaderSet
+from .graphs import Graph, KappaWeights, laplacian
 from .linalg import TOLERANCES, sym_eigenvalues
 from .system import (
     GainVector,
@@ -181,18 +181,6 @@ def require_evaluable(report: StabilityReport) -> None:
         )
 
 
-def equal_gain_verdict(m: int) -> bool:
-    """True when the order alone proves instability for equal gains.
-
-    For any m >= 4 and all gains equal, the third Hurwitz determinant is
-    never positive, so the system is unstable regardless of the gain
-    value or graph.  For m <= 3 this test decides nothing (returns False).
-    """
-    if m < 1:
-        raise UnsupportedOrderError(f"order {m} must be >= 1")
-    return m >= 4
-
-
 def companion_state_matrix(q: np.ndarray, gains) -> np.ndarray:
     """Full nm x nm state matrix for arbitrary order m >= 1.
 
@@ -248,9 +236,10 @@ def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:
     The per-node oracle for ``SingletonPhase.lambda_mins``, which the gain
     rule and the selection machinery use: one eigensolve per node.
     """
+    lap = laplacian(graph)
     out = []
     for v in range(graph.n):
-        q = grounded_matrix(graph, kappa, LeaderSet.of([v]))
+        q = grounded_matrix(lap, kappa, [v])
         out.append(float(sym_eigenvalues(q).eigenvalues[0]))
     return out
 

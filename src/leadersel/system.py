@@ -80,12 +80,17 @@ class TraceForm:
     c: float | None = None
 
 
-def grounded_matrix(graph: Graph, kappa: KappaWeights, leaders: LeaderSet) -> np.ndarray:
-    """Laplacian plus the leader diagonal: L + D_kappa D_S."""
-    if len(kappa) != graph.n:
-        raise ValueError(f"kappa length {len(kappa)} != node count {graph.n}")
-    leaders.validate(graph.n)
-    q = laplacian(graph)
+def grounded_matrix(lap: np.ndarray, kappa: KappaWeights, leaders) -> np.ndarray:
+    """A copy of the Laplacian ``lap`` plus the leader diagonal: L + D_kappa D_S.
+
+    ``leaders`` is a ``LeaderSet`` or an iterable of node ids.
+    """
+    if len(kappa) != len(lap):
+        raise ValueError(f"kappa length {len(kappa)} != node count {len(lap)}")
+    if not isinstance(leaders, LeaderSet):
+        leaders = LeaderSet.of(leaders)
+    leaders.validate(len(lap))
+    q = lap.copy()
     for v in leaders.members:
         q[v, v] += kappa.values[v]
     return q
@@ -211,7 +216,7 @@ class GroundedSystem:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return grounded_matrix(self.graph, self.kappa, self.leaders)
+        return grounded_matrix(laplacian(self.graph), self.kappa, self.leaders)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

@@ -1,21 +1,34 @@
+import functools
 import itertools
 import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Literal
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from leadersel.errors import (
+    CombinatorialCapError,
     DuplicateEdgeError,
     NodeOutOfRangeError,
     NonPositiveWeightError,
     SelfLoopError,
 )
-from leadersel.graphs import Graph, build_graph, is_connected, six_node_example
+from leadersel.graphs import (
+    Graph,
+    KappaWeights,
+    build_graph,
+    is_connected,
+    laplacian,
+    six_node_example,
+)
 from leadersel.linalg import TOLERANCES, sym_eigenvalues
 from leadersel.selection import SelectionResult, _tie_eps
 from leadersel.simulate import noise_stream
 from leadersel.stability import build_state_matrices
+from leadersel.system import grounded_matrix
 
 
 def edge_list(g: Graph) -> tuple[tuple[int, int, float], ...]:
@@ -187,7 +200,8 @@ def loop_exhaustive_select(context, k: int) -> SelectionResult:
             if size == 1:
                 norm = singleton[subset[0]]
             else:
-                lams = sym_eigenvalues(context.grounded(subset)).eigenvalues
+                q = grounded_matrix(context.singleton_phase.laplacian, context.kappa, subset)
+                lams = sym_eigenvalues(q).eigenvalues
                 norm = loop_normalized(context.gains, lams)
             evaluations += 1
             if best_norm is None or norm < best_norm - _tie_eps(best_norm):
@@ -201,6 +215,144 @@ def loop_exhaustive_select(context, k: int) -> SelectionResult:
         evaluations=evaluations,
         method="exhaustive",
     )
+
+
+def set_value(context, leaders) -> float:
+    """The surrogate the greedy maximizes: f(S) = 0 for empty S, else C - rho * H(S)."""
+    if not leaders:
+        return 0.0
+    return context.offset - context.normalized_coherence(leaders)
+
+
+@dataclass(frozen=True)
+class TraceSetFunction:
+    """Generalized surrogate family of the submodularity checks.
+
+    form="product":       C - tr((b1 Q)^-1 (b2 Q - b3 I)^-1)
+                          requires b1, b2 > 0, b3 >= 0, b2 lambda_min > b3.
+    form="fourth_order":  C - tr(Q^-2 (b1 Q - I) ((b1 - b2) Q - I)^-1)
+                          requires b1 > b2 > 0, (b1 - b2) lambda_min > 1.
+
+    With (b1, b2, b3) = (1, 1, 0) the product form is the order-2
+    surrogate; (1, a2 a3/a1, 1) gives order 3; the fourth-order form with
+    (a3 a4/a2, a1 a4^2/a2^2) gives order 4.  A violated precondition
+    raises ValueError.
+    """
+
+    graph: Graph
+    kappa: KappaWeights
+    form: Literal["product", "fourth_order"]
+    b1: float
+    b2: float
+    b3: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.form == "product":
+            if self.b1 <= 0 or self.b2 <= 0 or self.b3 < 0:
+                raise ValueError("product form needs b1, b2 > 0 and b3 >= 0")
+        elif self.form == "fourth_order":
+            if not self.b1 > self.b2 > 0:
+                raise ValueError("fourth-order form needs b1 > b2 > 0")
+        else:
+            raise ValueError(f"unknown form {self.form!r}")
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        return laplacian(self.graph)
+
+    def _trace(self, leaders) -> float:
+        lam = sym_eigenvalues(grounded_matrix(self.lap, self.kappa, leaders)).eigenvalues
+        b1, b2, b3 = self.b1, self.b2, self.b3
+        if self.form == "product":
+            if b2 * lam[0] <= b3:
+                raise ValueError(f"b2*lambda_min = {b2 * lam[0]:.6g} must exceed b3 = {b3:.6g}")
+            return float(np.sum(1.0 / (b1 * lam * (b2 * lam - b3))))
+        if (b1 - b2) * lam[0] <= 1.0:
+            raise ValueError(f"(b1-b2)*lambda_min = {(b1 - b2) * lam[0]:.6g} must exceed 1")
+        return float(np.sum((b1 * lam - 1.0) / (lam**2 * ((b1 - b2) * lam - 1.0))))
+
+    @cached_property
+    def offset(self) -> float:
+        return 2.0 * max(self._trace([v]) for v in range(self.graph.n))
+
+    def value(self, leaders) -> float:
+        if not leaders:
+            return 0.0
+        return self.offset - self._trace(leaders)
+
+
+@dataclass(frozen=True)
+class Violation:
+    kind: str
+    sets: tuple[tuple[int, ...], ...]
+    gap: float
+
+
+def _mask_bits(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def check_monotone_submodular(
+    value_fn, n: int, mode: str = "exhaustive", samples: int = 200, seed: int = 0
+) -> list[Violation]:
+    """Check a set function on subsets of n nodes numerically; returns violations found.
+
+    Two families of inequalities, each allowed ``submodular_slack`` before
+    counting as a violation:
+
+    * submodularity   f(A) + f(B) >= f(A | B) + f(A & B)
+    * monotonicity    A <= B implies f(A) <= f(B)
+
+    With A = S1 + v and B = S2 for S1 <= S2 and v not in S2, the
+    submodularity pair is exactly diminishing returns,
+    f(S1 + v) - f(S1) >= f(S2 + v) - f(S2), so no third family is needed.
+    Exhaustive mode enumerates all subset pairs (n <= 8 required);
+    sampled mode draws ``samples`` random pairs, each also checked against
+    their union, plus ``samples`` random diminishing-returns pairs.
+    """
+    slack = TOLERANCES.submodular_slack
+
+    @functools.cache
+    def value(mask: int) -> float:
+        return float(value_fn(_mask_bits(mask, n)))
+
+    violations: list[Violation] = []
+
+    def record(kind: str, gap: float, *masks: int) -> None:
+        violations.append(
+            Violation(kind=kind, sets=tuple(_mask_bits(m, n) for m in masks), gap=gap)
+        )
+
+    def check_pair(a: int, b: int) -> None:
+        gap = value(a) + value(b) - value(a | b) - value(a & b)
+        if gap < -slack:
+            record("submodularity", gap, a, b)
+        if a & b == a and a != b:  # a subset of b
+            mono = value(b) - value(a)
+            if mono < -slack:
+                record("monotonicity", mono, a, b)
+
+    full = 1 << n
+    if mode == "exhaustive":
+        if n > 8:
+            raise CombinatorialCapError(f"exhaustive pair check limited to n <= 8, got {n}")
+        for a in range(full):
+            for b in range(a, full):
+                check_pair(a, b)
+    elif mode == "sampled":
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(samples):
+            a = int(rng.integers(0, full))
+            b = int(rng.integers(0, full))
+            check_pair(a, b)
+            check_pair(a, a | b)
+            bit = 1 << int(rng.integers(0, n))
+            s2 = int(rng.integers(0, full)) & ~bit
+            s1 = int(rng.integers(0, full)) & s2
+            check_pair(s1 | bit, s2)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return violations
 
 
 def euler_oracle(spec, record_stride=None, x0=None, noise=True):

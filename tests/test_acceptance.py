@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from leadersel.coherence import (
-    SystemContext,
-    TraceSetFunction,
-    coherence_closed,
-    coherence_lyapunov_oracle,
-)
+from leadersel.coherence import SystemContext, coherence_closed, coherence_lyapunov_oracle
 from leadersel.graphs import (
     KappaWeights,
     build_graph,
@@ -24,25 +19,25 @@ from leadersel.graphs import (
     six_node_example,
     unit_kappa,
 )
-from leadersel.selection import (
-    certify_bound,
-    check_monotone_submodular,
-    exhaustive_select,
-    greedy_select,
-)
+from leadersel.selection import certify_bound, exhaustive_select, greedy_select
 from leadersel.simulate import SimulationSpec, simulate_coherence
 from leadersel.stability import (
     auto_gains,
     build_state_matrices,
     check_stability,
     companion_state_matrix,
-    equal_gain_verdict,
     hurwitz_determinants,
     spectral_stability_oracle,
 )
 from leadersel.system import GainVector, GroundedSystem
 
-from conftest import naive_greedy, random_connected_graph
+from conftest import (
+    TraceSetFunction,
+    check_monotone_submodular,
+    naive_greedy,
+    random_connected_graph,
+    set_value,
+)
 
 SINGLE = build_graph(1, [])
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -135,7 +130,7 @@ def test_criterion_5_submodularity_suite():
         kappa = unit_kappa(n)
         for m in (2, 3, 4):
             ctx = SystemContext(graph=g, kappa=kappa, gains=auto_gains(g, kappa, m))
-            violations = check_monotone_submodular(ctx, mode="exhaustive")
+            violations = check_monotone_submodular(lambda s: set_value(ctx, s), n)
             assert violations == [], (index, m, violations[:3])
         lam_floor = min(
             SystemContext(graph=g, kappa=kappa, gains=GainVector.of(1.0))
@@ -148,18 +143,14 @@ def test_criterion_5_submodularity_suite():
             b2=(b3 + 0.5 + float(rng.uniform(0.0, 1.0))) / lam_floor,
             b3=b3,
         )
-        assert check_monotone_submodular(
-            value_fn=product.value, n=n, mode="exhaustive"
-        ) == []
+        assert check_monotone_submodular(product.value, n) == []
         b2 = float(rng.uniform(0.1, 2.0))
         quartic = TraceSetFunction(
             g, kappa, "fourth_order",
             b1=b2 + (1.3 + float(rng.uniform(0.0, 1.0))) / lam_floor,
             b2=b2,
         )
-        assert check_monotone_submodular(
-            value_fn=quartic.value, n=n, mode="exhaustive"
-        ) == []
+        assert check_monotone_submodular(quartic.value, n) == []
     _pass(5, "10 graphs x (f2, f3, f4, product, fourth-order): zero violations",
           started, 120.0)
 
@@ -169,10 +160,10 @@ def test_criterion_6_stability_verdicts():
     rng = np.random.default_rng(66)
 
     # (a) equal gains at orders 4 and 5 fail both routes
-    for m in (4, 5):
-        assert equal_gain_verdict(m)
-    dets = hurwitz_determinants(GainVector.of(1, 1, 1, 1), 0.7)
-    assert dets[2] < 0
+    # the third Hurwitz determinant of equal gains a at order 4 is -a^2 lam^2
+    for a in (0.5, 1.0, 3.0):
+        for lam in (0.1, 0.7, 2.0):
+            assert hurwitz_determinants(GainVector((a,) * 4), lam)[2] < 0
     g = random_connected_graph(rng, 5)
     q = GroundedSystem.create(g, unit_kappa(5), [0, 3], GainVector.of(1, 1)).matrix
     for m in (4, 5):

@@ -17,7 +17,7 @@ from leadersel.selection import exhaustive_select, greedy_select
 from leadersel.stability import check_stability
 from leadersel.system import GainVector, GroundedSystem
 
-from conftest import cliques, edge_list
+from conftest import cliques, edge_list, set_value
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "schemas"
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "six_node_example.json"
@@ -504,7 +504,7 @@ def test_closed_form_margin_is_one_gate(tmp_path, capsys):
     ctx = SystemContext(graph=graph, kappa=kappa, gains=gains)
     messages = set()
     for call in (lambda: coherence_closed(system), lambda: greedy_select(ctx, 1),
-                 lambda: exhaustive_select(ctx, 1), lambda: ctx.set_value([0])):
+                 lambda: exhaustive_select(ctx, 1), lambda: set_value(ctx, [0])):
         with pytest.raises(errors.UnstableSystemError) as info:
             call()
         assert type(info.value) is errors.UnstableSystemError
@@ -542,7 +542,7 @@ def test_lyapunov_accuracy_limit_has_its_own_prefix(k2_file, capsys):
 
 @pytest.mark.parametrize("error", [
     errors.ParseError, errors.SchemaError, cli.InputError, errors.CombinatorialCapError,
-    errors.DimensionCapError, errors.PreconditionViolatedError, errors.StepTooLargeError,
+    errors.DimensionCapError, ValueError, errors.StepTooLargeError,
 ])
 def test_input_errors_exit_two(monkeypatch, capsys, error):
     def handler(args):

@@ -21,7 +21,6 @@ from leadersel.linalg import (
     lyapunov_solve,
     sherman_morrison_update,
     spd_inverse,
-    spd_solve,
     sym_eigenvalues,
 )
 from leadersel.stability import auto_gains, build_state_matrices, companion_state_matrix
@@ -113,7 +112,7 @@ def test_eigenvalues_refuse_non_square_shapes(shape):
 
 def test_spd_solve_refuses_a_stack():
     with pytest.raises(NotSymmetricError):
-        spd_solve(np.broadcast_to(np.eye(3), (2, 3, 3)), np.ones(3))
+        spd_inverse(np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
 @given(st.integers(2, 8), st.integers(0, 10_000))
@@ -143,12 +142,6 @@ def test_spd_inverse_identity_and_diagonal():
 def test_spd_inverse_grounded_k2():
     inv = spd_inverse(np.array([[2.0, -1.0], [-1.0, 1.0]]))
     np.testing.assert_allclose(inv, [[1.0, 1.0], [1.0, 2.0]], rtol=1e-12)
-
-
-def test_spd_solve_matches_inverse():
-    m = np.array([[2.0, -1.0], [-1.0, 1.0]])
-    rhs = np.array([1.0, 2.0])
-    np.testing.assert_allclose(spd_solve(m, rhs), spd_inverse(m) @ rhs, rtol=1e-12)
 
 
 def test_spd_inverse_rejects_indefinite():

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leadersel.coherence as coherence
+import leadersel.experiments as experiments
 import leadersel.selection as selection
 import leadersel.stability as stability
 import leadersel.system as system
 from leadersel.coherence import (
     SystemContext,
-    TraceSetFunction,
     normalized_after_rank_one,
     normalized_from_inverses,
 )
@@ -25,23 +25,20 @@ from leadersel.errors import (
 from leadersel.experiments import ExperimentConfig, run_experiment
 from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, unit_kappa
 from leadersel.linalg import sherman_morrison_update, spd_inverse, sym_eigenvalues
-from leadersel.selection import (
-    certify_bound,
-    check_monotone_submodular,
-    exhaustive_select,
-    exhaustive_sweep,
-    greedy_select,
-)
-from leadersel.stability import auto_gains
-from leadersel.system import GainVector
+from leadersel.selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
+from leadersel.stability import auto_gains, singleton_lambda_mins
+from leadersel.system import GainVector, grounded_matrix
 
 from conftest import (
+    TraceSetFunction,
+    check_monotone_submodular,
     cliques,
     cycle,
     graphs,
     loop_exhaustive_select,
     naive_greedy,
     random_connected_graph,
+    set_value,
 )
 
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -176,7 +173,7 @@ def test_closed_form_scores_match_explicit_updates(g, m, seed):
     ctx = context_for(g, m)
     rng = np.random.default_rng(seed)
     leaders = [int(v) for v in rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)]
-    q = ctx.grounded(leaders)
+    q = grounded_matrix(ctx.singleton_phase.laplacian, ctx.kappa, leaders)
     c = ctx.gains.form.c
     inv = spd_inverse(q)
     shifted = spd_inverse(c * q - np.eye(g.n)) if c is not None else None
@@ -338,6 +335,32 @@ def test_fig2_solves_each_stack_once_for_every_order(monkeypatch, tmp_path):
     assert calls.count((n, n)) == trials  # the phase's eigh of L, once per graph
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_greedy_at_budget_k_is_the_first_k_rounds_of_a_larger_budget(m):
+    graph, _ = erdos_renyi_connected(12, 0.5, seed=12)
+    ctx = context_for(graph, m)
+    full = greedy_select(ctx, 5)
+    for k in range(1, 5):
+        part = greedy_select(ctx, k)
+        assert part.chosen == full.chosen[:k]
+        assert part.f_values == full.f_values[:k] and part.h_values == full.h_values[:k]
+
+
+def test_fig2_runs_the_greedy_once_per_trial_and_order(monkeypatch, tmp_path):
+    """Each budget k reads the first k rounds of one greedy run at k_max."""
+    budgets = []
+
+    def counted(context, k):
+        budgets.append(k)
+        return greedy_select(context, k)
+
+    monkeypatch.setattr(experiments, "greedy_select", counted)
+    orders, trials, k_max = (1, 2, 3, 4), 2, 3
+    config = ExperimentConfig(experiment="fig2", n=8, trials=trials, k_max=k_max, orders=orders)
+    run_experiment(config, tmp_path)
+    assert budgets == [k_max] * (trials * len(orders))
+
+
 def test_exhaustive_prefers_smaller_subsets_on_budget():
     ctx = context_for(K2, 2, gains=GainVector.of(1, 1))
     result = exhaustive_select(ctx, 2)
@@ -384,19 +407,25 @@ def test_no_violations_exhaustive_random_graphs(m):
     for _ in range(3):
         n = int(rng.integers(4, 8))
         g = random_connected_graph(rng, n)
-        violations = check_monotone_submodular(context_for(g, m), mode="exhaustive")
+        ctx = context_for(g, m)
+        violations = check_monotone_submodular(lambda s: set_value(ctx, s), n)
         assert violations == []
 
 
 def test_no_violations_sampled_mode(six_node):
     ctx = context_for(six_node.graph, 3)
-    assert check_monotone_submodular(ctx, mode="sampled", samples=150, seed=5) == []
+    violations = check_monotone_submodular(
+        lambda s: set_value(ctx, s), ctx.n, mode="sampled", samples=150, seed=5
+    )
+    assert violations == []
 
 
 def test_trivial_pair_identity(six_node):
     # f(A) + f(A) = f(A|A) + f(A&A) exactly; never a violation
     ctx = context_for(six_node.graph, 2)
-    violations = check_monotone_submodular(ctx, mode="sampled", samples=1, seed=0)
+    violations = check_monotone_submodular(
+        lambda s: set_value(ctx, s), ctx.n, mode="sampled", samples=1, seed=0
+    )
     assert violations == []
 
 
@@ -404,7 +433,7 @@ def test_trivial_pair_identity(six_node):
 def test_supermodular_function_reports_submodularity_violations(mode, expected):
     # f(S) = |S|^2 gains more the larger S is; in sampled mode 88 of the
     # violations come from random pairs and 114 from diminishing-returns pairs
-    violations = check_monotone_submodular(value_fn=lambda s: len(s) ** 2, n=4, mode=mode)
+    violations = check_monotone_submodular(lambda s: len(s) ** 2, 4, mode=mode)
     assert len(violations) == expected
     assert {v.kind for v in violations} == {"submodularity"}
     for v in violations:
@@ -416,7 +445,7 @@ def test_supermodular_function_reports_submodularity_violations(mode, expected):
 def test_decreasing_function_reports_monotonicity_violations(mode, expected):
     # f(S) = -|S| is modular, so only monotonicity fails: every proper
     # subset pair, 3^4 - 2^4 = 65 of them, in exhaustive mode
-    violations = check_monotone_submodular(value_fn=lambda s: -len(s), n=4, mode=mode)
+    violations = check_monotone_submodular(lambda s: -len(s), 4, mode=mode)
     assert len(violations) == expected
     assert {v.kind for v in violations} == {"monotonicity"}
     for v in violations:
@@ -427,35 +456,24 @@ def test_decreasing_function_reports_monotonicity_violations(mode, expected):
 def test_generalized_product_form_clean():
     rng = np.random.default_rng(41)
     g = random_connected_graph(rng, 6)
-    lam_floor = min(
-        np.linalg.eigvalsh(
-            context_for(g, 1, gains=GainVector.of(1.0)).grounded([v])
-        )[0]
-        for v in range(6)
-    )
+    lam_floor = min(singleton_lambda_mins(g, unit_kappa(6)))
     b2 = 2.0 / lam_floor  # guarantees b2 * lambda_min > b3 = 1
     fn = TraceSetFunction(g, unit_kappa(6), "product", b1=1.3, b2=b2, b3=1.0)
-    violations = check_monotone_submodular(value_fn=fn.value, n=6, mode="exhaustive")
-    assert violations == []
+    assert check_monotone_submodular(fn.value, 6) == []
 
 
 def test_generalized_fourth_order_form_clean():
     rng = np.random.default_rng(42)
     g = random_connected_graph(rng, 6)
-    lam_floor = min(
-        np.linalg.eigvalsh(
-            context_for(g, 1, gains=GainVector.of(1.0)).grounded([v])
-        )[0]
-        for v in range(6)
-    )
+    lam_floor = min(singleton_lambda_mins(g, unit_kappa(6)))
     gap = 2.0 / lam_floor  # (b1 - b2) * lambda_min = 2 > 1
     fn = TraceSetFunction(g, unit_kappa(6), "fourth_order", b1=gap + 1.0, b2=1.0)
-    violations = check_monotone_submodular(value_fn=fn.value, n=6, mode="exhaustive")
-    assert violations == []
+    assert check_monotone_submodular(fn.value, 6) == []
 
 
 def test_exhaustive_mode_rejects_large_graphs():
     rng = np.random.default_rng(0)
     g = random_connected_graph(rng, 9)
     with pytest.raises(CombinatorialCapError):
-        check_monotone_submodular(context_for(g, 2), mode="exhaustive")
+        ctx = context_for(g, 2)
+        check_monotone_submodular(lambda s: set_value(ctx, s), ctx.n)

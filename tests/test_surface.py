@@ -1,0 +1,57 @@
+"""The package's shape: the README sketch runs, and src/ holds only what runs."""
+
+import ast
+import re
+from pathlib import Path
+
+import leadersel
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# No production path calls these oracles, but the benchmark's per-layer
+# metrics (BENCHMARK.json) trace them, so they stay in src/ under their names.
+BENCH_BOUND_ORACLES = {
+    "stability.singleton_lambda_mins",  # per-node eigensolves vs SingletonPhase.lambda_mins
+    "coherence.normalized_from_inverses",  # vs normalized_after_rank_one, the greedy's scoring
+    "coherence.SystemContext.normalized_coherence",  # per-subset vs greedy and exhaustive sweep
+}
+
+
+def test_readme_library_sketch_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("## Library sketch", 1)[1]
+    sketch = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split()[2] == "True"  # the certificate holds
+    imported = {alias.name for node in ast.walk(ast.parse(sketch))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(leadersel.__all__) == sorted(imported)
+
+
+def _names_read(tree: ast.AST) -> list[str]:
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node): public top-level functions and classes, and
+    the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_src_holds_what_runs():
+    """Every public definition is read somewhere in src/ outside its own body,
+    as a name or an attribute; re-exports in ``__init__.py`` do not count.
+    Code that only the tests reach belongs in the tests."""
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "leadersel").glob("*.py"))
+               if path.name != "__init__.py"}
+    read = [name for tree in modules.values() for name in _names_read(tree)]
+    unused = {f"{module}.{qualified}" for module, tree in modules.items()
+              for qualified, node in _public_definitions(tree)
+              if read.count(node.name) <= _names_read(node).count(node.name)}
+    assert unused == BENCH_BOUND_ORACLES
