@@ -11,15 +11,24 @@ first-order states y (the first n rows of x) after a burn-in window.
 The kernel is lifted: ``_LIFT`` Euler steps are one linear map
 [K_x | K_w] that takes x_t and the noise xi_t .. xi_{t+_LIFT-1} to the
 outputs y_{t+1} .. y_{t+_LIFT} and the state x_{t+_LIFT}, built once
-from the powers of M.  Noise is drawn in blocks of ``_NOISE_BLOCK``
-steps (a multiple of ``_LIFT``); one batched product applies K_w to
-every lifted chunk of a block, then each chunk costs one K_x product
-and one add.  A horizon that is not a multiple of ``_LIFT`` ends in a
-chunk with zero noise past the last step, whose extra rows are dropped.
+from the powers of M.  Noise comes in blocks; one batched product
+applies K_w to every lifted chunk of a block, then each chunk costs one
+K_x product and one add.  A horizon that is not a multiple of ``_LIFT``
+ends in a chunk with zero noise past the last step, whose extra rows
+are dropped.
 
-Noise streams come from PCG64 seeded with SeedSequence([seed, run_index]);
-each block is drawn generator by generator, so every run consumes its
-own stream in step order whatever the block size.  Per-step squared
+Noise streams come from PCG64 seeded with SeedSequence([seed, run_index]).
+A worker thread draws block b + 1 into the second of two buffers while
+the calling thread integrates block b: each run's generator fills a
+contiguous (block, n) slice, and one transposing copy gives the
+(block, n, runs) layout the K_w product reads.  A block is the fewest
+whole lift chunks whose draws per generator call reach ``_BLOCK_DRAWS``
+(688 / 416 / 280 steps at n = 6 / 10 / 15): shorter calls spend their
+time handing the GIL between the threads, and the buffers stay about
+``_BLOCK_DRAWS`` x runs doubles whatever n is.  Generators are made on
+the calling thread, and only the worker touches them afterwards, so
+every run consumes its own stream in step order whatever the block
+size, the thread timing or the number of cores.  Per-step squared
 norms are added in step order into one running sum per window of
 ``_CHUNK`` steps, and the window sums are added in turn (a two-level
 sum, so rounding grows with the window length, not the horizon).
@@ -31,7 +40,10 @@ and for every block size, in memory that does not grow with the horizon.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +55,7 @@ from .system import GroundedSystem
 
 _CHUNK = 65536
 _LIFT = 8
-_NOISE_BLOCK = 256
+_BLOCK_DRAWS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,69 @@ def _lifted_operator(m_step: np.ndarray, n: int, sqdt: float) -> tuple[np.ndarra
     return np.ascontiguousarray(lifted[:, :nm]), np.ascontiguousarray(lifted[:, nm:])
 
 
+def _block_steps(n: int) -> int:
+    """Steps per noise block: the fewest whole lift chunks of >= ``_BLOCK_DRAWS`` normals."""
+    return _LIFT * -(-_BLOCK_DRAWS // (_LIFT * n))
+
+
+class _NoiseFeed:
+    """Each block's draws (block, n, runs), zero past the horizon, drawn one
+    block ahead on a worker thread.
+
+    ``with _NoiseFeed(gens, n, block, steps) as blocks`` starts the worker;
+    iterating ``blocks`` yields block b once it is drawn and frees its
+    buffer for block b + 2 when the caller asks for block b + 1.  An
+    exception raised while drawing reaches the caller as it was raised;
+    leaving the ``with`` stops and joins the worker.
+    """
+
+    def __init__(self, gens: list, n: int, block: int, steps: int) -> None:
+        self._gens, self._block, self._steps = gens, block, steps
+        self._starts = range(0, steps, block)
+        self._draws = np.empty((2, block, n, len(gens)))
+        self._run_major = np.empty((len(gens), block, n))
+        self._free = threading.Semaphore(2)
+        self._filled = threading.Semaphore(0)
+        self._error: BaseException | None = None
+        self._stopped = False
+        self._worker = threading.Thread(target=self._fill)
+
+    def __enter__(self) -> _NoiseFeed:
+        self._worker.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopped = True
+        self._free.release()
+        self._worker.join()
+
+    def __iter__(self):
+        for b in range(len(self._starts)):
+            self._filled.acquire()
+            if self._error is not None:
+                raise self._error
+            yield self._draws[b % 2]
+            self._free.release()
+
+    def _fill(self) -> None:
+        try:
+            for b, step in enumerate(self._starts):
+                self._free.acquire()
+                if self._stopped:
+                    return
+                size = min(self._block, self._steps - step)
+                for r, g in enumerate(self._gens):
+                    g.standard_normal(out=self._run_major[r, :size])
+                draws = self._draws[b % 2]
+                draws[:size] = self._run_major[:, :size].transpose(1, 2, 0)
+                draws[size:] = 0.0
+                self._filled.release()
+        except BaseException as exc:
+            # the caller re-raises it; left uncaught, it would leave the caller waiting
+            self._error = exc
+            self._filled.release()
+
+
 def simulate_coherence(
     spec: SimulationSpec,
     record_stride: int | None = None,
@@ -139,7 +214,6 @@ def simulate_coherence(
     if start.shape != (nm,):
         raise ValueError(f"x0 must have shape ({nm},)")
     kx, kw = _lifted_operator(np.eye(nm) + spec.dt * a, n, np.sqrt(spec.dt))
-    gens = [noise_stream(spec.seed, r) for r in range(runs)]
     steps, burn_steps = spec.steps, spec.burn_steps
 
     x = np.repeat(start[:, None], runs, axis=1)
@@ -147,48 +221,48 @@ def simulate_coherence(
     outputs = [start[None, :n]]
     accum = np.zeros(runs)
     window = np.zeros(runs)
-    # draws[t] is xi for step t of the block; zero past the horizon
-    draws = np.zeros((_NOISE_BLOCK, n, runs))
-    lifted = np.empty((_NOISE_BLOCK // _LIFT, kw.shape[0], runs))
+    block = _block_steps(n)
+    lifted = np.empty((block // _LIFT, kw.shape[0], runs))
     ys = lifted[:, :_LIFT * n].reshape(-1, _LIFT, n, runs)
     # sq[1 + t] is |y|^2 after step t of the block; sq[t] takes the running
     # window sum before that row is added
-    sq = np.empty((_NOISE_BLOCK + 1, runs))
-    step = 0
-    while step < steps:
-        block = min(_NOISE_BLOCK, steps - step)
-        chunks = -(-block // _LIFT)
-        if noise:
-            for r, g in enumerate(gens):
-                draws[:block, :, r] = g.standard_normal((block, n))
-        draws[block:chunks * _LIFT] = 0.0
-        np.matmul(kw, draws[:chunks * _LIFT].reshape(chunks, _LIFT * n, runs),
-                  out=lifted[:chunks])
-        for out in lifted[:chunks]:
-            out += kx @ x
-            x = out[_LIFT * n:]
-        x = x.copy()  # the next block's product overwrites ``lifted``
+    sq = np.empty((block + 1, runs))
+    if noise:
+        gens = [noise_stream(spec.seed, r) for r in range(runs)]
+        feed = _NoiseFeed(gens, n, block, steps)
+    else:
+        feed = nullcontext(repeat(np.zeros((block, n, runs))))
+    with feed as blocks:
+        # draws[t] is xi for step t of the block
+        for step, draws in zip(range(0, steps, block), blocks):
+            size = min(block, steps - step)
+            chunks = -(-size // _LIFT)
+            np.matmul(kw, draws[:chunks * _LIFT].reshape(chunks, _LIFT * n, runs),
+                      out=lifted[:chunks])
+            for out in lifted[:chunks]:
+                out += kx @ x
+                x = out[_LIFT * n:]
+            x = x.copy()  # the next block's product overwrites ``lifted``
 
-        y = ys[:chunks]
-        np.einsum("cjir,cjir->cjr", y, y,
-                  out=sq[1:1 + chunks * _LIFT].reshape(chunks, _LIFT, runs))
-        # rows past the burn-in, summed in step order within each window
-        i = max(0, burn_steps - step)
-        while i < block:
-            end = min(block, i + _CHUNK - (step + i) % _CHUNK)
-            sq[i] = window
-            window = np.cumsum(sq[i:end + 1], axis=0)[-1]
-            i = end
-            if (step + end) % _CHUNK == 0 or step + end == steps:
-                accum += window
-                window = np.zeros(runs)
-        if record_stride:
-            hits = np.arange(step - step % record_stride + record_stride,
-                             step + block + 1, record_stride)
-            rows = hits - step - 1
-            times.append(hits * spec.dt)
-            outputs.append(y[rows // _LIFT, rows % _LIFT, :, 0])
-        step += block
+            y = ys[:chunks]
+            np.einsum("cjir,cjir->cjr", y, y,
+                      out=sq[1:1 + chunks * _LIFT].reshape(chunks, _LIFT, runs))
+            # rows past the burn-in, summed in step order within each window
+            i = max(0, burn_steps - step)
+            while i < size:
+                end = min(size, i + _CHUNK - (step + i) % _CHUNK)
+                sq[i] = window
+                window = np.cumsum(sq[i:end + 1], axis=0)[-1]
+                i = end
+                if (step + end) % _CHUNK == 0 or step + end == steps:
+                    accum += window
+                    window = np.zeros(runs)
+            if record_stride:
+                hits = np.arange(step - step % record_stride + record_stride,
+                                 step + size + 1, record_stride)
+                rows = hits - step - 1
+                times.append(hits * spec.dt)
+                outputs.append(y[rows // _LIFT, rows % _LIFT, :, 0])
     estimates = accum / (steps - burn_steps)
     estimate = float(estimates.mean())
     if runs > 1:

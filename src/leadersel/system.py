@@ -37,10 +37,6 @@ class GainVector:
                 raise UnsupportedOrderError(f"gain a{j + 1} = {a} must be nonzero and finite")
         object.__setattr__(self, "values", tuple(float(a) for a in self.values))
 
-    @classmethod
-    def of(cls, *values: float) -> "GainVector":
-        return cls(tuple(values))
-
     @property
     def m(self) -> int:
         return len(self.values)

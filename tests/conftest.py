@@ -28,7 +28,12 @@ from leadersel.linalg import TOLERANCES, sym_eigenvalues
 from leadersel.selection import SelectionResult, _tie_eps
 from leadersel.simulate import noise_stream
 from leadersel.stability import build_state_matrices
-from leadersel.system import grounded_matrix
+from leadersel.system import GainVector, grounded_matrix
+
+
+def gain_vector(*values: float) -> GainVector:
+    """GainVector((a_1, ..., a_m)) spelled as gain_vector(a_1, ..., a_m)."""
+    return GainVector(tuple(values))
 
 
 def edge_list(g: Graph) -> tuple[tuple[int, int, float], ...]:

@@ -32,11 +32,12 @@ from leadersel.stability import (
 from leadersel.system import GainVector, GroundedSystem
 
 from conftest import (
-    TraceSetFunction,
     check_monotone_submodular,
+    gain_vector,
     naive_greedy,
     random_connected_graph,
     set_value,
+    TraceSetFunction,
 )
 
 SINGLE = build_graph(1, [])
@@ -91,8 +92,8 @@ def test_criterion_2_closed_forms_match_lyapunov_oracle():
 def test_criterion_3_known_values():
     started = time.perf_counter()
     kappa = unit_kappa(2)
-    h2 = GroundedSystem.create(K2, kappa, [0], GainVector.of(1, 1))
-    h3 = GroundedSystem.create(K2, kappa, [0], GainVector.of(1, 1, 3))
+    h2 = GroundedSystem.create(K2, kappa, [0], gain_vector(1, 1))
+    h3 = GroundedSystem.create(K2, kappa, [0], gain_vector(1, 1, 3))
     assert coherence_closed(h2).value == pytest.approx(3.5, rel=1e-10)
     assert coherence_closed(h3).value == pytest.approx(27.0, rel=1e-10)
     assert coherence_lyapunov_oracle(h2).value == pytest.approx(3.5, rel=1e-6)
@@ -133,7 +134,7 @@ def test_criterion_5_submodularity_suite():
             violations = check_monotone_submodular(lambda s: set_value(ctx, s), n)
             assert violations == [], (index, m, violations[:3])
         lam_floor = min(
-            SystemContext(graph=g, kappa=kappa, gains=GainVector.of(1.0))
+            SystemContext(graph=g, kappa=kappa, gains=gain_vector(1.0))
             .singleton_phase.lambda_mins
         )
         b3 = float(rng.uniform(0.0, 1.5))
@@ -165,7 +166,7 @@ def test_criterion_6_stability_verdicts():
         for lam in (0.1, 0.7, 2.0):
             assert hurwitz_determinants(GainVector((a,) * 4), lam)[2] < 0
     g = random_connected_graph(rng, 5)
-    q = GroundedSystem.create(g, unit_kappa(5), [0, 3], GainVector.of(1, 1)).matrix
+    q = GroundedSystem.create(g, unit_kappa(5), [0, 3], gain_vector(1, 1)).matrix
     for m in (4, 5):
         stable, _ = spectral_stability_oracle(companion_state_matrix(q, (1.0,) * m))
         assert not stable
@@ -193,10 +194,10 @@ def test_criterion_6_stability_verdicts():
         checked += 1
 
     # (c) crossing the order-3 boundary flips both verdicts
-    system = GroundedSystem.create(K2, unit_kappa(2), [0], GainVector.of(1, 1, 1))
+    system = GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1, 1))
     boundary = 1.0 / system.lambda_min  # required a2*a3/a1
     for factor, expected in ((1.05, True), (0.95, False)):
-        gains = GainVector.of(1.0, 1.0, boundary * factor)
+        gains = gain_vector(1.0, 1.0, boundary * factor)
         flipped = GroundedSystem.create(K2, unit_kappa(2), [0], gains)
         report = check_stability(flipped)
         oracle_stable, _ = spectral_stability_oracle(build_state_matrices(flipped).a)
@@ -217,10 +218,10 @@ def test_criterion_7_ordering_claims():
         kappa = unit_kappa(n)
         a = auto_gains(g, kappa, 3).values[0]
         leaders = [v for v in range(n) if rng.random() < 0.5] or [int(rng.integers(0, n))]
-        h1 = coherence_closed(GroundedSystem.create(g, kappa, leaders, GainVector.of(a))).value
-        h2 = coherence_closed(GroundedSystem.create(g, kappa, leaders, GainVector.of(a, a))).value
+        h1 = coherence_closed(GroundedSystem.create(g, kappa, leaders, gain_vector(a))).value
+        h2 = coherence_closed(GroundedSystem.create(g, kappa, leaders, gain_vector(a, a))).value
         h3 = coherence_closed(
-            GroundedSystem.create(g, kappa, leaders, GainVector.of(a, a, a))
+            GroundedSystem.create(g, kappa, leaders, gain_vector(a, a, a))
         ).value
         assert h3 > h2
         assert h1 > h2
@@ -264,8 +265,8 @@ def test_criterion_8_incremental_greedy_matches_naive():
 def test_criterion_9_simulation_consistency():
     started = time.perf_counter()
     cases = [
-        (GroundedSystem.create(SINGLE, unit_kappa(1), [0], GainVector.of(1, 1)), 0.5),
-        (GroundedSystem.create(K2, unit_kappa(2), [0], GainVector.of(1, 1)), 3.5),
+        (GroundedSystem.create(SINGLE, unit_kappa(1), [0], gain_vector(1, 1)), 0.5),
+        (GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1)), 3.5),
     ]
     errors = []
     for system, target in cases:

@@ -15,9 +15,9 @@ from leadersel.coherence import SystemContext, coherence_closed
 from leadersel.graphs import build_graph, unit_kappa, write_graph
 from leadersel.selection import exhaustive_select, greedy_select
 from leadersel.stability import check_stability
-from leadersel.system import GainVector, GroundedSystem
+from leadersel.system import GroundedSystem
 
-from conftest import cliques, edge_list, set_value
+from conftest import cliques, edge_list, gain_vector, set_value
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "schemas"
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "leadersel" / "data" / "six_node_example.json"
@@ -497,7 +497,7 @@ def test_closed_form_margin_is_one_gate(tmp_path, capsys):
     coherence_margin of the boundary; the CLI exits 3 for both commands."""
     graph, kappa = build_graph(2, [(0, 1, 1.0)]), unit_kappa(2)
     lam = (3.0 - 5.0**0.5) / 2.0  # lambda_min(Q_{0}) = lambda_min(Q_{1}) on K2
-    gains = GainVector.of(1.0, 1.0, (1.0 + 5e-10) / lam)
+    gains = gain_vector(1.0, 1.0, (1.0 + 5e-10) / lam)
     system = GroundedSystem.create(graph, kappa, [0], gains)
     assert 0.0 < gains[2] * system.lambda_min - 1.0 < 1e-9
     assert check_stability(system).stable

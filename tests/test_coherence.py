@@ -20,12 +20,13 @@ from leadersel.stability import auto_gains, singleton_lambda_mins
 from leadersel.system import GainVector, GroundedSystem, grounded_matrix, singleton_phase
 
 from conftest import (
-    TraceSetFunction,
     cliques,
     cycle,
+    gain_vector,
     graphs,
     random_connected_graph,
     set_value,
+    TraceSetFunction,
 )
 
 SINGLE = build_graph(1, [])
@@ -81,7 +82,7 @@ def test_marginal_system_refused():
 
 
 def test_empty_leaders_refused():
-    system = GroundedSystem.create(K2, unit_kappa(2), [], GainVector.of(1, 1))
+    system = GroundedSystem.create(K2, unit_kappa(2), [], gain_vector(1, 1))
     with pytest.raises(EmptyLeaderSetError):
         coherence_closed(system)
 
@@ -218,25 +219,25 @@ def test_rearranged_matches_oracle_k2():
 # -- surrogate set function --------------------------------------------------------
 
 def test_set_function_empty_is_zero():
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=GainVector.of(1, 1))
+    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gain_vector(1, 1))
     assert set_value(ctx, []) == 0.0
 
 
 def test_set_function_worst_singleton_is_half_offset():
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=GainVector.of(1, 1))
+    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gain_vector(1, 1))
     worst = max(range(2), key=lambda v: ctx.singleton_normalized[v])
     assert set_value(ctx, [worst]) == pytest.approx(ctx.offset / 2, rel=1e-12)
 
 
 def test_set_function_single_node_numbers():
     # rho*H = 1 for the single-node unit system, so C = 2 and f({0}) = 1
-    ctx = SystemContext(graph=SINGLE, kappa=unit_kappa(1), gains=GainVector.of(1, 1))
+    ctx = SystemContext(graph=SINGLE, kappa=unit_kappa(1), gains=gain_vector(1, 1))
     assert ctx.offset == pytest.approx(2.0, rel=1e-12)
     assert set_value(ctx, [0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_set_function_refuses_unstable_gains():
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=GainVector.of(1, 1, 1))
+    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gain_vector(1, 1, 1))
     with pytest.raises(UnstableSystemError):
         set_value(ctx, [0])
 
@@ -255,7 +256,7 @@ def test_surrogate_consistent_with_coherence(m):
 # -- generalized trace family --------------------------------------------------------
 
 def test_product_form_reproduces_second_order():
-    gains = GainVector.of(1.5, 2.0)
+    gains = gain_vector(1.5, 2.0)
     ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gains)
     fn = TraceSetFunction(K2, unit_kappa(2), "product", b1=1.0, b2=1.0, b3=0.0)
     for leaders in ([0], [1], [0, 1]):
@@ -263,7 +264,7 @@ def test_product_form_reproduces_second_order():
 
 
 def test_product_form_reproduces_third_order():
-    gains = GainVector.of(1, 1, 3)
+    gains = gain_vector(1, 1, 3)
     ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gains)
     a1, a2, a3 = gains.values
     fn = TraceSetFunction(K2, unit_kappa(2), "product", b1=1.0, b2=a2 * a3 / a1, b3=1.0)
@@ -330,11 +331,11 @@ def test_order_three_exceeds_order_two_for_equal_gains(g, seed):
     a = gains3.values[0]
     leaders = [v for v in range(g.n) if rng.random() < 0.5] or [0]
     h2 = coherence_closed(
-        GroundedSystem.create(g, unit_kappa(g.n), leaders, GainVector.of(a, a))
+        GroundedSystem.create(g, unit_kappa(g.n), leaders, gain_vector(a, a))
     ).value
     h3 = coherence_closed(GroundedSystem.create(g, unit_kappa(g.n), leaders, gains3)).value
     h1 = coherence_closed(
-        GroundedSystem.create(g, unit_kappa(g.n), leaders, GainVector.of(a))
+        GroundedSystem.create(g, unit_kappa(g.n), leaders, gain_vector(a))
     ).value
     assert h3 > h2
     assert h1 > h2

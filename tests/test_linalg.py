@@ -24,9 +24,9 @@ from leadersel.linalg import (
     sym_eigenvalues,
 )
 from leadersel.stability import auto_gains, build_state_matrices, companion_state_matrix
-from leadersel.system import GainVector, GroundedSystem
+from leadersel.system import GroundedSystem
 
-from conftest import random_connected_graph
+from conftest import gain_vector, random_connected_graph
 
 
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -334,10 +334,10 @@ def test_lyapunov_accepts_what_kronecker_accepts_near_boundary(graph):
     else:
         g = random_connected_graph(np.random.default_rng(10), 10)
     leaders = [0] if graph == "K2" else [0, 3, 7]
-    base = GroundedSystem.create(g, unit_kappa(g.n), leaders, GainVector.of(1, 1, 1))
+    base = GroundedSystem.create(g, unit_kappa(g.n), leaders, gain_vector(1, 1, 1))
     accepted = 0
     for margin in np.logspace(-1, -9, 17):
-        gains = GainVector.of(1.0, 1.0, (1.0 + margin) / base.lambda_min)
+        gains = gain_vector(1.0, 1.0, (1.0 + margin) / base.lambda_min)
         mats = build_state_matrices(GroundedSystem.create(g, unit_kappa(g.n), leaders, gains))
         rhs = mats.b @ mats.b.T
         expected, oracle_ok = kronecker_lyapunov_oracle(mats.a, rhs)

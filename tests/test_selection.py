@@ -27,18 +27,19 @@ from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, u
 from leadersel.linalg import sherman_morrison_update, spd_inverse, sym_eigenvalues
 from leadersel.selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from leadersel.stability import auto_gains, singleton_lambda_mins
-from leadersel.system import GainVector, grounded_matrix
+from leadersel.system import grounded_matrix
 
 from conftest import (
-    TraceSetFunction,
     check_monotone_submodular,
     cliques,
     cycle,
+    gain_vector,
     graphs,
     loop_exhaustive_select,
     naive_greedy,
     random_connected_graph,
     set_value,
+    TraceSetFunction,
 )
 
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -78,7 +79,7 @@ def test_six_node_order_divergence(six_node):
 
 
 def test_path_first_order_middle_node():
-    ctx = context_for(P3, 1, gains=GainVector.of(1.0))
+    ctx = context_for(P3, 1, gains=gain_vector(1.0))
     result = greedy_select(ctx, 1)
     assert result.chosen == (1,)
     assert result.h_values[0] == pytest.approx(2.5, rel=1e-12)
@@ -88,7 +89,7 @@ def test_path_first_order_middle_node():
 
 
 def test_k2_symmetric_tie_breaks_to_smaller_id():
-    ctx = context_for(K2, 2, gains=GainVector.of(1, 1))
+    ctx = context_for(K2, 2, gains=gain_vector(1, 1))
     greedy = greedy_select(ctx, 1)
     exact = exhaustive_select(ctx, 1)
     assert greedy.chosen == exact.chosen == (0,)
@@ -128,7 +129,7 @@ def test_greedy_rejects_bad_budget(six_node):
 
 
 def test_greedy_rejects_unstable_gains():
-    ctx = context_for(K2, 3, gains=GainVector.of(1, 1, 1))  # a*lambda_min < 1
+    ctx = context_for(K2, 3, gains=gain_vector(1, 1, 1))  # a*lambda_min < 1
     with pytest.raises(UnstableSystemError):
         greedy_select(ctx, 1)
 
@@ -140,7 +141,7 @@ def test_greedy_counts_evaluations(six_node):
 
 
 def test_greedy_budget_beyond_n_selects_everything():
-    ctx = context_for(P3, 2, gains=GainVector.of(1, 1))
+    ctx = context_for(P3, 2, gains=gain_vector(1, 1))
     result = greedy_select(ctx, 10)
     assert set(result.chosen) == {0, 1, 2}
 
@@ -192,7 +193,7 @@ def test_closed_form_scores_match_explicit_updates(g, m, seed):
 
 
 def test_closed_form_scores_guard_denominators():
-    gains = GainVector.of(1.0)
+    gains = gain_vector(1.0)
     candidates = np.array([True, True])
     with pytest.raises(SingularUpdateError):
         normalized_after_rank_one(gains, -np.eye(2), None, np.ones(2), candidates)
@@ -287,7 +288,7 @@ def test_exhaustive_sweep_refuses_contexts_on_another_graph():
 
 
 def test_exhaustive_sweep_refuses_contexts_with_another_kappa():
-    gains = GainVector.of(1.0)
+    gains = gain_vector(1.0)
     other = SystemContext(graph=P3, kappa=KappaWeights((1.0, 2.0, 1.0)), gains=gains)
     with pytest.raises(ValueError, match="share one graph and one kappa"):
         exhaustive_sweep([context_for(P3, 1, gains=gains), other], 2)
@@ -362,7 +363,7 @@ def test_fig2_runs_the_greedy_once_per_trial_and_order(monkeypatch, tmp_path):
 
 
 def test_exhaustive_prefers_smaller_subsets_on_budget():
-    ctx = context_for(K2, 2, gains=GainVector.of(1, 1))
+    ctx = context_for(K2, 2, gains=gain_vector(1, 1))
     result = exhaustive_select(ctx, 2)
     assert result.chosen == (0, 1)  # two leaders strictly beat one here
 
@@ -379,7 +380,7 @@ def test_certificate_ratio_zero_for_k1(six_node):
 
 def test_certificate_single_node_graph_degenerate():
     single = build_graph(1, [])
-    ctx = context_for(single, 2, gains=GainVector.of(1, 1))
+    ctx = context_for(single, 2, gains=gain_vector(1, 1))
     cert = certify_bound(ctx, greedy_select(ctx, 1), exhaustive_select(ctx, 1))
     assert cert.ratio == 0.0
     assert cert.holds

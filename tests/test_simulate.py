@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,20 +17,20 @@ from leadersel.simulate import (
     write_trajectory_csv,
 )
 from leadersel.stability import auto_gains, build_state_matrices
-from leadersel.system import GainVector, GroundedSystem
+from leadersel.system import GroundedSystem
 
-from conftest import euler_oracle
+from conftest import euler_oracle, gain_vector
 
 SINGLE = build_graph(1, [])
 K2 = build_graph(2, [(0, 1, 1.0)])
 
 
 def single_m2():
-    return GroundedSystem.create(SINGLE, unit_kappa(1), [0], GainVector.of(1, 1))
+    return GroundedSystem.create(SINGLE, unit_kappa(1), [0], gain_vector(1, 1))
 
 
 def k2_m2():
-    return GroundedSystem.create(K2, unit_kappa(2), [0], GainVector.of(1, 1))
+    return GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1))
 
 
 def test_spec_validation():
@@ -53,7 +55,7 @@ def test_spec_rejects_burn_in_that_leaves_no_steps():
 
 
 def test_unstable_system_refused_before_integration():
-    system = GroundedSystem.create(K2, unit_kappa(2), [0], GainVector.of(1, 1, 1, 1))
+    system = GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1, 1, 1))
     spec = SimulationSpec(system=system, dt=1e-3, total_time=1.0, burn_in=0.0, seed=0)
     with pytest.raises(UnstableSystemError):
         simulate_coherence(spec)
@@ -97,7 +99,7 @@ def test_step_refinement_reduces_bias():
     """On a fast-mixing single-node system the dt bias dominates the noise:
     the fine-step estimate lands closer to the closed form in >= 90% of
     seeded trials."""
-    fast = GroundedSystem.create(SINGLE, KappaWeights((8.0,)), [0], GainVector.of(1.0))
+    fast = GroundedSystem.create(SINGLE, KappaWeights((8.0,)), [0], gain_vector(1.0))
     target = 1.0 / 16.0  # tr(Q^-1) / (2 a1) with Q = [8]
     wins = 0
     for seed in range(10, 20):
@@ -225,16 +227,18 @@ def assert_matches_oracle(spec, record_stride, **kwargs):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_lifted_kernel_equals_euler_oracle(order):
-    """611 steps end in a partial lift chunk, after two noise blocks; the
-    burn-in ends inside a chunk and the stride does not divide the lift."""
+def test_lifted_kernel_equals_euler_oracle(monkeypatch, order):
+    """611 steps end in a partial lift chunk, after two noise blocks of 256
+    steps; the burn-in ends inside a chunk and the stride does not divide
+    the lift."""
+    monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 256 * 3)
     system = path3_system(order)
     dt = 0.05 / float(np.linalg.norm(build_state_matrices(system).a, 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=611 * dt, burn_in=45 * dt,
                           seed=21, ensemble=3)
     assert spec.steps == 611 and spec.steps % simulate._LIFT
     assert spec.burn_steps % simulate._LIFT and simulate._LIFT % 5
-    assert spec.steps > 2 * simulate._NOISE_BLOCK
+    assert spec.steps > 2 * simulate._block_steps(3) == 512
     assert_matches_oracle(spec, 5)
 
 
@@ -250,20 +254,20 @@ def test_lifted_drift_equals_euler_oracle_from_nonzero_start(order):
 
 @pytest.mark.parametrize("chunk", [simulate._CHUNK, 1000])
 def test_noise_block_size_leaves_every_output_bit_equal(monkeypatch, chunk):
-    """Blocks of 8, 56 and the default (all multiples of the lift) draw the
-    same numbers into the same steps, also when accumulation window
-    boundaries fall inside a block."""
+    """Blocks of 8, 56 and 256 steps and the default for n = 2 (2048 steps,
+    all multiples of the lift) draw the same numbers into the same steps,
+    also when accumulation window boundaries fall inside a block."""
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
     spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=26.0, burn_in=3.0,
                           seed=12, ensemble=3)
-    assert spec.steps > 2 * simulate._NOISE_BLOCK
+    assert spec.steps > 2 * 256
     results = []
-    for block in (8, 56, simulate._NOISE_BLOCK):
-        assert block % simulate._LIFT == 0
-        monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
+    for draws, block in ((16, 8), (112, 56), (512, 256), (simulate._BLOCK_DRAWS, 2048)):
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", draws)
+        assert simulate._block_steps(2) == block
         estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride=9)
         results.append((estimate, stderr, times.tobytes(), outputs.tobytes()))
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1] == results[2] == results[3]
 
 
 def test_simulation_memory_is_bounded_in_steps():
@@ -283,3 +287,107 @@ def test_simulation_memory_is_bounded_in_steps():
         tracemalloc.stop()
     assert np.isfinite(estimate) and estimate > 0
     assert peak < 32 * 2**20, peak
+
+
+# -- noise worker ------------------------------------------------------------
+
+
+def lifecycle_spec():
+    """Four noise blocks: 7000 steps of 2048 at n = 2."""
+    return SimulationSpec(system=k2_m2(), dt=1e-2, total_time=70.0, burn_in=3.0,
+                          seed=5, ensemble=2)
+
+
+def test_noise_worker_is_joined_on_return():
+    before = threading.active_count()
+    estimate, _, _ = simulate_coherence(lifecycle_spec())
+    assert np.isfinite(estimate)
+    assert threading.active_count() == before
+
+
+def test_drift_only_flow_starts_no_worker(monkeypatch):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    before = threading.active_count()
+    estimate, _, _ = simulate_coherence(lifecycle_spec(), noise=False)
+    assert estimate == 0.0 and started == []
+    assert threading.active_count() == before
+
+
+class FailingStream:
+    """Draws zeros, and raises on the third block it is asked for."""
+
+    def __init__(self, error):
+        self.error, self.calls = error, 0
+
+    def standard_normal(self, size=None, out=None):
+        self.calls += 1
+        if self.calls == 3:
+            raise self.error
+        out[...] = 0.0
+        return out
+
+
+def test_producer_error_reaches_the_caller_and_the_worker_is_joined(monkeypatch):
+    error = RuntimeError("noise source failed")
+    streams = []
+
+    def failing_stream(seed, run):
+        streams.append(FailingStream(error))
+        return streams[-1]
+
+    monkeypatch.setattr(simulate, "noise_stream", failing_stream)
+    spec = lifecycle_spec()
+    assert spec.steps > 3 * simulate._block_steps(2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        simulate_coherence(spec)
+    assert info.value is error
+    assert threading.active_count() == before
+    assert [stream.calls for stream in streams] == [3, 2]
+
+
+def test_caller_error_stops_the_worker_waiting_for_a_buffer(monkeypatch):
+    """The first block's window sum fails while the worker waits to draw
+    the third block; leaving the integration stops and joins it."""
+    error = RuntimeError("integration failed")
+
+    def failing_cumsum(*args, **kwargs):
+        raise error
+
+    spec = lifecycle_spec()
+    before = threading.active_count()
+    monkeypatch.setattr(np, "cumsum", failing_cumsum)
+    with pytest.raises(RuntimeError) as info:
+        simulate_coherence(spec)
+    assert info.value is error
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_under_fast_thread_switching_keep_every_bit(monkeypatch):
+    """Four callers at once, each with its own worker (more threads than
+    cores), 8-step blocks and a 10 us switch interval: every result equals
+    the one computed alone."""
+    monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 16)
+    spec = lifecycle_spec()
+    alone = simulate_coherence(spec, record_stride=7)
+    results = [None] * 4
+
+    def call(i):
+        results[i] = simulate_coherence(spec, record_stride=7)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for estimate, stderr, (times, outputs) in results:
+        assert (estimate, stderr) == alone[:2]
+        assert times.tobytes() == alone[2][0].tobytes()
+        assert outputs.tobytes() == alone[2][1].tobytes()

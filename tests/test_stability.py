@@ -15,7 +15,7 @@ from leadersel.stability import (
 )
 from leadersel.system import GainVector, GroundedSystem
 
-from conftest import graphs, random_connected_graph
+from conftest import gain_vector, graphs, random_connected_graph
 
 SINGLE = build_graph(1, [])
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -29,21 +29,21 @@ def single_node_system(gains) -> GroundedSystem:
 
 def test_hurwitz_third_order():
     np.testing.assert_allclose(
-        hurwitz_determinants(GainVector.of(1, 1, 1), 2.0), (2.0, 2.0, 4.0)
+        hurwitz_determinants(gain_vector(1, 1, 1), 2.0), (2.0, 2.0, 4.0)
     )
 
 
 def test_hurwitz_second_order():
-    np.testing.assert_allclose(hurwitz_determinants(GainVector.of(1, 1), 1.0), (1.0, 1.0))
+    np.testing.assert_allclose(hurwitz_determinants(gain_vector(1, 1), 1.0), (1.0, 1.0))
 
 
 def test_hurwitz_fourth_order_equal_gains_third_minor_negative():
-    dets = hurwitz_determinants(GainVector.of(1, 1, 1, 1), 1.0)
+    dets = hurwitz_determinants(gain_vector(1, 1, 1, 1), 1.0)
     assert dets[2] == -1.0
 
 
 def test_hurwitz_first_order():
-    np.testing.assert_allclose(hurwitz_determinants(GainVector.of(2.0), 3.0), (6.0,))
+    np.testing.assert_allclose(hurwitz_determinants(gain_vector(2.0), 3.0), (6.0,))
 
 
 def test_hurwitz_cross_check_against_polynomial_roots():
@@ -93,7 +93,7 @@ def test_exact_boundary_is_marginal():
 
 
 def test_empty_leader_set_rejected():
-    system = GroundedSystem.create(K2, unit_kappa(2), [], GainVector.of(1, 1))
+    system = GroundedSystem.create(K2, unit_kappa(2), [], gain_vector(1, 1))
     with pytest.raises(EmptyLeaderSetError):
         check_stability(system)
 
@@ -118,7 +118,7 @@ def test_equal_gain_verdict(m, a, unstable):
 def test_equal_gain_instability_confirmed_by_oracle():
     rng = np.random.default_rng(0)
     g = random_connected_graph(rng, 5)
-    q = GroundedSystem.create(g, unit_kappa(5), [0, 2], GainVector.of(1, 1)).matrix
+    q = GroundedSystem.create(g, unit_kappa(5), [0, 2], gain_vector(1, 1)).matrix
     for m in (4, 5):
         a = companion_state_matrix(q, (1.0,) * m)
         stable, max_real = spectral_stability_oracle(a)
@@ -136,7 +136,7 @@ def test_state_matrix_smallest_instance():
 
 
 def test_state_matrix_block_layout():
-    system = GroundedSystem.create(K2, unit_kappa(2), [0], GainVector.of(1, 1))
+    system = GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1))
     mats = build_state_matrices(system)
     q = system.matrix
     assert mats.a.shape == (4, 4)
