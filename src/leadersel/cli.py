@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .coherence import (
@@ -36,7 +37,12 @@ from .graphs import (
 )
 from .selection import certify_bound, exhaustive_select, greedy_select
 from .simulate import SimulationSpec, simulate_coherence, simulate_trajectory
-from .stability import auto_gains, build_state_matrices, check_stability, spectral_stability_oracle
+from .stability import (
+    auto_gains,
+    check_stability,
+    companion_state_matrix,
+    spectral_stability_oracle,
+)
 from .system import GainVector, GroundedSystem, LeaderSet
 
 EXIT_OK = 0
@@ -177,23 +183,9 @@ def _parse_gains(args, gf: GraphFile) -> GainVector:
     return GainVector(values)
 
 
-def _json_default(value):
-    import numpy as np
-
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, default=_json_default))
+        print(json.dumps(payload, indent=2))
         return
     rows = ["key,value"]
 
@@ -232,11 +224,12 @@ def _cmd_stability(args) -> int:
     gains = _parse_gains(args, gf)
     system = GroundedSystem.create(gf.graph, gf.kappa, leaders, gains)
     report = check_stability(system)
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["leaders"] = [gf.to_label(v) for v in leaders.sorted_members]
     payload["gains"] = list(gains.values)
     if args.oracle:
-        stable, max_real = spectral_stability_oracle(build_state_matrices(system).a)
+        a = companion_state_matrix(system.matrix, gains.values)
+        stable, max_real = spectral_stability_oracle(a)
         payload["oracle"] = {"stable": stable, "max_real_part": max_real}
     _emit(payload, args.format)
     return EXIT_OK if report.stable else EXIT_UNSTABLE
@@ -251,8 +244,8 @@ def _cmd_coherence(args) -> int:
         report = coherence_closed(system)
     else:
         report = coherence_lyapunov_oracle(system)
-    payload = report.to_dict()
-    payload["leaders"] = [gf.to_label(v) for v in leaders.sorted_members]
+    payload = asdict(report)
+    payload["leaders"] = [gf.to_label(v) for v in report.leaders]
     _emit(payload, args.format)
     return EXIT_OK
 
@@ -268,7 +261,7 @@ def _cmd_select(args) -> int:
     payload: dict = {"order": args.order, "gains": list(context.gains.values)}
 
     def labelled(result) -> dict:
-        data = result.to_dict()
+        data = asdict(result)
         data["chosen"] = [gf.to_label(v) for v in result.chosen]
         return data
 
@@ -279,7 +272,7 @@ def _cmd_select(args) -> int:
         optimal = exhaustive_select(context, args.k)
         payload["exhaustive"] = labelled(optimal)
     if args.algorithm == "both":
-        payload["certificate"] = certify_bound(context, greedy, optimal).to_dict()
+        payload["certificate"] = asdict(certify_bound(context, greedy, optimal))
     _emit(payload, args.format)
     return EXIT_OK
 

@@ -42,8 +42,8 @@ from .graphs import Graph, KappaWeights, LeaderSet
 from .linalg import TOLERANCES, lyapunov_solve, sym_eigenvalues
 from .stability import (
     auto_gains,
-    build_state_matrices,
     check_stability,
+    companion_state_matrix,
     report_for,
     require_evaluable,
 )
@@ -60,20 +60,13 @@ Method = Literal["closed_eig", "lyapunov"]
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    m: int
+    """Fields in ``coherence.schema.json`` order; ``leaders`` are sorted node ids."""
+
+    order: int
     value: float
     method: Method
-    leaders: LeaderSet
-    gains: GainVector
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.m,
-            "value": self.value,
-            "method": self.method,
-            "leaders": list(self.leaders.sorted_members),
-            "gains": list(self.gains.values),
-        }
+    leaders: tuple[int, ...]
+    gains: tuple[float, ...]
 
 
 def normalized_eigenvalue_terms(gains: GainVector, lams: np.ndarray) -> np.ndarray:
@@ -181,23 +174,30 @@ def coherence_closed(system: GroundedSystem) -> CoherenceReport:
     gains = system.gains
     factor = 1.0 / gains.form.rho
     value = factor * normalized_eigenvalue_terms(gains, system.eigenvalues)
-    return CoherenceReport(gains.m, float(value), "closed_eig", system.leaders, gains)
+    leaders = system.leaders.sorted_members
+    return CoherenceReport(gains.m, float(value), "closed_eig", leaders, gains.values)
 
 
 def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
-    """Coherence as tr(C P C^T) with P solving A P + P A^T + B B^T = 0.
+    """Coherence as tr(P[:n, :n]) with P solving A P + P A^T + B B^T = 0.
 
-    Independent of the closed forms: builds the full state matrices and
-    solves the Lyapunov equation directly, in O((nm)^3) time.  Capped at
-    state dimension ``lyapunov_dim_cap``; meant as a validation oracle,
-    not a fast path.
+    A is the companion state matrix.  The noise enters the last n x n block
+    of the state (the m-th derivative), so B B^T is the identity there and
+    zero elsewhere; the output is the first block (the positions), so the
+    coherence is the trace of P's leading n x n block.  Independent of the
+    closed forms: solves the Lyapunov equation directly, in O((nm)^3)
+    time.  Capped at state dimension ``lyapunov_dim_cap``; meant as a
+    validation oracle, not a fast path.
     """
     if not check_stability(system).stable:
         raise UnstableSystemError("Lyapunov Gramian exists only for stable systems")
-    mats = build_state_matrices(system)
-    gramian = lyapunov_solve(mats.a, mats.b @ mats.b.T)
-    value = float(np.trace(mats.c @ gramian @ mats.c.T))
-    return CoherenceReport(system.m, value, "lyapunov", system.leaders, system.gains)
+    n, dim = system.n, system.n * system.m
+    noise = np.zeros((dim, dim))
+    noise[dim - n :, dim - n :] = np.eye(n)
+    gramian = lyapunov_solve(companion_state_matrix(system.matrix, system.gains.values), noise)
+    value = float(np.trace(gramian[:n, :n]))
+    leaders = system.leaders.sorted_members
+    return CoherenceReport(system.m, value, "lyapunov", leaders, system.gains.values)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ rows so downstream checks never need to re-run the protocol.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ import numpy as np
 from .coherence import SystemContext
 from .errors import SchemaError
 from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_example, unit_kappa
+from .graphs import _integer, _numbers
 from .selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from .stability import auto_gains
 from .system import GainVector, singleton_phase
@@ -69,15 +70,22 @@ class ExperimentConfig:
             raise SchemaError(f"{path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise SchemaError("experiment config must be a JSON object")
-        known = {
-            "experiment", "n", "p", "trials", "k_max", "orders", "seed",
-            "gain_rule", "output_dir", "graph_file",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise SchemaError(f"unknown config fields: {sorted(unknown)}")
+        for name in ("n", "trials", "k_max", "seed"):
+            if name in payload:
+                payload[name] = _integer(payload[name], name)
         if "orders" in payload:
-            payload["orders"] = tuple(int(m) for m in payload["orders"])
+            orders = payload["orders"]
+            if not isinstance(orders, list):
+                raise SchemaError(f"orders must be a list of integers, got {orders!r}")
+            payload["orders"] = tuple(_integer(m, f"orders[{i}]") for i, m in enumerate(orders))
+        if "p" in payload and type(payload["p"]) not in (int, float):  # bool is not a number
+            raise SchemaError(f"p must be a number, got {payload['p']!r}")
+        for name, allowed in (("output_dir", str), ("graph_file", (str, type(None)))):
+            if name in payload and not isinstance(payload[name], allowed):
+                raise SchemaError(f"{name} must be a path string, got {payload[name]!r}")
         try:
             return cls(**payload)
         except TypeError as exc:
@@ -99,7 +107,10 @@ def context_for(config: ExperimentConfig, graph, kappa, m: int, phase) -> System
             raw = config.gain_rule[str(m)]
         except KeyError as exc:
             raise SchemaError(f"gain_rule has no entry for order {m}") from exc
-        gains = GainVector(tuple(float(a) for a in raw))
+        values = _numbers(raw, f"gain_rule for order {m}")
+        if len(values) != m:
+            raise SchemaError(f"gain_rule for order {m} must hold {m} numbers, got {len(values)}")
+        gains = GainVector(tuple(values.tolist()))
     else:
         raise SchemaError(f"gain_rule must be 'auto' or a mapping, got {config.gain_rule!r}")
     return SystemContext(graph=graph, kappa=kappa, gains=gains, phase=phase)
@@ -197,16 +208,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
         detail = _run_singleton_table(config, out, read_graph_file(config.graph_file))
     summary = {
         "experiment": config.experiment,
-        "config": {
-            "n": config.n,
-            "p": config.p,
-            "trials": config.trials,
-            "k_max": config.k_max,
-            "orders": list(config.orders),
-            "seed": config.seed,
-            "gain_rule": config.gain_rule,
-            "graph_file": config.graph_file,
-        },
+        "config": {k: v for k, v in asdict(config).items()
+                   if k not in ("experiment", "output_dir")},
         **detail,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -41,7 +41,6 @@ class Tolerances:
     connectivity_rtol: float = 1e-10      # lambda_1(L) <= this * lambda_max(L): disconnected
     greedy_improvement: float = 1e-12
     subset_cap: int = 10**6               # exhaustive-search subset budget
-    submodular_slack: float = 1e-9
     step_norm_guard: float = 0.1          # require dt * ||A||_2 below this
 
 

@@ -47,22 +47,14 @@ from .system import grounded_matrix
 
 @dataclass(frozen=True)
 class SelectionResult:
-    m: int
+    """Fields in the order of ``select.schema.json``'s result record."""
+
+    order: int
     chosen: tuple[int, ...]
     f_values: tuple[float, ...]
     h_values: tuple[float, ...]
     evaluations: int
     method: str
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.m,
-            "chosen": list(self.chosen),
-            "f_values": list(self.f_values),
-            "h_values": list(self.h_values),
-            "evaluations": self.evaluations,
-            "method": self.method,
-        }
 
 
 @dataclass(frozen=True)
@@ -74,17 +66,6 @@ class BoundCertificate:
     holds: bool
     coherence_greedy: float
     coherence_bound: float
-
-    def to_dict(self) -> dict:
-        return {
-            "f_star": self.f_star,
-            "f_greedy": self.f_greedy,
-            "ratio": self.ratio,
-            "bound": self.bound,
-            "holds": self.holds,
-            "coherence_greedy": self.coherence_greedy,
-            "coherence_bound": self.coherence_bound,
-        }
 
 
 def _tie_eps(scale: float) -> float:
@@ -157,7 +138,7 @@ def greedy_select(context: SystemContext, k: int) -> SelectionResult:
         if form.shift:
             check_inverse(form.c * q - np.eye(n), shifted_inv, "(c Q_S - I)^-1")
     return SelectionResult(
-        m=gains.m,
+        order=gains.m,
         chosen=tuple(chosen),
         f_values=tuple(f_values),
         h_values=tuple(h_values),
@@ -170,7 +151,7 @@ def _optimum(
     context: SystemContext, chosen: tuple[int, ...], norm: float, evaluations: int
 ) -> SelectionResult:
     return SelectionResult(
-        m=context.m,
+        order=context.m,
         chosen=chosen,
         f_values=(float(context.offset - norm),),
         h_values=(float(norm / context.gains.form.rho),),

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import StepTooLargeError, UnstableSystemError
 from .linalg import TOLERANCES
-from .stability import build_state_matrices, check_stability
+from .stability import check_stability, companion_state_matrix
 from .system import GroundedSystem
 
 _CHUNK = 65536
@@ -201,7 +201,7 @@ def simulate_coherence(
         raise ValueError("record_stride must be >= 1")
     if not check_stability(spec.system).stable:
         raise UnstableSystemError("refusing to integrate an unstable system")
-    a = build_state_matrices(spec.system).a
+    a = companion_state_matrix(spec.system.matrix, spec.system.gains.values)
     growth = spec.dt * float(np.linalg.norm(a, 2))
     if growth >= TOLERANCES.step_norm_guard:
         raise StepTooLargeError(

@@ -38,46 +38,21 @@ from .system import (
 @dataclass(frozen=True)
 class StabilityCondition:
     name: str
-    detail: str
+    inequality: str
     slack: float
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inequality": self.detail,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-        }
 
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """Fields in the order of ``stability.schema.json``."""
+
     stable: bool
     marginal: bool
-    conditions: tuple[StabilityCondition, ...]
-    hurwitz: tuple[float, ...]
     lambda_min: float
     margin: float
-
-    def to_dict(self) -> dict:
-        return {
-            "stable": self.stable,
-            "marginal": self.marginal,
-            "lambda_min": self.lambda_min,
-            "margin": self.margin,
-            "hurwitz_determinants": list(self.hurwitz),
-            "conditions": [c.to_dict() for c in self.conditions],
-        }
-
-
-@dataclass(frozen=True)
-class StateMatrices:
-    """Block companion form: x' = A x + B noise, output y = C x."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    hurwitz_determinants: tuple[float, ...]
+    conditions: tuple[StabilityCondition, ...]
 
 
 def hurwitz_determinants(gains: GainVector, lam: float) -> tuple[float, ...]:
@@ -124,7 +99,7 @@ def stability_conditions(gains: GainVector, lam: float) -> list[StabilityConditi
         conditions.append(
             StabilityCondition(
                 name=name,
-                detail=f"{name}: {lhs:.12g} > {rhs:g}",
+                inequality=f"{name}: {lhs:.12g} > {rhs:g}",
                 slack=slack,
                 satisfied=slack > TOLERANCES.stability_slack,
             )
@@ -149,10 +124,10 @@ def report_for(gains: GainVector, lambda_min: float) -> StabilityReport:
     return StabilityReport(
         stable=stable,
         marginal=marginal,
-        conditions=conditions,
-        hurwitz=hurwitz_determinants(gains, lambda_min),
         lambda_min=lambda_min,
         margin=margin,
+        hurwitz_determinants=hurwitz_determinants(gains, lambda_min),
+        conditions=conditions,
     )
 
 
@@ -201,16 +176,6 @@ def companion_state_matrix(q: np.ndarray, gains) -> np.ndarray:
     for j in range(m):
         a[(m - 1) * n :, j * n : (j + 1) * n] = -gains[j] * q
     return a
-
-
-def build_state_matrices(system: GroundedSystem) -> StateMatrices:
-    n, m = system.n, system.m
-    a = companion_state_matrix(system.matrix, system.gains.values)
-    b = np.zeros((n * m, n))
-    b[(m - 1) * n :, :] = np.eye(n)
-    c = np.zeros((n, n * m))
-    c[:, :n] = np.eye(n)
-    return StateMatrices(a=a, b=b, c=c)
 
 
 def spectral_stability_oracle(a: np.ndarray) -> tuple[bool, float]:

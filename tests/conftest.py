@@ -27,13 +27,22 @@ from leadersel.graphs import (
 from leadersel.linalg import TOLERANCES, sym_eigenvalues
 from leadersel.selection import SelectionResult, _tie_eps
 from leadersel.simulate import noise_stream
-from leadersel.stability import build_state_matrices
+from leadersel.stability import companion_state_matrix
 from leadersel.system import GainVector, grounded_matrix
+
+
+# Allowed shortfall of each submodularity or monotonicity inequality.
+SUBMODULAR_SLACK = 1e-9
 
 
 def gain_vector(*values: float) -> GainVector:
     """GainVector((a_1, ..., a_m)) spelled as gain_vector(a_1, ..., a_m)."""
     return GainVector(tuple(values))
+
+
+def state_matrix(system) -> np.ndarray:
+    """The nm x nm companion state matrix of a ``GroundedSystem``."""
+    return companion_state_matrix(system.matrix, system.gains.values)
 
 
 def edge_list(g: Graph) -> tuple[tuple[int, int, float], ...]:
@@ -167,7 +176,7 @@ def naive_greedy(context, k: int) -> SelectionResult:
         f_values.append(float(f_v))
         h_values.append(float(norm / rho))
     return SelectionResult(
-        m=context.m,
+        order=context.m,
         chosen=tuple(chosen),
         f_values=tuple(f_values),
         h_values=tuple(h_values),
@@ -213,7 +222,7 @@ def loop_exhaustive_select(context, k: int) -> SelectionResult:
                 best_norm = norm
                 best_subset = subset
     return SelectionResult(
-        m=context.m,
+        order=context.m,
         chosen=best_subset,
         f_values=(float(context.offset - best_norm),),
         h_values=(float(best_norm / context.gains.form.rho),),
@@ -302,7 +311,7 @@ def check_monotone_submodular(
 ) -> list[Violation]:
     """Check a set function on subsets of n nodes numerically; returns violations found.
 
-    Two families of inequalities, each allowed ``submodular_slack`` before
+    Two families of inequalities, each allowed ``SUBMODULAR_SLACK`` before
     counting as a violation:
 
     * submodularity   f(A) + f(B) >= f(A | B) + f(A & B)
@@ -315,7 +324,7 @@ def check_monotone_submodular(
     sampled mode draws ``samples`` random pairs, each also checked against
     their union, plus ``samples`` random diminishing-returns pairs.
     """
-    slack = TOLERANCES.submodular_slack
+    slack = SUBMODULAR_SLACK
 
     @functools.cache
     def value(mask: int) -> float:
@@ -368,7 +377,7 @@ def euler_oracle(spec, record_stride=None, x0=None, noise=True):
     (estimate, standard error, (times, outputs)) with run 0 recorded
     every ``record_stride`` steps after the initial state.
     """
-    a = build_state_matrices(spec.system).a
+    a = state_matrix(spec.system)
     n, nm, runs = spec.system.n, len(a), spec.ensemble
     m_step = np.eye(nm) + spec.dt * a
     gens = [noise_stream(spec.seed, r) for r in range(runs)]

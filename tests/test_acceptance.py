@@ -23,7 +23,6 @@ from leadersel.selection import certify_bound, exhaustive_select, greedy_select
 from leadersel.simulate import SimulationSpec, simulate_coherence
 from leadersel.stability import (
     auto_gains,
-    build_state_matrices,
     check_stability,
     companion_state_matrix,
     hurwitz_determinants,
@@ -37,6 +36,7 @@ from conftest import (
     naive_greedy,
     random_connected_graph,
     set_value,
+    state_matrix,
     TraceSetFunction,
 )
 
@@ -187,7 +187,7 @@ def test_criterion_6_stability_verdicts():
         leaders = [v for v in range(n) if rng.random() < 0.5] or [0]
         system = GroundedSystem.create(g, kappa, leaders, GainVector(gains))
         report = check_stability(system)
-        stable, max_real = spectral_stability_oracle(build_state_matrices(system).a)
+        stable, max_real = spectral_stability_oracle(state_matrix(system))
         if abs(report.margin) < 1e-9 or abs(max_real) < 1e-9:
             continue  # marginal band: agreement not required
         assert report.stable == stable, (gains, leaders, report.margin, max_real)
@@ -200,7 +200,7 @@ def test_criterion_6_stability_verdicts():
         gains = gain_vector(1.0, 1.0, boundary * factor)
         flipped = GroundedSystem.create(K2, unit_kappa(2), [0], gains)
         report = check_stability(flipped)
-        oracle_stable, _ = spectral_stability_oracle(build_state_matrices(flipped).a)
+        oracle_stable, _ = spectral_stability_oracle(state_matrix(flipped))
         assert report.stable is expected
         assert oracle_stable is expected
     _pass(6, "equal-gain rejections, 200 oracle agreements, boundary flip",

@@ -12,6 +12,7 @@ import leadersel.errors as errors
 import leadersel.selection as selection
 from leadersel.cli import main
 from leadersel.coherence import SystemContext, coherence_closed
+from leadersel.experiments import ExperimentConfig
 from leadersel.graphs import build_graph, unit_kappa, write_graph
 from leadersel.selection import exhaustive_select, greedy_select
 from leadersel.stability import check_stability
@@ -356,6 +357,12 @@ def test_experiment_outputs_are_deterministic(tmp_path):
     # orders 1 and 2 pass; the equal order-3 gains have a * lambda_min < 1
     ({"1": [1], "2": [1, 1], "3": [1, 1, 1]}, 3, "unstable system: "),
     ({"1": [1], "3": [8, 8, 8]}, 2, "input error: gain_rule has no entry for order 2\n"),
+    # an entry of another length would run another order under this one's label
+    ({"1": [1, 1]}, 2, "input error: gain_rule for order 1 must hold 1 numbers, got 2\n"),
+    ({"1": [1], "2": [1]}, 2, "input error: gain_rule for order 2 must hold 2 numbers, got 1\n"),
+    ({"1": 1}, 2, "input error: gain_rule for order 1 must be a list of numbers\n"),
+    ({"1": [True]}, 2,
+     "input error: gain_rule for order 1 must be a list of numbers, got boolean\n"),
 ])
 def test_experiment_fig1_gain_rule_refusals_write_no_csv(tmp_path, capsys, gain_rule, code,
                                                          message):
@@ -366,6 +373,70 @@ def test_experiment_fig1_gain_rule_refusals_write_no_csv(tmp_path, capsys, gain_
     assert main(["experiment", str(config), "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(message)
     assert list(out.glob("fig*.csv")) == []
+
+
+def test_experiment_fig3_gain_rule_of_wrong_length_writes_no_csv(tmp_path, capsys):
+    config = tmp_path / "fig3.json"
+    config.write_text(json.dumps({"experiment": "fig3", "orders": [2], "gain_rule": {"2": [1]}}))
+    out = tmp_path / "out"
+    assert main(["experiment", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: gain_rule for order 2 must hold 2 numbers, got 1\n")
+    assert list(out.glob("fig*.csv")) == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k_max", 2.5), ("n", 8.5), ("p", "0.5"), ("orders", [2.7]), ("trials", True), ("seed", 1.5),
+    ("graph_file", 5), ("output_dir", 5),
+])
+def test_experiment_config_types_are_checked(tmp_path, capsys, field, value):
+    config = tmp_path / "fig1.json"
+    body = {"experiment": "fig1", "n": 8, "orders": [1], "trials": 1, "k_max": 2}
+    config.write_text(json.dumps({**body, field: value}))
+    with pytest.raises(errors.SchemaError, match=re.escape(field)):
+        ExperimentConfig.from_file(config)
+    out = tmp_path / "out"
+    assert main(["experiment", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {field}")
+    assert list(out.glob("fig*.csv")) == []
+
+
+def test_payload_keys_follow_schema_property_order(tmp_path, capsys):
+    """JSON payloads are dataclass fields in declaration order, so the field
+    order is the output contract: every key, nested ones included, comes in
+    the order its schema lists it."""
+
+    def emitted(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def keys(spec):
+        return list(spec["properties"])
+
+    system = (str(FIXTURE), "--order", "3", "--auto-gains")
+    stability = schema("stability")
+    payload = emitted("stability", *system, "--leaders", "1,2", "--oracle")
+    assert list(payload) == keys(stability)
+    conditions = keys(stability["properties"]["conditions"]["items"])
+    assert [list(c) for c in payload["conditions"]] == [conditions] * 4
+    assert list(payload["oracle"]) == keys(stability["properties"]["oracle"])
+    for method in ("closed", "lyapunov"):
+        payload = emitted("coherence", *system, "--leaders", "1,2", "--method", method)
+        assert list(payload) == keys(schema("coherence"))
+    select = schema("select")
+    payload = emitted("select", *system, "--k", "2", "--algorithm", "both")
+    assert list(payload) == keys(select)
+    result = keys(select["$defs"]["result"])
+    assert list(payload["greedy"]) == list(payload["exhaustive"]) == result
+    assert list(payload["certificate"]) == keys(select["properties"]["certificate"])
+    config = tmp_path / "fig3.json"
+    config.write_text(json.dumps({"experiment": "fig3", "orders": [1], "graph_file": None}))
+    emitted("experiment", str(config), "--out", str(tmp_path / "out"))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    spec = schema("experiment_summary")
+    validate(summary, spec)
+    assert list(summary) == [key for key in keys(spec) if key in summary]
+    assert list(summary["config"]) == keys(spec["properties"]["config"])
 
 
 # -- simulate --------------------------------------------------------------------------

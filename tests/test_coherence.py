@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -374,10 +375,11 @@ def test_exhaustive_monotonicity_small_graph():
 
 def test_coherence_report_fields():
     report = coherence_closed(k2_system((1, 1)))
-    assert report.m == 2
+    assert report.order == 2
     assert report.method == "closed_eig"
-    assert report.leaders.sorted_members == (0,)
-    payload = report.to_dict()
+    assert report.leaders == (0,)
+    assert report.gains == (1.0, 1.0)
+    payload = asdict(report)
     assert payload["value"] == pytest.approx(3.5)
 
 

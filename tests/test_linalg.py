@@ -23,10 +23,10 @@ from leadersel.linalg import (
     spd_inverse,
     sym_eigenvalues,
 )
-from leadersel.stability import auto_gains, build_state_matrices, companion_state_matrix
+from leadersel.stability import auto_gains, companion_state_matrix
 from leadersel.system import GroundedSystem
 
-from conftest import gain_vector, random_connected_graph
+from conftest import gain_vector, random_connected_graph, state_matrix
 
 
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -338,11 +338,12 @@ def test_lyapunov_accepts_what_kronecker_accepts_near_boundary(graph):
     accepted = 0
     for margin in np.logspace(-1, -9, 17):
         gains = gain_vector(1.0, 1.0, (1.0 + margin) / base.lambda_min)
-        mats = build_state_matrices(GroundedSystem.create(g, unit_kappa(g.n), leaders, gains))
-        rhs = mats.b @ mats.b.T
-        expected, oracle_ok = kronecker_lyapunov_oracle(mats.a, rhs)
+        a = state_matrix(GroundedSystem.create(g, unit_kappa(g.n), leaders, gains))
+        rhs = np.zeros_like(a)
+        rhs[-g.n :, -g.n :] = np.eye(g.n)  # the noise drives the last block
+        expected, oracle_ok = kronecker_lyapunov_oracle(a, rhs)
         try:
-            p = lyapunov_solve(mats.a, rhs)
+            p = lyapunov_solve(a, rhs)
         except LyapunovAccuracyError:
             assert not oracle_ok, margin
             continue

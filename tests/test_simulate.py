@@ -16,10 +16,10 @@ from leadersel.simulate import (
     simulate_trajectory,
     write_trajectory_csv,
 )
-from leadersel.stability import auto_gains, build_state_matrices
+from leadersel.stability import auto_gains
 from leadersel.system import GroundedSystem
 
-from conftest import euler_oracle, gain_vector
+from conftest import euler_oracle, gain_vector, state_matrix
 
 SINGLE = build_graph(1, [])
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -181,7 +181,7 @@ def test_recording_leaves_estimate_unchanged_and_follows_run_zero():
     estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride=7)
     assert (estimate, stderr, None) == simulate_coherence(spec)
     # run 0 replayed one state vector at a time on its own noise stream
-    a = build_state_matrices(spec.system).a
+    a = state_matrix(spec.system)
     m_step = np.eye(len(a)) + spec.dt * a
     gen = noise_stream(spec.seed, 0)
     x = np.zeros(len(a))
@@ -233,7 +233,7 @@ def test_lifted_kernel_equals_euler_oracle(monkeypatch, order):
     the lift."""
     monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 256 * 3)
     system = path3_system(order)
-    dt = 0.05 / float(np.linalg.norm(build_state_matrices(system).a, 2))
+    dt = 0.05 / float(np.linalg.norm(state_matrix(system), 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=611 * dt, burn_in=45 * dt,
                           seed=21, ensemble=3)
     assert spec.steps == 611 and spec.steps % simulate._LIFT
@@ -245,7 +245,7 @@ def test_lifted_kernel_equals_euler_oracle(monkeypatch, order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_lifted_drift_equals_euler_oracle_from_nonzero_start(order):
     system = path3_system(order)
-    dt = 0.05 / float(np.linalg.norm(build_state_matrices(system).a, 2))
+    dt = 0.05 / float(np.linalg.norm(state_matrix(system), 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=301 * dt, burn_in=3 * dt,
                           seed=0, ensemble=3)
     x0 = np.random.default_rng(order).standard_normal(3 * order)
@@ -275,7 +275,7 @@ def test_simulation_memory_is_bounded_in_steps():
     of traced allocations (a noise array for the whole chunk takes 58 MB)."""
     g, _ = erdos_renyi_connected(15, 0.5, 3)
     system = GroundedSystem.create(g, unit_kappa(15), [0, 5, 9], auto_gains(g, unit_kappa(15), 4))
-    dt = 0.05 / float(np.linalg.norm(build_state_matrices(system).a, 2))
+    dt = 0.05 / float(np.linalg.norm(state_matrix(system), 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=30000 * dt, burn_in=7500 * dt,
                           seed=1, ensemble=16)
     assert spec.steps == 30000

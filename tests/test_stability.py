@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from leadersel.errors import EmptyLeaderSetError, UnsupportedOrderError
 from leadersel.graphs import build_graph, unit_kappa
 from leadersel.stability import (
     auto_gains,
-    build_state_matrices,
     check_stability,
     companion_state_matrix,
     hurwitz_determinants,
@@ -15,7 +16,7 @@ from leadersel.stability import (
 )
 from leadersel.system import GainVector, GroundedSystem
 
-from conftest import gain_vector, graphs, random_connected_graph
+from conftest import gain_vector, graphs, random_connected_graph, state_matrix
 
 SINGLE = build_graph(1, [])
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -99,7 +100,7 @@ def test_empty_leader_set_rejected():
 
 
 def test_stability_report_serializes():
-    payload = check_stability(single_node_system((1, 1, 2))).to_dict()
+    payload = asdict(check_stability(single_node_system((1, 1, 2))))
     assert payload["stable"] is True
     assert len(payload["conditions"]) == 4
     assert len(payload["hurwitz_determinants"]) == 3
@@ -126,32 +127,22 @@ def test_equal_gain_instability_confirmed_by_oracle():
         assert max_real > -1e-9
 
 
-# -- state matrices -------------------------------------------------------------
+# -- state matrix ---------------------------------------------------------------
 
 def test_state_matrix_smallest_instance():
-    mats = build_state_matrices(single_node_system((1, 1)))
-    np.testing.assert_allclose(mats.a, [[0.0, 1.0], [-1.0, -1.0]])
-    np.testing.assert_allclose(mats.b, [[0.0], [1.0]])
-    np.testing.assert_allclose(mats.c, [[1.0, 0.0]])
+    a = state_matrix(single_node_system((1, 1)))
+    np.testing.assert_allclose(a, [[0.0, 1.0], [-1.0, -1.0]])
 
 
 def test_state_matrix_block_layout():
     system = GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1))
-    mats = build_state_matrices(system)
+    a = state_matrix(system)
     q = system.matrix
-    assert mats.a.shape == (4, 4)
-    np.testing.assert_allclose(mats.a[:2, 2:], np.eye(2))
-    np.testing.assert_allclose(mats.a[:2, :2], 0.0)
-    np.testing.assert_allclose(mats.a[2:, :2], -q)
-    np.testing.assert_allclose(mats.a[2:, 2:], -q)
-
-
-@given(graphs(), st.integers(2, 4))
-@settings(max_examples=20, deadline=None)
-def test_output_and_input_blocks_disjoint(g, m):
-    system = GroundedSystem.create(g, unit_kappa(g.n), [0], GainVector((1.0,) * m))
-    mats = build_state_matrices(system)
-    np.testing.assert_allclose(mats.c @ mats.b, 0.0)
+    assert a.shape == (4, 4)
+    np.testing.assert_allclose(a[:2, 2:], np.eye(2))
+    np.testing.assert_allclose(a[:2, :2], 0.0)
+    np.testing.assert_allclose(a[2:, :2], -q)
+    np.testing.assert_allclose(a[2:, 2:], -q)
 
 
 # -- spectral oracle ---------------------------------------------------------
@@ -168,7 +159,7 @@ def test_oracle_agrees_with_conditions_on_random_stable_instance():
     gains = auto_gains(g, unit_kappa(5), 3)
     system = GroundedSystem.create(g, unit_kappa(5), [1], gains)
     report = check_stability(system)
-    stable, _ = spectral_stability_oracle(build_state_matrices(system).a)
+    stable, _ = spectral_stability_oracle(state_matrix(system))
     assert report.stable and stable
 
 
@@ -181,7 +172,7 @@ def test_third_order_block_decomposition_matches_full_spectrum():
     block_roots = []
     for lam in system.eigenvalues:
         block_roots.extend(np.roots([1.0, a3 * lam, a2 * lam, a1 * lam]))
-    full = np.linalg.eigvals(build_state_matrices(system).a)
+    full = np.linalg.eigvals(state_matrix(system))
 
     def key(z):
         return (round(z.real, 6), round(z.imag, 6))
@@ -193,7 +184,7 @@ def test_third_order_block_decomposition_matches_full_spectrum():
 
 def hurwitz_verdict_matches_oracle(system) -> bool:
     report = check_stability(system)
-    stable, max_real = spectral_stability_oracle(build_state_matrices(system).a)
+    stable, max_real = spectral_stability_oracle(state_matrix(system))
     if abs(report.margin) < 1e-9 or abs(max_real) < 1e-9:
         return True  # agreement not required inside the marginal band
     return report.stable == stable

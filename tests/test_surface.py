@@ -64,7 +64,8 @@ def _public_definitions(tree: ast.Module):
 def test_src_holds_what_runs():
     """Every public definition is read somewhere in src/ outside its own body,
     as a name or an attribute; re-exports in ``__init__.py`` do not count.
-    Code that only the tests reach belongs in the tests."""
+    So is every ``Tolerances`` field.  Code (and a tolerance) that only the
+    tests reach belongs in the tests."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted((ROOT / "src" / "leadersel").glob("*.py"))
                if path.name != "__init__.py"}
@@ -73,3 +74,8 @@ def test_src_holds_what_runs():
               for qualified, node, reads in _public_definitions(tree)
               if sum(map(read.count, reads)) <= sum(map(_names_read(node).count, reads))}
     assert unused == BENCH_BOUND_ORACLES
+    table = next(node for node in modules["linalg"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "Tolerances")
+    fields = [item.target.id for item in table.body if isinstance(item, ast.AnnAssign)]
+    assert len(fields) > 10
+    assert [name for name in fields if read.count(name) <= _names_read(table).count(name)] == []
