@@ -51,6 +51,19 @@ class ExperimentConfig:
     graph_file: str | None = None
 
     def __post_init__(self) -> None:
+        # Types first, field by field, so a config with one bad field names it.
+        for name in ("n", "trials", "k_max", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if not isinstance(self.orders, (list, tuple)):
+            raise SchemaError(f"orders must be a list of integers, got {self.orders!r}")
+        object.__setattr__(
+            self, "orders", tuple(_integer(m, f"orders[{i}]") for i, m in enumerate(self.orders))
+        )
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
+            raise SchemaError(f"p must be a number, got {self.p!r}")
+        for name, allowed in (("output_dir", str), ("graph_file", (str, type(None)))):
+            if not isinstance(getattr(self, name), allowed):
+                raise SchemaError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if self.experiment not in EXPERIMENTS:
             raise SchemaError(f"experiment must be one of {EXPERIMENTS}")
         if not self.orders or any(m not in (1, 2, 3, 4) for m in self.orders):
@@ -59,6 +72,8 @@ class ExperimentConfig:
             raise SchemaError("trials must be >= 1")
         if self.k_max < 1:
             raise SchemaError("k_max must be >= 1")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if self.experiment == "custom" and not self.graph_file:
             raise SchemaError("custom experiments need a graph_file")
 
@@ -73,19 +88,6 @@ class ExperimentConfig:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise SchemaError(f"unknown config fields: {sorted(unknown)}")
-        for name in ("n", "trials", "k_max", "seed"):
-            if name in payload:
-                payload[name] = _integer(payload[name], name)
-        if "orders" in payload:
-            orders = payload["orders"]
-            if not isinstance(orders, list):
-                raise SchemaError(f"orders must be a list of integers, got {orders!r}")
-            payload["orders"] = tuple(_integer(m, f"orders[{i}]") for i, m in enumerate(orders))
-        if "p" in payload and type(payload["p"]) not in (int, float):  # bool is not a number
-            raise SchemaError(f"p must be a number, got {payload['p']!r}")
-        for name, allowed in (("output_dir", str), ("graph_file", (str, type(None)))):
-            if name in payload and not isinstance(payload[name], allowed):
-                raise SchemaError(f"{name} must be a path string, got {payload[name]!r}")
         try:
             return cls(**payload)
         except TypeError as exc:

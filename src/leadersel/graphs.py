@@ -238,8 +238,11 @@ def write_graph(g: Graph, kappa: KappaWeights, path: str | Path, label_base: int
 
 
 def _integer(value: object, field: str) -> int:
-    """A JSON integer: a number with no fractional part (``type`` excludes bool)."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
+    """An integer, NumPy's included, or a float with no fractional part; not a bool."""
+    whole = isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if whole and not isinstance(value, bool):
         return int(value)
     raise SchemaError(f"{field} must be an integer, got {value!r}")
 

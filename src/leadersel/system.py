@@ -92,6 +92,13 @@ def grounded_matrix(lap: np.ndarray, kappa: KappaWeights, leaders) -> np.ndarray
     return q
 
 
+# The rational iteration stops a row once a step moves it by less than this
+# fraction: the error is then about its square, a few ulps, for the probes.
+_SECULAR_STEP_RTOL = 2.0**-26
+# Rows still moving after this many steps go straight to bisection.
+_SECULAR_MAX_STEPS = 32
+
+
 @dataclass(frozen=True, eq=False)
 class SingletonPhase:
     """Every single-leader quantity from one eigendecomposition L = U diag(lam) U^T.
@@ -116,30 +123,102 @@ class SingletonPhase:
 
     @cached_property
     def lambda_mins(self) -> np.ndarray:
-        """lambda_min(Q_v) for every v, by vectorized bisection.
+        """lambda_min(Q_v) for every v, by safeguarded rational iteration.
 
         The root of 1 + kappa_v (sum_i W_vi / (lam_i - mu) - 1 / (n mu)) = 0
         lies in (0, min(lam_1, kappa_v / n)]: kappa_v / n is the Rayleigh
         quotient of the all-ones vector, and it also closes the bracket for
-        n = 1, where there is no lam_1.  When the weight on lam_1 vanishes
-        the bisection ends at lam_1, which is then the smallest eigenvalue.
-        It stops once every bracket is two adjacent floats and returns the
-        upper ends, so reruns are byte-identical.
+        n = 1, where there is no lam_1 (the root is then kappa_v itself).
+
+        Each step keeps the pole at 0 exact and replaces the rest,
+        sum_{i>=1} W_vi / (lam_i - mu), by c + t / (lam_1 - mu) matched in
+        value and slope at the iterate; the next iterate is the smaller root
+        of that model.  The model bounds the rest from above, so iterates
+        rise to the root from below, quadratically once close.  Every
+        evaluation narrows the row's bracket by the sign of the secular
+        function, and an iterate outside the bracket is replaced by its
+        midpoint.  A row stops iterating once a step is shorter than
+        ``_SECULAR_STEP_RTOL`` of the iterate, or after
+        ``_SECULAR_MAX_STEPS`` steps.  From its last iterate, probes
+        2^j ulps away close the bracket around the root; bisection then
+        shrinks every bracket to two adjacent floats and the upper ends are
+        returned, so reruns are byte-identical.  When the weight on lam_1
+        vanishes the bracket closes at lam_1, which is then the smallest
+        eigenvalue.
         """
         n = self.n
+        kappa, lam, w = self.kappa, self.eigenvalues, self.weights
         lo = np.zeros(n)
-        hi = self.kappa / n
-        if n > 1:
-            hi = np.minimum(hi, self.eigenvalues[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        hi = kappa / n
+        if n == 1:
+            return hi
+        lam1 = lam[0]
+        hi = np.minimum(hi, lam1)
+
+        def evaluate(rows, x, slope=False):
+            # The sign test narrows the brackets of ``rows``; with ``slope`` it
+            # also returns the rest of the poles and its derivative at x.
+            d = lam - x[:, None]
+            q = (w if len(rows) == n else w[rows]) / d
+            poles = q.sum(axis=1)
+            below = 1.0 + kappa[rows] * (poles - 1.0 / (n * x)) < 0.0
+            lo[rows] = np.where(below, x, lo[rows])
+            hi[rows] = np.where(below, hi[rows], x)
+            if slope:
+                return poles, (q / d).sum(axis=1)
+            return below
+
+        def step(rows, y, poles, slope):
+            # The model 1/kappa + c + t/(lam_1 - mu) - 1/(n mu) = 0 times
+            # mu (lam_1 - mu) is a mu^2 - b mu + lam_1/n = 0 with a = 1/kappa + c
+            # and b = a lam_1 + t + 1/n; its smaller root, free of cancellation.
+            gap = lam1 - y
+            t = slope * gap * gap
+            a = 1.0 / kappa[rows] + poles - slope * gap
+            b = a * lam1 + t + 1.0 / n
+            return 2.0 * (lam1 / n) / (b + np.sqrt(b * b - 4.0 * a * lam1 / n))
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # The first step models the poles at y = 0 from two products.
+            rows, y = np.arange(n), np.zeros(n)
+            nxt = step(rows, y, w @ (1.0 / lam), w @ lam**-2.0)
+            estimate = np.full(n, np.nan)
+            for _ in range(_SECULAR_MAX_STEPS):
+                l, h = lo[rows], hi[rows]
+                done = np.abs(nxt - y) <= _SECULAR_STEP_RTOL * y
+                estimate[rows[done]] = np.clip(nxt[done], l[done], h[done])
+                mid = 0.5 * (l + h)
+                y = np.where(np.isfinite(nxt) & (l < nxt) & (nxt < h), nxt, mid)
+                keep = ~done & (l < mid) & (mid < h)
+                rows, y = rows[keep], y[keep]
+                if not rows.size:
+                    break
+                nxt = step(rows, y, *evaluate(rows, y, slope=True))
+
+            # Probe from each estimate, 1, 2, 4, ... ulps toward the root, until
+            # the sign flips or the probe leaves the bracket.  An estimate on a
+            # bracket end has its sign already.
+            rows = np.flatnonzero(np.isfinite(estimate))
+            x = estimate[rows]
+            below = x <= lo[rows]
+            inside = (lo[rows] < x) & (x < hi[rows])
+            below[inside] = evaluate(rows[inside], x[inside])
+            direction = np.where(below, 1.0, -1.0)
+            offset = np.spacing(x)
+            while rows.size:
+                p = x + direction * offset
+                keep = (lo[rows] < p) & (p < hi[rows])
+                if keep.any():
+                    keep[keep] = evaluate(rows[keep], p[keep]) == (direction[keep] > 0)
+                rows, x, direction = rows[keep], x[keep], direction[keep]
+                offset = 2.0 * offset[keep]
+
             while True:
                 mid = 0.5 * (lo + hi)
-                if not np.any((lo < mid) & (mid < hi)):
+                rows = np.flatnonzero((lo < mid) & (mid < hi))
+                if not rows.size:
                     return hi
-                poles = (self.weights / (self.eigenvalues - mid[:, None])).sum(axis=1)
-                below = 1.0 + self.kappa * (poles - 1.0 / (n * mid)) < 0.0
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
+                evaluate(rows, mid[rows])
 
 
 def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
@@ -147,7 +226,7 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
 
     Connectivity is decided on the edges, not on the sign of a rounded
     eigenvalue: on a disconnected graph some Q_v is singular, and the
-    bisection would return a tiny positive lambda_min instead.  A graph
+    secular solve would return a tiny positive lambda_min instead.  A graph
     whose edges connect it but whose lambda_1(L) is lost in rounding (say
     two blocks joined by a 1e-20 bridge) is refused as well: eigh mixes
     its near-null eigenvectors, so the phase has no isolated zero to drop.

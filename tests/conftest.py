@@ -100,6 +100,30 @@ def loop_is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def bisection_lambda_mins(phase) -> np.ndarray:
+    """Named oracle for ``SingletonPhase.lambda_mins``: vectorized bisection.
+
+    The root of 1 + kappa_v (sum_i W_vi / (lam_i - mu) - 1 / (n mu)) = 0
+    lies in (0, min(lam_1, kappa_v / n)]; about 55 sweeps halve every
+    bracket until it is two adjacent floats, and the upper ends are
+    returned.  Same sign test and same stop as the production solver.
+    """
+    n = phase.n
+    lo = np.zeros(n)
+    hi = phase.kappa / n
+    if n > 1:
+        hi = np.minimum(hi, phase.eigenvalues[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not np.any((lo < mid) & (mid < hi)):
+                return hi
+            poles = (phase.weights / (phase.eigenvalues - mid[:, None])).sum(axis=1)
+            below = 1.0 + phase.kappa * (poles - 1.0 / (n * mid)) < 0.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+
+
 def random_connected_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     """Rejection-sample a connected unit-weight graph."""
     while True:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import validate
 
@@ -386,8 +387,8 @@ def test_experiment_fig3_gain_rule_of_wrong_length_writes_no_csv(tmp_path, capsy
 
 
 @pytest.mark.parametrize("field, value", [
-    ("k_max", 2.5), ("n", 8.5), ("p", "0.5"), ("orders", [2.7]), ("trials", True), ("seed", 1.5),
-    ("graph_file", 5), ("output_dir", 5),
+    ("k_max", 2.5), ("n", 8.5), ("p", "0.5"), ("orders", [2.7]), ("orders", 2), ("trials", True),
+    ("seed", 1.5), ("seed", -1), ("graph_file", 5), ("output_dir", 5),
 ])
 def test_experiment_config_types_are_checked(tmp_path, capsys, field, value):
     config = tmp_path / "fig1.json"
@@ -395,9 +396,28 @@ def test_experiment_config_types_are_checked(tmp_path, capsys, field, value):
     config.write_text(json.dumps({**body, field: value}))
     with pytest.raises(errors.SchemaError, match=re.escape(field)):
         ExperimentConfig.from_file(config)
+    with pytest.raises(errors.SchemaError, match=re.escape(field)):  # the library path too
+        ExperimentConfig(**{**body, field: value})
     out = tmp_path / "out"
     assert main(["experiment", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {field}")
+    assert list(out.glob("fig*.csv")) == []
+
+
+def test_experiment_config_accepts_numpy_scalars():
+    config = ExperimentConfig(experiment="fig1", n=np.int64(8), p=np.float64(0.5),
+                              orders=[np.int64(2)], seed=np.uint32(3))
+    assert (config.n, config.orders, config.seed) == (8, (2,), 3)
+    assert type(config.n) is int and type(config.orders[0]) is int
+
+
+def test_experiment_negative_seed_names_field_and_value(tmp_path, capsys):
+    config = tmp_path / "fig1.json"
+    config.write_text(json.dumps({"experiment": "fig1", "n": 8, "seed": -1, "orders": [1],
+                                  "trials": 1, "k_max": 1}))
+    out = tmp_path / "out"
+    assert main(["experiment", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: seed must be >= 0, got -1\n"
     assert list(out.glob("fig*.csv")) == []
 
 

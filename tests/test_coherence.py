@@ -1,5 +1,6 @@
 import math
 from dataclasses import asdict
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -18,11 +19,19 @@ from leadersel.graphs import KappaWeights, build_graph, six_node_example, unit_k
 from leadersel.graphs import erdos_renyi_connected, laplacian
 from leadersel.linalg import spd_inverse
 from leadersel.stability import auto_gains, singleton_lambda_mins
-from leadersel.system import GainVector, GroundedSystem, grounded_matrix, singleton_phase
+from leadersel.system import (
+    GainVector,
+    GroundedSystem,
+    SingletonPhase,
+    grounded_matrix,
+    singleton_phase,
+)
 
 from conftest import (
+    bisection_lambda_mins,
     cliques,
     cycle,
+    edge_list,
     gain_vector,
     graphs,
     random_connected_graph,
@@ -417,6 +426,46 @@ def test_singleton_spectra_match_per_node_paths():
 def test_singleton_phase_single_node_is_exact():
     # no lam_1: the all-ones Rayleigh quotient kappa / n closes the bracket
     assert singleton_phase(SINGLE, KappaWeights((2.5,))).lambda_mins.tolist() == [2.5]
+
+
+class _BisectionPhase(SingletonPhase):
+    """A singleton phase whose lambda_mins come from the bisection oracle."""
+
+    @cached_property
+    def lambda_mins(self):
+        return bisection_lambda_mins(self)
+
+
+def _secular_graphs():
+    # Sparse graphs with tiny or vanishing weights on lam_1 (the path's middle
+    # node, the star's hub), two cliques on one bridge, and weights over twelve
+    # decades, besides the phase graphs and the two smallest cases.
+    g50 = erdos_renyi_connected(50, 0.5, seed=6)[0]
+    rng = np.random.default_rng(6)
+    weights = 10.0 ** rng.uniform(-6, 6, len(g50.u))
+    w50 = build_graph(50, list(zip(g50.u.tolist(), g50.v.tolist(), weights.tolist())))
+    extra = [
+        ("path199", build_graph(199, [(i, i + 1, 1.0) for i in range(198)]), unit_kappa(199)),
+        ("C150", cycle(150), unit_kappa(150)),
+        ("star100", build_graph(100, [(0, j, 1.0) for j in range(1, 100)]), unit_kappa(100)),
+        ("barbell", build_graph(50, list(edge_list(cliques(25, 25))) + [(24, 25, 1.0)]),
+         unit_kappa(50)),
+        ("G50w", w50, unit_kappa(50)),
+        ("K2", K2, unit_kappa(2)),
+        ("single", SINGLE, KappaWeights((2.5,))),
+    ]
+    return _phase_graphs() + extra
+
+
+def test_singleton_lambda_mins_match_bisection_oracle():
+    for name, graph, kappa in _secular_graphs():
+        phase = singleton_phase(graph, kappa)
+        oracle = _BisectionPhase(phase.kappa, phase.laplacian, phase.eigenvalues, phase.weights)
+        fast = phase.lambda_mins
+        gap = np.abs(fast - oracle.lambda_mins)
+        assert np.all(gap <= 2.0 * np.spacing(oracle.lambda_mins)), (name, gap.max())
+        for m in (1, 2, 3, 4):
+            assert auto_gains(graph, kappa, m, phase) == auto_gains(graph, kappa, m, oracle), (name, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
