@@ -31,6 +31,7 @@ so f is nonnegative, nondecreasing, and submodular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
@@ -93,8 +94,8 @@ def normalized_from_inverses(
     """rho * H from the inverses Q^-1 and (c Q - I)^-1.
 
     Traces of products of symmetric matrices reduce to elementwise sums.
-    This is the named oracle of ``normalized_after_rank_one``: tests apply
-    each rank-one update explicitly and score the result here.
+    This is the named oracle of ``WoodburyScorer``: tests invert each
+    grounded matrix Q_{S+v} explicitly and score the result here.
     """
     form = gains.form
     total = 0.0
@@ -107,61 +108,124 @@ def normalized_from_inverses(
     return float(total)
 
 
-def normalized_after_rank_one(
-    gains: GainVector,
-    inv: np.ndarray,
-    shifted_inv: np.ndarray | None,
-    kappa: np.ndarray,
-    candidates: np.ndarray,
-) -> np.ndarray:
-    """rho * H(S + v) for every node v, from M = Q_S^-1 and S = (c Q_S - I)^-1.
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, y)
 
-    Adding leader v updates M' = M - alpha_v M e_v e_v^T M with
-    alpha_v = kappa_v / (1 + kappa_v M_vv), and S the same way with
-    beta_v = c kappa_v / (1 + c kappa_v S_vv).  The traces then change by
-    closed forms in a few diagonals:
 
-      tr M'       = tr M - alpha_v (M^2)_vv
-      ||M'||^2    = ||M||^2 - 2 alpha_v (M^3)_vv + alpha_v^2 (M^2)_vv^2
-      <M', S'>    = <M, S> - alpha_v (MSM)_vv - beta_v (SMS)_vv
-                    + alpha_v beta_v (MS)_vv^2
+class WoodburyScorer:
+    """rho * H(S + v) for every node v while the leader set S grows.
 
-    so one round scores all candidates with one matrix product.  Raises
-    SingularUpdateError when a candidate's update denominator is at or
-    below ``rank_one_denominator_min``, as ``sherman_morrison_update``
-    would.  Entries of non-candidates are not meaningful.
+    With u the unit ones vector, sigma the mean of lam_1 .., V = [u, e_S],
+    D = diag(-sigma, kappa_S), A = (L + sigma u u^T)^-1 and
+    T = (c (L + sigma u u^T) - I)^-1 (positive definite: c sigma >= c lam_1 > 1),
+
+      Q_S^-1         = A - A V C V^T A,   C  = (D^-1 + V^T A V)^-1
+      (c Q_S - I)^-1 = T - T V C' V^T T,  C' = ((c D)^-1 + V^T T V)^-1,
+
+    so each trace of rho * H is tr f(L) less traces of small matrices of
+    entries f(L)[i, j], i, j in {u} + S + {v}.  Adding v borders C (and C'
+    alike): C_{S+v} = [C 0; 0 0] + z_v z_v^T / gamma_v, z_v = [C V^T A e_v; -1],
+    gamma_v = (1 + kappa_v (Q_S^-1)_vv) / kappa_v, so every candidate is
+    scored at once in O(n |S|^2).
+    A denominator gamma_v kappa_v or gamma'_v c kappa_v at or below
+    ``rank_one_denominator_min``, or a capacitance solve that misses its
+    residual bound, raises SingularUpdateError.  Needs |S| >= 1.
     """
 
-    def coefficient(scale: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        denom = 1.0 + scale * diag
-        low = candidates & (denom <= TOLERANCES.rank_one_denominator_min)
-        if low.any():
-            raise SingularUpdateError(
-                f"update denominator {denom[low].min()} at or below tolerance"
-            )
-        return scale / denom
+    def __init__(self, context: "SystemContext", capacity: int):
+        form, phase = context.gains.form, context.singleton_phase
+        n, sigma = phase.n, phase.eigenvalues.mean()
+        shifted = np.concatenate(([sigma], phase.eigenvalues))  # L + sigma u u^T
+        a = 1.0 / shifted
+        spectra = {"A": a}  # and only the functions the order's weights need
+        if form.tr or form.sq:
+            spectra["A2"] = a * a
+        if form.sq:
+            spectra["A3"] = a * a * a
+        self.corners = {"A": 0.0}  # u^T f u - 1 / (c sigma), in closed form
+        if form.shift:
+            t = 1.0 / (form.c * shifted - 1.0)
+            spectra.update(T=t, AT=a * t, A2T=a * a * t, AT2=a * t * t)
+            self.corners["T"] = 1.0 / (form.c * sigma * (form.c * sigma - 1.0))
+        self.form, self.phase, self.n, self.size = form, phase, n, 0
+        self.kappa = context.kappa.as_array()
+        self.index = {name: j for j, name in enumerate(spectra)}
+        self.spectra = np.column_stack(list(spectra.values()))  # row 0: on u
+        self.traces = dict(zip(spectra, self.spectra.sum(axis=0)))
+        self.diagonals = (phase.weights @ self.spectra[1:] + self.spectra[0] / n).T
+        # cols[f, i, j] = f[i, j], i over the nodes then u, j over u then the leaders
+        self.cols = np.empty((len(spectra), n + 1, capacity + 1))
+        self.cols[:, :, 0] = self.cols[:, n, :] = self.spectra[0][:, None] / math.sqrt(n)
+        self.cols[:, n, 0] = self.spectra[0]
+        self.rows = np.full(capacity + 1, n)  # u, then the leaders
 
-    form = gains.form
-    alpha = coefficient(kappa, np.diagonal(inv))
-    sq_diag = np.einsum("ij,ij->j", inv, inv)  # (M^2)_vv
-    total = 0.0
-    if form.tr:
-        total = total + form.tr * (np.trace(inv) - alpha * sq_diag)
-    if form.sq:
-        cube_diag = np.einsum("ij,ij->j", inv @ inv, inv)  # (M^3)_vv
-        second = np.sum(inv * inv) - 2.0 * alpha * cube_diag + alpha**2 * sq_diag**2
-        total = total + form.sq * second
-    if form.shift:
-        beta = coefficient(form.c * kappa, np.diagonal(shifted_inv))
-        prod = inv @ shifted_inv  # MS; SM is its transpose
-        third = (
-            np.sum(inv * shifted_inv)
-            - alpha * np.einsum("ij,ji->i", prod, inv)  # (MSM)_vv
-            - beta * np.einsum("ij,ij->j", prod, shifted_inv)  # (SMS)_vv
-            + alpha * beta * np.diagonal(prod) ** 2
-        )
-        total = total + form.shift * third
-    return total
+    def add(self, v: int) -> None:
+        """Append leader v: f(L) e_v for every f, one product with U."""
+        vectors, spectra = self.phase.vectors, self.spectra
+        self.size += 1
+        column = vectors @ (spectra[1:] * vectors[v][:, None]) + spectra[0] / self.n
+        self.cols[:, : self.n, self.size] = column.T
+        self.rows[self.size] = v
+
+    def _block(self, name: str):
+        """f's index, V^T f V, and e_v^T f V for every v."""
+        j, m = self.index[name], self.size + 1
+        return j, self.cols[j, self.rows[:m], :m], self.cols[j, : self.n, :m]
+
+    def _border(self, name: str, kappa: np.ndarray, candidates: np.ndarray):
+        """C for f = ``name`` (A or T) and D's leader part ``kappa``, with
+        x_v = C V^T f e_v and gamma_v for every v."""
+        j, g, fv = self._block(name)
+        m = len(g)
+        g[0, 0] = self.corners[name]
+        g.flat[m + 1 :: m + 1] += 1.0 / kappa[self.rows[1:m]]
+        try:
+            cap = np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise SingularUpdateError("capacitance matrix is singular") from exc
+        residual = np.linalg.norm(g @ cap - np.eye(m))
+        if not residual <= TOLERANCES.woodbury_rtol * np.linalg.norm(g) * np.linalg.norm(cap):
+            raise SingularUpdateError(f"capacitance solve residual {residual:.3e} exceeds its bound")
+        x = fv @ cap
+        gamma = 1.0 / kappa + self.diagonals[j] - _rowdot(x, fv)
+        denom = kappa * gamma
+        if (low := candidates & ~(denom > TOLERANCES.rank_one_denominator_min)).any():
+            raise SingularUpdateError(f"update denominator {denom[low].min()} at or below tolerance")
+        return cap, x, gamma
+
+    def _linear(self, name: str, border) -> np.ndarray:
+        """tr(C P) over S + v, P = V^T F V, p_v = V^T F e_v:
+        tr(C P) + (x_v P x_v - 2 x_v . p_v + F_vv) / gamma_v."""
+        cap, x, gamma = border
+        j, p, pv = self._block(name)
+        return np.sum(cap * p) + (_rowdot(x @ p - 2.0 * pv, x) + self.diagonals[j]) / gamma
+
+    def _bilinear(self, name: str, first, second) -> np.ndarray:
+        """tr(C Y C' Y) over S + v, Y = V^T F V: tr(C Y C' Y) + a C a / gamma'_v
+        + b C' b / gamma_v + (z_v^T Y z'_v)^2 / (gamma_v gamma'_v), with
+        a = Y x'_v - y_v and b = Y x_v - y_v."""
+        (cap, x, gamma), (cap2, x2, gamma2) = first, second
+        j, y, yv = self._block(name)
+        a_v, b_v = x2 @ y.T - yv, x @ y - yv
+        zyz = _rowdot(b_v, x2) - _rowdot(x, yv) + self.diagonals[j]
+        return (np.sum((cap @ y) * (y @ cap2)) + _rowdot(a_v @ cap, a_v) / gamma2
+                + _rowdot(b_v @ cap2, b_v) / gamma + zyz * zyz / (gamma * gamma2))
+
+    def scores(self, candidates: np.ndarray) -> np.ndarray:
+        """rho * H(S + v) for every node v (meaningless off ``candidates``)."""
+        form, traces = self.form, self.traces
+        a = self._border("A", self.kappa, candidates)
+        total = 0.0
+        if form.tr:  # tr Q^-1 = tr A - tr(C V^T A^2 V)
+            total = total + form.tr * (traces["A"] - self._linear("A2", a))
+        if form.sq:  # ||Q^-1||^2 = tr A^2 - 2 tr(C V^T A^3 V) + tr((C V^T A^2 V)^2)
+            second = traces["A2"] - 2.0 * self._linear("A3", a) + self._bilinear("A2", a, a)
+            total = total + form.sq * second
+        if form.shift:  # <Q^-1, (cQ - I)^-1> = tr AT - tr(C V^T A^2 T V)
+            t = self._border("T", form.c * self.kappa, candidates)  # - tr(C' V^T A T^2 V)
+            cross = traces["AT"] - self._linear("A2T", a) - self._linear("AT2", t)
+            total = total + form.shift * (cross + self._bilinear("AT", a, t))  # + tr(C X C' X)
+        return total
 
 
 def coherence_closed(system: GroundedSystem) -> CoherenceReport:

@@ -50,7 +50,7 @@ class NotPositiveDefiniteError(LeaderSelError):
 
 
 class SingularUpdateError(LeaderSelError):
-    """Rank-one update denominator is at or below tolerance."""
+    """A rank-one update or capacitance solve is singular, or a greedy value fails its check."""
 
 
 class UnstableMatrixError(LeaderSelError):

@@ -5,16 +5,13 @@ nondecreasing and submodular, the greedy value is within a factor
 (1 - 1/e) of optimal; equivalently
 H(S_greedy) <= C/(rho e) + (1 - 1/e) H(S_opt).
 
-The greedy has one path.  Round 1 reads every singleton value from the
-context's singleton phase (one eigendecomposition of the Laplacian).
-Later rounds keep Q_S^-1 (and, when the trace has a shift term, the
-shifted inverse (c Q_S - I)^-1) and score every candidate at once in
-closed form from a few diagonals of their products; only the chosen
-node's rank-one update is applied.  Each round costs O(n^3) and the
-whole run O(k n^3).  At the end the maintained inverses are checked
-against the grounded matrix, so rank-one drift is refused, not returned.
-A naive greedy that rescores every candidate from scratch is kept in
-the tests as the named oracle of this path.
+The greedy has one path, on the context's singleton phase (one
+eigendecomposition of L): round 1 reads the singleton values, later
+rounds score every candidate at once with ``WoodburyScorer``, O(n |S|^2)
+per round and no n x n inverse.  One eigensolve of the chosen set's
+grounded matrix then confirms the final value, or the run is refused.
+A naive greedy that rescores every candidate from scratch is the tests'
+named oracle of this path.
 
 Exhaustive search is the independent, eigenvalue-based oracle the greedy
 is certified against, so it uses no rank-one scoring.  One sweep over
@@ -33,15 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import SystemContext, normalized_after_rank_one, normalized_eigenvalue_terms
-from .errors import CombinatorialCapError
-from .linalg import (
-    TOLERANCES,
-    check_inverse,
-    sherman_morrison_update,
-    spd_inverse,
-    sym_eigenvalues,
-)
+from .coherence import SystemContext, WoodburyScorer, normalized_eigenvalue_terms
+from .errors import CombinatorialCapError, SingularUpdateError
+from .linalg import TOLERANCES, sym_eigenvalues
 from .system import grounded_matrix
 
 
@@ -80,10 +71,26 @@ def _tie_eps(scale: float) -> float:
 def _improve(items, norms, incumbent: tuple | None = None) -> tuple:
     """The (item, norm) incumbent after scanning in order: only a drop beyond
     ``_tie_eps`` replaces it, so a tie keeps the earlier item."""
+    bar = None if incumbent is None else incumbent[1] - _tie_eps(incumbent[1])
     for item, norm in zip(items, norms):
-        if incumbent is None or norm < incumbent[1] - _tie_eps(incumbent[1]):
-            incumbent = item, norm
+        if bar is None or norm < bar:
+            incumbent, bar = (item, norm), norm - _tie_eps(norm)
     return incumbent
+
+
+def _require_confirmed(context: SystemContext, leaders: list[int], norm: float) -> None:
+    """Refuse rho * H(S) = ``norm`` unless an eigensolve of Q_S agrees within
+    ``woodbury_rtol`` times the closed form's condition number."""
+    q = grounded_matrix(context.singleton_phase.laplacian, context.kappa, leaders)
+    lams = sym_eigenvalues(q).eigenvalues
+    exact = float(normalized_eigenvalue_terms(context.gains, lams))
+    form = context.gains.form
+    cond = lams[-1] / lams[0]
+    if form.shift:
+        cond *= max(1.0, 1.0 / (form.c * lams[0] - 1.0))
+    if not abs(norm - exact) <= TOLERANCES.woodbury_rtol * max(1.0, cond) * exact:
+        raise SingularUpdateError(f"greedy value {norm!r} of {len(leaders)} leaders disagrees "
+                                  f"with the eigensolve's {exact!r} (condition number {cond:.3g})")
 
 
 def greedy_select(context: SystemContext, k: int) -> SelectionResult:
@@ -91,54 +98,48 @@ def greedy_select(context: SystemContext, k: int) -> SelectionResult:
 
     Stops early once no candidate improves f by more than
     ``greedy_improvement``.  A budget of 1 returns after the singleton
-    round, without forming any inverse.
+    round; a longer run ends with one eigensolve that confirms the
+    final value.
     """
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     n = context.n
-    gains = context.gains
-    form = gains.form
-    kappa = context.kappa.as_array()
-    laplacian = context.singleton_phase.laplacian
+    rho = context.gains.form.rho
     offset = context.offset
 
     evaluations = n
     singleton = context.singleton_normalized
-    best_v, _ = _improve(range(n), singleton)
+    best_v, norm = _improve(range(n), singleton)
     chosen = [best_v]
-    f_values = [float(offset - singleton[best_v])]
-    h_values = [float(singleton[best_v] / form.rho)]
+    f_values = [float(offset - norm)]
+    h_values = [float(norm / rho)]
 
-    if k > 1:  # later rounds score every candidate from the maintained inverses
-        q = grounded_matrix(laplacian, context.kappa, chosen)
-        inv = spd_inverse(q)
-        shifted_inv = spd_inverse(form.c * q - np.eye(n)) if form.shift else None
+    budget = min(k, n)
+    if budget > 1:  # later rounds are scored from the singleton phase
+        scorer = WoodburyScorer(context, budget - 1)
         candidates = np.ones(n, dtype=bool)
         candidates[best_v] = False
-        while len(chosen) < min(k, n):
-            scores = normalized_after_rank_one(gains, inv, shifted_inv, kappa, candidates).tolist()
-            best = None  # (f, v)
-            for v in np.flatnonzero(candidates).tolist():
-                evaluations += 1
-                f_v = offset - scores[v]
-                if best is None or f_v > best[0] + _tie_eps(best[0]):
-                    best = (f_v, v)
+        while len(chosen) < budget:
+            scorer.add(chosen[-1])
+            scores = scorer.scores(candidates)
+            nodes = np.flatnonzero(candidates)
+            evaluations += len(nodes)
+            bar = None  # a pick must beat the incumbent's f by more than _tie_eps
+            for v, f_v in zip(nodes.tolist(), (offset - scores[nodes]).tolist()):
+                if bar is None or f_v > bar:
+                    best, bar = (f_v, v), f_v + _tie_eps(f_v)
             f_v, v = best
             if f_v - f_values[-1] <= TOLERANCES.greedy_improvement:
                 break
             candidates[v] = False
             chosen.append(v)
+            norm = float(scores[v])
             f_values.append(float(f_v))
-            h_values.append(float(scores[v] / form.rho))
-            inv = sherman_morrison_update(inv, v, kappa[v])
-            if form.shift:
-                shifted_inv = sherman_morrison_update(shifted_inv, v, form.c * kappa[v])
-        q = grounded_matrix(laplacian, context.kappa, chosen)
-        check_inverse(q, inv, "Q_S^-1")
-        if form.shift:
-            check_inverse(form.c * q - np.eye(n), shifted_inv, "(c Q_S - I)^-1")
+            h_values.append(float(norm / rho))
+        if len(chosen) > 1:
+            _require_confirmed(context, chosen, norm)
     return SelectionResult(
-        order=gains.m,
+        order=context.m,
         chosen=tuple(chosen),
         f_values=tuple(f_values),
         h_values=tuple(h_values),

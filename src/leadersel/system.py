@@ -109,13 +109,15 @@ class SingletonPhase:
     equation.  Both are sums over eigenspaces, so neither depends on the
     basis chosen inside a repeated eigenvalue.  The graph is connected, so
     L has the single zero eigenvalue with eigenvector 1/sqrt(n); only the
-    nonzero spectrum and its weights are kept.
+    nonzero spectrum, its eigenvectors and their weights are kept, and the
+    ones direction enters every f(L) in closed form.
     """
 
     kappa: np.ndarray
     laplacian: np.ndarray    # the L decomposed; contexts ground copies of it
     eigenvalues: np.ndarray  # lam_1 <= ... <= lam_{n-1}
     weights: np.ndarray      # shape (n, n - 1), the columns of W for lam_1 ..
+    vectors: np.ndarray      # shape (n, n - 1), the columns of U for lam_1 ..
 
     @property
     def n(self) -> int:
@@ -251,6 +253,7 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
         laplacian=lap,
         eigenvalues=lam[1:],
         weights=dec.eigenvectors[:, 1:] ** 2,
+        vectors=dec.eigenvectors[:, 1:],
     )
 
 

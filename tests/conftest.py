@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Literal
 
@@ -150,6 +151,76 @@ def cliques(*sizes: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     return build_graph(n, [(min(i, (i + 1) % n), max(i, (i + 1) % n), 1.0) for i in range(n)])
+
+
+def path(n: int) -> Graph:
+    return build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def star(n: int) -> Graph:
+    """Node 0 joined to each of the other n - 1 nodes."""
+    return build_graph(n, [(0, j, 1.0) for j in range(1, n)])
+
+
+def barbell(n: int) -> Graph:
+    """Two complete graphs on n // 2 and n - n // 2 nodes joined by one edge."""
+    half = n // 2
+    return build_graph(n, [*edge_list(cliques(half, n - half)), (half - 1, half, 1.0)])
+
+
+def log_uniform_weights(g: Graph, seed: int) -> Graph:
+    """``g`` with each edge weight 10^x, x uniform in [-6, 6] (PCG64 ``seed``)."""
+    weights = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, len(g.u))
+    return build_graph(g.n, list(zip(g.u.tolist(), g.v.tolist(), weights.tolist())))
+
+
+def _exact_inverse(m: list) -> list:
+    """Gauss-Jordan inverse of a nonsingular matrix of Fractions."""
+    n = len(m)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [x / head for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def exact_normalized(context, leaders) -> Fraction:
+    """Named oracle of rho * H(S): exact rational arithmetic throughout.
+
+    Edge weights, kappa and the trace weights and c of ``GainVector.form``
+    are read as the exact values of their floats; Q_S (and c Q_S - I) are
+    inverted by Gauss-Jordan elimination over ``Fraction``.  Meant for
+    n <= 12 or so.
+    """
+    n, form = context.n, context.gains.form
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for u, v, w in edge_list(context.graph):
+        w = Fraction(w)
+        q[u][v] -= w
+        q[v][u] -= w
+        q[u][u] += w
+        q[v][v] += w
+    for s in leaders:
+        q[s][s] += Fraction(context.kappa.values[s])
+    inv = _exact_inverse(q)
+    total = Fraction(0)
+    if form.tr:
+        total += Fraction(form.tr) * sum(inv[i][i] for i in range(n))
+    if form.sq:
+        total += Fraction(form.sq) * sum(x * x for row in inv for x in row)
+    if form.shift:
+        c = Fraction(form.c)
+        shifted = _exact_inverse([[c * x - int(i == j) for j, x in enumerate(row)]
+                                  for i, row in enumerate(q)])
+        total += Fraction(form.shift) * sum(
+            x * y for row, other in zip(inv, shifted) for x, y in zip(row, other))
+    return total
 
 
 @st.composite

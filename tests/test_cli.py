@@ -205,20 +205,22 @@ def test_select_refuses_disconnected_graph(tmp_path, capsys, name, gains):
         assert "not connected" in err
 
 
-# Known defect, pinned until it is mended (ROADMAP item 1(a), "Open"): on
-# G(1000, 0.5) the order-3 auto gains leave c lambda* - 1 = 7.6e-4, so
-# cond(cQ - I) is about 5e8 and the end-of-greedy check_inverse refuses the
-# result.  The test keeps that refusal an input error (exit 2) rather than a
-# crash or an unchecked answer; when the defect is mended it must expect
-# exit 0.  CI runs the same graph at order 4, where the gains have slack.
-def test_select_order_three_at_n1000_refuses_on_inverse_residual(tmp_path, capsys):
+# On G(1000, 0.5) the order-3 auto gains leave c lambda* - 1 = 7.6e-4, so
+# cond(c Q - I) is about 5e8: the greedy's last value must still match the
+# closed form on the set it chose.  CI runs the same graph at orders 1-4.
+def test_select_order_three_at_n1000_matches_closed_form(tmp_path, capsys):
     path = tmp_path / "g1000.json"
     assert main(["gen", "--n", "1000", "--p", "0.5", "--seed", "1", "--connected",
                  "--output", str(path)]) == 0
-    code = main(["select", str(path), "--order", "3", "--auto-gains", "--k", "5"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "(c Q_S - I)^-1 drifted" in err
+    capsys.readouterr()
+    assert main(["select", str(path), "--order", "3", "--auto-gains", "--k", "5"]) == 0
+    greedy = json.loads(capsys.readouterr().out)["greedy"]
+    assert len(greedy["chosen"]) == 5
+    leaders = ",".join(map(str, greedy["chosen"]))
+    assert main(["coherence", str(path), "--order", "3", "--auto-gains", "--leaders", leaders,
+                 "--method", "closed"]) == 0
+    closed = json.loads(capsys.readouterr().out)["value"]
+    assert greedy["h_values"][-1] == pytest.approx(closed, rel=1e-8)
 
 
 # -- gen ---------------------------------------------------------------------------

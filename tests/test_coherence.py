@@ -28,14 +28,17 @@ from leadersel.system import (
 )
 
 from conftest import (
+    barbell,
     bisection_lambda_mins,
     cliques,
     cycle,
-    edge_list,
     gain_vector,
     graphs,
+    log_uniform_weights,
+    path,
     random_connected_graph,
     set_value,
+    star,
     TraceSetFunction,
 )
 
@@ -440,16 +443,12 @@ def _secular_graphs():
     # Sparse graphs with tiny or vanishing weights on lam_1 (the path's middle
     # node, the star's hub), two cliques on one bridge, and weights over twelve
     # decades, besides the phase graphs and the two smallest cases.
-    g50 = erdos_renyi_connected(50, 0.5, seed=6)[0]
-    rng = np.random.default_rng(6)
-    weights = 10.0 ** rng.uniform(-6, 6, len(g50.u))
-    w50 = build_graph(50, list(zip(g50.u.tolist(), g50.v.tolist(), weights.tolist())))
+    w50 = log_uniform_weights(erdos_renyi_connected(50, 0.5, seed=6)[0], seed=6)
     extra = [
-        ("path199", build_graph(199, [(i, i + 1, 1.0) for i in range(198)]), unit_kappa(199)),
+        ("path199", path(199), unit_kappa(199)),
         ("C150", cycle(150), unit_kappa(150)),
-        ("star100", build_graph(100, [(0, j, 1.0) for j in range(1, 100)]), unit_kappa(100)),
-        ("barbell", build_graph(50, list(edge_list(cliques(25, 25))) + [(24, 25, 1.0)]),
-         unit_kappa(50)),
+        ("star100", star(100), unit_kappa(100)),
+        ("barbell", barbell(50), unit_kappa(50)),
         ("G50w", w50, unit_kappa(50)),
         ("K2", K2, unit_kappa(2)),
         ("single", SINGLE, KappaWeights((2.5,))),
@@ -460,7 +459,8 @@ def _secular_graphs():
 def test_singleton_lambda_mins_match_bisection_oracle():
     for name, graph, kappa in _secular_graphs():
         phase = singleton_phase(graph, kappa)
-        oracle = _BisectionPhase(phase.kappa, phase.laplacian, phase.eigenvalues, phase.weights)
+        oracle = _BisectionPhase(phase.kappa, phase.laplacian, phase.eigenvalues, phase.weights,
+                                 phase.vectors)
         fast = phase.lambda_mins
         gap = np.abs(fast - oracle.lambda_mins)
         assert np.all(gap <= 2.0 * np.spacing(oracle.lambda_mins)), (name, gap.max())

@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,8 @@ import leadersel.stability as stability
 import leadersel.system as system
 from leadersel.coherence import (
     SystemContext,
-    normalized_after_rank_one,
+    WoodburyScorer,
+    normalized_eigenvalue_terms,
     normalized_from_inverses,
 )
 from leadersel.errors import (
@@ -24,21 +24,26 @@ from leadersel.errors import (
 )
 from leadersel.experiments import ExperimentConfig, run_experiment
 from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, unit_kappa
-from leadersel.linalg import sherman_morrison_update, spd_inverse, sym_eigenvalues
+from leadersel.linalg import spd_inverse, sym_eigenvalues
 from leadersel.selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from leadersel.stability import auto_gains, singleton_lambda_mins
 from leadersel.system import grounded_matrix
 
 from conftest import (
+    barbell,
     check_monotone_submodular,
     cliques,
     cycle,
+    exact_normalized,
     gain_vector,
     graphs,
+    log_uniform_weights,
     loop_exhaustive_select,
     naive_greedy,
+    path,
     random_connected_graph,
     set_value,
+    star,
     TraceSetFunction,
 )
 
@@ -168,63 +173,158 @@ def test_incremental_greedy_equals_naive_at_scale(m):
     np.testing.assert_allclose(fast.f_values, slow.f_values, rtol=1e-9)
 
 
+FAMILIES = {
+    "path": path,
+    "ring": cycle,
+    "star": star,
+    "barbell": barbell,
+    "weighted": lambda n: log_uniform_weights(erdos_renyi_connected(n, 0.5, seed=n)[0], seed=n),
+}
+
+
+def eigensolve_value(ctx, leaders):
+    """rho * H(S) from eigvalsh of Q_S, and the closed form's condition number:
+    cond(Q_S), times 1 / (c lambda_min - 1) where that exceeds 1."""
+    q = grounded_matrix(ctx.singleton_phase.laplacian, ctx.kappa, list(leaders))
+    lams = np.linalg.eigvalsh(q)
+    cond = lams[-1] / lams[0]
+    if ctx.gains.form.shift:
+        cond *= max(1.0, 1.0 / (ctx.gains.form.c * lams[0] - 1.0))
+    return float(normalized_eigenvalue_terms(ctx.gains, lams)), cond
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", [7, 16])
+def test_greedy_equals_naive_on_graph_families(family, n):
+    """Same picks, and values within 1e-9 relative plus the naive oracle's own
+    resolution, 1e-14 cond: with weights over twelve decades (cond ~ 1e7)
+    its eigensolves are off by about 1e-16 cond, while the greedy matches
+    exact arithmetic to about 1e-15 (see the exact-oracle test)."""
+    graph = FAMILIES[family](n)
+    for m in (1, 2, 3, 4):
+        ctx = context_for(graph, m)
+        fast = greedy_select(ctx, 6)
+        slow = naive_greedy(ctx, 6)
+        assert fast.chosen == slow.chosen, m
+        assert fast.evaluations == slow.evaluations
+        for size, h_fast, h_slow, f_fast, f_slow in zip(
+            range(1, n + 1), fast.h_values, slow.h_values, fast.f_values, slow.f_values
+        ):
+            _, cond = eigensolve_value(ctx, fast.chosen[:size])
+            tol = (1e-9 + 1e-14 * cond) * h_slow
+            assert abs(h_fast - h_slow) <= tol, (m, size)
+            assert abs(f_fast - f_slow) <= tol * ctx.gains.form.rho, (m, size)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_greedy_values_match_exact_oracle(family):
+    """Every value of a later round is within 1e-12 times the closed form's
+    condition number of exact rational arithmetic."""
+    graph = FAMILIES[family](12)
+    for m in (1, 2, 3, 4):
+        ctx = context_for(graph, m)
+        result = greedy_select(ctx, 4)
+        for size in range(2, len(result.chosen) + 1):
+            exact = exact_normalized(ctx, result.chosen[:size])
+            _, cond = eigensolve_value(ctx, result.chosen[:size])
+            value = result.h_values[size - 1] * ctx.gains.form.rho
+            assert abs(value - exact) <= 1e-12 * max(1.0, cond) * exact, (m, size)
+
+
+ILL_CONDITIONED = {
+    "ring200": lambda: cycle(200),
+    "barbell200": lambda: barbell(200),
+    "G50w": lambda: log_uniform_weights(erdos_renyi_connected(50, 0.5, seed=6)[0], seed=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILL_CONDITIONED))
+def test_greedy_exits_cleanly_on_ill_conditioned_graphs(name):
+    """Order 3 on the ring and weights over twelve decades at every order
+    were refused while the greedy maintained n x n inverses."""
+    graph = ILL_CONDITIONED[name]()
+    for m in (1, 2, 3, 4):
+        ctx = context_for(graph, m)
+        result = greedy_select(ctx, 10)
+        assert len(result.chosen) == 10
+        value, cond = eigensolve_value(ctx, result.chosen)
+        gap = abs(result.h_values[-1] * ctx.gains.form.rho - value)
+        assert gap <= 1e-8 * max(1.0, cond) * value, (m, gap / value, cond)
+
+
+def scorer_after(ctx, leaders):
+    """A ``WoodburyScorer`` holding ``leaders`` and the mask of the other nodes."""
+    scorer = WoodburyScorer(ctx, len(leaders))
+    for v in leaders:
+        scorer.add(v)
+    candidates = np.ones(ctx.n, dtype=bool)
+    candidates[leaders] = False
+    return scorer, candidates
+
+
 @given(graphs(min_nodes=3, max_nodes=8), st.integers(1, 4), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_closed_form_scores_match_explicit_updates(g, m, seed):
-    ctx = context_for(g, m)
+    """Every candidate's score equals rho * H(S + v) from explicit inverses
+    of Q_{S+v} and c Q_{S+v} - I, with kappa drawn from [0.5, 2]."""
     rng = np.random.default_rng(seed)
+    kappa = KappaWeights(tuple(rng.uniform(0.5, 2.0, g.n).tolist()))
+    ctx = SystemContext.auto(g, kappa, m)
     leaders = [int(v) for v in rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)]
-    q = grounded_matrix(ctx.singleton_phase.laplacian, ctx.kappa, leaders)
+    scorer, candidates = scorer_after(ctx, leaders)
+    scores = scorer.scores(candidates)
     c = ctx.gains.form.c
-    inv = spd_inverse(q)
-    shifted = spd_inverse(c * q - np.eye(g.n)) if c is not None else None
-    kappa = ctx.kappa.as_array()
-    candidates = np.ones(g.n, dtype=bool)
-    candidates[leaders] = False
-    scores = normalized_after_rank_one(ctx.gains, inv, shifted, kappa, candidates)
     for v in np.flatnonzero(candidates):
-        trial_shifted = (
-            sherman_morrison_update(shifted, v, c * kappa[v]) if c is not None else None
-        )
-        expected = normalized_from_inverses(
-            ctx.gains, sherman_morrison_update(inv, v, kappa[v]), trial_shifted
-        )
+        q = grounded_matrix(ctx.singleton_phase.laplacian, kappa, leaders + [int(v)])
+        shifted = spd_inverse(c * q - np.eye(g.n)) if c is not None else None
+        expected = normalized_from_inverses(ctx.gains, spd_inverse(q), shifted)
         assert scores[v] == pytest.approx(expected, rel=1e-9)
 
 
 def test_closed_form_scores_guard_denominators():
-    gains = gain_vector(1.0)
-    candidates = np.array([True, True])
-    with pytest.raises(SingularUpdateError):
-        normalized_after_rank_one(gains, -np.eye(2), None, np.ones(2), candidates)
-    # a non-candidate with a bad denominator is never updated, so it passes
-    inv = np.diag([-2.0, 1.0])
-    normalized_after_rank_one(gains, inv, None, np.ones(2), np.array([False, True]))
+    """A candidate whose Sherman-Morrison denominator 1 + kappa_v (Q_S^-1)_vv
+    (or the shifted one) is not positive is refused; a non-candidate's
+    denominator is never used."""
+    graph, _ = erdos_renyi_connected(12, 0.5, seed=5)
+    for m, function in [(1, "A"), (2, "A"), (3, "T"), (4, "T")]:
+        scorer, candidates = scorer_after(context_for(graph, m), [0])
+        scorer.scores(candidates)
+        scorer.diagonals[scorer.index[function], 3] -= 1e3
+        with pytest.raises(SingularUpdateError, match="update denominator"):
+            scorer.scores(candidates)
+        candidates[3] = False
+        scorer.scores(candidates)
 
 
-@pytest.mark.parametrize(
-    "m, drifting, message",
-    [(2, "inverse", "Q_S^-1 drifted"), (3, "inverse", "Q_S^-1 drifted"),
-     (3, "shifted", "(c Q_S - I)^-1 drifted")],
-)
-def test_greedy_refuses_drifted_inverse(monkeypatch, m, drifting, message):
-    """A rank-one update that drifts trips the end-of-greedy residual check.
+@pytest.mark.parametrize("m, function", [(1, "A"), (3, "A"), (3, "T")])
+def test_capacitance_solve_refuses_a_failed_inverse(m, function):
+    # a NaN entry f(L)[4, 0] in a capacitance matrix: its inverse has no residual
+    graph, _ = erdos_renyi_connected(12, 0.5, seed=5)
+    scorer, candidates = scorer_after(context_for(graph, m), [0, 4])
+    scorer.cols[scorer.index[function], 4, 1] = np.nan
+    with pytest.raises(SingularUpdateError, match="capacitance solve residual nan"):
+        scorer.scores(candidates)
 
-    With unit kappa, Q_S^-1 is updated with scale 1 and the shifted
-    inverse with scale c != 1, which tells the two apart.
-    """
+
+@pytest.mark.parametrize("m, function", [
+    (1, "A"), (2, "A"), (3, "A"), (3, "T"), (4, "A"), (4, "T"),
+])
+def test_greedy_refuses_perturbed_leader_column(monkeypatch, m, function):
+    """Cached leader columns of one f(L) off by 1e-6 relative trip the
+    final eigensolve check (its bound is 4.6e-9 relative here).  Columns
+    that move the value less, such as A^3's (0.9e-9), pass it unseen."""
     graph, _ = erdos_renyi_connected(12, 0.5, seed=5)
     ctx = context_for(graph, m)
-    assert ctx.gains.form.c != 1.0
+    j = WoodburyScorer(ctx, 1).index[function]
+    add = WoodburyScorer.add
 
-    def drifting_update(inv, index, scale):
-        updated = sherman_morrison_update(inv, index, scale)
-        if (scale == 1.0) == (drifting == "inverse"):
-            updated = updated + 1e-6
-        return updated
+    def perturbed(scorer, v):
+        add(scorer, v)
+        scorer.cols[j, : scorer.n, scorer.size] *= 1.0 + 1e-6
 
-    monkeypatch.setattr(selection, "sherman_morrison_update", drifting_update)
-    with pytest.raises(SingularUpdateError, match=re.escape(message)):
+    greedy_select(ctx, 3)
+    monkeypatch.setattr(WoodburyScorer, "add", perturbed)
+    with pytest.raises(SingularUpdateError, match="disagrees with the eigensolve"):
         greedy_select(ctx, 3)
 
 
@@ -316,7 +416,8 @@ def test_exhaustive_sweep_memory_is_chunked():
 def test_fig2_solves_each_stack_once_for_every_order(monkeypatch, tmp_path):
     """fig2 at orders 1-4: per trial graph, one eigh of L (the shared
     singleton phase) plus one stacked eigensolve per stack of subsets,
-    however many orders read them."""
+    however many orders read them, plus one eigensolve per order for the
+    check that ends each greedy run of more than one leader."""
     calls = []
 
     def counted(m, vectors=False):
@@ -332,8 +433,9 @@ def test_fig2_solves_each_stack_once_for_every_order(monkeypatch, tmp_path):
     chunk = max(1, selection._STACK_BYTES // (n * n * 8))
     stacks = sum(-(-math.comb(n, size) // chunk) for size in range(2, k_max + 1))
     assert stacks == 3  # C(12, 2) = 66 in one stack, C(12, 3) = 220 in two
-    assert len(calls) == trials * (1 + stacks), calls
-    assert calls.count((n, n)) == trials  # the phase's eigh of L, once per graph
+    orders = len(config.orders)
+    assert len(calls) == trials * (1 + stacks + orders), calls
+    assert calls.count((n, n)) == trials * (1 + orders)  # eigh of L, and each greedy's check
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

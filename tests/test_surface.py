@@ -1,7 +1,9 @@
 """The package's shape: the README sketch runs, and src/ holds only what runs."""
 
 import ast
+import json
 import re
+import sys
 from pathlib import Path
 
 import leadersel
@@ -12,9 +14,28 @@ ROOT = Path(__file__).resolve().parents[1]
 # metrics (BENCHMARK.json) trace them, so they stay in src/ under their names.
 BENCH_BOUND_ORACLES = {
     "stability.singleton_lambda_mins",  # per-node eigensolves vs SingletonPhase.lambda_mins
-    "coherence.normalized_from_inverses",  # vs normalized_after_rank_one, the greedy's scoring
+    "coherence.normalized_from_inverses",  # explicit inverses of Q_{S+v} vs WoodburyScorer
     "coherence.SystemContext.normalized_coherence",  # per-subset vs greedy and exhaustive sweep
+    "linalg.spd_inverse",  # the inverses normalized_from_inverses scores in the tests
+    "linalg.sherman_morrison_update",  # one rank-one update, vs WoodburyScorer's bordering
 }
+
+
+def test_every_bench_per_layer_metric_resolves():
+    """Each per-layer key of BENCHMARK.json names something the tracer finds:
+    a renamed or deleted function would read null in every traced run."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    tracer = Tracer()
+    names = [entry["name"] for entry in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert len(names) > 40
+    missing = [name for name in names
+               if name != "trace.overhead_s" and tracer.value({}, name) is None]
+    assert missing == []
 
 
 def test_readme_library_sketch_runs(capsys):
