@@ -126,8 +126,8 @@ class WoodburyScorer:
     entries f(L)[i, j], i, j in {u} + S + {v}.  Adding v borders C (and C'
     alike): C_{S+v} = [C 0; 0 0] + z_v z_v^T / gamma_v, z_v = [C V^T A e_v; -1],
     gamma_v = (1 + kappa_v (Q_S^-1)_vv) / kappa_v, so every candidate is
-    scored at once in O(n |S|^2).
-    A denominator gamma_v kappa_v or gamma'_v c kappa_v at or below
+    scored at once in O(n |S|^2) (the cross term uses X = V^T A T V).  A denominator
+    gamma_v kappa_v or gamma'_v c kappa_v at or below
     ``rank_one_denominator_min``, or a capacitance solve that misses its
     residual bound, raises SingularUpdateError.  Needs |S| >= 1.
     """
@@ -185,12 +185,14 @@ class WoodburyScorer:
             raise SingularUpdateError("capacitance matrix is singular") from exc
         residual = np.linalg.norm(g @ cap - np.eye(m))
         if not residual <= TOLERANCES.woodbury_rtol * np.linalg.norm(g) * np.linalg.norm(cap):
-            raise SingularUpdateError(f"capacitance solve residual {residual:.3e} exceeds its bound")
+            raise SingularUpdateError(
+                f"capacitance solve residual {residual:.3e} exceeds its bound")
         x = fv @ cap
         gamma = 1.0 / kappa + self.diagonals[j] - _rowdot(x, fv)
         denom = kappa * gamma
         if (low := candidates & ~(denom > TOLERANCES.rank_one_denominator_min)).any():
-            raise SingularUpdateError(f"update denominator {denom[low].min()} at or below tolerance")
+            raise SingularUpdateError(
+                f"update denominator {denom[low].min()} at or below tolerance")
         return cap, x, gamma
 
     def _linear(self, name: str, border) -> np.ndarray:
@@ -221,10 +223,11 @@ class WoodburyScorer:
         if form.sq:  # ||Q^-1||^2 = tr A^2 - 2 tr(C V^T A^3 V) + tr((C V^T A^2 V)^2)
             second = traces["A2"] - 2.0 * self._linear("A3", a) + self._bilinear("A2", a, a)
             total = total + form.sq * second
-        if form.shift:  # <Q^-1, (cQ - I)^-1> = tr AT - tr(C V^T A^2 T V)
-            t = self._border("T", form.c * self.kappa, candidates)  # - tr(C' V^T A T^2 V)
+        if form.shift:
+            # <Q^-1, (cQ - I)^-1> = tr AT - tr(C V^T A^2 T V) - tr(C' V^T A T^2 V) + tr(C X C' X)
+            t = self._border("T", form.c * self.kappa, candidates)
             cross = traces["AT"] - self._linear("A2T", a) - self._linear("AT2", t)
-            total = total + form.shift * (cross + self._bilinear("AT", a, t))  # + tr(C X C' X)
+            total = total + form.shift * (cross + self._bilinear("AT", a, t))
         return total
 
 
