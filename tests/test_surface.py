@@ -16,8 +16,8 @@ BENCH_BOUND_ORACLES = {
     "stability.singleton_lambda_mins",  # per-node eigensolves vs SingletonPhase.lambda_mins
     "coherence.normalized_from_inverses",  # explicit inverses of Q_{S+v} vs WoodburyScorer
     "coherence.SystemContext.normalized_coherence",  # per-subset vs greedy and exhaustive sweep
-    "linalg.spd_inverse",  # the inverses normalized_from_inverses scores in the tests
-    "linalg.sherman_morrison_update",  # one rank-one update, vs WoodburyScorer's bordering
+    "linalg.spd_inverse",  # explicit inverses, the tests' reference for WoodburyScorer
+    "linalg.sherman_morrison_update",  # the greedy's former rank-one step; test_linalg only
 }
 
 
