@@ -13,6 +13,11 @@ grounded matrix then confirms the final value, or the run is refused.
 A naive greedy that rescores every candidate from scratch is the tests'
 named oracle of this path.
 
+Every pick, greedy or exhaustive, goes through ``_improve``: only a drop
+in rho * H beyond ``greedy_improvement`` times the incumbent's value
+replaces it, so the picks do not depend on the units of the weights.
+A greedy round's incumbent is the current set, and keeping it ends the run.
+
 Exhaustive search is the independent, eigenvalue-based oracle the greedy
 is certified against, so it uses no rank-one scoring.  One sweep over
 a graph's subsets, smallest size first, yields the optimum at every
@@ -59,13 +64,14 @@ class BoundCertificate:
     coherence_bound: float
 
 
-def _tie_eps(scale: float) -> float:
-    """Improvement below this threshold counts as a tie (goes to smaller ids).
+def _tie_eps(value: float) -> float:
+    """A drop in rho * H below this counts as a tie (goes to the earlier item).
 
-    Scaled so that mathematically equal candidates, which differ by a few
-    ulps between factorizations, never flip the deterministic pick.
+    Relative to the value, so the picks do not depend on the units of the
+    weights, and wide enough that mathematically equal candidates, which
+    differ by a few ulps between factorizations, never flip the pick.
     """
-    return TOLERANCES.greedy_improvement * max(1.0, abs(scale))
+    return TOLERANCES.greedy_improvement * abs(value)
 
 
 def _improve(items, norms, incumbent: tuple | None = None) -> tuple:
@@ -96,48 +102,36 @@ def _require_confirmed(context: SystemContext, leaders: list[int], norm: float) 
 def greedy_select(context: SystemContext, k: int) -> SelectionResult:
     """Greedy leader choice; ties go to the smallest node id.
 
-    Stops early once no candidate improves f by more than
-    ``greedy_improvement``.  A budget of 1 returns after the singleton
-    round; a longer run ends with one eigensolve that confirms the
-    final value.
+    Each round picks through ``_improve`` against rho * H(S) of the current
+    set, so the run stops early once no candidate lowers it beyond
+    ``_tie_eps``.  More than one pick ends with one confirming eigensolve.
     """
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
-    n = context.n
-    rho = context.gains.form.rho
-    offset = context.offset
-
-    evaluations = n
-    singleton = context.singleton_normalized
-    best_v, norm = _improve(range(n), singleton)
-    chosen = [best_v]
-    f_values = [float(offset - norm)]
-    h_values = [float(norm / rho)]
-
+    n, rho = context.n, context.gains.form.rho
     budget = min(k, n)
-    if budget > 1:  # later rounds are scored from the singleton phase
-        scorer = WoodburyScorer(context, budget - 1)
-        candidates = np.ones(n, dtype=bool)
-        candidates[best_v] = False
-        while len(chosen) < budget:
+    candidates = np.ones(n, dtype=bool)
+    scores, incumbent, scorer = np.asarray(context.singleton_normalized), None, None
+    chosen, f_values, h_values = [], [], []
+    evaluations = 0
+    while len(chosen) < budget:
+        if chosen:  # later rounds are scored from the singleton phase
+            if scorer is None:
+                scorer = WoodburyScorer(context, budget - 1)
             scorer.add(chosen[-1])
             scores = scorer.scores(candidates)
-            nodes = np.flatnonzero(candidates)
-            evaluations += len(nodes)
-            bar = None  # a pick must beat the incumbent's f by more than _tie_eps
-            for v, f_v in zip(nodes.tolist(), (offset - scores[nodes]).tolist()):
-                if bar is None or f_v > bar:
-                    best, bar = (f_v, v), f_v + _tie_eps(f_v)
-            f_v, v = best
-            if f_v - f_values[-1] <= TOLERANCES.greedy_improvement:
-                break
-            candidates[v] = False
-            chosen.append(v)
-            norm = float(scores[v])
-            f_values.append(float(f_v))
-            h_values.append(float(norm / rho))
-        if len(chosen) > 1:
-            _require_confirmed(context, chosen, norm)
+            incumbent = (None, norm)
+        nodes = np.flatnonzero(candidates)
+        evaluations += len(nodes)
+        v, norm = _improve(nodes.tolist(), scores[nodes].tolist(), incumbent)
+        if v is None:
+            break
+        candidates[v] = False
+        chosen.append(v)
+        f_values.append(float(context.offset - norm))
+        h_values.append(float(norm / rho))
+    if len(chosen) > 1:
+        _require_confirmed(context, chosen, norm)
     return SelectionResult(
         order=context.m,
         chosen=tuple(chosen),
@@ -242,7 +236,8 @@ def certify_bound(
         context.offset / (rho * math.e) + (1.0 - 1.0 / math.e) * optimal.h_values[-1]
     )
     coherence_greedy = float(greedy.h_values[-1])
-    holds = bool(ratio <= bound + 1e-12 and coherence_greedy <= coherence_bound * (1 + 1e-12))
+    slack = TOLERANCES.greedy_improvement
+    holds = bool(ratio <= bound + slack and coherence_greedy <= coherence_bound * (1 + slack))
     return BoundCertificate(
         f_star=f_star,
         f_greedy=f_greedy,

@@ -25,8 +25,8 @@ from leadersel.graphs import (
     laplacian,
     six_node_example,
 )
-from leadersel.linalg import TOLERANCES, sym_eigenvalues
-from leadersel.selection import SelectionResult, _tie_eps
+from leadersel.linalg import sym_eigenvalues
+from leadersel.selection import SelectionResult, _improve
 from leadersel.simulate import noise_stream
 from leadersel.stability import companion_state_matrix
 from leadersel.system import GainVector, grounded_matrix
@@ -242,33 +242,26 @@ def naive_greedy(context, k: int) -> SelectionResult:
 
     Round 1 reads the context's singleton values, as the greedy does; later
     rounds score S + v with one eigensolve of its grounded matrix each.
-    Same tie rule, same early stop, same ``evaluations`` count.
+    Picks through ``selection._improve`` against the same incumbent, the
+    current set's value, so the tie rule, the early stop and the
+    ``evaluations`` count are the greedy's.
     """
     n, rho = context.n, context.gains.form.rho
-    singleton = context.singleton_normalized
-    best_v = 0
-    for v in range(1, n):
-        if singleton[v] < singleton[best_v] - _tie_eps(singleton[best_v]):
-            best_v = v
-    chosen = [best_v]
-    f_values = [float(context.offset - singleton[best_v])]
-    h_values = [float(singleton[best_v] / rho)]
-    evaluations = n
+    chosen, f_values, h_values = [], [], []
+    incumbent, evaluations = None, 0
     while len(chosen) < min(k, n):
-        best = None  # (f, v, norm)
-        for v in range(n):
-            if v in chosen:
-                continue
-            norm = context.normalized_coherence(chosen + [v])
-            evaluations += 1
-            f_v = context.offset - norm
-            if best is None or f_v > best[0] + _tie_eps(best[0]):
-                best = (f_v, v, norm)
-        f_v, v, norm = best
-        if f_v - f_values[-1] <= TOLERANCES.greedy_improvement:
+        nodes = [v for v in range(n) if v not in chosen]
+        if chosen:
+            incumbent = (None, norm)
+            norms = [context.normalized_coherence(chosen + [v]) for v in nodes]
+        else:
+            norms = [context.singleton_normalized[v] for v in nodes]
+        evaluations += len(nodes)
+        v, norm = _improve(nodes, norms, incumbent)
+        if v is None:
             break
         chosen.append(v)
-        f_values.append(float(f_v))
+        f_values.append(float(context.offset - norm))
         h_values.append(float(norm / rho))
     return SelectionResult(
         order=context.m,
@@ -297,12 +290,12 @@ def loop_exhaustive_select(context, k: int) -> SelectionResult:
     """Named oracle for ``exhaustive_sweep``: one eigensolve per subset.
 
     Same enumeration (smallest size first, lexicographic within a size),
-    same strict-improvement tie rule, same ``evaluations`` count; size 1
-    reads the context's singleton values.
+    same pick rule (``selection._improve``, one subset at a time against
+    the running incumbent), same ``evaluations`` count; size 1 reads the
+    context's singleton values.
     """
     singleton = context.singleton_normalized
-    best_norm = None
-    best_subset = None
+    best = None
     evaluations = 0
     for size in range(1, min(k, context.n) + 1):
         for subset in itertools.combinations(range(context.n), size):
@@ -313,9 +306,8 @@ def loop_exhaustive_select(context, k: int) -> SelectionResult:
                 lams = sym_eigenvalues(q).eigenvalues
                 norm = loop_normalized(context.gains, lams)
             evaluations += 1
-            if best_norm is None or norm < best_norm - _tie_eps(best_norm):
-                best_norm = norm
-                best_subset = subset
+            best = _improve([subset], [norm], best)
+    best_subset, best_norm = best
     return SelectionResult(
         order=context.m,
         chosen=best_subset,

@@ -14,7 +14,7 @@ import leadersel.selection as selection
 from leadersel.cli import main
 from leadersel.coherence import SystemContext, coherence_closed
 from leadersel.experiments import ExperimentConfig
-from leadersel.graphs import build_graph, unit_kappa, write_graph
+from leadersel.graphs import KappaWeights, build_graph, unit_kappa, write_graph
 from leadersel.selection import exhaustive_select, greedy_select
 from leadersel.stability import check_stability
 from leadersel.system import GroundedSystem
@@ -114,6 +114,40 @@ def test_coherence_unstable_exit_three(k2_file):
     proc = run_cli("coherence", str(k2_file), "--order", "3", "--gains", "1,1,1",
                    "--leaders", "0")
     assert proc.returncode == 3
+
+
+# Known defects, pinned as they stand: the stability checks compare slacks
+# and real parts in the units of the gains and weights against absolute
+# tolerances (stability_slack, coherence_margin, spectral_margin), so a
+# Hurwitz-stable system flips its verdict in other units.  A scale-free
+# check should turn each of these around.
+
+def test_known_defect_stability_calls_a_tiny_gain_unstable(k2_file, capsys):
+    """a1 = 1e-13 is Hurwitz-stable; its slack sits below stability_slack."""
+    assert main(["stability", str(k2_file), "--order", "1", "--gains", "1e-13",
+                 "--leaders", "0"]) == 3
+    assert json.loads(capsys.readouterr().out)["stable"] is False
+
+
+def test_known_defect_coherence_refuses_a_small_gain(k2_file, capsys):
+    """a1 = 1e-10 passes the stability check but not coherence_margin."""
+    assert main(["coherence", str(k2_file), "--order", "1", "--gains", "1e-10",
+                 "--leaders", "0"]) == 3
+    assert capsys.readouterr().err.startswith("unstable system: ")
+
+
+def test_known_defect_spectral_oracle_calls_small_weights_unstable(tmp_path, capsys):
+    """K2 with weights and kappa times 2^-30: max Re is -lambda_min(Q_{0}),
+    about -3.6e-10, inside the oracle's absolute margin of 1e-9."""
+    s = 2.0**-30
+    path = tmp_path / "k2.json"
+    write_graph(build_graph(2, [(0, 1, s)]), KappaWeights((s, s)), path, label_base=0)
+    assert main(["stability", str(path), "--order", "1", "--gains", "1", "--leaders", "0",
+                 "--oracle"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stable"] is True and payload["oracle"]["stable"] is False
+    lam = (3.0 - 5.0**0.5) / 2.0 * s
+    assert payload["oracle"]["max_real_part"] == pytest.approx(-lam, rel=1e-9)
 
 
 def test_coherence_has_no_simulate_method(k2_file):

@@ -34,6 +34,7 @@ from conftest import (
     check_monotone_submodular,
     cliques,
     cycle,
+    edge_list,
     exact_normalized,
     gain_vector,
     graphs,
@@ -468,6 +469,42 @@ def test_exhaustive_prefers_smaller_subsets_on_budget():
     ctx = context_for(K2, 2, gains=gain_vector(1, 1))
     result = exhaustive_select(ctx, 2)
     assert result.chosen == (0, 1)  # two leaders strictly beat one here
+
+
+def scaled_gains(gains, s):
+    """Gains for weights and kappa times s: c * lambda is kept and no gain
+    shrinks, so the system is the same one in other units.  Order 3 takes
+    a1 * s or a3 / s, order 4 a1 * s, a2 * s or a1 / s, a3 / s."""
+    a = list(gains)
+    up, down = {3: ((0,), (2,)), 4: ((0, 1), (0, 2))}.get(len(a), ((), ()))
+    for j in up if s > 1 else down:
+        a[j] *= max(s, 1 / s)
+    return gain_vector(*a)
+
+
+@pytest.mark.parametrize("e", [-40, -20, 20, 40])
+def test_picks_do_not_depend_on_the_units_of_the_weights(e):
+    """Scaling weights and kappa by 2^e keeps every greedy (k = 6) and
+    exhaustive (k = 3) pick; at orders 1-2, h * s^m is bit for bit the same."""
+    s = 2.0**e
+    for seed in range(4):
+        graph = random_connected_graph(np.random.default_rng(seed), 12)
+        gains = [auto_gains(graph, unit_kappa(12), m) for m in (1, 2, 3, 4)]
+        runs = []
+        for weights in (1.0, s):
+            scaled = build_graph(12, [(u, v, w * weights) for u, v, w in edge_list(graph)])
+            kappa = KappaWeights((weights,) * 12)
+            contexts = [SystemContext(graph=scaled, kappa=kappa, gains=scaled_gains(g, weights))
+                        for g in gains]
+            runs.append(([greedy_select(ctx, 6) for ctx in contexts],
+                         exhaustive_sweep(contexts, 3)))
+        (greedy, sweeps), (greedy_s, sweeps_s) = runs
+        for m, g, g_s, sweep, sweep_s in zip((1, 2, 3, 4), greedy, greedy_s, sweeps, sweeps_s):
+            assert g_s.chosen == g.chosen, (seed, m)
+            assert [r.chosen for r in sweep_s] == [r.chosen for r in sweep], (seed, m)
+            if m <= 2:
+                for r, r_s in zip((g, *sweep), (g_s, *sweep_s)):
+                    assert [h * s**m for h in r_s.h_values] == list(r.h_values), (seed, m)
 
 
 # -- the greedy guarantee ---------------------------------------------------------------
