@@ -5,9 +5,9 @@ Results print as JSON (or flattened CSV with --format csv) on stdout.
 
 Exit codes: 0 success (also when the reader closes stdout early), 1 usage
 error, 2 input/config error (or the Lyapunov oracle cannot meet its
-residual bound), 3 the system under test is unstable.  Node
-ids on the command line and in outputs are in the graph file's label
-space (``label_base``, default 1).
+residual bound, or the input does not fit in memory), 3 the system
+under test is unstable.  Node ids on the command line and in outputs
+are in the graph file's label space (``label_base``, default 1).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .stability import (
     companion_state_matrix,
     spectral_stability_oracle,
 )
-from .system import GainVector, GroundedSystem, LeaderSet
+from .system import GainVector, GroundedSystem, LeaderSet, singleton_phase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,7 +171,7 @@ def _parse_leaders(gf: GraphFile, raw: str | None) -> LeaderSet:
 
 def _parse_gains(args, gf: GraphFile) -> GainVector:
     if args.auto_gains:
-        return auto_gains(gf.graph, gf.kappa, args.order)
+        return auto_gains(singleton_phase(gf.graph, gf.kappa), args.order)
     if args.gains is None:
         raise UsageError("provide --gains or --auto-gains")
     try:
@@ -257,7 +257,8 @@ def _cmd_select(args) -> int:
     if args.auto_gains:
         context = SystemContext.auto(gf.graph, gf.kappa, args.order)
     else:
-        context = SystemContext(graph=gf.graph, kappa=gf.kappa, gains=_parse_gains(args, gf))
+        gains = _parse_gains(args, gf)  # usage errors come before the eigendecomposition
+        context = SystemContext(singleton_phase(gf.graph, gf.kappa), gains)
     payload: dict = {"order": args.order, "gains": list(context.gains.values)}
 
     def labelled(result) -> dict:
@@ -351,6 +352,9 @@ def main(argv=None) -> int:
         return EXIT_UNSTABLE
     except LyapunovAccuracyError as exc:
         print(f"oracle accuracy limit: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OSError, ValueError, LeaderSelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

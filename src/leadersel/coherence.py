@@ -32,14 +32,14 @@ so f is nonnegative, nondecreasing, and submodular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
 from .errors import EmptyLeaderSetError, SingularUpdateError, UnstableSystemError
-from .graphs import Graph, KappaWeights, LeaderSet
+from .graphs import Graph, KappaWeights, LeaderSet, laplacian
 from .linalg import TOLERANCES, lyapunov_solve, sym_eigenvalues
 from .stability import (
     auto_gains,
@@ -133,7 +133,7 @@ class WoodburyScorer:
     """
 
     def __init__(self, context: "SystemContext", capacity: int):
-        form, phase = context.gains.form, context.singleton_phase
+        form, phase = context.gains.form, context.phase
         n, sigma = phase.n, phase.eigenvalues.mean()
         shifted = np.concatenate(([sigma], phase.eigenvalues))  # L + sigma u u^T
         a = 1.0 / shifted
@@ -152,7 +152,7 @@ class WoodburyScorer:
         self.index = {name: j for j, name in enumerate(spectra)}
         self.spectra = np.column_stack(list(spectra.values()))  # row 0: on u
         self.traces = dict(zip(spectra, self.spectra.sum(axis=0)))
-        self.diagonals = (phase.weights @ self.spectra[1:] + self.spectra[0] / n).T
+        self.diagonals = (phase.diagonals(self.spectra[1:]) + self.spectra[0] / n).T
         # cols[f, i, j] = f[i, j], i over the nodes then u, j over u then the leaders
         self.cols = np.empty((len(spectra), n + 1, capacity + 1))
         self.cols[:, :, 0] = self.cols[:, n, :] = self.spectra[0][:, None] / math.sqrt(n)
@@ -269,28 +269,30 @@ def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
 
 @dataclass(frozen=True)
 class SystemContext:
-    """Fixed (graph, kappa, gains) with cached selection machinery.
+    """Fixed gains on one singleton phase, with cached selection machinery.
 
-    Caches the singleton phase (one eigendecomposition of L), the
-    single-leader normalized coherences and the surrogate offset constant
+    The phase (one eigendecomposition of L) fixes the graph and kappa;
+    contexts for several orders may share it.  Caches the single-leader
+    normalized coherences and the surrogate offset constant
     C = 2 * max over single leaders, which both selection searches reuse.
-    ``phase`` takes ``singleton_phase(graph, kappa)`` when the
-    caller already holds it (see ``auto``); otherwise it is computed on
-    first use.
     """
 
-    graph: Graph
-    kappa: KappaWeights
+    phase: SingletonPhase
     gains: GainVector
-    phase: SingletonPhase | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def auto(cls, graph: Graph, kappa: KappaWeights, m: int) -> "SystemContext":
-        """Context with ``auto_gains``; the gain rule and the context share
-        one singleton phase."""
+        """Context with ``auto_gains`` on the graph's singleton phase."""
         phase = singleton_phase(graph, kappa)
-        gains = auto_gains(graph, kappa, m, phase=phase)
-        return cls(graph=graph, kappa=kappa, gains=gains, phase=phase)
+        return cls(phase, auto_gains(phase, m))
+
+    @property
+    def graph(self) -> Graph:
+        return self.phase.graph
+
+    @property
+    def kappa(self) -> KappaWeights:
+        return self.phase.kappa
 
     @property
     def n(self) -> int:
@@ -300,21 +302,6 @@ class SystemContext:
     def m(self) -> int:
         return self.gains.m
 
-    @cached_property
-    def singleton_phase(self) -> SingletonPhase:
-        if self.phase is not None:
-            return self.phase
-        return singleton_phase(self.graph, self.kappa)
-
-    @cached_property
-    def binding_report(self):
-        """Stability report at the worst single-leader eigenvalue.
-
-        Conditions only improve as leaders are added, so a pass here
-        covers every nonempty leader set.
-        """
-        return report_for(self.gains, float(self.singleton_phase.lambda_mins.min()))
-
     def normalized_coherence(self, leaders) -> float:
         """rho * H over the given leader set (a bare trace), from one eigensolve:
         the tests' per-subset oracle of the greedy and the exhaustive sweep."""
@@ -322,7 +309,7 @@ class SystemContext:
             leaders = LeaderSet.of(leaders)
         if not leaders.members:
             raise EmptyLeaderSetError("normalized coherence needs leaders")
-        q = grounded_matrix(self.singleton_phase.laplacian, self.kappa, leaders)
+        q = grounded_matrix(laplacian(self.graph), self.kappa, leaders)
         lams = sym_eigenvalues(q).eigenvalues
         return float(normalized_eigenvalue_terms(self.gains, lams))
 
@@ -343,22 +330,24 @@ class SystemContext:
                                      - beta ((T L^+ T)_vv + 2 (T L^+)_vv + d).
 
         Every diagonal is W f(lam).  ``require_evaluable`` passes the
-        binding report first, so the greedy and the exhaustive
-        searches built on it share the closed forms' margin rule: stable
-        gains give c lam_1 >= c lambda_min(Q_v) > 1 by interlacing, so T
-        exists.  At order 3 a value carries the conditioning
-        1 / (c lambda_min(Q_v) - 1) of the closed form itself.
+        report at the worst single leader first, so the greedy and the
+        exhaustive searches built on it share the closed forms' margin
+        rule: stable gains give c lam_1 >= c lambda_min(Q_v) > 1 by
+        interlacing, so T exists.  At order 3 a value carries the
+        conditioning 1 / (c lambda_min(Q_v) - 1) of the closed form itself.
         """
-        require_evaluable(self.binding_report)
-        phase = self.singleton_phase
-        n, kappa, lam = phase.n, phase.kappa, phase.eigenvalues
+        phase = self.phase
+        # Conditions only improve as leaders are added, so a pass at the
+        # worst single leader covers every nonempty leader set.
+        require_evaluable(report_for(self.gains, float(phase.lambda_mins.min())))
+        n, kappa, lam = phase.n, phase.kappa.as_array(), phase.eigenvalues
         pinv = 1.0 / lam  # the spectrum of L^+
         form = self.gains.form
         columns = [pinv, pinv**2]
         if form.shift:
             t = 1.0 / (form.c * lam - 1.0)  # the spectrum of T off the ones vector
             columns += [t, pinv * t, pinv * t * t]
-        diag = phase.weights @ np.column_stack(columns)  # (f(L))_vv off the ones vector
+        diag = phase.diagonals(np.column_stack(columns))
         d = diag[:, 0] + 1.0 / kappa
         total = 0.0
         if form.tr:

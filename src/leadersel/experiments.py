@@ -32,7 +32,7 @@ from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_
 from .graphs import _integer, _numbers
 from .selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from .stability import auto_gains
-from .system import GainVector, singleton_phase
+from .system import GainVector, SingletonPhase, singleton_phase
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
 
@@ -100,10 +100,10 @@ def derive_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def context_for(config: ExperimentConfig, graph, kappa, m: int, phase) -> SystemContext:
+def context_for(config: ExperimentConfig, phase: SingletonPhase, m: int) -> SystemContext:
     """Context with the configured gain rule for order m on the graph's ``phase``."""
     if config.gain_rule == "auto":
-        gains = auto_gains(graph, kappa, m, phase=phase)
+        gains = auto_gains(phase, m)
     elif isinstance(config.gain_rule, dict):
         try:
             raw = config.gain_rule[str(m)]
@@ -115,7 +115,7 @@ def context_for(config: ExperimentConfig, graph, kappa, m: int, phase) -> System
         gains = GainVector(tuple(values.tolist()))
     else:
         raise SchemaError(f"gain_rule must be 'auto' or a mapping, got {config.gain_rule!r}")
-    return SystemContext(graph=graph, kappa=kappa, gains=gains, phase=phase)
+    return SystemContext(phase, gains)
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
@@ -130,9 +130,8 @@ def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
     for trial in range(config.trials):
         trial_seed = derive_seed(config.seed, trial)
         graph, resamples = erdos_renyi_connected(config.n, config.p, trial_seed)
-        kappa = unit_kappa(config.n)
-        phase = singleton_phase(graph, kappa)
-        contexts = [context_for(config, graph, kappa, m, phase) for m in config.orders]
+        phase = singleton_phase(graph, unit_kappa(config.n))
+        contexts = [context_for(config, phase, m) for m in config.orders]
         gains = {str(m): list(c.gains.values) for m, c in zip(config.orders, contexts)}
         trials_meta.append(
             {"trial": trial, "seed": trial_seed, "resamples": resamples, "gains": gains}
@@ -174,13 +173,12 @@ def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
 
 
 def _run_singleton_table(config: ExperimentConfig, out: Path, gf: GraphFile) -> dict:
-    graph, kappa = gf.graph, gf.kappa
-    phase = singleton_phase(graph, kappa)
+    phase = singleton_phase(gf.graph, gf.kappa)
     rows: list[str] = []
     gains_used: dict[str, list[float]] = {}
     argmin: dict[str, int] = {}
     for m in config.orders:
-        context = context_for(config, graph, kappa, m, phase)
+        context = context_for(config, phase, m)
         gains_used[str(m)] = list(context.gains.values)
         best = exhaustive_select(context, 1)
         rho = context.gains.form.rho

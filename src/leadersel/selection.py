@@ -37,6 +37,7 @@ import numpy as np
 
 from .coherence import SystemContext, WoodburyScorer, normalized_eigenvalue_terms
 from .errors import CombinatorialCapError, SingularUpdateError
+from .graphs import laplacian
 from .linalg import TOLERANCES, sym_eigenvalues
 from .system import grounded_matrix
 
@@ -87,7 +88,7 @@ def _improve(items, norms, incumbent: tuple | None = None) -> tuple:
 def _require_confirmed(context: SystemContext, leaders: list[int], norm: float) -> None:
     """Refuse rho * H(S) = ``norm`` unless an eigensolve of Q_S agrees within
     ``woodbury_rtol`` times the closed form's condition number."""
-    q = grounded_matrix(context.singleton_phase.laplacian, context.kappa, leaders)
+    q = grounded_matrix(laplacian(context.graph), context.kappa, leaders)
     lams = sym_eigenvalues(q).eigenvalues
     exact = float(normalized_eigenvalue_terms(context.gains, lams))
     form = context.gains.form
@@ -189,9 +190,9 @@ def exhaustive_sweep(
         raise CombinatorialCapError(
             f"{total} subsets exceed the cap of {TOLERANCES.subset_cap}"
         )
-    laplacian = first.singleton_phase.laplacian
+    lap = laplacian(first.graph)
     kappa = first.kappa.as_array()
-    chunk = max(1, _STACK_BYTES // laplacian.nbytes)
+    chunk = max(1, _STACK_BYTES // lap.nbytes)
 
     best = [_improve([(v,) for v in range(n)], c.singleton_normalized) for c in contexts]
     evaluations = n
@@ -204,7 +205,7 @@ def exhaustive_sweep(
             b = len(batch)
             part = np.array(batch, dtype=np.intp)
             mats = stack[:b]
-            mats[...] = laplacian
+            mats[...] = lap
             mats[rows[:b], part, part] += kappa[part]
             lams = sym_eigenvalues(mats).eigenvalues
             for i, context in enumerate(contexts):

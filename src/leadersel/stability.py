@@ -26,13 +26,7 @@ import numpy as np
 from .errors import EigenFailureError, UnstableSystemError, UnsupportedOrderError
 from .graphs import Graph, KappaWeights, laplacian
 from .linalg import TOLERANCES, sym_eigenvalues
-from .system import (
-    GainVector,
-    GroundedSystem,
-    SingletonPhase,
-    grounded_matrix,
-    singleton_phase,
-)
+from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix
 
 
 @dataclass(frozen=True)
@@ -209,33 +203,21 @@ def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:
     return out
 
 
-def auto_gains(
-    graph: Graph,
-    kappa: KappaWeights,
-    m: int,
-    phase: SingletonPhase | None = None,
-) -> GainVector:
-    """Pick gains that stabilise every nonempty leader set.
+def auto_gains(phase: SingletonPhase, m: int) -> GainVector:
+    """Pick gains that stabilise every nonempty leader set of ``phase``'s graph.
 
-    Base rule: all gains equal to a = ceil(max over single leaders v of
-    1 / lambda_min(Q_v)), which makes a * lambda_min exceed 1 for every
-    leader set.  When the ceiling lands exactly on the boundary (integer
-    1/lambda_min), a is doubled until the order-3 condition clears the
+    Base rule: all gains equal to a = ceil(1 / lam*), lam* the smallest
+    lambda_min(Q_v) over single leaders v, which makes a * lambda_min exceed
+    1 for every leader set.  When the ceiling lands exactly on the boundary
+    (integer 1/lam*), a is doubled until the order-3 condition clears the
     closed-form margin.  For m = 4 equal gains can never be stable, so
     the recipe is (a, 2a, 2a, 2a) with a doubled until both order-4
     condition slacks exceed 0.5.
-
-    ``phase`` is ``singleton_phase(graph, kappa)`` when the caller already
-    holds it; otherwise it is computed here (and refuses a disconnected
-    graph).
     """
     if not 1 <= m <= 4:
         raise UnsupportedOrderError(f"order {m} outside supported range 1..4")
-    if phase is None:
-        phase = singleton_phase(graph, kappa)
-    lam_mins = phase.lambda_mins.tolist()
-    lam_star = min(lam_mins)
-    a = float(math.ceil(max(1.0 / lm for lm in lam_mins)))
+    lam_star = float(phase.lambda_mins.min())
+    a = float(math.ceil(1.0 / lam_star))
     if m <= 2:
         return GainVector((a,) * m)
     if m == 3:

@@ -109,19 +109,23 @@ class SingletonPhase:
     equation.  Both are sums over eigenspaces, so neither depends on the
     basis chosen inside a repeated eigenvalue.  The graph is connected, so
     L has the single zero eigenvalue with eigenvector 1/sqrt(n); only the
-    nonzero spectrum, its eigenvectors and their weights are kept, and the
-    ones direction enters every f(L) in closed form.
+    nonzero spectrum and its eigenvectors are kept, and the ones direction
+    enters every f(L) in closed form.  W is formed only where it is read.
     """
 
-    kappa: np.ndarray
-    laplacian: np.ndarray    # the L decomposed; contexts ground copies of it
+    graph: Graph
+    kappa: KappaWeights
     eigenvalues: np.ndarray  # lam_1 <= ... <= lam_{n-1}
-    weights: np.ndarray      # shape (n, n - 1), the columns of W for lam_1 ..
     vectors: np.ndarray      # shape (n, n - 1), the columns of U for lam_1 ..
 
     @property
     def n(self) -> int:
-        return len(self.kappa)
+        return self.graph.n
+
+    def diagonals(self, spectra: np.ndarray) -> np.ndarray:
+        """W f(lam) for each column f(lam) of ``spectra``: (f(L))_vv off the
+        ones vector, one row per node v."""
+        return (self.vectors**2) @ spectra
 
     @cached_property
     def lambda_mins(self) -> np.ndarray:
@@ -149,7 +153,7 @@ class SingletonPhase:
         eigenvalue.
         """
         n = self.n
-        kappa, lam, w = self.kappa, self.eigenvalues, self.weights
+        kappa, lam, w = self.kappa.as_array(), self.eigenvalues, self.vectors**2
         lo = np.zeros(n)
         hi = kappa / n
         if n == 1:
@@ -239,8 +243,7 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
         raise GraphError(
             "graph is not connected: no single leader grounds every component"
         )
-    lap = laplacian(graph)
-    dec = sym_eigenvalues(lap, vectors=True)
+    dec = sym_eigenvalues(laplacian(graph), vectors=True)
     lam = dec.eigenvalues
     rtol = TOLERANCES.connectivity_rtol
     if graph.n > 1 and lam[1] <= rtol * lam[-1]:
@@ -248,13 +251,7 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
             f"graph is not connected numerically: lambda_1(L) = {lam[1]:.3g} is "
             f"below {rtol:g} * lambda_max(L) = {lam[-1]:.3g}"
         )
-    return SingletonPhase(
-        kappa=kappa.as_array(),
-        laplacian=lap,
-        eigenvalues=lam[1:],
-        weights=dec.eigenvectors[:, 1:] ** 2,
-        vectors=dec.eigenvectors[:, 1:],
-    )
+    return SingletonPhase(graph, kappa, eigenvalues=lam[1:], vectors=dec.eigenvectors[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,9 @@ def bisection_lambda_mins(phase) -> np.ndarray:
     bracket until it is two adjacent floats, and the upper ends are
     returned.  Same sign test and same stop as the production solver.
     """
-    n = phase.n
+    n, kappa, w = phase.n, phase.kappa.as_array(), phase.vectors**2
     lo = np.zeros(n)
-    hi = phase.kappa / n
+    hi = kappa / n
     if n > 1:
         hi = np.minimum(hi, phase.eigenvalues[0])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -119,8 +119,8 @@ def bisection_lambda_mins(phase) -> np.ndarray:
             mid = 0.5 * (lo + hi)
             if not np.any((lo < mid) & (mid < hi)):
                 return hi
-            poles = (phase.weights / (phase.eigenvalues - mid[:, None])).sum(axis=1)
-            below = 1.0 + phase.kappa * (poles - 1.0 / (n * mid)) < 0.0
+            poles = (w / (phase.eigenvalues - mid[:, None])).sum(axis=1)
+            below = 1.0 + kappa * (poles - 1.0 / (n * mid)) < 0.0
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
 
@@ -302,7 +302,7 @@ def loop_exhaustive_select(context, k: int) -> SelectionResult:
             if size == 1:
                 norm = singleton[subset[0]]
             else:
-                q = grounded_matrix(context.singleton_phase.laplacian, context.kappa, subset)
+                q = grounded_matrix(laplacian(context.graph), context.kappa, subset)
                 lams = sym_eigenvalues(q).eigenvalues
                 norm = loop_normalized(context.gains, lams)
             evaluations += 1

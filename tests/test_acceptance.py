@@ -28,7 +28,7 @@ from leadersel.stability import (
     hurwitz_determinants,
     spectral_stability_oracle,
 )
-from leadersel.system import GainVector, GroundedSystem
+from leadersel.system import GainVector, GroundedSystem, singleton_phase
 
 from conftest import (
     check_monotone_submodular,
@@ -55,8 +55,7 @@ def test_criterion_1_six_node_leader_split():
     gf = six_node_example()
     picks = {}
     for m in (1, 2, 3):
-        gains = auto_gains(gf.graph, gf.kappa, m)
-        ctx = SystemContext(graph=gf.graph, kappa=gf.kappa, gains=gains)
+        ctx = SystemContext.auto(gf.graph, gf.kappa, m)
         picks[m] = gf.to_label(exhaustive_select(ctx, 1).chosen[0])
     assert picks[1] == 2
     assert picks[2] == 4
@@ -76,7 +75,7 @@ def test_criterion_2_closed_forms_match_lyapunov_oracle():
         kappa = unit_kappa(n)
         leaders = [v for v in range(n) if rng.random() < 0.5] or [int(rng.integers(0, n))]
         for m in (2, 3, 4):
-            gains = auto_gains(g, kappa, m)
+            gains = auto_gains(singleton_phase(g, kappa), m)
             system = GroundedSystem.create(g, kappa, leaders, gains)
             closed = coherence_closed(system).value
             oracle = coherence_lyapunov_oracle(system).value
@@ -109,7 +108,7 @@ def test_criterion_4_greedy_bound_desk_scale():
         g, _ = erdos_renyi_connected(12, 0.5, seed=7000 + trial)
         kappa = unit_kappa(12)
         for m in (1, 2, 3, 4):
-            ctx = SystemContext(graph=g, kappa=kappa, gains=auto_gains(g, kappa, m))
+            ctx = SystemContext.auto(g, kappa, m)
             for k in (1, 2, 3):
                 cert = certify_bound(ctx, greedy_select(ctx, k), exhaustive_select(ctx, k))
                 assert cert.holds
@@ -130,13 +129,10 @@ def test_criterion_5_submodularity_suite():
         g = random_connected_graph(rng, n)
         kappa = unit_kappa(n)
         for m in (2, 3, 4):
-            ctx = SystemContext(graph=g, kappa=kappa, gains=auto_gains(g, kappa, m))
+            ctx = SystemContext.auto(g, kappa, m)
             violations = check_monotone_submodular(lambda s: set_value(ctx, s), n)
             assert violations == [], (index, m, violations[:3])
-        lam_floor = min(
-            SystemContext(graph=g, kappa=kappa, gains=gain_vector(1.0))
-            .singleton_phase.lambda_mins
-        )
+        lam_floor = min(singleton_phase(g, kappa).lambda_mins)
         b3 = float(rng.uniform(0.0, 1.5))
         product = TraceSetFunction(
             g, kappa, "product",
@@ -179,7 +175,7 @@ def test_criterion_6_stability_verdicts():
         kappa = unit_kappa(n)
         m = int(rng.integers(2, 5))
         if rng.random() < 0.5:
-            gains = tuple(auto_gains(g, kappa, m).values)
+            gains = tuple(auto_gains(singleton_phase(g, kappa), m).values)
         else:
             gains = tuple(float(x) for x in rng.uniform(-2.0, 4.0, size=m))
             if any(abs(x) < 1e-6 for x in gains):
@@ -216,7 +212,7 @@ def test_criterion_7_ordering_claims():
         n = int(rng.integers(2, 8))
         g = random_connected_graph(rng, n)
         kappa = unit_kappa(n)
-        a = auto_gains(g, kappa, 3).values[0]
+        a = auto_gains(singleton_phase(g, kappa), 3).values[0]
         leaders = [v for v in range(n) if rng.random() < 0.5] or [int(rng.integers(0, n))]
         h1 = coherence_closed(GroundedSystem.create(g, kappa, leaders, gain_vector(a))).value
         h2 = coherence_closed(GroundedSystem.create(g, kappa, leaders, gain_vector(a, a))).value
@@ -231,7 +227,7 @@ def test_criterion_7_ordering_claims():
         g, _ = erdos_renyi_connected(12, 0.5, seed=7700 + trial)
         kappa = unit_kappa(12)
         best = {
-            m: SystemContext(graph=g, kappa=kappa, gains=auto_gains(g, kappa, m))
+            m: SystemContext.auto(g, kappa, m)
             for m in (1, 2, 3)
         }
         for k in (1, 2, 3):
@@ -252,7 +248,7 @@ def test_criterion_8_incremental_greedy_matches_naive():
         kappa = unit_kappa(n)
         m = orders[index % 3]
         k = int(rng.integers(1, 6))
-        ctx = SystemContext(graph=g, kappa=kappa, gains=auto_gains(g, kappa, m))
+        ctx = SystemContext.auto(g, kappa, m)
         fast = greedy_select(ctx, k)
         slow = naive_greedy(ctx, k)
         assert fast.chosen == slow.chosen, (index, n, m, k)

@@ -17,7 +17,7 @@ from leadersel.experiments import ExperimentConfig
 from leadersel.graphs import KappaWeights, build_graph, unit_kappa, write_graph
 from leadersel.selection import exhaustive_select, greedy_select
 from leadersel.stability import check_stability
-from leadersel.system import GroundedSystem
+from leadersel.system import GroundedSystem, singleton_phase
 
 from conftest import cliques, edge_list, gain_vector, set_value
 
@@ -148,6 +148,29 @@ def test_known_defect_spectral_oracle_calls_small_weights_unstable(tmp_path, cap
     assert payload["stable"] is True and payload["oracle"]["stable"] is False
     lam = (3.0 - 5.0**0.5) / 2.0 * s
     assert payload["oracle"]["max_real_part"] == pytest.approx(-lam, rel=1e-9)
+
+
+# Known defect, pinned as it stands (ROADMAP item 3, "Open"): the Woodbury
+# scorer loses accuracy when L has an eigenvalue far below the chosen set's
+# lambda_min(Q_S), a weakly attached node that S already grounds.  On the
+# path 0-2-1 with weights 0.42 and 2.9e-6 the greedy's last value misses the
+# confirming eigensolve at every order, so `select` refuses; a scorer that
+# keeps the weak direction out of A should turn this around.
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_known_defect_weakly_attached_path_is_refused(tmp_path, capsys, m):
+    path = tmp_path / "weak.json"
+    write_graph(build_graph(3, [(0, 2, 0.42), (1, 2, 2.9e-6)]), unit_kappa(3), path,
+                label_base=0)
+    assert main(["select", str(path), "--order", str(m), "--auto-gains", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    match = re.fullmatch(r"input error: greedy value (\S+) of 3 leaders disagrees with the "
+                         r"eigensolve's (\S+) \(condition number \S+\)\n", captured.err)
+    assert match, captured.err
+    if m == 2:
+        assert float(match[1]) == pytest.approx(2.4269, rel=1e-3)
+        assert float(match[2]) == pytest.approx(2.2954, rel=1e-3)
 
 
 def test_coherence_has_no_simulate_method(k2_file):
@@ -628,7 +651,7 @@ def test_closed_form_margin_is_one_gate(tmp_path, capsys):
     system = GroundedSystem.create(graph, kappa, [0], gains)
     assert 0.0 < gains[2] * system.lambda_min - 1.0 < 1e-9
     assert check_stability(system).stable
-    ctx = SystemContext(graph=graph, kappa=kappa, gains=gains)
+    ctx = SystemContext(singleton_phase(graph, kappa), gains)
     messages = set()
     for call in (lambda: coherence_closed(system), lambda: greedy_select(ctx, 1),
                  lambda: exhaustive_select(ctx, 1), lambda: set_value(ctx, [0])):
@@ -678,6 +701,22 @@ def test_input_errors_exit_two(monkeypatch, capsys, error):
     monkeypatch.setitem(cli._HANDLERS, "gen", handler)
     assert main(["gen", "--n", "3", "--p", "0.5"]) == 2
     assert capsys.readouterr().err == "input error: bad input\n"
+
+
+def test_memory_error_exits_two_on_one_line(monkeypatch, capsys, k2_file):
+    """An input too large for memory is an input error, not a traceback."""
+    message = ("Unable to allocate 8.88 PiB for an array with shape (100000000, 100000000) "
+               "and data type float64")
+
+    def reader(path):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "read_graph_file", reader)
+    assert main(["stability", str(k2_file), "--order", "1", "--gains", "1",
+                 "--leaders", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"out of memory: {message}\n"
 
 
 # -- output formats ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import asdict
 from functools import cached_property
 
@@ -57,7 +59,7 @@ def single_system(gains):
 def stable_random_system(seed: int, n: int, m: int):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n)
-    gains = auto_gains(g, unit_kappa(n), m)
+    gains = auto_gains(singleton_phase(g, unit_kappa(n)), m)
     leaders = [v for v in range(n) if rng.random() < 0.4] or [int(rng.integers(0, n))]
     return GroundedSystem.create(g, unit_kappa(n), leaders, gains)
 
@@ -202,7 +204,8 @@ def test_closed_forms_match_oracle_at_selection_scale(n):
     g, _ = erdos_renyi_connected(n, 0.5, 1)
     kappa = unit_kappa(n)
     for m in (2, 3, 4):
-        system = GroundedSystem.create(g, kappa, [0, 1, 2, 3, 4], auto_gains(g, kappa, m))
+        gains = auto_gains(singleton_phase(g, kappa), m)
+        system = GroundedSystem.create(g, kappa, [0, 1, 2, 3, 4], gains)
         closed = coherence_closed(system).value
         assert coherence_lyapunov_oracle(system).value == pytest.approx(closed, rel=1e-6), m
 
@@ -222,7 +225,7 @@ def test_rearranged_matches_direct_random():
 
 
 def test_rearranged_matches_oracle_k2():
-    gains = auto_gains(K2, unit_kappa(2), 4)
+    gains = auto_gains(singleton_phase(K2, unit_kappa(2)), 4)
     system = GroundedSystem.create(K2, unit_kappa(2), [0], gains)
     assert inverse_path_h(system) == pytest.approx(
         coherence_lyapunov_oracle(system).value, rel=1e-6
@@ -232,25 +235,25 @@ def test_rearranged_matches_oracle_k2():
 # -- surrogate set function --------------------------------------------------------
 
 def test_set_function_empty_is_zero():
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gain_vector(1, 1))
+    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gain_vector(1, 1))
     assert set_value(ctx, []) == 0.0
 
 
 def test_set_function_worst_singleton_is_half_offset():
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gain_vector(1, 1))
+    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gain_vector(1, 1))
     worst = max(range(2), key=lambda v: ctx.singleton_normalized[v])
     assert set_value(ctx, [worst]) == pytest.approx(ctx.offset / 2, rel=1e-12)
 
 
 def test_set_function_single_node_numbers():
     # rho*H = 1 for the single-node unit system, so C = 2 and f({0}) = 1
-    ctx = SystemContext(graph=SINGLE, kappa=unit_kappa(1), gains=gain_vector(1, 1))
+    ctx = SystemContext(singleton_phase(SINGLE, unit_kappa(1)), gain_vector(1, 1))
     assert ctx.offset == pytest.approx(2.0, rel=1e-12)
     assert set_value(ctx, [0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_set_function_refuses_unstable_gains():
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gain_vector(1, 1, 1))
+    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gain_vector(1, 1, 1))
     with pytest.raises(UnstableSystemError):
         set_value(ctx, [0])
 
@@ -258,7 +261,7 @@ def test_set_function_refuses_unstable_gains():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_surrogate_consistent_with_coherence(m):
     system = stable_random_system(300 + m, 5, m)
-    ctx = SystemContext(graph=system.graph, kappa=system.kappa, gains=system.gains)
+    ctx = SystemContext(singleton_phase(system.graph, system.kappa), system.gains)
     members = system.leaders.sorted_members
     f = set_value(ctx, members)
     h = coherence_closed(system).value
@@ -270,7 +273,7 @@ def test_surrogate_consistent_with_coherence(m):
 
 def test_product_form_reproduces_second_order():
     gains = gain_vector(1.5, 2.0)
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gains)
+    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gains)
     fn = TraceSetFunction(K2, unit_kappa(2), "product", b1=1.0, b2=1.0, b3=0.0)
     for leaders in ([0], [1], [0, 1]):
         assert fn.value(leaders) == pytest.approx(set_value(ctx, leaders), rel=1e-10)
@@ -278,7 +281,7 @@ def test_product_form_reproduces_second_order():
 
 def test_product_form_reproduces_third_order():
     gains = gain_vector(1, 1, 3)
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gains)
+    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gains)
     a1, a2, a3 = gains.values
     fn = TraceSetFunction(K2, unit_kappa(2), "product", b1=1.0, b2=a2 * a3 / a1, b3=1.0)
     for leaders in ([0], [1], [0, 1]):
@@ -286,8 +289,8 @@ def test_product_form_reproduces_third_order():
 
 
 def test_fourth_order_form_reproduces_fourth_order():
-    gains = auto_gains(K2, unit_kappa(2), 4)
-    ctx = SystemContext(graph=K2, kappa=unit_kappa(2), gains=gains)
+    ctx = SystemContext.auto(K2, unit_kappa(2), 4)
+    gains = ctx.gains
     a1, a2, a3, a4 = gains.values
     fn = TraceSetFunction(
         K2, unit_kappa(2), "fourth_order", b1=a3 * a4 / a2, b2=a1 * a4**2 / a2**2
@@ -340,7 +343,7 @@ def test_generalized_function_checks_preconditions():
 @settings(max_examples=40, deadline=None)
 def test_order_three_exceeds_order_two_for_equal_gains(g, seed):
     rng = np.random.default_rng(seed)
-    gains3 = auto_gains(g, unit_kappa(g.n), 3)
+    gains3 = auto_gains(singleton_phase(g, unit_kappa(g.n)), 3)
     a = gains3.values[0]
     leaders = [v for v in range(g.n) if rng.random() < 0.5] or [0]
     h2 = coherence_closed(
@@ -358,12 +361,13 @@ def test_order_three_exceeds_order_two_for_equal_gains(g, seed):
 @settings(max_examples=40, deadline=None)
 def test_adding_a_leader_reduces_coherence(g, m, seed):
     rng = np.random.default_rng(seed)
-    gains = auto_gains(g, unit_kappa(g.n), m)
+    phase = singleton_phase(g, unit_kappa(g.n))
+    gains = auto_gains(phase, m)
     members = sorted(rng.choice(g.n, size=max(1, g.n // 2), replace=False).tolist())
     outside = [v for v in range(g.n) if v not in members]
     if not outside:
         return
-    ctx = SystemContext(graph=g, kappa=unit_kappa(g.n), gains=gains)
+    ctx = SystemContext(phase, gains)
     before = ctx.normalized_coherence(members) / ctx.gains.form.rho
     after = ctx.normalized_coherence(members + [outside[0]]) / ctx.gains.form.rho
     assert after <= before
@@ -374,7 +378,7 @@ def test_exhaustive_monotonicity_small_graph():
     rng = np.random.default_rng(8)
     g = random_connected_graph(rng, 6)
     for m in (2, 3, 4):
-        ctx = SystemContext(graph=g, kappa=unit_kappa(6), gains=auto_gains(g, unit_kappa(6), m))
+        ctx = SystemContext.auto(g, unit_kappa(6), m)
         values = {}
         for mask in range(1, 1 << 6):
             members = tuple(v for v in range(6) if mask >> v & 1)
@@ -431,6 +435,23 @@ def test_singleton_phase_single_node_is_exact():
     assert singleton_phase(SINGLE, KappaWeights((2.5,))).lambda_mins.tolist() == [2.5]
 
 
+def test_singleton_phase_retains_only_its_eigenvectors():
+    """U (a view of eigh's n x n basis) and lam are all the phase keeps:
+    W = U o U and L are formed where they are read, then dropped."""
+    graph, _ = erdos_renyi_connected(300, 0.5, seed=0)
+    kappa = unit_kappa(300)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        phase = singleton_phase(graph, kappa)
+        phase.lambda_mins
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * 8 * graph.n**2
+
+
 class _BisectionPhase(SingletonPhase):
     """A singleton phase whose lambda_mins come from the bisection oracle."""
 
@@ -459,13 +480,12 @@ def _secular_graphs():
 def test_singleton_lambda_mins_match_bisection_oracle():
     for name, graph, kappa in _secular_graphs():
         phase = singleton_phase(graph, kappa)
-        oracle = _BisectionPhase(phase.kappa, phase.laplacian, phase.eigenvalues, phase.weights,
-                                 phase.vectors)
+        oracle = _BisectionPhase(phase.graph, phase.kappa, phase.eigenvalues, phase.vectors)
         fast = phase.lambda_mins
         gap = np.abs(fast - oracle.lambda_mins)
         assert np.all(gap <= 2.0 * np.spacing(oracle.lambda_mins)), (name, gap.max())
         for m in (1, 2, 3, 4):
-            assert auto_gains(graph, kappa, m, phase) == auto_gains(graph, kappa, m, oracle), (name, m)
+            assert auto_gains(phase, m) == auto_gains(oracle, m), (name, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -474,8 +494,8 @@ def test_singleton_normalized_matches_per_node_oracle(m):
     # 1 / (c lambda_min(Q_v) - 1), so their bound scales with it
     for name, graph, kappa in _phase_graphs():
         ctx = SystemContext.auto(graph, kappa, m)
-        assert ctx.gains == auto_gains(graph, kappa, m)
-        fresh = SystemContext(graph=graph, kappa=kappa, gains=ctx.gains)
+        assert ctx.gains == auto_gains(singleton_phase(graph, kappa), m)
+        fresh = SystemContext(singleton_phase(graph, kappa), ctx.gains)
         lam = np.array(singleton_lambda_mins(graph, kappa))
         scale = np.ones(graph.n)
         if m == 3:

@@ -23,7 +23,7 @@ from leadersel.linalg import (
     sym_eigenvalues,
 )
 from leadersel.stability import auto_gains, companion_state_matrix
-from leadersel.system import GroundedSystem
+from leadersel.system import GroundedSystem, singleton_phase
 
 from conftest import gain_vector, random_connected_graph, state_matrix
 
@@ -288,7 +288,7 @@ def random_companion(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     g = random_connected_graph(rng, n)
     kappa = unit_kappa(n)
     leaders = sorted({int(v) for v in rng.integers(0, n, 2)})
-    system = GroundedSystem.create(g, kappa, leaders, auto_gains(g, kappa, m))
+    system = GroundedSystem.create(g, kappa, leaders, auto_gains(singleton_phase(g, kappa), m))
     a = companion_state_matrix(system.matrix, system.gains.values)
     assert np.max(np.linalg.eigvals(a).real) < 0
     return a

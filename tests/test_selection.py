@@ -23,11 +23,11 @@ from leadersel.errors import (
     UnstableSystemError,
 )
 from leadersel.experiments import ExperimentConfig, run_experiment
-from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, unit_kappa
+from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, laplacian, unit_kappa
 from leadersel.linalg import spd_inverse, sym_eigenvalues
 from leadersel.selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from leadersel.stability import auto_gains, singleton_lambda_mins
-from leadersel.system import grounded_matrix
+from leadersel.system import grounded_matrix, singleton_phase
 
 from conftest import (
     barbell,
@@ -53,10 +53,10 @@ P3 = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
 
 
 def context_for(graph, m, gains=None):
-    kappa = unit_kappa(graph.n)
+    phase = singleton_phase(graph, unit_kappa(graph.n))
     if gains is None:
-        gains = auto_gains(graph, kappa, m)
-    return SystemContext(graph=graph, kappa=kappa, gains=gains)
+        gains = auto_gains(phase, m)
+    return SystemContext(phase, gains)
 
 
 # -- published single-leader picks ------------------------------------------------
@@ -186,7 +186,7 @@ FAMILIES = {
 def eigensolve_value(ctx, leaders):
     """rho * H(S) from eigvalsh of Q_S, and the closed form's condition number:
     cond(Q_S), times 1 / (c lambda_min - 1) where that exceeds 1."""
-    q = grounded_matrix(ctx.singleton_phase.laplacian, ctx.kappa, list(leaders))
+    q = grounded_matrix(laplacian(ctx.graph), ctx.kappa, list(leaders))
     lams = np.linalg.eigvalsh(q)
     cond = lams[-1] / lams[0]
     if ctx.gains.form.shift:
@@ -276,7 +276,7 @@ def test_closed_form_scores_match_explicit_updates(g, m, seed):
     scores = scorer.scores(candidates)
     c = ctx.gains.form.c
     for v in np.flatnonzero(candidates):
-        q = grounded_matrix(ctx.singleton_phase.laplacian, kappa, leaders + [int(v)])
+        q = grounded_matrix(laplacian(ctx.graph), kappa, leaders + [int(v)])
         shifted = spd_inverse(c * q - np.eye(g.n)) if c is not None else None
         expected = normalized_from_inverses(ctx.gains, spd_inverse(q), shifted)
         assert scores[v] == pytest.approx(expected, rel=1e-9)
@@ -390,7 +390,7 @@ def test_exhaustive_sweep_refuses_contexts_on_another_graph():
 
 def test_exhaustive_sweep_refuses_contexts_with_another_kappa():
     gains = gain_vector(1.0)
-    other = SystemContext(graph=P3, kappa=KappaWeights((1.0, 2.0, 1.0)), gains=gains)
+    other = SystemContext(singleton_phase(P3, KappaWeights((1.0, 2.0, 1.0))), gains)
     with pytest.raises(ValueError, match="share one graph and one kappa"):
         exhaustive_sweep([context_for(P3, 1, gains=gains), other], 2)
 
@@ -489,12 +489,12 @@ def test_picks_do_not_depend_on_the_units_of_the_weights(e):
     s = 2.0**e
     for seed in range(4):
         graph = random_connected_graph(np.random.default_rng(seed), 12)
-        gains = [auto_gains(graph, unit_kappa(12), m) for m in (1, 2, 3, 4)]
+        gains = [auto_gains(singleton_phase(graph, unit_kappa(12)), m) for m in (1, 2, 3, 4)]
         runs = []
         for weights in (1.0, s):
             scaled = build_graph(12, [(u, v, w * weights) for u, v, w in edge_list(graph)])
             kappa = KappaWeights((weights,) * 12)
-            contexts = [SystemContext(graph=scaled, kappa=kappa, gains=scaled_gains(g, weights))
+            contexts = [SystemContext(singleton_phase(scaled, kappa), scaled_gains(g, weights))
                         for g in gains]
             runs.append(([greedy_select(ctx, 6) for ctx in contexts],
                          exhaustive_sweep(contexts, 3)))

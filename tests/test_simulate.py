@@ -17,7 +17,7 @@ from leadersel.simulate import (
     write_trajectory_csv,
 )
 from leadersel.stability import auto_gains
-from leadersel.system import GroundedSystem
+from leadersel.system import GroundedSystem, singleton_phase
 
 from conftest import euler_oracle, gain_vector, state_matrix
 
@@ -212,7 +212,7 @@ PATH3 = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
 
 def path3_system(order):
     return GroundedSystem.create(PATH3, unit_kappa(3), [0],
-                                 auto_gains(PATH3, unit_kappa(3), order))
+                                 auto_gains(singleton_phase(PATH3, unit_kappa(3)), order))
 
 
 def assert_matches_oracle(spec, record_stride, **kwargs):
@@ -274,7 +274,8 @@ def test_simulation_memory_is_bounded_in_steps():
     """30 000 steps x 16 runs on a 15-node order-4 system peak below 32 MB
     of traced allocations (a noise array for the whole chunk takes 58 MB)."""
     g, _ = erdos_renyi_connected(15, 0.5, 3)
-    system = GroundedSystem.create(g, unit_kappa(15), [0, 5, 9], auto_gains(g, unit_kappa(15), 4))
+    gains = auto_gains(singleton_phase(g, unit_kappa(15)), 4)
+    system = GroundedSystem.create(g, unit_kappa(15), [0, 5, 9], gains)
     dt = 0.05 / float(np.linalg.norm(state_matrix(system), 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=30000 * dt, burn_in=7500 * dt,
                           seed=1, ensemble=16)

@@ -14,7 +14,7 @@ from leadersel.stability import (
     hurwitz_determinants,
     spectral_stability_oracle,
 )
-from leadersel.system import GainVector, GroundedSystem
+from leadersel.system import GainVector, GroundedSystem, singleton_phase
 
 from conftest import gain_vector, graphs, random_connected_graph, state_matrix
 
@@ -156,7 +156,7 @@ def test_oracle_two_by_two():
 def test_oracle_agrees_with_conditions_on_random_stable_instance():
     rng = np.random.default_rng(3)
     g = random_connected_graph(rng, 5)
-    gains = auto_gains(g, unit_kappa(5), 3)
+    gains = auto_gains(singleton_phase(g, unit_kappa(5)), 3)
     system = GroundedSystem.create(g, unit_kappa(5), [1], gains)
     report = check_stability(system)
     stable, _ = spectral_stability_oracle(state_matrix(system))
@@ -166,7 +166,7 @@ def test_oracle_agrees_with_conditions_on_random_stable_instance():
 def test_third_order_block_decomposition_matches_full_spectrum():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 6)
-    gains = auto_gains(g, unit_kappa(6), 3)
+    gains = auto_gains(singleton_phase(g, unit_kappa(6)), 3)
     system = GroundedSystem.create(g, unit_kappa(6), [0, 3], gains)
     a1, a2, a3 = gains.values
     block_roots = []
@@ -198,7 +198,7 @@ def test_hurwitz_matches_oracle_randomized():
         g = random_connected_graph(rng, n)
         m = int(rng.integers(2, 5))
         if rng.random() < 0.5:
-            gains = tuple(auto_gains(g, unit_kappa(n), m).values)
+            gains = tuple(auto_gains(singleton_phase(g, unit_kappa(n)), m).values)
         else:
             gains = tuple(float(x) for x in rng.uniform(-2, 4, size=m))
             if any(x == 0 for x in gains):
@@ -214,7 +214,7 @@ def test_hurwitz_matches_oracle_randomized():
 @given(graphs(min_nodes=3, max_nodes=6))
 @settings(max_examples=25, deadline=None)
 def test_stability_monotone_in_leaders(g):
-    gains = auto_gains(g, unit_kappa(g.n), 3)
+    gains = auto_gains(singleton_phase(g, unit_kappa(g.n)), 3)
     base = GroundedSystem.create(g, unit_kappa(g.n), [0], gains)
     report = check_stability(base)
     assert report.stable
@@ -226,33 +226,33 @@ def test_stability_monotone_in_leaders(g):
 # -- the gain rule ---------------------------------------------------------------
 
 def test_auto_gains_single_node_low_orders():
-    assert auto_gains(SINGLE, unit_kappa(1), 1).values == (1.0,)
-    assert auto_gains(SINGLE, unit_kappa(1), 2).values == (1.0, 1.0)
+    assert auto_gains(singleton_phase(SINGLE, unit_kappa(1)), 1).values == (1.0,)
+    assert auto_gains(singleton_phase(SINGLE, unit_kappa(1)), 2).values == (1.0, 1.0)
 
 
 def test_auto_gains_single_node_third_order_escalates():
     # ceil(1/lambda) = 1 sits exactly on the boundary, so the rule doubles
-    assert auto_gains(SINGLE, unit_kappa(1), 3).values == (2.0, 2.0, 2.0)
+    assert auto_gains(singleton_phase(SINGLE, unit_kappa(1)), 3).values == (2.0, 2.0, 2.0)
 
 
 def test_auto_gains_single_node_fourth_order():
-    assert auto_gains(SINGLE, unit_kappa(1), 4).values == (2.0, 4.0, 4.0, 4.0)
+    assert auto_gains(singleton_phase(SINGLE, unit_kappa(1)), 4).values == (2.0, 4.0, 4.0, 4.0)
 
 
 def test_auto_gains_k2():
     # max 1/lambda_min over singletons is 2/(3 - sqrt(5)) ~ 2.618
-    assert auto_gains(K2, unit_kappa(2), 3).values == (3.0, 3.0, 3.0)
+    assert auto_gains(singleton_phase(K2, unit_kappa(2)), 3).values == (3.0, 3.0, 3.0)
 
 
 def test_auto_gains_six_node_value(six_node):
-    gains = auto_gains(six_node.graph, six_node.kappa, 3)
+    gains = auto_gains(singleton_phase(six_node.graph, six_node.kappa), 3)
     assert gains.values == (17.0, 17.0, 17.0)
 
 
 @given(graphs(min_nodes=2, max_nodes=6), st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
 def test_auto_gains_stabilise_every_singleton(g, m):
-    gains = auto_gains(g, unit_kappa(g.n), m)
+    gains = auto_gains(singleton_phase(g, unit_kappa(g.n)), m)
     for v in range(g.n):
         system = GroundedSystem.create(g, unit_kappa(g.n), [v], gains)
         assert check_stability(system).stable
