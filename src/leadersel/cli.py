@@ -184,8 +184,9 @@ def _parse_gains(args, gf: GraphFile) -> GainVector:
 
 
 def _emit(payload: dict, fmt: str) -> None:
+    text = json.dumps(payload, indent=2, allow_nan=False)  # NaN or inf: ValueError, exit 2
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(text)
         return
     rows = ["key,value"]
 

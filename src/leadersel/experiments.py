@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if self.experiment == "custom" and not self.graph_file:
             raise SchemaError("custom experiments need a graph_file")
+        if self.experiment != "custom" and self.graph_file is not None:
+            raise SchemaError(f"only custom experiments read graph_file, not {self.experiment}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

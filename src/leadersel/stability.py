@@ -14,6 +14,8 @@ Order-specific conditions (all gains strictly positive, plus):
   m = 4:  (a3*a4/a2) * lam > 1  and  ((a3*a4/a2) - (a1*a4^2/a2^2)) * lam > 1
 
 Systems of order >= 4 with all gains equal are unstable for every graph.
+Each slack is relative to its own inequality and the oracle reads only the
+sign of max Re, so no verdict depends on the units of the gains or weights.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def stability_conditions(gains: GainVector, lam: float) -> list[StabilityConditi
     conditions: list[StabilityCondition] = []
 
     def add(name: str, lhs: float, rhs: float) -> None:
-        slack = lhs - rhs
+        slack = (lhs - rhs) / (abs(rhs) or abs(lhs))  # relative to its own inequality
         conditions.append(
             StabilityCondition(
                 name=name,
@@ -114,7 +116,7 @@ def report_for(gains: GainVector, lambda_min: float) -> StabilityReport:
     conditions = tuple(stability_conditions(gains, lambda_min))
     margin = min(c.slack for c in conditions)
     stable = all(c.satisfied for c in conditions)
-    marginal = (not stable) and margin >= -TOLERANCES.spectral_margin
+    marginal = (not stable) and margin >= -TOLERANCES.coherence_margin
     return StabilityReport(
         stable=stable,
         marginal=marginal,
@@ -129,9 +131,9 @@ def check_stability(system: GroundedSystem) -> StabilityReport:
     """Decide stability via the gain inequalities at lambda_min.
 
     All conditions increase with lam, so the smallest grounded eigenvalue
-    is the binding case; inequalities are strict with a small slack
-    tolerance, and an exactly-boundary system is reported unstable with
-    the ``marginal`` flag set.
+    is the binding case.  Slacks are relative ((lhs - rhs) / |rhs|, or
+    / |lhs| where rhs is 0) and strict by ``stability_slack``; within
+    ``coherence_margin`` of the boundary the report is ``marginal``.
     """
     return report_for(system.gains, system.lambda_min)
 
@@ -175,8 +177,8 @@ def companion_state_matrix(q: np.ndarray, gains) -> np.ndarray:
 def spectral_stability_oracle(a: np.ndarray) -> tuple[bool, float]:
     """Stability via the eigenvalues of the (nonsymmetric) state matrix.
 
-    Returns (stable, max real part); stable iff the spectrum sits
-    strictly left of -spectral_margin.
+    Returns (stable, max real part); stable iff max Re < 0, with no margin:
+    one in A's units misjudges slow systems, one relative to ||A|| stiff ones.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -186,7 +188,7 @@ def spectral_stability_oracle(a: np.ndarray) -> tuple[bool, float]:
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(str(exc)) from exc
     max_real = float(np.max(values.real))
-    return max_real < -TOLERANCES.spectral_margin, max_real
+    return max_real < 0.0, max_real
 
 
 def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:

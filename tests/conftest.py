@@ -41,6 +41,17 @@ def gain_vector(*values: float) -> GainVector:
     return GainVector(tuple(values))
 
 
+def scaled_gains(gains, s):
+    """Gains for weights and kappa times s: c * lambda is kept and no gain
+    shrinks, so the system is the same one in other units.  Order 3 takes
+    a1 * s or a3 / s, order 4 a1 * s, a2 * s or a1 / s, a3 / s."""
+    a = list(gains)
+    up, down = {3: ((0,), (2,)), 4: ((0, 1), (0, 2))}.get(len(a), ((), ()))
+    for j in up if s > 1 else down:
+        a[j] *= max(s, 1 / s)
+    return gain_vector(*a)
+
+
 def state_matrix(system) -> np.ndarray:
     """The nm x nm companion state matrix of a ``GroundedSystem``."""
     return companion_state_matrix(system.matrix, system.gains.values)

@@ -116,38 +116,57 @@ def test_coherence_unstable_exit_three(k2_file):
     assert proc.returncode == 3
 
 
-# Known defects, pinned as they stand: the stability checks compare slacks
-# and real parts in the units of the gains and weights against absolute
-# tolerances (stability_slack, coherence_margin, spectral_margin), so a
-# Hurwitz-stable system flips its verdict in other units.  A scale-free
-# check should turn each of these around.
+# The stability checks are scale-free: each slack is relative to its own
+# inequality, the closed forms' margin reads that dimensionless slack, and
+# the spectral oracle decides on the sign of max Re.  So a Hurwitz-stable
+# system keeps its verdict in any units; these three were refused while the
+# checks compared quantities with units against absolute tolerances.
 
-def test_known_defect_stability_calls_a_tiny_gain_unstable(k2_file, capsys):
-    """a1 = 1e-13 is Hurwitz-stable; its slack sits below stability_slack."""
+def test_stability_calls_a_tiny_gain_stable(k2_file, capsys):
+    """a1 = 1e-13 is Hurwitz-stable; its gain condition reads a slack of 1."""
     assert main(["stability", str(k2_file), "--order", "1", "--gains", "1e-13",
-                 "--leaders", "0"]) == 3
-    assert json.loads(capsys.readouterr().out)["stable"] is False
+                 "--leaders", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stable"] is True and payload["marginal"] is False
+    assert payload["margin"] == 1.0
+    assert [c["slack"] for c in payload["conditions"]] == [1.0]
 
 
-def test_known_defect_coherence_refuses_a_small_gain(k2_file, capsys):
-    """a1 = 1e-10 passes the stability check but not coherence_margin."""
+def test_coherence_accepts_a_small_gain(k2_file, capsys):
+    """a1 = 1e-10: H = tr(Q^-1) / (2 a1), and tr(Q^-1) = 3 on K2 grounded at 0."""
     assert main(["coherence", str(k2_file), "--order", "1", "--gains", "1e-10",
-                 "--leaders", "0"]) == 3
-    assert capsys.readouterr().err.startswith("unstable system: ")
+                 "--leaders", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.5e10, rel=1e-12)
 
 
-def test_known_defect_spectral_oracle_calls_small_weights_unstable(tmp_path, capsys):
+def test_spectral_oracle_calls_small_weights_stable(tmp_path, capsys):
     """K2 with weights and kappa times 2^-30: max Re is -lambda_min(Q_{0}),
-    about -3.6e-10, inside the oracle's absolute margin of 1e-9."""
+    about -3.6e-10, negative, so the oracle agrees with the conditions."""
     s = 2.0**-30
     path = tmp_path / "k2.json"
     write_graph(build_graph(2, [(0, 1, s)]), KappaWeights((s, s)), path, label_base=0)
     assert main(["stability", str(path), "--order", "1", "--gains", "1", "--leaders", "0",
                  "--oracle"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["stable"] is True and payload["oracle"]["stable"] is False
+    assert payload["stable"] is True and payload["oracle"]["stable"] is True
     lam = (3.0 - 5.0**0.5) / 2.0 * s
     assert payload["oracle"]["max_real_part"] == pytest.approx(-lam, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("stability", "--order", "2", "--gains", "1e200,1e200"),  # a Hurwitz determinant is inf
+    ("stability", "--order", "4", "--gains", "1e100,1e100,1e100,1e100"),  # inf - inf
+    ("coherence", "--order", "1", "--gains", "1e-320"),  # H = 1.5 / 1e-320 overflows
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_result_is_refused(k2_file, capsys, argv, fmt):
+    """JSON has no NaN or Infinity: such a payload exits 2 and prints nothing."""
+    command, *rest = argv
+    assert main([command, str(k2_file), *rest, "--leaders", "0", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"input error: Out of range float values are not JSON compliant"
+                        r": (inf|nan)\n", captured.err)
 
 
 # Known defect, pinned as it stands (ROADMAP item 3, "Open"): the Woodbury
@@ -392,6 +411,20 @@ def test_experiment_custom_graph(tmp_path, k2_file):
     assert len(rows) == 3
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["gains"] == {"2": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])
+def test_experiment_graph_file_only_for_custom(tmp_path, capsys, k2_file, experiment):
+    """The canned protocols would ignore graph_file, so naming one is refused."""
+    out = tmp_path / "out"
+    for graph_file in (str(k2_file), str(tmp_path / "missing.json")):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": experiment, "n": 8, "orders": [1],
+                                      "trials": 1, "k_max": 1, "graph_file": graph_file}))
+        assert main(["experiment", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: only custom experiments read graph_file, not {experiment}\n")
+        assert not out.exists()
 
 
 def test_experiment_outputs_are_deterministic(tmp_path):

@@ -92,9 +92,9 @@ def test_two_dimensional_eigensolve_is_unchanged():
     rng = np.random.default_rng(8)
     m = random_symmetric_stack(rng, 1, 12)[0]
     assert np.array_equal(sym_eigenvalues(m).eigenvalues, np.linalg.eigvalsh(m))
-    # the tolerance is relative to the matrix norm, or to 1 below that
+    # the tolerance is relative to the matrix norm at every scale
     for scale in (1e-4, 1e4):
-        limit = TOLERANCES.symmetry_rtol * max(np.linalg.norm(m * scale), 1.0)
+        limit = TOLERANCES.symmetry_rtol * np.linalg.norm(m * scale)
         skew = np.zeros_like(m)
         skew[0, 1] = limit / 2.0
         sym_eigenvalues(m * scale + skew)

@@ -14,6 +14,7 @@ import leadersel.system as system
 from leadersel.coherence import (
     SystemContext,
     WoodburyScorer,
+    coherence_closed,
     normalized_eigenvalue_terms,
     normalized_from_inverses,
 )
@@ -27,7 +28,7 @@ from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, l
 from leadersel.linalg import spd_inverse, sym_eigenvalues
 from leadersel.selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from leadersel.stability import auto_gains, singleton_lambda_mins
-from leadersel.system import grounded_matrix, singleton_phase
+from leadersel.system import GroundedSystem, grounded_matrix, singleton_phase
 
 from conftest import (
     barbell,
@@ -43,6 +44,7 @@ from conftest import (
     naive_greedy,
     path,
     random_connected_graph,
+    scaled_gains,
     set_value,
     star,
     TraceSetFunction,
@@ -230,6 +232,25 @@ def test_greedy_values_match_exact_oracle(family):
             _, cond = eigensolve_value(ctx, result.chosen[:size])
             value = result.h_values[size - 1] * ctx.gains.form.rho
             assert abs(value - exact) <= 1e-12 * max(1.0, cond) * exact, (m, size)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_singleton_and_closed_values_match_exact_oracle(family):
+    """``singleton_normalized`` and ``coherence_closed`` are within 1e-8 times
+    the closed form's condition number of exact rational arithmetic.  The
+    nodes are sampled (one singleton and one pair per order) to keep the
+    oracle's cost down."""
+    graph = FAMILIES[family](12)
+    for m in (1, 2, 3, 4):
+        ctx = context_for(graph, m)
+        v = 3 * (m - 1)
+        pair = (v + 1, (v + 7) % 12)
+        closed = coherence_closed(GroundedSystem.create(graph, ctx.kappa, pair, ctx.gains))
+        for leaders, value in (((v,), ctx.singleton_normalized[v]),
+                               (pair, closed.value * ctx.gains.form.rho)):
+            exact = exact_normalized(ctx, leaders)
+            _, cond = eigensolve_value(ctx, leaders)
+            assert abs(value - exact) <= 1e-8 * max(1.0, cond) * exact, (m, leaders)
 
 
 ILL_CONDITIONED = {
@@ -469,17 +490,6 @@ def test_exhaustive_prefers_smaller_subsets_on_budget():
     ctx = context_for(K2, 2, gains=gain_vector(1, 1))
     result = exhaustive_select(ctx, 2)
     assert result.chosen == (0, 1)  # two leaders strictly beat one here
-
-
-def scaled_gains(gains, s):
-    """Gains for weights and kappa times s: c * lambda is kept and no gain
-    shrinks, so the system is the same one in other units.  Order 3 takes
-    a1 * s or a3 / s, order 4 a1 * s, a2 * s or a1 / s, a3 / s."""
-    a = list(gains)
-    up, down = {3: ((0,), (2,)), 4: ((0, 1), (0, 2))}.get(len(a), ((), ()))
-    for j in up if s > 1 else down:
-        a[j] *= max(s, 1 / s)
-    return gain_vector(*a)
 
 
 @pytest.mark.parametrize("e", [-40, -20, 20, 40])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadersel.errors import EmptyLeaderSetError, UnsupportedOrderError
-from leadersel.graphs import build_graph, unit_kappa
+from leadersel.coherence import coherence_closed
+from leadersel.errors import EmptyLeaderSetError, UnstableSystemError, UnsupportedOrderError
+from leadersel.graphs import KappaWeights, build_graph, unit_kappa
 from leadersel.stability import (
     auto_gains,
     check_stability,
@@ -16,7 +17,14 @@ from leadersel.stability import (
 )
 from leadersel.system import GainVector, GroundedSystem, singleton_phase
 
-from conftest import gain_vector, graphs, random_connected_graph, state_matrix
+from conftest import (
+    edge_list,
+    gain_vector,
+    graphs,
+    random_connected_graph,
+    scaled_gains,
+    state_matrix,
+)
 
 SINGLE = build_graph(1, [])
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -104,6 +112,44 @@ def test_stability_report_serializes():
     assert payload["stable"] is True
     assert len(payload["conditions"]) == 4
     assert len(payload["hurwitz_determinants"]) == 3
+
+
+def verdicts(system):
+    """(stable, marginal, the oracle's verdict, whether the closed forms evaluate)."""
+    report = check_stability(system)
+    oracle, _ = spectral_stability_oracle(state_matrix(system))
+    try:
+        coherence_closed(system)
+    except UnstableSystemError:
+        return report.stable, report.marginal, oracle, False
+    return report.stable, report.marginal, oracle, True
+
+
+@pytest.mark.parametrize("e", [-40, -20, 20, 40])
+def test_verdicts_do_not_depend_on_the_units_of_the_weights(e):
+    """Weights and kappa times 2^e, with gains that keep c * lambda: every
+    stability verdict, marginal flag, oracle verdict and closed-form refusal
+    is the one at 2^0."""
+    s = 2.0**e
+    for seed in range(4):
+        graph = random_connected_graph(np.random.default_rng(seed), 12)
+        scaled = build_graph(12, [(u, v, w * s) for u, v, w in edge_list(graph)])
+        for m in (1, 2, 3, 4):
+            gains = auto_gains(singleton_phase(graph, unit_kappa(12)), m)
+            base = GroundedSystem.create(graph, unit_kappa(12), [0, 1, 2], gains)
+            other = GroundedSystem.create(scaled, KappaWeights((s,) * 12), [0, 1, 2],
+                                          scaled_gains(gains, s))
+            assert verdicts(other) == verdicts(base), (seed, m)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_tiny_gains_stay_stable_and_evaluable(m):
+    """Orders 1-2 are stable for any positive gains, however small."""
+    graph = random_connected_graph(np.random.default_rng(0), 12)
+    gains = auto_gains(singleton_phase(graph, unit_kappa(12)), m)
+    gains = gain_vector(*(a * 2.0**-40 for a in gains.values))
+    system = GroundedSystem.create(graph, unit_kappa(12), [0, 1, 2], gains)
+    assert verdicts(system) == (True, False, True, True)
 
 
 # -- equal-gain instability ----------------------------------------------------
