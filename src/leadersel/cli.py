@@ -13,6 +13,7 @@ are in the graph file's label space (``label_base``, default 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -96,7 +97,14 @@ def _add_system_args(parser: argparse.ArgumentParser, with_leaders: bool = True)
         parser.add_argument("--leaders", help="comma-separated leader labels")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared after.
+
+    ``parse_args`` never changes the parser and returns a fresh namespace,
+    and ``_Parser.error`` and help look up ``sys.stderr``/``sys.stdout``
+    when they print, so one parser serves every ``main`` call in a process.
+    """
     parser = _Parser(prog="leadersel", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -333,6 +341,11 @@ _HANDLERS = {
 }
 
 def main(argv=None) -> int:
+    """Run one command (``argv``, default ``sys.argv[1:]``) and return its exit code.
+
+    It may be called repeatedly in one process: the parser is built once,
+    on the first call, and each call pays only for its own command.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

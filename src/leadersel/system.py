@@ -97,6 +97,9 @@ def grounded_matrix(lap: np.ndarray, kappa: KappaWeights, leaders) -> np.ndarray
 _SECULAR_STEP_RTOL = 2.0**-26
 # Rows still moving after this many steps go straight to bisection.
 _SECULAR_MAX_STEPS = 32
+# Bytes of one row block of W in ``lambda_mins``; each of its few live
+# temporaries is at most this size.  Graphs up to 362 nodes are one block.
+_ROW_BLOCK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,80 +154,99 @@ class SingletonPhase:
         returned, so reruns are byte-identical.  When the weight on lam_1
         vanishes the bracket closes at lam_1, which is then the smallest
         eigenvalue.
+
+        Every step is per row, so the rows are solved in blocks of about
+        ``_ROW_BLOCK_BYTES`` of W, each formed from U where it is solved:
+        memory above the phase stays flat in n, and no result depends on
+        the blocking.
         """
         n = self.n
-        kappa, lam, w = self.kappa.as_array(), self.eigenvalues, self.vectors**2
-        lo = np.zeros(n)
-        hi = kappa / n
+        kappa = self.kappa.as_array()
         if n == 1:
-            return hi
-        lam1 = lam[0]
-        hi = np.minimum(hi, lam1)
+            return kappa / n
+        rows = max(1, _ROW_BLOCK_BYTES // self.vectors[0].nbytes)
+        out = np.empty(n)
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            out[block] = _secular_roots(self.vectors[block] ** 2, self.eigenvalues,
+                                        kappa[block], n)
+        return out
 
-        def evaluate(rows, x, slope=False):
-            # The sign test narrows the brackets of ``rows``; with ``slope`` it
-            # also returns the rest of the poles and its derivative at x.
-            d = lam - x[:, None]
-            q = (w if len(rows) == n else w[rows]) / d
-            poles = q.sum(axis=1)
-            below = 1.0 + kappa[rows] * (poles - 1.0 / (n * x)) < 0.0
-            lo[rows] = np.where(below, x, lo[rows])
-            hi[rows] = np.where(below, hi[rows], x)
-            if slope:
-                return poles, (q / d).sum(axis=1)
-            return below
 
-        def step(rows, y, poles, slope):
-            # The model 1/kappa + c + t/(lam_1 - mu) - 1/(n mu) = 0 times
-            # mu (lam_1 - mu) is a mu^2 - b mu + lam_1/n = 0 with a = 1/kappa + c
-            # and b = a lam_1 + t + 1/n; its smaller root, free of cancellation.
-            gap = lam1 - y
-            t = slope * gap * gap
-            a = 1.0 / kappa[rows] + poles - slope * gap
-            b = a * lam1 + t + 1.0 / n
-            return 2.0 * (lam1 / n) / (b + np.sqrt(b * b - 4.0 * a * lam1 / n))
+def _secular_roots(w: np.ndarray, lam: np.ndarray, kappa: np.ndarray, n: int) -> np.ndarray:
+    """lambda_min(Q_v) for the rows v of one block (``SingletonPhase.lambda_mins``).
 
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # The first step models the poles at y = 0 from two products.
-            rows, y = np.arange(n), np.zeros(n)
-            nxt = step(rows, y, w @ (1.0 / lam), w @ lam**-2.0)
-            estimate = np.full(n, np.nan)
-            for _ in range(_SECULAR_MAX_STEPS):
-                l, h = lo[rows], hi[rows]
-                done = np.abs(nxt - y) <= _SECULAR_STEP_RTOL * y
-                estimate[rows[done]] = np.clip(nxt[done], l[done], h[done])
-                mid = 0.5 * (l + h)
-                y = np.where(np.isfinite(nxt) & (l < nxt) & (nxt < h), nxt, mid)
-                keep = ~done & (l < mid) & (mid < h)
-                rows, y = rows[keep], y[keep]
-                if not rows.size:
-                    break
-                nxt = step(rows, y, *evaluate(rows, y, slope=True))
+    ``w`` holds the block's rows of W, ``kappa`` their weights, and ``n`` is
+    the node count; every step below reads and writes one row on its own.
+    """
+    size, lam1 = len(w), lam[0]
+    lo = np.zeros(size)
+    hi = np.minimum(kappa / n, lam1)
 
-            # Probe from each estimate, 1, 2, 4, ... ulps toward the root, until
-            # the sign flips or the probe leaves the bracket.  An estimate on a
-            # bracket end has its sign already.
-            rows = np.flatnonzero(np.isfinite(estimate))
-            x = estimate[rows]
-            below = x <= lo[rows]
-            inside = (lo[rows] < x) & (x < hi[rows])
-            below[inside] = evaluate(rows[inside], x[inside])
-            direction = np.where(below, 1.0, -1.0)
-            offset = np.spacing(x)
-            while rows.size:
-                p = x + direction * offset
-                keep = (lo[rows] < p) & (p < hi[rows])
-                if keep.any():
-                    keep[keep] = evaluate(rows[keep], p[keep]) == (direction[keep] > 0)
-                rows, x, direction = rows[keep], x[keep], direction[keep]
-                offset = 2.0 * offset[keep]
+    def evaluate(rows, x, slope=False):
+        # The sign test narrows the brackets of ``rows``; with ``slope`` it
+        # also returns the rest of the poles and its derivative at x.
+        d = lam - x[:, None]
+        q = (w if len(rows) == size else w[rows]) / d
+        poles = q.sum(axis=1)
+        below = 1.0 + kappa[rows] * (poles - 1.0 / (n * x)) < 0.0
+        lo[rows] = np.where(below, x, lo[rows])
+        hi[rows] = np.where(below, hi[rows], x)
+        if slope:
+            return poles, (q / d).sum(axis=1)
+        return below
 
-            while True:
-                mid = 0.5 * (lo + hi)
-                rows = np.flatnonzero((lo < mid) & (mid < hi))
-                if not rows.size:
-                    return hi
-                evaluate(rows, mid[rows])
+    def step(rows, y, poles, slope):
+        # The model 1/kappa + c + t/(lam_1 - mu) - 1/(n mu) = 0 times
+        # mu (lam_1 - mu) is a mu^2 - b mu + lam_1/n = 0 with a = 1/kappa + c
+        # and b = a lam_1 + t + 1/n; its smaller root, free of cancellation.
+        gap = lam1 - y
+        t = slope * gap * gap
+        a = 1.0 / kappa[rows] + poles - slope * gap
+        b = a * lam1 + t + 1.0 / n
+        return 2.0 * (lam1 / n) / (b + np.sqrt(b * b - 4.0 * a * lam1 / n))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The first step models the poles at y = 0 from two products.
+        rows, y = np.arange(size), np.zeros(size)
+        nxt = step(rows, y, w @ (1.0 / lam), w @ lam**-2.0)
+        estimate = np.full(size, np.nan)
+        for _ in range(_SECULAR_MAX_STEPS):
+            l, h = lo[rows], hi[rows]
+            done = np.abs(nxt - y) <= _SECULAR_STEP_RTOL * y
+            estimate[rows[done]] = np.clip(nxt[done], l[done], h[done])
+            mid = 0.5 * (l + h)
+            y = np.where(np.isfinite(nxt) & (l < nxt) & (nxt < h), nxt, mid)
+            keep = ~done & (l < mid) & (mid < h)
+            rows, y = rows[keep], y[keep]
+            if not rows.size:
+                break
+            nxt = step(rows, y, *evaluate(rows, y, slope=True))
+
+        # Probe from each estimate, 1, 2, 4, ... ulps toward the root, until
+        # the sign flips or the probe leaves the bracket.  An estimate on a
+        # bracket end has its sign already.
+        rows = np.flatnonzero(np.isfinite(estimate))
+        x = estimate[rows]
+        below = x <= lo[rows]
+        inside = (lo[rows] < x) & (x < hi[rows])
+        below[inside] = evaluate(rows[inside], x[inside])
+        direction = np.where(below, 1.0, -1.0)
+        offset = np.spacing(x)
+        while rows.size:
+            p = x + direction * offset
+            keep = (lo[rows] < p) & (p < hi[rows])
+            if keep.any():
+                keep[keep] = evaluate(rows[keep], p[keep]) == (direction[keep] > 0)
+            rows, x, direction = rows[keep], x[keep], direction[keep]
+            offset = 2.0 * offset[keep]
+
+        while True:
+            mid = 0.5 * (lo + hi)
+            rows = np.flatnonzero((lo < mid) & (mid < hi))
+            if not rows.size:
+                return hi
+            evaluate(rows, mid[rows])
 
 
 def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:

@@ -815,3 +815,39 @@ def test_kept_common_flags_are_read(tmp_path, capsys, k2_file):
     assert main(["experiment", str(config), "--out", str(tmp_path / "exp")]) == 0
     assert json.loads(capsys.readouterr().out)["output_dir"] == str(tmp_path / "exp")
     assert (tmp_path / "exp" / "summary.json").exists()
+
+
+# -- one parser per process ------------------------------------------------------------
+
+def test_shared_parser_answers_each_call_as_a_fresh_one(tmp_path, capsys):
+    """``main`` builds its parser once per process; reusing it changes no
+    call's exit code, stdout or stderr, whatever ran before it."""
+    graph = str(tmp_path / "g.json")
+    system = [graph, "--order", "3", "--auto-gains", "--leaders", "1,4"]
+    calls = [
+        (["gen", "--n", "12", "--p", "0.5", "--seed", "7", "--connected",
+          "--output", graph], 0),
+        (["stability", *system, "--oracle"], 0),
+        (["coherence", *system, "--format", "csv"], 0),
+        (["coherence", *system], 0),
+        (["select", graph, "--order", "2", "--auto-gains", "--k", "3"], 0),
+        (["coherence", *system, "--form", "csv"], 1),
+        (["select", graph, "--order", "2", "--gains", "1,1", "--auto-gains", "--k", "3"], 1),
+        (["simulate", *system, "--total-time", "1", "--burn-in", "0", "--stride", "5"], 1),
+        (["select", "--help"], 0),
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv, _ in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv, _ in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in shared] == [code for _, code in calls]
+    assert shared == fresh

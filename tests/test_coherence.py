@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leadersel.system as system_module
 from leadersel.coherence import (
     SystemContext,
     coherence_closed,
@@ -450,6 +451,30 @@ def test_singleton_phase_retains_only_its_eigenvectors():
     finally:
         tracemalloc.stop()
     assert retained <= 1.1 * 8 * graph.n**2
+
+
+def test_singleton_lambda_mins_memory_is_row_blocked(monkeypatch):
+    """lambda_mins forms W one row block at a time: its peak above the phase
+    stays under 1.5 * 8n^2 bytes once n needs several blocks, and the
+    blocking changes no bit of the result."""
+    n = 800
+    graph, _ = erdos_renyi_connected(n, 0.5, seed=0)
+    kappa = unit_kappa(n)
+    phase = singleton_phase(graph, kappa)
+    assert 8 * (n - 1) * n > 4 * system_module._ROW_BLOCK_BYTES  # several blocks
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        blocked = phase.lambda_mins
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.5 * 8 * n**2
+    for budget in (8 * (n - 1) * n, 3 * 8 * (n - 1)):  # one block; blocks of 3 rows
+        monkeypatch.setattr(system_module, "_ROW_BLOCK_BYTES", budget)
+        again = SingletonPhase(graph, kappa, phase.eigenvalues, phase.vectors).lambda_mins
+        assert again.tobytes() == blocked.tobytes()
 
 
 class _BisectionPhase(SingletonPhase):
