@@ -339,7 +339,7 @@ class SystemContext:
         phase = self.phase
         # Conditions only improve as leaders are added, so a pass at the
         # worst single leader covers every nonempty leader set.
-        require_evaluable(report_for(self.gains, float(phase.lambda_mins.min())))
+        require_evaluable(report_for(self.gains, phase.lambda_star))
         n, kappa, lam = phase.n, phase.kappa.as_array(), phase.eigenvalues
         pinv = 1.0 / lam  # the spectrum of L^+
         form = self.gains.form

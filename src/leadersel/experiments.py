@@ -66,8 +66,10 @@ class ExperimentConfig:
                 raise SchemaError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if self.experiment not in EXPERIMENTS:
             raise SchemaError(f"experiment must be one of {EXPERIMENTS}")
-        if not self.orders or any(m not in (1, 2, 3, 4) for m in self.orders):
-            raise SchemaError("orders must be a nonempty subset of {1, 2, 3, 4}")
+        if (not self.orders or any(m not in (1, 2, 3, 4) for m in self.orders)
+                or len(set(self.orders)) < len(self.orders)):  # a repeat writes its rows twice
+            raise SchemaError(f"orders must be a nonempty subset of {{1, 2, 3, 4}}, "
+                              f"each order once, got {list(self.orders)}")
         if self.trials < 1:
             raise SchemaError("trials must be >= 1")
         if self.k_max < 1:

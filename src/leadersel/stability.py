@@ -54,34 +54,28 @@ class StabilityReport:
 def hurwitz_determinants(gains: GainVector, lam: float) -> tuple[float, ...]:
     """Leading principal minors of the Hurwitz matrix, evaluated at lam.
 
-    Closed polynomial forms per order; all must be positive for the
-    companion block at lam to be Hurwitz.
+    Factored per order, so a minor overflows only where its value does:
+    the last one is a1 * lam times the one before it.  All must be
+    positive for the companion block at lam to be Hurwitz.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     a = gains.values
-    m = gains.m
-    if m == 1:
+    if gains.m == 1:
         return (a[0] * lam,)
-    if m == 2:
-        a1, a2 = a
-        return (a2 * lam, a1 * a2 * lam**2)
-    if m == 3:
+    if gains.m == 2:
+        lower = (a[1] * lam,)
+    elif gains.m == 3:
         a1, a2, a3 = a
-        return (
-            a3 * lam,
-            a2 * a3 * lam**2 - a1 * lam,
-            a1 * a2 * a3 * lam**3 - a1**2 * lam**2,
-        )
-    if m == 4:
+        lower = (a3 * lam, a2 * a3 * lam**2 - a1 * lam)
+    else:
         a1, a2, a3, a4 = a
-        return (
+        lower = (
             a4 * lam,
             a3 * a4 * lam**2 - a2 * lam,
-            a2 * a3 * a4 * lam**3 - a1 * a4**2 * lam**3 - a2**2 * lam**2,
-            a1 * a2 * a3 * a4 * lam**4 - a1**2 * a4**2 * lam**4 - a1 * a2**2 * lam**3,
+            lam**2 * (a2 * a3 * a4 * lam - a1 * a4**2 * lam - a2**2),
         )
-    raise UnsupportedOrderError(f"order {m} not supported")
+    return (*lower, a[0] * lam * lower[-1])
 
 
 def stability_conditions(gains: GainVector, lam: float) -> list[StabilityCondition]:
@@ -194,8 +188,9 @@ def spectral_stability_oracle(a: np.ndarray) -> tuple[bool, float]:
 def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:
     """Smallest grounded eigenvalue for each single-leader choice.
 
-    The per-node oracle for ``SingletonPhase.lambda_mins``, which the gain
-    rule and the selection machinery use: one eigensolve per node.
+    The per-node oracle for ``SingletonPhase.lambda_star``, their least,
+    which the gain rule and the selection machinery use: one eigensolve per
+    node.
     """
     lap = laplacian(graph)
     out = []
@@ -218,7 +213,7 @@ def auto_gains(phase: SingletonPhase, m: int) -> GainVector:
     """
     if not 1 <= m <= 4:
         raise UnsupportedOrderError(f"order {m} outside supported range 1..4")
-    lam_star = float(phase.lambda_mins.min())
+    lam_star = phase.lambda_star
     a = float(math.ceil(1.0 / lam_star))
     if m <= 2:
         return GainVector((a,) * m)

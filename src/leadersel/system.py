@@ -3,7 +3,8 @@
 The grounded matrix of (graph, kappa, leaders) is the weighted Laplacian
 plus kappa_v on the diagonal for every leader v.  It is positive definite
 whenever the graph is connected and the leader set is nonempty, which is
-what makes the coherence expressions finite.
+what makes the coherence expressions finite.  The singleton phase holds
+what every single-leader choice shares: the spectrum of L and lambda*.
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ def grounded_matrix(lap: np.ndarray, kappa: KappaWeights, leaders) -> np.ndarray
     return q
 
 
-# The rational iteration stops a row once a step moves it by less than this
+# The rational iteration stops once a step moves it by less than this
 # fraction: the error is then about its square, a few ulps, for the probes.
 _SECULAR_STEP_RTOL = 2.0**-26
-# Rows still moving after this many steps go straight to bisection.
+# An iteration still moving after this many steps goes straight to bisection.
 _SECULAR_MAX_STEPS = 32
-# Bytes of one row block of W in ``lambda_mins``; each of its few live
+# Bytes of one row block of W in ``lambda_star``; each of its few live
 # temporaries is at most this size.  Graphs up to 362 nodes are one block.
 _ROW_BLOCK_BYTES = 1024 * 1024
 
@@ -109,11 +110,12 @@ class SingletonPhase:
     Each Q_v = L + kappa_v e_v e_v^T is a rank-one change of L, so with the
     weights W = U o U (W[v, i] = U[v, i]^2) a diagonal (f(L))_vv is W f(lam),
     O(n^2) for all v at once, and lambda_min(Q_v) is a root of the secular
-    equation.  Both are sums over eigenspaces, so neither depends on the
-    basis chosen inside a repeated eigenvalue.  The graph is connected, so
-    L has the single zero eigenvalue with eigenvector 1/sqrt(n); only the
-    nonzero spectrum and its eigenvectors are kept, and the ones direction
-    enters every f(L) in closed form.  W is formed only where it is read.
+    equation, of which only the least, ``lambda_star``, is read and solved.
+    Both are sums over eigenspaces, so neither depends on the basis chosen
+    inside a repeated eigenvalue.  The graph is connected, so L has the
+    single zero eigenvalue with eigenvector 1/sqrt(n); only the nonzero
+    spectrum and its eigenvectors are kept, and the ones direction enters
+    every f(L) in closed form.  W is formed only where it is read.
     """
 
     graph: Graph
@@ -131,122 +133,91 @@ class SingletonPhase:
         return (self.vectors**2) @ spectra
 
     @cached_property
-    def lambda_mins(self) -> np.ndarray:
-        """lambda_min(Q_v) for every v, by safeguarded rational iteration.
+    def lambda_star(self) -> float:
+        """lambda* = min_v lambda_min(Q_v), the one singleton eigenvalue read.
 
-        The root of 1 + kappa_v (sum_i W_vi / (lam_i - mu) - 1 / (n mu)) = 0
-        lies in (0, min(lam_1, kappa_v / n)]: kappa_v / n is the Rayleigh
+        lambda_min(Q_v) > mu exactly when row v's secular function
+        1 + kappa_v (sum_i W_vi / (lam_i - mu) - 1 / (n mu)) is negative at
+        mu, so lambda* is where the first row stops being negative.  It lies
+        in (0, min(lam_1, min_v kappa_v / n)]: kappa_v / n is the Rayleigh
         quotient of the all-ones vector, and it also closes the bracket for
-        n = 1, where there is no lam_1 (the root is then kappa_v itself).
+        n = 1, where there is no lam_1 (lambda* is then kappa_v itself).
 
-        Each step keeps the pole at 0 exact and replaces the rest,
+        Each step keeps every row's pole at 0 exact and replaces the rest,
         sum_{i>=1} W_vi / (lam_i - mu), by c + t / (lam_1 - mu) matched in
-        value and slope at the iterate; the next iterate is the smaller root
-        of that model.  The model bounds the rest from above, so iterates
-        rise to the root from below, quadratically once close.  Every
-        evaluation narrows the row's bracket by the sign of the secular
-        function, and an iterate outside the bracket is replaced by its
-        midpoint.  A row stops iterating once a step is shorter than
-        ``_SECULAR_STEP_RTOL`` of the iterate, or after
-        ``_SECULAR_MAX_STEPS`` steps.  From its last iterate, probes
-        2^j ulps away close the bracket around the root; bisection then
-        shrinks every bracket to two adjacent floats and the upper ends are
-        returned, so reruns are byte-identical.  When the weight on lam_1
-        vanishes the bracket closes at lam_1, which is then the smallest
-        eigenvalue.
+        value and slope at the iterate.  The model bounds the rest from
+        above, so its root is at or below the row's, and the least model
+        root rises to lambda* from below, quadratically once close.  Every
+        sweep narrows one bracket by the sign test of all rows, and an
+        iterate outside it (a non-finite model root included) is replaced
+        by its midpoint.  Once a step is shorter than ``_SECULAR_STEP_RTOL``
+        of the iterate, probes 2^j ulps away close the bracket around
+        lambda*; after ``_SECULAR_MAX_STEPS`` steps there are no probes.
+        Bisection then shrinks the bracket to two adjacent floats and the
+        upper end is returned, so reruns are byte-identical.  When a row's
+        weight on lam_1 vanishes the bracket closes at lam_1.
 
-        Every step is per row, so the rows are solved in blocks of about
-        ``_ROW_BLOCK_BYTES`` of W, each formed from U where it is solved:
-        memory above the phase stays flat in n, and no result depends on
-        the blocking.
+        The rows are swept in blocks of about ``_ROW_BLOCK_BYTES`` of W,
+        each formed from U where it is read: memory above the phase stays
+        flat in n, and no bit of the result depends on the blocking.
         """
-        n = self.n
-        kappa = self.kappa.as_array()
+        n, kappa, lam = self.n, self.kappa.as_array(), self.eigenvalues
         if n == 1:
-            return kappa / n
+            return float(kappa[0])
+        lam1 = lam[0]
         rows = max(1, _ROW_BLOCK_BYTES // self.vectors[0].nbytes)
-        out = np.empty(n)
-        for start in range(0, n, rows):
-            block = slice(start, start + rows)
-            out[block] = _secular_roots(self.vectors[block] ** 2, self.eigenvalues,
-                                        kappa[block], n)
-        return out
+        blocks = [slice(start, start + rows) for start in range(0, n, rows)]
+        lo, hi = 0.0, float(min(lam1, (kappa / n).min()))
 
+        def sweep(mu, model=False):
+            # The sign test of every row at mu narrows (lo, hi]; with
+            # ``model`` it also returns the least model root over the rows.
+            # The model 1/kappa + c + t/(lam_1 - mu) - 1/(n mu) = 0 times
+            # mu (lam_1 - mu) is a mu^2 - b mu + lam_1/n = 0 with a = 1/kappa + c
+            # and b = a lam_1 + t + 1/n; its smaller root, free of cancellation.
+            nonlocal lo, hi
+            d = lam - mu
+            below, least = True, np.inf
+            for block in blocks:
+                q = self.vectors[block] ** 2 / d
+                poles = q.sum(axis=1)
+                k = kappa[block]
+                below = below and bool(np.all(1.0 + k * (poles - 1.0 / (n * mu)) < 0.0))
+                if model:
+                    slope = (q / d).sum(axis=1)
+                    gap = lam1 - mu
+                    a = 1.0 / k + poles - slope * gap
+                    b = a * lam1 + slope * gap * gap + 1.0 / n
+                    root = 2.0 * (lam1 / n) / (b + np.sqrt(b * b - 4.0 * a * lam1 / n))
+                    # A non-finite root makes the step a midpoint, never drops out.
+                    least = np.minimum(least, root.min() if np.isfinite(root).all() else np.nan)
+                elif not below:
+                    break
+            lo, hi = (mu, hi) if below else (lo, mu)
+            return least if model else below
 
-def _secular_roots(w: np.ndarray, lam: np.ndarray, kappa: np.ndarray, n: int) -> np.ndarray:
-    """lambda_min(Q_v) for the rows v of one block (``SingletonPhase.lambda_mins``).
-
-    ``w`` holds the block's rows of W, ``kappa`` their weights, and ``n`` is
-    the node count; every step below reads and writes one row on its own.
-    """
-    size, lam1 = len(w), lam[0]
-    lo = np.zeros(size)
-    hi = np.minimum(kappa / n, lam1)
-
-    def evaluate(rows, x, slope=False):
-        # The sign test narrows the brackets of ``rows``; with ``slope`` it
-        # also returns the rest of the poles and its derivative at x.
-        d = lam - x[:, None]
-        q = (w if len(rows) == size else w[rows]) / d
-        poles = q.sum(axis=1)
-        below = 1.0 + kappa[rows] * (poles - 1.0 / (n * x)) < 0.0
-        lo[rows] = np.where(below, x, lo[rows])
-        hi[rows] = np.where(below, hi[rows], x)
-        if slope:
-            return poles, (q / d).sum(axis=1)
-        return below
-
-    def step(rows, y, poles, slope):
-        # The model 1/kappa + c + t/(lam_1 - mu) - 1/(n mu) = 0 times
-        # mu (lam_1 - mu) is a mu^2 - b mu + lam_1/n = 0 with a = 1/kappa + c
-        # and b = a lam_1 + t + 1/n; its smaller root, free of cancellation.
-        gap = lam1 - y
-        t = slope * gap * gap
-        a = 1.0 / kappa[rows] + poles - slope * gap
-        b = a * lam1 + t + 1.0 / n
-        return 2.0 * (lam1 / n) / (b + np.sqrt(b * b - 4.0 * a * lam1 / n))
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # The first step models the poles at y = 0 from two products.
-        rows, y = np.arange(size), np.zeros(size)
-        nxt = step(rows, y, w @ (1.0 / lam), w @ lam**-2.0)
-        estimate = np.full(size, np.nan)
-        for _ in range(_SECULAR_MAX_STEPS):
-            l, h = lo[rows], hi[rows]
-            done = np.abs(nxt - y) <= _SECULAR_STEP_RTOL * y
-            estimate[rows[done]] = np.clip(nxt[done], l[done], h[done])
-            mid = 0.5 * (l + h)
-            y = np.where(np.isfinite(nxt) & (l < nxt) & (nxt < h), nxt, mid)
-            keep = ~done & (l < mid) & (mid < h)
-            rows, y = rows[keep], y[keep]
-            if not rows.size:
-                break
-            nxt = step(rows, y, *evaluate(rows, y, slope=True))
-
-        # Probe from each estimate, 1, 2, 4, ... ulps toward the root, until
-        # the sign flips or the probe leaves the bracket.  An estimate on a
-        # bracket end has its sign already.
-        rows = np.flatnonzero(np.isfinite(estimate))
-        x = estimate[rows]
-        below = x <= lo[rows]
-        inside = (lo[rows] < x) & (x < hi[rows])
-        below[inside] = evaluate(rows[inside], x[inside])
-        direction = np.where(below, 1.0, -1.0)
-        offset = np.spacing(x)
-        while rows.size:
-            p = x + direction * offset
-            keep = (lo[rows] < p) & (p < hi[rows])
-            if keep.any():
-                keep[keep] = evaluate(rows[keep], p[keep]) == (direction[keep] > 0)
-            rows, x, direction = rows[keep], x[keep], direction[keep]
-            offset = 2.0 * offset[keep]
-
-        while True:
-            mid = 0.5 * (lo + hi)
-            rows = np.flatnonzero((lo < mid) & (mid < hi))
-            if not rows.size:
-                return hi
-            evaluate(rows, mid[rows])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = np.float64(0.0)  # a float64, so 1 / (n y) is -inf and not an error
+            nxt = sweep(y, model=True)
+            for _ in range(_SECULAR_MAX_STEPS):
+                if abs(nxt - y) <= _SECULAR_STEP_RTOL * y:
+                    # Probe from the estimate, 1, 2, 4, ... ulps toward lambda*,
+                    # until the sign flips or the probe leaves the bracket.  An
+                    # estimate on a bracket end has its sign already.
+                    x = min(max(nxt, lo), hi)
+                    below = x <= lo or (x < hi and sweep(x))
+                    step = np.spacing(x) if below else -np.spacing(x)
+                    while lo < x + step < hi and sweep(x + step) == below:
+                        step *= 2.0
+                    break
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                y = nxt if lo < nxt < hi else mid
+                nxt = sweep(y, model=True)
+            while lo < 0.5 * (lo + hi) < hi:
+                sweep(0.5 * (lo + hi))
+            return float(hi)
 
 
 def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:

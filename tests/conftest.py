@@ -113,12 +113,14 @@ def loop_is_connected(g: Graph) -> bool:
 
 
 def bisection_lambda_mins(phase) -> np.ndarray:
-    """Named oracle for ``SingletonPhase.lambda_mins``: vectorized bisection.
+    """Named oracle for every lambda_min(Q_v), whose least is
+    ``SingletonPhase.lambda_star``: vectorized bisection.
 
     The root of 1 + kappa_v (sum_i W_vi / (lam_i - mu) - 1 / (n mu)) = 0
     lies in (0, min(lam_1, kappa_v / n)]; about 55 sweeps halve every
     bracket until it is two adjacent floats, and the upper ends are
-    returned.  Same sign test and same stop as the production solver.
+    returned.  Same sign test and same stop as the production solver,
+    which bisects one bracket for all rows.
     """
     n, kappa, w = phase.n, phase.kappa.as_array(), phase.vectors**2
     lo = np.zeros(n)

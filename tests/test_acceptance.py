@@ -132,7 +132,7 @@ def test_criterion_5_submodularity_suite():
             ctx = SystemContext.auto(g, kappa, m)
             violations = check_monotone_submodular(lambda s: set_value(ctx, s), n)
             assert violations == [], (index, m, violations[:3])
-        lam_floor = min(singleton_phase(g, kappa).lambda_mins)
+        lam_floor = singleton_phase(g, kappa).lambda_star
         b3 = float(rng.uniform(0.0, 1.5))
         product = TraceSetFunction(
             g, kappa, "product",

@@ -153,9 +153,13 @@ def test_spectral_oracle_calls_small_weights_stable(tmp_path, capsys):
     assert payload["oracle"]["max_real_part"] == pytest.approx(-lam, rel=1e-9)
 
 
+# Known defect, pinned as it stands (ROADMAP "Hurwitz minors overflow"): the
+# first two systems are stable, but their last Hurwitz minor exceeds the
+# float range (1e200 * 0.38 * 3.8e199 at order 2, 1e150 * 0.38 * 1.5e299 at
+# order 3), so the payload holds inf and they exit 2 instead of 0.
 @pytest.mark.parametrize("argv", [
     ("stability", "--order", "2", "--gains", "1e200,1e200"),  # a Hurwitz determinant is inf
-    ("stability", "--order", "4", "--gains", "1e100,1e100,1e100,1e100"),  # inf - inf
+    ("stability", "--order", "3", "--gains", "1e150,1e150,1e150"),  # a Hurwitz determinant is inf
     ("coherence", "--order", "1", "--gains", "1e-320"),  # H = 1.5 / 1e-320 overflows
 ])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -167,6 +171,19 @@ def test_non_finite_result_is_refused(k2_file, capsys, argv, fmt):
     assert captured.out == ""
     assert re.fullmatch(r"input error: Out of range float values are not JSON compliant"
                         r": (inf|nan)\n", captured.err)
+
+
+def test_huge_equal_order_four_gains_keep_finite_minors(k2_file, capsys):
+    """Factored, the minors stay finite where the raw polynomial forms gave
+    inf - inf = NaN: equal order-4 gains are unstable, exit 3 with a payload,
+    and the third minor is -a2^2 lambda^2 once a2 a3 a4 and a1 a4^2 cancel."""
+    assert main(["stability", str(k2_file), "--order", "4", "--gains",
+                 "1e100,1e100,1e100,1e100", "--leaders", "1"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stable"] is False
+    dets = payload["hurwitz_determinants"]
+    assert dets[2] == pytest.approx(-1e200 * payload["lambda_min"] ** 2, rel=1e-12)
+    assert dets[3] == pytest.approx(1e100 * payload["lambda_min"] * dets[2], rel=1e-12)
 
 
 # Known defect, pinned as it stands (ROADMAP item 3, "Open"): the Woodbury
@@ -493,6 +510,22 @@ def test_experiment_config_types_are_checked(tmp_path, capsys, field, value):
     out = tmp_path / "out"
     assert main(["experiment", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {field}")
+    assert list(out.glob("fig*.csv")) == []
+
+
+@pytest.mark.parametrize("body", [
+    {"experiment": "fig1", "n": 6, "trials": 1, "k_max": 2, "orders": [2, 2]},
+    {"experiment": "fig3", "orders": [1, 3, 1]},
+])
+def test_experiment_config_refuses_repeated_orders(tmp_path, capsys, body):
+    """A repeated order would write each of its rows twice."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert main(["experiment", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: orders must be a nonempty subset of {1, 2, 3, 4}, each order once, "
+        f"got {body['orders']}\n")
     assert list(out.glob("fig*.csv")) == []
 
 

@@ -426,14 +426,14 @@ def _phase_graphs():
 
 def test_singleton_spectra_match_per_node_paths():
     for name, graph, kappa in _phase_graphs():
-        fast = np.array(singleton_phase(graph, kappa).lambda_mins)
-        oracle = np.array(singleton_lambda_mins(graph, kappa))
+        fast = singleton_phase(graph, kappa).lambda_star
+        oracle = min(singleton_lambda_mins(graph, kappa))
         np.testing.assert_allclose(fast, oracle, rtol=1e-8, atol=0, err_msg=name)
 
 
 def test_singleton_phase_single_node_is_exact():
     # no lam_1: the all-ones Rayleigh quotient kappa / n closes the bracket
-    assert singleton_phase(SINGLE, KappaWeights((2.5,))).lambda_mins.tolist() == [2.5]
+    assert singleton_phase(SINGLE, KappaWeights((2.5,))).lambda_star == 2.5
 
 
 def test_singleton_phase_retains_only_its_eigenvectors():
@@ -445,7 +445,7 @@ def test_singleton_phase_retains_only_its_eigenvectors():
     tracemalloc.start()
     try:
         phase = singleton_phase(graph, kappa)
-        phase.lambda_mins
+        phase.lambda_star
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
@@ -454,7 +454,7 @@ def test_singleton_phase_retains_only_its_eigenvectors():
 
 
 def test_singleton_lambda_mins_memory_is_row_blocked(monkeypatch):
-    """lambda_mins forms W one row block at a time: its peak above the phase
+    """lambda_star forms W one row block at a time: its peak above the phase
     stays under 1.5 * 8n^2 bytes once n needs several blocks, and the
     blocking changes no bit of the result."""
     n = 800
@@ -466,23 +466,23 @@ def test_singleton_lambda_mins_memory_is_row_blocked(monkeypatch):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        blocked = phase.lambda_mins
+        blocked = phase.lambda_star
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - before <= 1.5 * 8 * n**2
     for budget in (8 * (n - 1) * n, 3 * 8 * (n - 1)):  # one block; blocks of 3 rows
         monkeypatch.setattr(system_module, "_ROW_BLOCK_BYTES", budget)
-        again = SingletonPhase(graph, kappa, phase.eigenvalues, phase.vectors).lambda_mins
-        assert again.tobytes() == blocked.tobytes()
+        again = SingletonPhase(graph, kappa, phase.eigenvalues, phase.vectors).lambda_star
+        assert again.hex() == blocked.hex()
 
 
 class _BisectionPhase(SingletonPhase):
-    """A singleton phase whose lambda_mins come from the bisection oracle."""
+    """A singleton phase whose lambda_star comes from the bisection oracle."""
 
     @cached_property
-    def lambda_mins(self):
-        return bisection_lambda_mins(self)
+    def lambda_star(self):
+        return float(bisection_lambda_mins(self).min())
 
 
 def _secular_graphs():
@@ -506,12 +506,24 @@ def test_singleton_lambda_mins_match_bisection_oracle():
     for name, graph, kappa in _secular_graphs():
         phase = singleton_phase(graph, kappa)
         oracle = _BisectionPhase(phase.graph, phase.kappa, phase.eigenvalues, phase.vectors)
-        fast = phase.lambda_mins
-        gap = np.abs(fast - oracle.lambda_mins)
-        assert np.all(gap <= 2.0 * np.spacing(oracle.lambda_mins)), (name, gap.max())
+        gap = abs(phase.lambda_star - oracle.lambda_star)
+        assert gap <= 2.0 * np.spacing(oracle.lambda_star), (name, gap)
         for m in (1, 2, 3, 4):
             assert auto_gains(phase, m) == auto_gains(oracle, m), (name, m)
 
+
+
+@pytest.mark.parametrize("setting", [("_SECULAR_MAX_STEPS", 0), ("_SECULAR_MAX_STEPS", 1),
+                                     ("_SECULAR_STEP_RTOL", 0.5)])
+def test_singleton_lambda_star_is_fixed_by_the_sign_test(monkeypatch, setting):
+    """No rational steps, one step, or a loose stop: the probes and the
+    bisection alone fix lambda_star, to the same bits."""
+    phases = [singleton_phase(graph, kappa) for _, graph, kappa in _secular_graphs()]
+    expected = [phase.lambda_star.hex() for phase in phases]
+    monkeypatch.setattr(system_module, *setting)
+    again = [SingletonPhase(p.graph, p.kappa, p.eigenvalues, p.vectors).lambda_star.hex()
+             for p in phases]
+    assert again == expected
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_singleton_normalized_matches_per_node_oracle(m):

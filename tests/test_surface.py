@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # No production path calls these oracles, but the benchmark's per-layer
 # metrics (BENCHMARK.json) trace them, so they stay in src/ under their names.
 BENCH_BOUND_ORACLES = {
-    "stability.singleton_lambda_mins",  # per-node eigensolves vs SingletonPhase.lambda_mins
+    "stability.singleton_lambda_mins",  # per-node eigensolves vs SingletonPhase.lambda_star
     "coherence.normalized_from_inverses",  # explicit inverses of Q_{S+v} vs WoodburyScorer
     "coherence.SystemContext.normalized_coherence",  # per-subset vs greedy and exhaustive sweep
     "linalg.spd_inverse",  # explicit inverses, the tests' reference for WoodburyScorer
