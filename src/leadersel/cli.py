@@ -191,6 +191,14 @@ def _parse_gains(args, gf: GraphFile) -> GainVector:
     return GainVector(values)
 
 
+def _load_system(args) -> tuple[GraphFile, GroundedSystem]:
+    """The graph file and the system its ``--leaders`` and gains flags name."""
+    gf = _load_graph(args.graph)
+    leaders = _parse_leaders(gf, args.leaders)
+    gains = _parse_gains(args, gf)
+    return gf, GroundedSystem.create(gf.graph, gf.kappa, leaders, gains)
+
+
 def _emit(payload: dict, fmt: str) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False)  # NaN or inf: ValueError, exit 2
     if fmt == "json":
@@ -228,16 +236,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    gf = _load_graph(args.graph)
-    leaders = _parse_leaders(gf, args.leaders)
-    gains = _parse_gains(args, gf)
-    system = GroundedSystem.create(gf.graph, gf.kappa, leaders, gains)
+    gf, system = _load_system(args)
     report = check_stability(system)
     payload = asdict(report)
-    payload["leaders"] = [gf.to_label(v) for v in leaders.sorted_members]
-    payload["gains"] = list(gains.values)
+    payload["leaders"] = [gf.to_label(v) for v in system.leaders.sorted_members]
+    payload["gains"] = list(system.gains.values)
     if args.oracle:
-        a = companion_state_matrix(system.matrix, gains.values)
+        a = companion_state_matrix(system.matrix, system.gains.values)
         stable, max_real = spectral_stability_oracle(a)
         payload["oracle"] = {"stable": stable, "max_real_part": max_real}
     _emit(payload, args.format)
@@ -245,10 +250,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_coherence(args) -> int:
-    gf = _load_graph(args.graph)
-    leaders = _parse_leaders(gf, args.leaders)
-    gains = _parse_gains(args, gf)
-    system = GroundedSystem.create(gf.graph, gf.kappa, leaders, gains)
+    gf, system = _load_system(args)
     if args.method == "closed":
         report = coherence_closed(system)
     else:
@@ -302,10 +304,7 @@ def _cmd_simulate(args) -> int:
         for flag, value in (("--stride", args.stride), ("--out", args.out)):
             if value is not None:
                 raise UsageError(f"{flag} is read only with --trajectory")
-    gf = _load_graph(args.graph)
-    leaders = _parse_leaders(gf, args.leaders)
-    gains = _parse_gains(args, gf)
-    system = GroundedSystem.create(gf.graph, gf.kappa, leaders, gains)
+    gf, system = _load_system(args)
     spec = SimulationSpec(system=system, dt=args.dt, total_time=args.total_time,
                           burn_in=args.burn_in, seed=args.seed, ensemble=args.ensemble)
     if args.trajectory:
@@ -323,7 +322,7 @@ def _cmd_simulate(args) -> int:
         "burn_in": args.burn_in,
         "ensemble": args.ensemble,
         "seed": args.seed,
-        "leaders": [gf.to_label(v) for v in leaders.sorted_members],
+        "leaders": [gf.to_label(v) for v in system.leaders.sorted_members],
     }
     if args.trajectory:
         payload["trajectory"] = str(target)

@@ -18,10 +18,13 @@ ends in a chunk with zero noise past the last step, whose extra rows
 are dropped.
 
 Noise streams come from PCG64 seeded with SeedSequence([seed, run_index]).
-A worker thread draws block b + 1 into the second of two buffers while
-the calling thread integrates block b: each run's generator fills a
-contiguous (block, n) slice, and one transposing copy gives the
-(block, n, runs) layout the K_w product reads.  A block is the fewest
+The one worker of a ThreadPoolExecutor draws noise up to two blocks
+ahead of the calling thread, into two alternating buffers: block b + 2
+is queued into block b's buffer when the caller asks for block b + 1,
+and a block that fails to draw raises in the caller, with no later
+block drawn.  Each run's generator fills a contiguous (block, n) slice,
+and one transposing copy gives the (block, n, runs) layout the K_w
+product reads.  A block is the fewest
 whole lift chunks whose draws per generator call reach ``_BLOCK_DRAWS``
 (688 / 416 / 280 steps at n = 6 / 10 / 15): shorter calls spend their
 time handing the GIL between the threads, and the buffers stay about
@@ -40,8 +43,7 @@ and for every block size, in memory that does not grow with the horizon.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import nullcontext
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -75,6 +77,9 @@ class SimulationSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0 <= self.burn_in < self.total_time:
             raise ValueError("need 0 <= burn_in < total_time")
+        if not self.total_time / self.dt < sys.maxsize:  # inf, or too long for range()
+            raise ValueError(
+                f"total_time / dt = {self.total_time} / {self.dt} overflows the step count")
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
         if self.burn_steps >= self.steps:
@@ -122,62 +127,30 @@ def _block_steps(n: int) -> int:
     return _LIFT * -(-_BLOCK_DRAWS // (_LIFT * n))
 
 
-class _NoiseFeed:
-    """Each block's draws (block, n, runs), zero past the horizon, drawn one
-    block ahead on a worker thread.
+def _noise_blocks(pool, gens: list, n: int, block: int, steps: int):
+    """Yield each block's draws (block, n, runs), zero past the horizon,
+    drawn up to two blocks ahead on ``pool``'s one worker."""
+    starts = range(0, steps, block)
+    draws = np.empty((2, block, n, len(gens)))
+    run_major = np.empty((len(gens), block, n))
 
-    ``with _NoiseFeed(gens, n, block, steps) as blocks`` starts the worker;
-    iterating ``blocks`` yields block b once it is drawn and frees its
-    buffer for block b + 2 when the caller asks for block b + 1.  An
-    exception raised while drawing reaches the caller as it was raised;
-    leaving the ``with`` stops and joins the worker.
-    """
+    def fill(b: int, before) -> None:
+        if before is not None:
+            before.result()  # done, as one worker runs blocks in order: stop if it failed
+        size = min(block, steps - starts[b])
+        for r, g in enumerate(gens):
+            g.standard_normal(out=run_major[r, :size])
+        out = draws[b % 2]
+        out[:size] = run_major[:, :size].transpose(1, 2, 0)
+        out[size:] = 0.0
 
-    def __init__(self, gens: list, n: int, block: int, steps: int) -> None:
-        self._gens, self._block, self._steps = gens, block, steps
-        self._starts = range(0, steps, block)
-        self._draws = np.empty((2, block, n, len(gens)))
-        self._run_major = np.empty((len(gens), block, n))
-        self._free = threading.Semaphore(2)
-        self._filled = threading.Semaphore(0)
-        self._error: BaseException | None = None
-        self._stopped = False
-        self._worker = threading.Thread(target=self._fill)
-
-    def __enter__(self) -> _NoiseFeed:
-        self._worker.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stopped = True
-        self._free.release()
-        self._worker.join()
-
-    def __iter__(self):
-        for b in range(len(self._starts)):
-            self._filled.acquire()
-            if self._error is not None:
-                raise self._error
-            yield self._draws[b % 2]
-            self._free.release()
-
-    def _fill(self) -> None:
-        try:
-            for b, step in enumerate(self._starts):
-                self._free.acquire()
-                if self._stopped:
-                    return
-                size = min(self._block, self._steps - step)
-                for r, g in enumerate(self._gens):
-                    g.standard_normal(out=self._run_major[r, :size])
-                draws = self._draws[b % 2]
-                draws[:size] = self._run_major[:, :size].transpose(1, 2, 0)
-                draws[size:] = 0.0
-                self._filled.release()
-        except BaseException as exc:
-            # the caller re-raises it; left uncaught, it would leave the caller waiting
-            self._error = exc
-            self._filled.release()
+    ahead = pool.submit(fill, 0, None)
+    for b in range(len(starts)):
+        current = ahead
+        if b + 1 < len(starts):
+            ahead = pool.submit(fill, b + 1, current)  # into block b - 1's buffer
+        current.result()
+        yield draws[b % 2]
 
 
 def simulate_coherence(
@@ -227,12 +200,15 @@ def simulate_coherence(
     # sq[1 + t] is |y|^2 after step t of the block; sq[t] takes the running
     # window sum before that row is added
     sq = np.empty((block + 1, runs))
-    if noise:
-        gens = [noise_stream(spec.seed, r) for r in range(runs)]
-        feed = _NoiseFeed(gens, n, block, steps)
-    else:
-        feed = nullcontext(repeat(np.zeros((block, n, runs))))
-    with feed as blocks:
+    # concurrent.futures imports logging: importing it here keeps it out of CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if noise:
+            gens = [noise_stream(spec.seed, r) for r in range(runs)]
+            blocks = _noise_blocks(pool, gens, n, block, steps)
+        else:
+            blocks = repeat(np.zeros((block, n, runs)))
         # draws[t] is xi for step t of the block
         for step, draws in zip(range(0, steps, block), blocks):
             size = min(block, steps - step)

@@ -608,6 +608,16 @@ def test_simulate_estimate_near_closed_form(k2_file):
     assert payload["estimate"] == pytest.approx(3.5, rel=0.5)
 
 
+def test_cli_start_up_imports_no_executor():
+    """``concurrent.futures`` (and the ``logging`` it imports) load only
+    when a simulation runs, so no other command pays for them."""
+    code = ("import sys, leadersel.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_simulate_rejects_zero_stride(tmp_path, k2_file):
     proc = run_cli("simulate", str(k2_file), "--order", "2", "--gains", "1,1",
                    "--leaders", "0", "--dt", "1e-2", "--total-time", "1", "--burn-in", "0",
@@ -665,6 +675,9 @@ NON_FINITE = [
       "--dt", "nan"], "dt must be finite, got nan"),
     (["simulate", "{k2}", "--order", "2", "--gains", "1,1", "--leaders", "0",
       "--burn-in", "nan"], "burn_in must be finite, got nan"),
+    (["simulate", "{k2}", "--order", "1", "--gains", "1", "--leaders", "0",
+      "--dt", "1e-300", "--total-time", "1e300", "--burn-in", "1"],
+     "total_time / dt = 1e+300 / 1e-300 overflows the step count"),
 ]
 
 

@@ -41,6 +41,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SimulationSpec(system=single_m2(), dt=1e-3, total_time=1.0, burn_in=0.0, seed=0,
                        ensemble=0)
+    # 1e19 steps: finite, but past the largest range length
+    with pytest.raises(ValueError, match="overflows the step count"):
+        SimulationSpec(system=single_m2(), dt=1e-12, total_time=1e7, burn_in=0.0, seed=0)
 
 
 def test_spec_rejects_burn_in_that_leaves_no_steps():
@@ -363,6 +366,32 @@ def test_caller_error_stops_the_worker_waiting_for_a_buffer(monkeypatch):
         simulate_coherence(spec)
     assert info.value is error
     assert threading.active_count() == before
+
+
+def test_streams_are_made_on_the_calling_thread_and_drawn_on_one_other(monkeypatch):
+    """Each stream is made by the caller and drawn only by one worker, so no
+    stream is ever drawn from two threads and no span nests across them."""
+    made, drawn = [], []
+
+    class RecordingStream:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            drawn.append(threading.get_ident())
+            return self.gen.standard_normal(*args, **kwargs)
+
+    def recording_stream(seed, run):
+        made.append(threading.get_ident())
+        return RecordingStream(noise_stream(seed, run))
+
+    monkeypatch.setattr(simulate, "noise_stream", recording_stream)
+    spec = lifecycle_spec()
+    simulate_coherence(spec)
+    caller = threading.get_ident()
+    assert made == [caller] * spec.ensemble
+    assert len(drawn) == spec.ensemble * -(-spec.steps // simulate._block_steps(2))
+    assert len(set(drawn)) == 1 and caller not in drawn
 
 
 def test_concurrent_callers_under_fast_thread_switching_keep_every_bit(monkeypatch):
