@@ -54,8 +54,13 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray | None = None  # orthonormal columns, when asked for
 
 
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix over the last two axes."""
+    return np.sqrt(np.einsum("...ij,...ij->...", x, x))
+
+
 def _require_symmetric(m: np.ndarray, stack: bool = False) -> np.ndarray:
-    """``m`` as a float array, refused unless symmetric within tolerance.
+    """``m`` as a float array, refused unless finite and symmetric within tolerance.
 
     With ``stack``, a (b, n, n) stack is accepted too, and each of its
     matrices is checked against its own scale.
@@ -63,18 +68,20 @@ def _require_symmetric(m: np.ndarray, stack: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {m.shape}")
-    skew = np.linalg.norm(m - np.swapaxes(m, -1, -2), axis=(-2, -1))
-    if np.any(skew > TOLERANCES.symmetry_rtol * np.linalg.norm(m, axis=(-2, -1))):
+    scale = _frobenius(m)  # not finite if an entry is not, or if the norm overflows
+    if not np.isfinite(scale).all() and not np.isfinite(m).all():
+        raise NotSymmetricError("matrix has non-finite entries")
+    skew = _frobenius(m - np.swapaxes(m, -1, -2))
+    if not np.all(skew <= TOLERANCES.symmetry_rtol * scale):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     return m
 
 
-def sym_eigenvalues(m: np.ndarray, vectors: bool = False) -> SpectralDecomposition:
-    """Eigenvalues of a symmetric matrix, ascending; with ``vectors``, also its eigenvectors.
+def _sym_eigen(m: np.ndarray, vectors: bool = False) -> SpectralDecomposition:
+    """The checked eigensolve behind ``sym_eigenvalues``.
 
-    A (b, n, n) stack gives one row (and one basis) per matrix, each equal
-    bit for bit to what that matrix alone gives; the stack is refused if
-    any one of its matrices is not symmetric.
+    It calls no public function of the package, so a worker thread may
+    run it while the calling thread is traced.
     """
     m = _require_symmetric(m, stack=True)
     try:
@@ -84,6 +91,16 @@ def sym_eigenvalues(m: np.ndarray, vectors: bool = False) -> SpectralDecompositi
         return SpectralDecomposition(eigenvalues=np.linalg.eigvalsh(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenFailureError(str(exc)) from exc
+
+
+def sym_eigenvalues(m: np.ndarray, vectors: bool = False) -> SpectralDecomposition:
+    """Eigenvalues of a symmetric matrix, ascending; with ``vectors``, also its eigenvectors.
+
+    A (b, n, n) stack gives one row (and one basis) per matrix, each equal
+    bit for bit to what that matrix alone gives; the stack is refused if
+    any one of its matrices is not symmetric or not finite.
+    """
+    return _sym_eigen(m, vectors)
 
 
 def spd_inverse(m: np.ndarray) -> np.ndarray:

@@ -23,8 +23,11 @@ is certified against, so it uses no rank-one scoring.  One sweep over
 a graph's subsets, smallest size first, yields the optimum at every
 budget 1..k and order: grounded matrices do not depend on the gains, so
 each spectrum is solved once.  Sizes after the first are scored in
-fixed-size stacks of grounded matrices, one eigensolve per stack, so
-memory stays flat.  A per-subset loop is the tests' named oracle of it.
+fixed-size stacks of grounded matrices, so memory stays flat.  Where a
+size has two stacks or more, a second thread solves every other stack
+while the calling thread solves and scores in subset order, so the
+result does not depend on the threads.  A per-subset loop is the tests'
+named oracle of it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from .coherence import SystemContext, WoodburyScorer, normalized_eigenvalue_terms
 from .errors import CombinatorialCapError, SingularUpdateError
 from .graphs import laplacian
-from .linalg import TOLERANCES, sym_eigenvalues
+from .linalg import TOLERANCES, _sym_eigen, sym_eigenvalues
 from .system import grounded_matrix
 
 
@@ -157,7 +160,42 @@ def _optimum(
 
 
 # Bytes of grounded matrices per eigensolve stack: 64 matrices at n = 20.
+# The sweep keeps two such buffers, one per solving thread.
 _STACK_BYTES = 200 * 1024
+
+
+def _stack_eigenvalues(stack: np.ndarray, lap: np.ndarray, kappa: np.ndarray,
+                       batch: list[tuple[int, ...]]) -> np.ndarray:
+    """Eigenvalues of the grounded matrices of ``batch``'s subsets, built in ``stack``.
+
+    Only numpy and ``linalg._sym_eigen``: it calls no public function of
+    the package, so the sweep's worker thread may run it.
+    """
+    b = len(batch)
+    part = np.array(batch, dtype=np.intp)
+    mats = stack[:b]
+    mats[...] = lap
+    mats[np.arange(b)[:, None], part, part] += kappa[part]
+    return _sym_eigen(mats).eigenvalues
+
+
+def _stack_spectra(pool, stacks: np.ndarray, lap: np.ndarray, kappa: np.ndarray, size: int):
+    """Yield (subsets, eigenvalues) per stack of ``size``-subsets, in subset order.
+
+    The stacks go in pairs: the ``pool``'s one worker builds and solves
+    the second in ``stacks[1]`` while the calling thread does the first
+    in ``stacks[0]``, so the caller scores the first while the worker may
+    still be solving.  A stack with no partner is solved by the caller
+    alone, and nothing is submitted.
+    """
+    subsets = itertools.combinations(range(lap.shape[0]), size)
+    chunk = stacks.shape[1]
+    while batch := list(itertools.islice(subsets, chunk)):
+        partner = list(itertools.islice(subsets, chunk))
+        ahead = pool.submit(_stack_eigenvalues, stacks[1], lap, kappa, partner) if partner else None
+        yield batch, _stack_eigenvalues(stacks[0], lap, kappa, batch)
+        if ahead is not None:
+            yield partner, ahead.result()
 
 
 def exhaustive_sweep(
@@ -172,9 +210,13 @@ def exhaustive_sweep(
     smallest size first, lexicographically within a size, and only strict
     improvements replace an incumbent; entry j - 1 is the incumbent after
     size j.  Size 1 reads each context's singleton values, as the greedy's
-    first round does.  Larger sizes are scored in stacks of about
-    ``_STACK_BYTES`` (memory flat in the subset count), one eigensolve
-    call per stack.  Refuses up front when the subset count exceeds the cap.
+    first round does.  Larger sizes are built and solved in stacks of about
+    ``_STACK_BYTES`` (memory flat in the subset count).  When some size
+    has two stacks or more, the one worker of a thread pool solves every
+    second stack of a size while the calling thread solves the one before
+    it, and the caller scores them all in subset order, so the picks,
+    values and counts do not depend on the threads.  Refuses up front
+    when the subset count exceeds the cap.
     """
     if not contexts:
         raise ValueError("exhaustive sweep needs at least one context")
@@ -197,23 +239,22 @@ def exhaustive_sweep(
     best = [_improve([(v,) for v in range(n)], c.singleton_normalized) for c in contexts]
     evaluations = n
     sweeps = [[_optimum(c, *b, evaluations)] for c, b in zip(contexts, best)]
-    for size in range(2, k_eff + 1):
-        stack = np.empty((chunk, n, n))
-        rows = np.arange(chunk)[:, None]
-        subsets = itertools.combinations(range(n), size)
-        while batch := list(itertools.islice(subsets, chunk)):
-            b = len(batch)
-            part = np.array(batch, dtype=np.intp)
-            mats = stack[:b]
-            mats[...] = lap
-            mats[rows[:b], part, part] += kappa[part]
-            lams = sym_eigenvalues(mats).eigenvalues
-            for i, context in enumerate(contexts):
-                norms = normalized_eigenvalue_terms(context.gains, lams).tolist()
-                best[i] = _improve(batch, norms, best[i])
-            evaluations += b
-        for sweep, context, b in zip(sweeps, contexts, best):
-            sweep.append(_optimum(context, *b, evaluations))
+    # concurrent.futures imports logging: importing it here keeps it out of CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The pool starts its worker at the first submit, so a sweep whose
+    # sizes each fit one stack starts no thread; np.empty leaves the
+    # unused second buffer's pages untouched.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        stacks = np.empty((2, chunk, n, n))
+        for size in range(2, k_eff + 1):
+            for batch, lams in _stack_spectra(pool, stacks, lap, kappa, size):
+                for i, context in enumerate(contexts):
+                    norms = normalized_eigenvalue_terms(context.gains, lams).tolist()
+                    best[i] = _improve(batch, norms, best[i])
+                evaluations += len(batch)
+            for sweep, context, b in zip(sweeps, contexts, best):
+                sweep.append(_optimum(context, *b, evaluations))
     return tuple(tuple(sweep) for sweep in sweeps)
 
 

@@ -103,6 +103,24 @@ def test_two_dimensional_eigensolve_is_unchanged():
             sym_eigenvalues(m * scale + skew)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entries", [[(0, 1)], [(0, 1), (1, 0)], [(2, 2)]])
+def test_non_finite_entries_are_refused(bad, entries):
+    """LAPACK reads one triangle only: unchecked, eye(3) with [0, 1] = NaN
+    would give eigenvalues [1, 1, 1]."""
+    m = np.eye(3)
+    for entry in entries:
+        m[entry] = bad
+    stack = random_symmetric_stack(np.random.default_rng(3), 5, 3)
+    stack[2] = m
+    for matrix in (m, stack):
+        for vectors in (False, True):
+            with pytest.raises(NotSymmetricError, match="non-finite entries"):
+                sym_eigenvalues(matrix, vectors=vectors)
+    with pytest.raises(NotSymmetricError, match="non-finite entries"):
+        spd_inverse(m)
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)])
 def test_eigenvalues_refuse_non_square_shapes(shape):
     with pytest.raises(NotSymmetricError):

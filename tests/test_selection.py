@@ -1,16 +1,22 @@
+import functools
+import importlib
+import inspect
 import math
+import pkgutil
+import sys
+import threading
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import leadersel.coherence as coherence
+import leadersel
 import leadersel.experiments as experiments
+import leadersel.linalg as linalg
 import leadersel.selection as selection
-import leadersel.stability as stability
-import leadersel.system as system
 from leadersel.coherence import (
     SystemContext,
     WoodburyScorer,
@@ -435,29 +441,183 @@ def test_exhaustive_sweep_memory_is_chunked():
         assert peak < 4 * 2**20, (len(contexts), peak)
 
 
+def stacks_per_size(n, k):
+    chunk = max(1, selection._STACK_BYTES // (n * n * 8))
+    return [-(-math.comb(n, size) // chunk) for size in range(2, k + 1)]
+
+
 def test_fig2_solves_each_stack_once_for_every_order(monkeypatch, tmp_path):
     """fig2 at orders 1-4: per trial graph, one eigh of L (the shared
     singleton phase) plus one stacked eigensolve per stack of subsets,
     however many orders read them, plus one eigensolve per order for the
-    check that ends each greedy run of more than one leader."""
+    check that ends each greedy run of more than one leader.  Counted at
+    ``linalg._sym_eigen``, which ``sym_eigenvalues`` and both of the
+    sweep's solving threads call."""
     calls = []
+    helper = linalg._sym_eigen
 
     def counted(m, vectors=False):
         calls.append(np.shape(m))
-        return sym_eigenvalues(m, vectors=vectors)
+        return helper(m, vectors=vectors)
 
-    for module in (coherence, selection, stability, system):
-        monkeypatch.setattr(module, "sym_eigenvalues", counted)
+    for module in (linalg, selection):
+        monkeypatch.setattr(module, "_sym_eigen", counted)
     n, k_max, trials = 12, 3, 2
     config = ExperimentConfig(experiment="fig2", n=n, trials=trials, k_max=k_max,
                               orders=(1, 2, 3, 4))
     run_experiment(config, tmp_path)
-    chunk = max(1, selection._STACK_BYTES // (n * n * 8))
-    stacks = sum(-(-math.comb(n, size) // chunk) for size in range(2, k_max + 1))
+    stacks = sum(stacks_per_size(n, k_max))
     assert stacks == 3  # C(12, 2) = 66 in one stack, C(12, 3) = 220 in two
     orders = len(config.orders)
     assert len(calls) == trials * (1 + stacks + orders), calls
     assert calls.count((n, n)) == trials * (1 + orders)  # eigh of L, and each greedy's check
+
+
+# -- the sweep's worker thread -----------------------------------------------------------
+
+G14, _ = erdos_renyi_connected(14, 0.5, seed=14)
+
+
+def counted_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def test_sweep_across_stack_boundaries_equals_loop_oracle(monkeypatch):
+    """At n = 14, k = 3, size 2 is one stack and size 3 is three, so the
+    last stack of size 3 has no partner on the worker."""
+    assert stacks_per_size(14, 3) == [1, 3]
+    contexts = [context_for(G14, m) for m in (1, 2, 3, 4)]
+    started = counted_thread_starts(monkeypatch)
+    sweeps = exhaustive_sweep(contexts, 3)
+    assert len(started) == 1  # the pool's one worker
+    for ctx, sweep in zip(contexts, sweeps):
+        for j, got in enumerate(sweep, start=1):
+            assert got == loop_exhaustive_select(ctx, j), (ctx.m, j, got)  # bit for bit
+
+
+@pytest.mark.parametrize("graph", [cycle(8), cliques(8)], ids=["cycle", "clique"])
+def test_sweep_in_small_stacks_keeps_the_first_of_tied_subsets(monkeypatch, graph):
+    """Stacks of 3 matrices: sizes 2-4 fill 10, 19 and 24 stacks, and size
+    3's last has no partner.  On vertex-transitive graphs every subset ties
+    with its rotations, so scoring a worker's stack out of turn would change
+    the pick."""
+    monkeypatch.setattr(selection, "_STACK_BYTES", 3 * 8 * 8 * 8)
+    assert stacks_per_size(8, 4) == [10, 19, 24]
+    assert_sweep_equals_oracle(graph, [1, 2, 3, 4], 4)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sweep_with_one_stack_per_size_starts_no_thread(monkeypatch, k):
+    assert stacks_per_size(14, k) in ([], [1])
+    started = counted_thread_starts(monkeypatch)
+    before = threading.active_count()
+    sweeps = exhaustive_sweep([context_for(G14, m) for m in (1, 2, 3, 4)], k)
+    assert started == [] and threading.active_count() == before
+    for m, sweep in zip((1, 2, 3, 4), sweeps):
+        assert sweep[-1] == loop_exhaustive_select(context_for(G14, m), k)
+
+
+def package_callables():
+    """(owner, name, function) for every public function bound in a package
+    module, and every public method or cached property of a package class."""
+    for info in pkgutil.iter_modules(leadersel.__path__):
+        module = importlib.import_module(f"leadersel.{info.name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_"):
+                continue
+            if inspect.isfunction(obj) and obj.__module__.startswith("leadersel."):
+                yield module, attr, obj
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for name, member in vars(obj).items():
+                    if not name.startswith("_") and (
+                            inspect.isfunction(member) or isinstance(member, cached_property)):
+                        yield obj, name, member
+
+
+def test_sweep_worker_calls_no_public_function(monkeypatch):
+    """Every public function and method of the package, wrapped in every
+    namespace that holds it, runs only on the calling thread during a sweep
+    whose worker solves stacks."""
+    seen, solvers = set(), set()
+
+    def recorded(function, into):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            into.add(threading.get_ident())
+            return function(*args, **kwargs)
+        return wrapper
+
+    for owner, name, member in list(package_callables()):
+        if isinstance(member, cached_property):
+            replacement = cached_property(recorded(member.func, seen))
+            replacement.__set_name__(owner, name)
+        else:
+            replacement = recorded(member, seen)
+        monkeypatch.setattr(owner, name, replacement)
+    monkeypatch.setattr(selection, "_sym_eigen", recorded(linalg._sym_eigen, solvers))
+    contexts = [context_for(G14, m) for m in (1, 2, 3, 4)]
+    seen.clear()
+    exhaustive_sweep(contexts, 3)
+    caller = threading.get_ident()
+    assert seen == {caller}
+    assert caller in solvers and len(solvers) == 2  # the worker did solve stacks
+
+
+def test_concurrent_sweeps_under_fast_thread_switching_keep_every_bit(monkeypatch):
+    """Four callers at once, each with its own worker (more threads than
+    cores), stacks of 3 matrices and a 10 us switch interval: every sweep
+    equals the one computed alone."""
+    monkeypatch.setattr(selection, "_STACK_BYTES", 3 * 14 * 14 * 8)
+    contexts = [context_for(G14, m) for m in (1, 2, 3, 4)]
+    alone = exhaustive_sweep(contexts, 3)
+    results = [None] * 4
+
+    def call(i):
+        results[i] = exhaustive_sweep(contexts, 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [alone] * 4
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_sweep_error_reaches_the_caller_and_the_worker_is_joined(monkeypatch, failing):
+    """The solve of the first stack pair's worker (or caller) half raises:
+    the same exception leaves the sweep, and no thread is left alive."""
+    error = RuntimeError(f"{failing} eigensolve failed")
+    caller = threading.get_ident()
+    helper = linalg._sym_eigen
+
+    def failing_solve(m, vectors=False):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise error
+        return helper(m, vectors=vectors)
+
+    contexts = [context_for(G14, m) for m in (1, 2)]
+    monkeypatch.setattr(selection, "_STACK_BYTES", 14 * 14 * 8 * 8)  # size 2 is 12 stacks
+    monkeypatch.setattr(selection, "_sym_eigen", failing_solve)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        exhaustive_sweep(contexts, 2)
+    assert info.value is error
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
