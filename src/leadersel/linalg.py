@@ -69,8 +69,13 @@ def _require_symmetric(m: np.ndarray, stack: bool = False) -> np.ndarray:
     if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {m.shape}")
     scale = _frobenius(m)  # not finite if an entry is not, or if the norm overflows
-    if not np.isfinite(scale).all() and not np.isfinite(m).all():
-        raise NotSymmetricError("matrix has non-finite entries")
+    if not np.isfinite(scale).all():
+        if not np.isfinite(m).all():
+            raise NotSymmetricError("matrix has non-finite entries")
+        # The norm overflowed: check each matrix in units of its largest entry.
+        peak = np.abs(m).max(axis=(-2, -1), keepdims=True)
+        _require_symmetric(m / np.maximum(peak, np.finfo(float).tiny), stack)
+        return m
     skew = _frobenius(m - np.swapaxes(m, -1, -2))
     if not np.all(skew <= TOLERANCES.symmetry_rtol * scale):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
@@ -85,12 +90,12 @@ def _sym_eigen(m: np.ndarray, vectors: bool = False) -> SpectralDecomposition:
     """
     m = _require_symmetric(m, stack=True)
     try:
-        if vectors:
-            values, basis = np.linalg.eigh(m)
-            return SpectralDecomposition(eigenvalues=values, eigenvectors=basis)
-        return SpectralDecomposition(eigenvalues=np.linalg.eigvalsh(m))
+        values, basis = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenFailureError(str(exc)) from exc
+    if not np.isfinite(values).all():
+        raise EigenFailureError("eigenvalues overflow the float range")
+    return SpectralDecomposition(eigenvalues=values, eigenvectors=basis)
 
 
 def sym_eigenvalues(m: np.ndarray, vectors: bool = False) -> SpectralDecomposition:

@@ -5,8 +5,9 @@ entering the highest-order block: per step,
 
     x <- M x + sqrt(dt) * B xi,   M = I + dt * A,   xi ~ N(0, I_n).
 
-The coherence estimate is the time-and-ensemble average of the squared
-first-order states y (the first n rows of x) after a burn-in window.
+Every run starts at rest, x = 0.  The coherence estimate is the
+time-and-ensemble average of the squared first-order states y (the
+first n rows of x) after a burn-in window that leaves the start behind.
 
 The kernel is lifted: ``_LIFT`` Euler steps are one linear map
 [K_x | K_w] that takes x_t and the noise xi_t .. xi_{t+_LIFT-1} to the
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -154,21 +154,16 @@ def _noise_blocks(pool, gens: list, n: int, block: int, steps: int):
 
 
 def simulate_coherence(
-    spec: SimulationSpec,
-    record_stride: int | None = None,
-    x0: np.ndarray | None = None,
-    noise: bool = True,
+    spec: SimulationSpec, record_stride: int | None = None
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
     """Estimate coherence empirically; returns (estimate, standard error, recorded).
 
-    The standard error is the sample deviation across ensemble runs over
-    sqrt(ensemble); it is 0.0 for a single run.  Every run starts from
-    ``x0`` (default zero); ``noise=False`` gives the deterministic
-    drift-only flow (useful for decay checks).  ``recorded`` is None
-    unless ``record_stride`` is given; then the same pass records run 0
-    as (times, outputs), outputs[j] being the n first-order states at
-    times[j], every ``record_stride`` steps after the always-recorded
-    initial state.
+    Every run starts at rest, x = 0, and is driven by its own noise
+    stream.  The standard error is the sample deviation across ensemble
+    runs over sqrt(ensemble); it is 0.0 for a single run.  ``recorded``
+    is None unless ``record_stride`` is given; then the same pass records
+    run 0 as (times, outputs), outputs[j] being the n first-order states
+    at times[j], every ``record_stride`` steps after the initial zero state.
     """
     if record_stride is not None and record_stride < 1:
         raise ValueError("record_stride must be >= 1")
@@ -183,15 +178,12 @@ def simulate_coherence(
     n = spec.system.n
     nm = a.shape[0]
     runs = spec.ensemble
-    start = np.zeros(nm) if x0 is None else np.asarray(x0, dtype=float)
-    if start.shape != (nm,):
-        raise ValueError(f"x0 must have shape ({nm},)")
     kx, kw = _lifted_operator(np.eye(nm) + spec.dt * a, n, np.sqrt(spec.dt))
     steps, burn_steps = spec.steps, spec.burn_steps
 
-    x = np.repeat(start[:, None], runs, axis=1)
+    x = np.zeros((nm, runs))
     times = [np.zeros(1)]
-    outputs = [start[None, :n]]
+    outputs = [np.zeros((1, n))]
     accum = np.zeros(runs)
     window = np.zeros(runs)
     block = _block_steps(n)
@@ -204,11 +196,8 @@ def simulate_coherence(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        if noise:
-            gens = [noise_stream(spec.seed, r) for r in range(runs)]
-            blocks = _noise_blocks(pool, gens, n, block, steps)
-        else:
-            blocks = repeat(np.zeros((block, n, runs)))
+        gens = [noise_stream(spec.seed, r) for r in range(runs)]
+        blocks = _noise_blocks(pool, gens, n, block, steps)
         # draws[t] is xi for step t of the block
         for step, draws in zip(range(0, steps, block), blocks):
             size = min(block, steps - step)

@@ -294,4 +294,9 @@ class GroundedSystem:
     def lambda_min(self) -> float:
         if not self.leaders.members:
             raise EmptyLeaderSetError("grounded matrix is singular without leaders")
-        return float(self.eigenvalues[0])
+        lam = self.eigenvalues
+        noise = self.n * np.finfo(float).eps * lam[-1]  # eigvalsh's rounding error
+        if lam[0] <= noise:  # not connectivity_rtol: kappa, absent from L, scales Q_S
+            raise GraphError(f"lambda_min(Q_S) = {lam[0]:.3g} is within rounding of zero (n "
+                             f"* eps * lambda_max(Q_S) = {noise:.3g}): a component lacks a leader")
+        return float(lam[0])

@@ -298,6 +298,69 @@ def test_select_refuses_disconnected_graph(tmp_path, capsys, name, gains):
         assert "not connected" in err
 
 
+@pytest.mark.parametrize("name", sorted(DISCONNECTED))
+def test_one_leader_on_disconnected_graph_is_refused(tmp_path, capsys, name):
+    """One leader leaves a component ungrounded, so Q_S is singular and its
+    computed lambda_min is rounding noise: every command that reads it
+    refuses, whatever sign the noise has."""
+    graph = DISCONNECTED[name]
+    path = tmp_path / "g.json"
+    write_graph(graph, unit_kappa(graph.n), path)
+    for m in (1, 2, 3, 4):
+        system = [str(path), "--order", str(m), "--gains", GAINS[m], "--leaders", "1"]
+        for command in (["stability"], ["coherence"], ["coherence", "--method", "lyapunov"],
+                        ["simulate", "--total-time", "1", "--burn-in", "0.5"]):
+            code = main([*command, *system])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), (m, command, captured.err)
+            assert "lambda_min(Q_S) = " in captured.err
+            assert "is within rounding of zero" in captured.err
+
+
+def test_one_leader_per_component_grounds_a_disconnected_graph(tmp_path, capsys):
+    """Two K2 blocks, each with its own leader: Q_S is block diagonal and
+    positive definite, and H is the sum of the blocks' 1.5 each."""
+    path = tmp_path / "g.json"
+    write_graph(cliques(2, 2), unit_kappa(4), path)
+    for method in ("closed", "lyapunov"):
+        assert main(["coherence", str(path), "--order", "1", "--gains", "1",
+                     "--leaders", "1,3", "--method", method]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(3.0, rel=1e-12)
+    assert main(["stability", str(path), "--order", "1", "--gains", "1",
+                 "--leaders", "1,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda_min"] == pytest.approx(
+        (3 - 5**0.5) / 2, rel=1e-14)
+
+
+def test_large_leader_kappa_is_not_taken_for_an_ungrounded_set(tmp_path, capsys):
+    """K2 with kappa 1e11 on the leader: lambda_max(Q_S) is 1e11 but
+    lambda_min(Q_S) = 1 - 1e-11 stands far above the rounding floor
+    n * eps * lambda_max = 4.4e-5, so the set is accepted."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"label_base": 1, "n": 2, "edges": [[1, 2, 1.0]],
+                                "kappa": [1e11, 1.0]}))
+    system = [str(path), "--order", "1", "--gains", "1", "--leaders", "1"]
+    assert main(["stability", *system]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda_min"] == pytest.approx(1.0, rel=1e-10)
+    for method in ("closed", "lyapunov"):
+        assert main(["coherence", *system, "--method", method]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.5, rel=1e-10)
+
+
+def test_grounded_eigenvalues_past_the_float_range_are_refused(tmp_path, capsys):
+    """Weight and kappa 8e307 on K2 are finite, but lambda_max(Q_S) = 2.1e308
+    is not: the eigensolve refuses it, so inf never stands in for the
+    spectrum's scale or enters H."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"label_base": 1, "n": 2, "edges": [[1, 2, 8e307]],
+                                "kappa": [8e307, 8e307]}))
+    for command in ("stability", "coherence"):
+        assert main([command, str(path), "--order", "1", "--gains", "1", "--leaders", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "input error: eigenvalues overflow the float range\n")
+
+
 # On G(1000, 0.5) the order-3 auto gains leave c lambda* - 1 = 7.6e-4, so
 # cond(c Q - I) is about 5e8: the greedy's last value must still match the
 # closed form on the set it chose.  CI runs the same graph at orders 1-4.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from leadersel.errors import (
     DimensionCapError,
+    EigenFailureError,
     LyapunovAccuracyError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -101,6 +102,35 @@ def test_two_dimensional_eigensolve_is_unchanged():
         skew[0, 1] = limit * 2.0
         with pytest.raises(NotSymmetricError):
             sym_eigenvalues(m * scale + skew)
+
+
+def test_symmetry_is_checked_where_the_norm_overflows():
+    """At 1e200 both Frobenius norms overflow to inf, and inf <= inf once
+    let any asymmetry through; the same matrix at 1e150 was refused."""
+    asymmetric = np.array([[1e200, 1e200], [0.0, 1e200]])
+    stack = random_symmetric_stack(np.random.default_rng(5), 4, 2)
+    stack[1] = 0.0  # a zero matrix has no largest entry to scale by
+    stack[2] = asymmetric
+    for matrix in (asymmetric, asymmetric * 1e-50, stack):
+        for vectors in (False, True):
+            with pytest.raises(NotSymmetricError, match="not symmetric"):
+                sym_eigenvalues(matrix, vectors=vectors)
+    symmetric = np.array([[1e200, 1e200], [1e200, 1e200]])
+    stack[2] = symmetric
+    assert np.array_equal(sym_eigenvalues(symmetric).eigenvalues, [0.0, 2e200])
+    assert np.array_equal(sym_eigenvalues(stack).eigenvalues[2], [0.0, 2e200])
+
+
+def test_eigenvalues_that_overflow_are_refused():
+    """Finite entries near the float maximum can have eigenvalues past it:
+    inf is refused, not returned as a spectrum."""
+    m = np.array([[1.7e308, 1e308], [1e308, -1.7e308]])
+    stack = random_symmetric_stack(np.random.default_rng(6), 3, 2)
+    stack[1] = m
+    for matrix in (m, stack):
+        for vectors in (False, True):
+            with pytest.raises(EigenFailureError, match="overflow the float range"):
+                sym_eigenvalues(matrix, vectors=vectors)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

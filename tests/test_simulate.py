@@ -128,26 +128,6 @@ def test_noise_streams_are_per_run():
 
 # -- trajectories ---------------------------------------------------------------
 
-def test_zero_noise_zero_state_stays_at_equilibrium():
-    spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=5.0, burn_in=0.0, seed=0)
-    _, _, (times, outputs) = simulate_coherence(spec, record_stride=10, noise=False)
-    np.testing.assert_allclose(outputs, 0.0)
-    assert times[0] == 0.0 and times[-1] == pytest.approx(5.0)
-
-
-def test_zero_noise_decay_from_random_state():
-    # slowest closed-loop mode has real part about -0.19, so exp(-11) over T=60
-    rng = np.random.default_rng(3)
-    spec = SimulationSpec(system=k2_m2(), dt=1e-3, total_time=60.0, burn_in=0.0, seed=0)
-    x0 = rng.standard_normal(4)
-    _, _, (times, outputs) = simulate_coherence(spec, record_stride=1000, noise=False,
-                                                x0=x0)
-    norms = np.linalg.norm(outputs, axis=1)
-    assert norms[-1] < 1e-3 * max(norms[0], 1.0)
-    assert norms[-1] <= norms[len(norms) // 2]
-    assert norms[-1] <= min(norms[:10])
-
-
 def test_trajectory_csv_deterministic_and_formatted(tmp_path):
     spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=2.0, burn_in=0.0, seed=5)
     _, _, (times, outputs) = simulate_coherence(spec, record_stride=20)
@@ -169,13 +149,6 @@ def test_simulate_trajectory_writes_the_recorded_pass(tmp_path):
     write_trajectory_csv(expected, times, outputs)
     assert simulate_trajectory(spec, written, record_stride=20) == (estimate, stderr)
     assert written.read_bytes() == expected.read_bytes()
-
-
-def test_trajectory_respects_initial_state():
-    spec = SimulationSpec(system=single_m2(), dt=1e-3, total_time=0.1, burn_in=0.0, seed=0)
-    _, _, (_, outputs) = simulate_coherence(spec, record_stride=100, noise=False,
-                                            x0=np.array([2.0, 0.0]))
-    assert outputs[0][0] == 2.0
 
 
 def test_recording_leaves_estimate_unchanged_and_follows_run_zero():
@@ -213,46 +186,29 @@ def test_record_stride_must_be_positive(tmp_path):
 PATH3 = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
 
 
-def path3_system(order):
-    return GroundedSystem.create(PATH3, unit_kappa(3), [0],
-                                 auto_gains(singleton_phase(PATH3, unit_kappa(3)), order))
-
-
-def assert_matches_oracle(spec, record_stride, **kwargs):
-    estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride, **kwargs)
-    o_estimate, o_stderr, (o_times, o_outputs) = euler_oracle(spec, record_stride, **kwargs)
-    assert estimate == pytest.approx(o_estimate, rel=1e-13, abs=0.0)
-    assert stderr == pytest.approx(o_stderr, rel=1e-13, abs=0.0)
-    assert np.array_equal(times, o_times)
-    # entries near a zero crossing are held to the trajectory's own scale
-    np.testing.assert_allclose(outputs, o_outputs, rtol=1e-13,
-                               atol=1e-13 * np.abs(o_outputs).max())
-
-
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_lifted_kernel_equals_euler_oracle(monkeypatch, order):
     """611 steps end in a partial lift chunk, after two noise blocks of 256
     steps; the burn-in ends inside a chunk and the stride does not divide
-    the lift."""
+    the lift.  Every chunk after the first starts from a nonzero state, so
+    the drift part of the lift is checked along with the noise part."""
     monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 256 * 3)
-    system = path3_system(order)
+    system = GroundedSystem.create(PATH3, unit_kappa(3), [0],
+                                   auto_gains(singleton_phase(PATH3, unit_kappa(3)), order))
     dt = 0.05 / float(np.linalg.norm(state_matrix(system), 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=611 * dt, burn_in=45 * dt,
                           seed=21, ensemble=3)
     assert spec.steps == 611 and spec.steps % simulate._LIFT
     assert spec.burn_steps % simulate._LIFT and simulate._LIFT % 5
     assert spec.steps > 2 * simulate._block_steps(3) == 512
-    assert_matches_oracle(spec, 5)
-
-
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_lifted_drift_equals_euler_oracle_from_nonzero_start(order):
-    system = path3_system(order)
-    dt = 0.05 / float(np.linalg.norm(state_matrix(system), 2))
-    spec = SimulationSpec(system=system, dt=dt, total_time=301 * dt, burn_in=3 * dt,
-                          seed=0, ensemble=3)
-    x0 = np.random.default_rng(order).standard_normal(3 * order)
-    assert_matches_oracle(spec, 3, x0=x0, noise=False)
+    estimate, stderr, (times, outputs) = simulate_coherence(spec, 5)
+    o_estimate, o_stderr, (o_times, o_outputs) = euler_oracle(spec, 5)
+    assert estimate == pytest.approx(o_estimate, rel=1e-13, abs=0.0)
+    assert stderr == pytest.approx(o_stderr, rel=1e-13, abs=0.0)
+    assert np.array_equal(times, o_times)
+    # entries near a zero crossing are held to the trajectory's own scale
+    np.testing.assert_allclose(outputs, o_outputs, rtol=1e-13,
+                               atol=1e-13 * np.abs(o_outputs).max())
 
 
 @pytest.mark.parametrize("chunk", [simulate._CHUNK, 1000])
@@ -306,15 +262,6 @@ def test_noise_worker_is_joined_on_return():
     before = threading.active_count()
     estimate, _, _ = simulate_coherence(lifecycle_spec())
     assert np.isfinite(estimate)
-    assert threading.active_count() == before
-
-
-def test_drift_only_flow_starts_no_worker(monkeypatch):
-    started = []
-    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
-    before = threading.active_count()
-    estimate, _, _ = simulate_coherence(lifecycle_spec(), noise=False)
-    assert estimate == 0.0 and started == []
     assert threading.active_count() == before
 
 

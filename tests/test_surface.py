@@ -1,4 +1,5 @@
-"""The package's shape: the README sketch runs, and src/ holds only what runs."""
+"""The package's shape: the README sketch runs, src/ holds only what runs, and
+no public default is a mode that only the tests select."""
 
 import ast
 import json
@@ -19,6 +20,10 @@ BENCH_BOUND_ORACLES = {
     "linalg.spd_inverse",  # explicit inverses, the tests' reference for WoodburyScorer
     "linalg.sherman_morrison_update",  # the greedy's former rank-one step; test_linalg only
 }
+
+# Defaults that no src/ call overrides: ``main(argv)`` is the documented
+# in-process entry, which the benchmark and the tests call with ``argv``.
+ENTRY_DEFAULTS = {"cli.main argv"}
 
 
 def test_every_bench_per_layer_metric_resolves():
@@ -100,3 +105,55 @@ def test_src_holds_what_runs():
     fields = [item.target.id for item in table.body if isinstance(item, ast.AnnAssign)]
     assert len(fields) > 10
     assert [name for name in fields if read.count(name) <= _names_read(table).count(name)] == []
+
+
+def _callee(call: ast.Call) -> set[str]:
+    """The names a call goes by, as ``_names_read`` spells them."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return {func.id}
+    if isinstance(func, ast.Attribute):
+        owner = [f"{func.value.id}.{func.attr}"] if isinstance(func.value, ast.Name) else []
+        return {func.attr, *owner}
+    return set()
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name``, by keyword or at
+    ``position`` (0 is the first argument the caller writes; None for a
+    keyword-only parameter, which only a keyword passes)."""
+    return ((position is not None and position < len(call.args))
+            or any(kw.arg == name for kw in call.keywords))
+
+
+def test_every_default_is_overridden_somewhere():
+    """Every parameter default of a public function or method is overridden by
+    some call in src/ outside the function's own body, by keyword or by
+    position: a default that no caller ever changes is a mode that only the
+    tests reach, and it belongs in the tests.  ``cli.main``'s ``argv`` is
+    the exemption.  A method's callers are matched by its bare name (a
+    classmethod's by ``Owner.name`` or ``cls.name``), so a call of another
+    method of the same name counts for it too."""
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "leadersel").glob("*.py"))
+               if path.name != "__init__.py"}
+    calls = [node for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unpassed = set()
+    for module, tree in modules.items():
+        for qualified, node, reads in _public_definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            callers = [call for call in calls
+                       if id(call) not in own and _callee(call) & set(reads)]
+            # a method's self or cls is bound, so the caller's first argument is the next one
+            positional = node.args.posonlyargs + node.args.args
+            positional = positional[1:] if "." in qualified else positional
+            defaulted = [(arg.arg, i) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(node.args.defaults)]
+            defaulted += [(arg.arg, None) for arg, default in
+                          zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
+            unpassed |= {f"{module}.{qualified} {name}" for name, i in defaulted
+                         if not any(_passes(call, name, i) for call in callers)}
+    assert unpassed == ENTRY_DEFAULTS
