@@ -77,6 +77,9 @@ def test_stability_bad_file_input_error(tmp_path):
     proc = run_cli("stability", str(bad), "--order", "2", "--gains", "1,1",
                    "--leaders", "0")
     assert proc.returncode == 2
+    assert proc.stderr == (f"input error: {bad}: Expecting property name enclosed in "
+                           "double quotes: line 1 column 2 (char 1)\n")
+    assert proc.stdout == ""
 
 
 def test_stability_wrong_gain_count_usage_error(k2_file):
@@ -400,6 +403,8 @@ def test_gen_stdout_round_trips(tmp_path):
 def test_gen_rejects_bad_probability():
     proc = run_cli("gen", "--n", "5", "--p", "2.0", "--seed", "0")
     assert proc.returncode == 2
+    assert proc.stderr == "input error: p=2.0 outside [0, 1]\n"
+    assert proc.stdout == ""
 
 
 def test_gen_into_closed_pipe_exits_zero_quietly():
@@ -744,13 +749,20 @@ NON_FINITE = [
 ]
 
 
-def test_graph_file_schema_violation_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2, "edges": [[1, 2, null]]}', "edges must be a list of numbers, got null"),
+    ('{"n": 2, "edges": [[1, 1, 1.0]]}', "self-loop at node 1"),
+    ('{"n": 3, "edges": [[1, 2, 1.0], [2, 1, 2.0]]}', "duplicate undirected edge (1, 2)"),
+    ('{"n": 2, "edges": [[1, 3, 1.0]]}', "edge (1, 3) references a node outside [1, 3)"),
+    ('{"n": 2, "edges": [[1, 2, -1.0]]}', "edge (1, 2) weight -1.0 must be positive and finite"),
+], ids=["null-weight", "self-loop", "duplicate-edge", "node-out-of-range", "negative-weight"])
+def test_graph_file_schema_violation_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "g.json"
-    path.write_text('{"n": 2, "edges": [[1, 2, null]]}')
+    path.write_text(text)
     code = main(["coherence", str(path), "--order", "1", "--gains", "1", "--leaders", "1"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "edges must be a list of numbers" in captured.err
+    assert captured.err == f"input error: {message}\n"
     assert captured.out == ""
 
 
