@@ -56,10 +56,6 @@ class UsageError(Exception):
     pass
 
 
-class InputError(LeaderSelError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1.
 
@@ -157,7 +153,7 @@ def build_parser() -> _Parser:
 def _load_graph(path: str) -> GraphFile:
     p = Path(path)
     if not p.exists():
-        raise InputError(f"graph file not found: {path}")
+        raise LeaderSelError(f"graph file not found: {path}")
     return read_graph_file(p)
 
 
@@ -166,14 +162,14 @@ def _parse_leaders(gf: GraphFile, raw: str | None) -> LeaderSet:
         raise UsageError("--leaders is required for this command")
     labels = [tok for tok in raw.split(",") if tok.strip() != ""]
     if not labels:
-        raise InputError("leader list is empty")
+        raise LeaderSelError("leader list is empty")
     try:
         ids = [gf.to_id(int(tok)) for tok in labels]
     except ValueError as exc:
-        raise InputError(f"leader labels must be integers: {exc}") from exc
+        raise LeaderSelError(f"leader labels must be integers: {exc}") from exc
     for ident, tok in zip(ids, labels):
         if not 0 <= ident < gf.graph.n:
-            raise InputError(f"leader label {tok} outside the graph's label range")
+            raise LeaderSelError(f"leader label {tok} outside the graph's label range")
     return LeaderSet.of(ids)
 
 
@@ -292,7 +288,7 @@ def _cmd_select(args) -> int:
 def _cmd_experiment(args) -> int:
     path = Path(args.config)
     if not path.exists():
-        raise InputError(f"config file not found: {args.config}")
+        raise LeaderSelError(f"config file not found: {args.config}")
     config = ExperimentConfig.from_file(path)
     out = run_experiment(config, args.out)
     _emit({"experiment": config.experiment, "output_dir": str(out)}, args.format)

@@ -38,7 +38,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import EmptyLeaderSetError, SingularUpdateError, UnstableSystemError
+from .errors import LeaderSelError, UnstableSystemError
 from .graphs import Graph, KappaWeights, LeaderSet, laplacian
 from .linalg import TOLERANCES, lyapunov_solve, sym_eigenvalues
 from .stability import (
@@ -129,7 +129,7 @@ class WoodburyScorer:
     scored at once in O(n |S|^2) (the cross term uses X = V^T A T V).  A denominator
     gamma_v kappa_v or gamma'_v c kappa_v at or below
     ``rank_one_denominator_min``, or a capacitance solve that misses its
-    residual bound, raises SingularUpdateError.  Needs |S| >= 1.
+    residual bound, raises LeaderSelError.  Needs |S| >= 1.
     """
 
     def __init__(self, context: "SystemContext", capacity: int):
@@ -182,16 +182,16 @@ class WoodburyScorer:
         try:
             cap = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
-            raise SingularUpdateError("capacitance matrix is singular") from exc
+            raise LeaderSelError("capacitance matrix is singular") from exc
         residual = np.linalg.norm(g @ cap - np.eye(m))
         if not residual <= TOLERANCES.woodbury_rtol * np.linalg.norm(g) * np.linalg.norm(cap):
-            raise SingularUpdateError(
+            raise LeaderSelError(
                 f"capacitance solve residual {residual:.3e} exceeds its bound")
         x = fv @ cap
         gamma = 1.0 / kappa + self.diagonals[j] - _rowdot(x, fv)
         denom = kappa * gamma
         if (low := candidates & ~(denom > TOLERANCES.rank_one_denominator_min)).any():
-            raise SingularUpdateError(
+            raise LeaderSelError(
                 f"update denominator {denom[low].min()} at or below tolerance")
         return cap, x, gamma
 
@@ -308,7 +308,7 @@ class SystemContext:
         if not isinstance(leaders, LeaderSet):
             leaders = LeaderSet.of(leaders)
         if not leaders.members:
-            raise EmptyLeaderSetError("normalized coherence needs leaders")
+            raise LeaderSelError("normalized coherence needs leaders")
         q = grounded_matrix(laplacian(self.graph), self.kappa, leaders)
         lams = sym_eigenvalues(q).eigenvalues
         return float(normalized_eigenvalue_terms(self.gains, lams))

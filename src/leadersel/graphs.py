@@ -27,16 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateEdgeError,
-    GraphError,
-    InvalidProbabilityError,
-    NodeOutOfRangeError,
-    NonPositiveWeightError,
-    ParseError,
-    SchemaError,
-    SelfLoopError,
-)
+from .errors import GraphError, LeaderSelError, SchemaError
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +49,7 @@ class KappaWeights:
     def __post_init__(self) -> None:
         for k in self.values:
             if not (k > 0 and math.isfinite(k)):
-                raise NonPositiveWeightError(f"kappa weight {k} must be positive and finite")
+                raise GraphError(f"kappa weight {k} must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -88,7 +79,7 @@ class LeaderSet:
     def validate(self, n: int) -> None:
         for i in self.members:
             if not 0 <= i < n:
-                raise NodeOutOfRangeError(f"leader id {i} outside [0, {n})")
+                raise GraphError(f"leader id {i} outside [0, {n})")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -97,14 +88,15 @@ class LeaderSet:
 def build_graph(n: int, edges: Sequence | np.ndarray, label_base: int = 0) -> Graph:
     """Validate and canonicalize (u, v, w) triples, or an (E, 3) table, into a Graph.
 
-    Raises SelfLoopError, NodeOutOfRangeError, NonPositiveWeightError or
-    DuplicateEdgeError for the first offending edge in input order, checked
-    in that order; a repeated edge offends at its second occurrence.
+    Raises GraphError for the first offending edge in input order: a
+    self-loop, an out-of-range node, a weight that is not positive and
+    finite, or a repeated edge, checked in that order; a repeated edge
+    offends at its second occurrence.
     Messages name nodes as id + ``label_base``, the label space of the
     file the edges came from.
     """
     if n < 1:
-        raise NodeOutOfRangeError("node count must be positive")
+        raise GraphError("node count must be positive")
     table = np.asarray(edges, dtype=float)
     if table.shape != (0,) and table.shape[1:] != (3,):
         raise ValueError("edges must be (u, v, w) triples")
@@ -125,16 +117,16 @@ def build_graph(n: int, edges: Sequence | np.ndarray, label_base: int = 0) -> Gr
         i = int(np.argmax(bad))
         u, v = int(u[i]) + label_base, int(v[i]) + label_base
         if self_loop[i]:
-            raise SelfLoopError(f"self-loop at node {u}")
+            raise GraphError(f"self-loop at node {u}")
         if out_of_range[i]:
-            raise NodeOutOfRangeError(
+            raise GraphError(
                 f"edge ({u}, {v}) references a node outside [{label_base}, {n + label_base})"
             )
         if bad_weight[i]:
-            raise NonPositiveWeightError(
+            raise GraphError(
                 f"edge ({u}, {v}) weight {float(w[i])} must be positive and finite"
             )
-        raise DuplicateEdgeError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
+        raise GraphError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
     g = Graph(n=n, u=lo[order].astype(np.intp), v=hi[order].astype(np.intp), w=w[order])
     for column in (g.u, g.v, g.w):
         column.flags.writeable = False
@@ -171,9 +163,9 @@ def erdos_renyi(n: int, p: float, seed: int, weight: float = 1.0) -> Graph:
     PCG64(seed); the pair is included iff the draw is < p.
     """
     if not 0.0 <= p <= 1.0:
-        raise InvalidProbabilityError(f"p={p} outside [0, 1]")
+        raise GraphError(f"p={p} outside [0, 1]")
     if n < 1:
-        raise NodeOutOfRangeError("node count must be positive")
+        raise GraphError("node count must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     rows, cols = np.triu_indices(n, 1)  # pairs in lexicographic order
     keep = rng.random(n * (n - 1) // 2) < p
@@ -195,7 +187,7 @@ def erdos_renyi_connected(n: int, p: float, seed: int, weight: float = 1.0) -> t
         g = erdos_renyi(n, p, seed + offset, weight)
         if is_connected(g):
             return g, offset
-    raise InvalidProbabilityError(
+    raise GraphError(
         f"no connected sample within {MAX_RESAMPLES} resamples (n={n}, p={p})"
     )
 
@@ -302,7 +294,7 @@ def read_graph_file(path: str | Path) -> GraphFile:
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise LeaderSelError(f"{path}: {exc}") from exc
     return parse_graph_payload(payload)
 
 

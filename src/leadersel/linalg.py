@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionCapError,
-    EigenFailureError,
-    LyapunovAccuracyError,
-    NotPositiveDefiniteError,
-    NotSymmetricError,
-    SingularUpdateError,
-    UnstableMatrixError,
-)
+from .errors import LeaderSelError, LyapunovAccuracyError
 
 
 @dataclass(frozen=True)
@@ -67,18 +59,18 @@ def _require_symmetric(m: np.ndarray, stack: bool = False) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {m.shape}")
+        raise LeaderSelError(f"expected a square matrix, got shape {m.shape}")
     scale = _frobenius(m)  # not finite if an entry is not, or if the norm overflows
     if not np.isfinite(scale).all():
         if not np.isfinite(m).all():
-            raise NotSymmetricError("matrix has non-finite entries")
+            raise LeaderSelError("matrix has non-finite entries")
         # The norm overflowed: check each matrix in units of its largest entry.
         peak = np.abs(m).max(axis=(-2, -1), keepdims=True)
         _require_symmetric(m / np.maximum(peak, np.finfo(float).tiny), stack)
         return m
     skew = _frobenius(m - np.swapaxes(m, -1, -2))
     if not np.all(skew <= TOLERANCES.symmetry_rtol * scale):
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
+        raise LeaderSelError("matrix is not symmetric within tolerance")
     return m
 
 
@@ -92,9 +84,9 @@ def _sym_eigen(m: np.ndarray, vectors: bool = False) -> SpectralDecomposition:
     try:
         values, basis = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenFailureError(str(exc)) from exc
+        raise LeaderSelError(str(exc)) from exc
     if not np.isfinite(values).all():
-        raise EigenFailureError("eigenvalues overflow the float range")
+        raise LeaderSelError("eigenvalues overflow the float range")
     return SpectralDecomposition(eigenvalues=values, eigenvectors=basis)
 
 
@@ -114,7 +106,7 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("Cholesky factorization failed") from exc
+        raise LeaderSelError("Cholesky factorization failed") from exc
     inv = np.linalg.solve(m, np.eye(m.shape[0]))
     return (inv + inv.T) / 2.0
 
@@ -123,12 +115,12 @@ def sherman_morrison_update(inv: np.ndarray, index: int, scale: float) -> np.nda
     """Inverse of M + scale * e_i e_i^T given inv = M^-1.
 
     The update costs O(n^2); the denominator 1 + scale * inv[i, i] must
-    stay above tolerance or SingularUpdateError is raised.
+    stay above tolerance or LeaderSelError is raised.
     """
     inv = np.asarray(inv, dtype=float)
     denom = 1.0 + scale * inv[index, index]
     if denom <= TOLERANCES.rank_one_denominator_min:
-        raise SingularUpdateError(f"update denominator {denom} at or below tolerance")
+        raise LeaderSelError(f"update denominator {denom} at or below tolerance")
     col = inv[:, index]
     return inv - (scale / denom) * np.outer(col, col)
 
@@ -151,7 +143,7 @@ def _sign_lyapunov(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for _ in range(_SIGN_STEPS):
         sign, logdet = np.linalg.slogdet(a_k)
         if sign == 0 or not np.isfinite(logdet):
-            raise UnstableMatrixError("Lyapunov sign iteration met a singular matrix")
+            raise LeaderSelError("Lyapunov sign iteration met a singular matrix")
         inv = np.linalg.inv(a_k)
         gamma = np.exp(-logdet / n)  # determinant scaling |det A_k|^(-1/n)
         a_next = (gamma * a_k + inv / gamma) / 2.0
@@ -162,7 +154,7 @@ def _sign_lyapunov(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             return r_k / 2.0
         if step <= TOLERANCES.lyapunov_sign_rtol * np.linalg.norm(a_k):
             break  # settled on a sign other than -I
-    raise UnstableMatrixError(
+    raise LeaderSelError(
         "Lyapunov sign iteration did not converge to -I: A is not stable"
     )
 
@@ -175,7 +167,7 @@ def lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     iteration solves for the residual of the first answer, and the
     correction is added.  O(n^3) time, O(n^2) memory.  An A that is
     singular along the way or whose sign is not -I raises
-    UnstableMatrixError.  The returned P is symmetrized and its residual
+    LeaderSelError.  The returned P is symmetrized and its residual
     must meet ``lyapunov_residual_rtol``; if it cannot,
     LyapunovAccuracyError says so.
     """
@@ -183,9 +175,9 @@ def lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or rhs.shape != (n, n):
-        raise UnstableMatrixError(f"shape mismatch: A {a.shape}, RHS {rhs.shape}")
+        raise LeaderSelError(f"shape mismatch: A {a.shape}, RHS {rhs.shape}")
     if n > TOLERANCES.lyapunov_dim_cap:
-        raise DimensionCapError(f"dimension {n} exceeds cap {TOLERANCES.lyapunov_dim_cap}")
+        raise LeaderSelError(f"dimension {n} exceeds cap {TOLERANCES.lyapunov_dim_cap}")
     p = _sign_lyapunov(a, rhs)
     p = (p + p.T) / 2.0
     correction = _sign_lyapunov(a, a @ p + p @ a.T + rhs)

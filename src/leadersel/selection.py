@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import SystemContext, WoodburyScorer, normalized_eigenvalue_terms
-from .errors import CombinatorialCapError, SingularUpdateError
+from .errors import LeaderSelError
 from .graphs import laplacian
 from .linalg import TOLERANCES, _sym_eigen, sym_eigenvalues
 from .system import grounded_matrix
@@ -99,8 +99,8 @@ def _require_confirmed(context: SystemContext, leaders: list[int], norm: float) 
     if form.shift:
         cond *= max(1.0, 1.0 / (form.c * lams[0] - 1.0))
     if not abs(norm - exact) <= TOLERANCES.woodbury_rtol * max(1.0, cond) * exact:
-        raise SingularUpdateError(f"greedy value {norm!r} of {len(leaders)} leaders disagrees "
-                                  f"with the eigensolve's {exact!r} (condition number {cond:.3g})")
+        raise LeaderSelError(f"greedy value {norm!r} of {len(leaders)} leaders disagrees "
+                             f"with the eigensolve's {exact!r} (condition number {cond:.3g})")
 
 
 def greedy_select(context: SystemContext, k: int) -> SelectionResult:
@@ -229,7 +229,7 @@ def exhaustive_sweep(
     k_eff = min(k, n)
     total = sum(math.comb(n, j) for j in range(1, k_eff + 1))
     if total > TOLERANCES.subset_cap:
-        raise CombinatorialCapError(
+        raise LeaderSelError(
             f"{total} subsets exceed the cap of {TOLERANCES.subset_cap}"
         )
     lap = laplacian(first.graph)

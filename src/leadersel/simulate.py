@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StepTooLargeError, UnstableSystemError
+from .errors import LeaderSelError, UnstableSystemError
 from .linalg import TOLERANCES
 from .stability import check_stability, companion_state_matrix
 from .system import GroundedSystem
@@ -172,7 +172,7 @@ def simulate_coherence(
     a = companion_state_matrix(spec.system.matrix, spec.system.gains.values)
     growth = spec.dt * float(np.linalg.norm(a, 2))
     if growth >= TOLERANCES.step_norm_guard:
-        raise StepTooLargeError(
+        raise LeaderSelError(
             f"dt * ||A||_2 = {growth:.3g} >= {TOLERANCES.step_norm_guard}; shrink dt"
         )
     n = spec.system.n

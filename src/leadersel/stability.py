@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenFailureError, UnstableSystemError, UnsupportedOrderError
+from .errors import LeaderSelError, UnstableSystemError
 from .graphs import Graph, KappaWeights, laplacian
 from .linalg import TOLERANCES, sym_eigenvalues
 from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix
@@ -158,7 +158,7 @@ def companion_state_matrix(q: np.ndarray, gains) -> np.ndarray:
     gains = tuple(float(g) for g in gains)
     m = len(gains)
     if m < 1:
-        raise UnsupportedOrderError("need at least one gain")
+        raise LeaderSelError("need at least one gain")
     a = np.zeros((n * m, n * m))
     eye = np.eye(n)
     for j in range(m - 1):
@@ -176,11 +176,11 @@ def spectral_stability_oracle(a: np.ndarray) -> tuple[bool, float]:
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
-        raise EigenFailureError("state matrix has non-finite entries")
+        raise LeaderSelError("state matrix has non-finite entries")
     try:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise EigenFailureError(str(exc)) from exc
+        raise LeaderSelError(str(exc)) from exc
     max_real = float(np.max(values.real))
     return max_real < 0.0, max_real
 
@@ -212,7 +212,7 @@ def auto_gains(phase: SingletonPhase, m: int) -> GainVector:
     condition slacks exceed 0.5.
     """
     if not 1 <= m <= 4:
-        raise UnsupportedOrderError(f"order {m} outside supported range 1..4")
+        raise LeaderSelError(f"order {m} outside supported range 1..4")
     lam_star = phase.lambda_star
     a = float(math.ceil(1.0 / lam_star))
     if m <= 2:

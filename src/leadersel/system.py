@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyLeaderSetError, GraphError, UnsupportedOrderError
+from .errors import GraphError, LeaderSelError
 from .graphs import Graph, KappaWeights, LeaderSet, is_connected, laplacian
 from .linalg import TOLERANCES, sym_eigenvalues
 
@@ -30,12 +30,12 @@ class GainVector:
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.values) <= MAX_ORDER:
-            raise UnsupportedOrderError(
+            raise LeaderSelError(
                 f"order {len(self.values)} outside supported range 1..{MAX_ORDER}"
             )
         for j, a in enumerate(self.values):
             if a == 0 or not math.isfinite(a):
-                raise UnsupportedOrderError(f"gain a{j + 1} = {a} must be nonzero and finite")
+                raise LeaderSelError(f"gain a{j + 1} = {a} must be nonzero and finite")
         object.__setattr__(self, "values", tuple(float(a) for a in self.values))
 
     @property
@@ -293,7 +293,7 @@ class GroundedSystem:
     @property
     def lambda_min(self) -> float:
         if not self.leaders.members:
-            raise EmptyLeaderSetError("grounded matrix is singular without leaders")
+            raise LeaderSelError("grounded matrix is singular without leaders")
         lam = self.eigenvalues
         noise = self.n * np.finfo(float).eps * lam[-1]  # eigvalsh's rounding error
         if lam[0] <= noise:  # not connectivity_rtol: kappa, absent from L, scales Q_S

@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from leadersel.errors import (
-    CombinatorialCapError,
-    DuplicateEdgeError,
-    NodeOutOfRangeError,
-    NonPositiveWeightError,
-    SelfLoopError,
-)
+from leadersel.errors import GraphError
 from leadersel.graphs import (
     Graph,
     KappaWeights,
@@ -69,25 +63,25 @@ def loop_build_graph(n, edges, label_base=0):
     offending edge earns, with nodes named in label space.
     """
     if n < 1:
-        raise NodeOutOfRangeError("node count must be positive")
+        raise GraphError("node count must be positive")
     b = label_base
     seen = set()
     canonical = []
     for u, v, w in edges:
         u, v, w = int(u), int(v), float(w)
         if u == v:
-            raise SelfLoopError(f"self-loop at node {u + b}")
+            raise GraphError(f"self-loop at node {u + b}")
         if not (0 <= u < n and 0 <= v < n):
-            raise NodeOutOfRangeError(
+            raise GraphError(
                 f"edge ({u + b}, {v + b}) references a node outside [{b}, {n + b})"
             )
         if not (w > 0 and math.isfinite(w)):
-            raise NonPositiveWeightError(
+            raise GraphError(
                 f"edge ({u + b}, {v + b}) weight {w} must be positive and finite"
             )
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise DuplicateEdgeError(f"duplicate undirected edge {(key[0] + b, key[1] + b)}")
+            raise GraphError(f"duplicate undirected edge {(key[0] + b, key[1] + b)}")
         seen.add(key)
         canonical.append((key[0], key[1], w))
     return tuple(sorted(canonical))
@@ -449,7 +443,7 @@ def check_monotone_submodular(
     full = 1 << n
     if mode == "exhaustive":
         if n > 8:
-            raise CombinatorialCapError(f"exhaustive pair check limited to n <= 8, got {n}")
+            raise ValueError(f"exhaustive pair check limited to n <= 8, got {n}")
         for a in range(full):
             for b in range(a, full):
                 check_pair(a, b)

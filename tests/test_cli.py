@@ -845,8 +845,7 @@ def test_lyapunov_accuracy_limit_has_its_own_prefix(k2_file, capsys):
 
 
 @pytest.mark.parametrize("error", [
-    errors.ParseError, errors.SchemaError, cli.InputError, errors.CombinatorialCapError,
-    errors.DimensionCapError, ValueError, errors.StepTooLargeError,
+    errors.LeaderSelError, errors.GraphError, errors.SchemaError, ValueError, OSError,
 ])
 def test_input_errors_exit_two(monkeypatch, capsys, error):
     def handler(args):

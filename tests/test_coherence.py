@@ -17,7 +17,7 @@ from leadersel.coherence import (
     normalized_eigenvalue_terms,
     normalized_from_inverses,
 )
-from leadersel.errors import EmptyLeaderSetError, UnstableSystemError
+from leadersel.errors import LeaderSelError, UnstableSystemError
 from leadersel.graphs import KappaWeights, build_graph, six_node_example, unit_kappa
 from leadersel.graphs import erdos_renyi_connected, laplacian
 from leadersel.linalg import spd_inverse
@@ -99,7 +99,7 @@ def test_marginal_system_refused():
 
 def test_empty_leaders_refused():
     system = GroundedSystem.create(K2, unit_kappa(2), [], gain_vector(1, 1))
-    with pytest.raises(EmptyLeaderSetError):
+    with pytest.raises(LeaderSelError, match="grounded matrix is singular without leaders"):
         coherence_closed(system)
 
 

@@ -1,21 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadersel.errors import (
-    DuplicateEdgeError,
-    GraphError,
-    InvalidProbabilityError,
-    NodeOutOfRangeError,
-    NonPositiveWeightError,
-    ParseError,
-    SchemaError,
-    SelfLoopError,
-)
+from leadersel.errors import GraphError, LeaderSelError, SchemaError
 from leadersel.graphs import (
     KappaWeights,
     build_graph,
@@ -60,20 +52,27 @@ def test_build_graph_six_node(six_node):
 
 
 @pytest.mark.parametrize(
-    "edges, error",
+    "edges, message",
     [
-        ([(0, 0, 1.0)], SelfLoopError),
-        ([(0, 1, 1.0), (1, 0, 2.0)], DuplicateEdgeError),
-        ([(0, 1, 0.0)], NonPositiveWeightError),
-        ([(0, 1, -2.0)], NonPositiveWeightError),
-        ([(0, 5, 1.0)], NodeOutOfRangeError),
-        ([(0, 1, math.nan)], NonPositiveWeightError),
-        ([(0, 1, math.inf)], NonPositiveWeightError),
-        ([(0, 1, -math.inf)], NonPositiveWeightError),
+        pytest.param([(0, 0, 1.0)], "self-loop at node 0", id="edges0-SelfLoopError"),
+        pytest.param([(0, 1, 1.0), (1, 0, 2.0)], "duplicate undirected edge (0, 1)",
+                     id="edges1-DuplicateEdgeError"),
+        pytest.param([(0, 1, 0.0)], "edge (0, 1) weight 0.0 must be positive and finite",
+                     id="edges2-NonPositiveWeightError"),
+        pytest.param([(0, 1, -2.0)], "edge (0, 1) weight -2.0 must be positive and finite",
+                     id="edges3-NonPositiveWeightError"),
+        pytest.param([(0, 5, 1.0)], "edge (0, 5) references a node outside [0, 2)",
+                     id="edges4-NodeOutOfRangeError"),
+        pytest.param([(0, 1, math.nan)], "edge (0, 1) weight nan must be positive and finite",
+                     id="edges5-NonPositiveWeightError"),
+        pytest.param([(0, 1, math.inf)], "edge (0, 1) weight inf must be positive and finite",
+                     id="edges6-NonPositiveWeightError"),
+        pytest.param([(0, 1, -math.inf)], "edge (0, 1) weight -inf must be positive and finite",
+                     id="edges7-NonPositiveWeightError"),
     ],
 )
-def test_build_graph_rejects(edges, error):
-    with pytest.raises(error):
+def test_build_graph_rejects(edges, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
         build_graph(2, edges)
 
 
@@ -165,7 +164,7 @@ def test_erdos_renyi_extreme_probabilities():
 
 
 def test_erdos_renyi_rejects_bad_probability():
-    with pytest.raises(InvalidProbabilityError):
+    with pytest.raises(GraphError, match=re.escape("p=1.5 outside [0, 1]")):
         erdos_renyi(5, 1.5, seed=0)
 
 
@@ -298,7 +297,7 @@ def test_read_names_nodes_in_label_space(tmp_path, edges, message):
 def test_read_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(LeaderSelError, match=f"{re.escape(str(path))}: Expecting property name"):
         read_graph_file(path)
 
 

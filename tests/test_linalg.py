@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadersel.errors import (
-    DimensionCapError,
-    EigenFailureError,
-    LyapunovAccuracyError,
-    NotPositiveDefiniteError,
-    NotSymmetricError,
-    SingularUpdateError,
-    UnstableMatrixError,
-)
+from leadersel.errors import LeaderSelError, LyapunovAccuracyError
 from leadersel.graphs import build_graph, unit_kappa
 from leadersel.linalg import (
     TOLERANCES,
@@ -53,9 +46,9 @@ def test_eigenvalues_path_laplacian():
 
 
 def test_eigenvalues_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(LeaderSelError, match="not symmetric within tolerance"):
         sym_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(LeaderSelError, match="not symmetric within tolerance"):
         sym_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]), vectors=True)
 
 
@@ -85,7 +78,7 @@ def test_stack_with_one_asymmetric_matrix_is_refused():
     stack[3, 1, 2] += 1e-6  # far above 1e-10 of its own norm, below that of the stack's
     assert 1e-6 < TOLERANCES.symmetry_rtol * np.linalg.norm(stack)
     for vectors in (False, True):
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(LeaderSelError, match="not symmetric within tolerance"):
             sym_eigenvalues(stack, vectors=vectors)
 
 
@@ -100,7 +93,7 @@ def test_two_dimensional_eigensolve_is_unchanged():
         skew[0, 1] = limit / 2.0
         sym_eigenvalues(m * scale + skew)
         skew[0, 1] = limit * 2.0
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(LeaderSelError, match="not symmetric within tolerance"):
             sym_eigenvalues(m * scale + skew)
 
 
@@ -113,7 +106,7 @@ def test_symmetry_is_checked_where_the_norm_overflows():
     stack[2] = asymmetric
     for matrix in (asymmetric, asymmetric * 1e-50, stack):
         for vectors in (False, True):
-            with pytest.raises(NotSymmetricError, match="not symmetric"):
+            with pytest.raises(LeaderSelError, match="not symmetric"):
                 sym_eigenvalues(matrix, vectors=vectors)
     symmetric = np.array([[1e200, 1e200], [1e200, 1e200]])
     stack[2] = symmetric
@@ -129,7 +122,7 @@ def test_eigenvalues_that_overflow_are_refused():
     stack[1] = m
     for matrix in (m, stack):
         for vectors in (False, True):
-            with pytest.raises(EigenFailureError, match="overflow the float range"):
+            with pytest.raises(LeaderSelError, match="overflow the float range"):
                 sym_eigenvalues(matrix, vectors=vectors)
 
 
@@ -145,20 +138,21 @@ def test_non_finite_entries_are_refused(bad, entries):
     stack[2] = m
     for matrix in (m, stack):
         for vectors in (False, True):
-            with pytest.raises(NotSymmetricError, match="non-finite entries"):
+            with pytest.raises(LeaderSelError, match="non-finite entries"):
                 sym_eigenvalues(matrix, vectors=vectors)
-    with pytest.raises(NotSymmetricError, match="non-finite entries"):
+    with pytest.raises(LeaderSelError, match="non-finite entries"):
         spd_inverse(m)
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)])
 def test_eigenvalues_refuse_non_square_shapes(shape):
-    with pytest.raises(NotSymmetricError):
+    message = f"expected a square matrix, got shape {shape}"
+    with pytest.raises(LeaderSelError, match=re.escape(message)):
         sym_eigenvalues(np.zeros(shape))
 
 
 def test_spd_solve_refuses_a_stack():
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(LeaderSelError, match=r"expected a square matrix, got shape \(2, 3, 3\)"):
         spd_inverse(np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
@@ -192,7 +186,7 @@ def test_spd_inverse_grounded_k2():
 
 
 def test_spd_inverse_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(LeaderSelError, match="Cholesky factorization failed"):
         spd_inverse(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
@@ -250,7 +244,7 @@ def test_rank_one_composes(n, seed, k):
 
 
 def test_rank_one_singular_denominator():
-    with pytest.raises(SingularUpdateError):
+    with pytest.raises(LeaderSelError, match="update denominator 0.0 at or below tolerance"):
         sherman_morrison_update(np.array([[1.0]]), 0, -1.0)
 
 
@@ -286,12 +280,12 @@ def test_lyapunov_residual_and_symmetry(n, seed):
 
 def test_lyapunov_dimension_cap():
     n = TOLERANCES.lyapunov_dim_cap + 1
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(LeaderSelError, match=f"dimension {n} exceeds cap {n - 1}"):
         lyapunov_solve(-np.eye(n), np.eye(n))
 
 
 def test_lyapunov_rejects_singular_system():
-    with pytest.raises(UnstableMatrixError):
+    with pytest.raises(LeaderSelError, match="sign iteration met a singular matrix"):
         lyapunov_solve(np.array([[0.0]]), np.array([[1.0]]))
 
 
@@ -303,9 +297,9 @@ def test_lyapunov_rejects_singular_system():
 ])
 def test_lyapunov_rejects_right_half_plane_eigenvalue(a):
     assert np.max(np.linalg.eigvals(a).real) > 0
-    with pytest.raises(UnstableMatrixError) as info:
+    with pytest.raises(LeaderSelError, match="did not converge to -I: A is not stable") as info:
         lyapunov_solve(a, np.eye(a.shape[0]))
-    assert type(info.value) is UnstableMatrixError
+    assert not isinstance(info.value, LyapunovAccuracyError)  # the CLI's accuracy-limit prefix
 
 
 # -- Lyapunov solve against the Kronecker oracle --------------------------------

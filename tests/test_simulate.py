@@ -7,7 +7,7 @@ import pytest
 
 import leadersel.simulate as simulate
 
-from leadersel.errors import StepTooLargeError, UnstableSystemError
+from leadersel.errors import LeaderSelError, UnstableSystemError
 from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, unit_kappa
 from leadersel.simulate import (
     SimulationSpec,
@@ -66,7 +66,7 @@ def test_unstable_system_refused_before_integration():
 
 def test_oversized_step_refused():
     spec = SimulationSpec(system=single_m2(), dt=0.2, total_time=10.0, burn_in=0.0, seed=0)
-    with pytest.raises(StepTooLargeError):
+    with pytest.raises(LeaderSelError, match=r"dt \* \|\|A\|\|_2 = 0\.324 >= 0\.1; shrink dt"):
         simulate_coherence(spec)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadersel.coherence import coherence_closed
-from leadersel.errors import EmptyLeaderSetError, UnstableSystemError, UnsupportedOrderError
+from leadersel.errors import LeaderSelError, UnstableSystemError
 from leadersel.graphs import KappaWeights, build_graph, unit_kappa
 from leadersel.stability import (
     auto_gains,
@@ -65,12 +65,12 @@ def test_hurwitz_cross_check_against_polynomial_roots():
 
 
 def test_gain_vector_rejects_bad_orders():
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(LeaderSelError, match=r"order 5 outside supported range 1\.\.4"):
         GainVector((1.0,) * 5)
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(LeaderSelError, match="gain a2 = 0.0 must be nonzero and finite"):
         GainVector((1.0, 0.0))
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(UnsupportedOrderError, match="must be nonzero and finite"):
+        with pytest.raises(LeaderSelError, match="must be nonzero and finite"):
             GainVector((1.0, bad))
 
 
@@ -103,7 +103,7 @@ def test_exact_boundary_is_marginal():
 
 def test_empty_leader_set_rejected():
     system = GroundedSystem.create(K2, unit_kappa(2), [], gain_vector(1, 1))
-    with pytest.raises(EmptyLeaderSetError):
+    with pytest.raises(LeaderSelError, match="grounded matrix is singular without leaders"):
         check_stability(system)
 
 
