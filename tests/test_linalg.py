@@ -299,7 +299,7 @@ def test_lyapunov_rejects_right_half_plane_eigenvalue(a):
     assert np.max(np.linalg.eigvals(a).real) > 0
     with pytest.raises(LeaderSelError, match="did not converge to -I: A is not stable") as info:
         lyapunov_solve(a, np.eye(a.shape[0]))
-    assert not isinstance(info.value, LyapunovAccuracyError)  # the CLI's accuracy-limit prefix
+    assert not isinstance(info.value, LyapunovAccuracyError)  # no "oracle accuracy limit" prefix
 
 
 # -- Lyapunov solve against the Kronecker oracle --------------------------------
