@@ -844,16 +844,31 @@ def test_lyapunov_accuracy_limit_has_its_own_prefix(k2_file, capsys):
     assert residual > bound == pytest.approx(1e-8 * 2**0.5, rel=1e-3)
 
 
-@pytest.mark.parametrize("error", [
-    errors.LeaderSelError, errors.GraphError, errors.SchemaError, ValueError, OSError,
+@pytest.mark.parametrize("error, message", [
+    pytest.param(errors.LeaderSelError, "bad input", id="LeaderSelError"),
+    pytest.param(errors.GraphError, "bad input", id="GraphError"),
+    pytest.param(errors.SchemaError, "bad input", id="SchemaError"),
+    pytest.param(ValueError, "bad input", id="ValueError"),
+    pytest.param(OSError, "bad input", id="OSError"),
+    # Refusals that once had classes of their own, now raised as LeaderSelError
+    # with the message of their raise site; the case ids keep the old names.
+    pytest.param(errors.LeaderSelError,
+                 "g.json: Expecting value: line 1 column 1 (char 0)", id="ParseError"),
+    pytest.param(errors.LeaderSelError, "leader list is empty", id="InputError"),
+    pytest.param(errors.LeaderSelError, "1048575 subsets exceed the cap of 1000000",
+                 id="CombinatorialCapError"),
+    pytest.param(errors.LeaderSelError, "dimension 2000 exceeds cap 1200",
+                 id="DimensionCapError"),
+    pytest.param(errors.LeaderSelError, "dt * ||A||_2 = 0.6 >= 0.1; shrink dt",
+                 id="StepTooLargeError"),
 ])
-def test_input_errors_exit_two(monkeypatch, capsys, error):
+def test_input_errors_exit_two(monkeypatch, capsys, error, message):
     def handler(args):
-        raise error("bad input")
+        raise error(message)
 
     monkeypatch.setitem(cli._HANDLERS, "gen", handler)
     assert main(["gen", "--n", "3", "--p", "0.5"]) == 2
-    assert capsys.readouterr().err == "input error: bad input\n"
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_memory_error_exits_two_on_one_line(monkeypatch, capsys, k2_file):
