@@ -7,6 +7,7 @@ import pytest
 
 import leadersel.simulate as simulate
 
+from leadersel.coherence import coherence_closed
 from leadersel.errors import LeaderSelError, UnstableSystemError
 from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, unit_kappa
 from leadersel.simulate import (
@@ -116,6 +117,27 @@ def test_step_refinement_reduces_bias():
         )
         wins += abs(fine - target) < abs(coarse - target)
     assert wins >= 9
+
+
+@pytest.mark.parametrize("order, gains", [
+    (2, (0.125, 0.5)), (3, (0.25, 1.0, 1.0)), (4, (0.125, 0.25, 1.0, 0.5))])
+def test_estimate_within_six_standard_errors_of_closed_form(six_node, order, gains):
+    """Orders 2-4 on the six-node graph, leaders 2, 4 and 6, with gains in
+    units of 1/lambda_min(Q_S) and dt * ||A||_2 = 0.09: 16 runs of 30 000
+    steps.  With 15 degrees of freedom a correct integrator lands more than
+    6 standard errors out with probability ~2e-5."""
+    lam_min = GroundedSystem.create(six_node.graph, six_node.kappa, [1, 3, 5],
+                                    gain_vector(1.0)).lambda_min
+    system = GroundedSystem.create(six_node.graph, six_node.kappa, [1, 3, 5],
+                                   gain_vector(*(g / lam_min for g in gains)))
+    dt = 0.09 / float(np.linalg.norm(state_matrix(system), 2))
+    spec = SimulationSpec(system=system, dt=dt, total_time=30000 * dt,
+                          burn_in=7500 * dt, seed=order, ensemble=16)
+    assert spec.steps == 30000
+    estimate, stderr, _ = simulate_coherence(spec)
+    target = coherence_closed(system).value
+    assert stderr > 0
+    assert abs(estimate - target) <= 6.0 * stderr, (estimate, stderr, target)
 
 
 def test_noise_streams_are_per_run():
