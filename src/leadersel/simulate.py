@@ -12,11 +12,12 @@ first n rows of x) after a burn-in window that leaves the start behind.
 The kernel is lifted: ``_LIFT`` Euler steps are one linear map
 [K_x | K_w] that takes x_t and the noise xi_t .. xi_{t+_LIFT-1} to the
 outputs y_{t+1} .. y_{t+_LIFT} and the state x_{t+_LIFT}, built once
-from the powers of M.  Noise comes in blocks; one batched product
-applies K_w to every lifted chunk of a block, then each chunk costs one
-K_x product and one add.  A horizon that is not a multiple of ``_LIFT``
-ends in a chunk with zero noise past the last step, whose extra rows
-are dropped.
+from the powers of M.  Noise comes in blocks; K_w is applied to every
+lifted chunk of a block at once, each row group reading only the noise
+that has reached it (``_lifted_operator``'s staircase), then each chunk
+costs one K_x product and one add.  A horizon that is not a multiple of
+``_LIFT`` ends in a chunk with zero noise past the last step, whose
+extra rows are dropped.
 
 Noise streams come from PCG64 seeded with SeedSequence([seed, run_index]).
 The one worker of a ThreadPoolExecutor draws noise up to two blocks
@@ -25,20 +26,20 @@ is queued into block b's buffer when the caller asks for block b + 1,
 and a block that fails to draw raises in the caller, with no later
 block drawn.  Each run's generator fills a contiguous (block, n) slice,
 and one transposing copy gives the (block, n, runs) layout the K_w
-product reads.  A block is the fewest
-whole lift chunks whose draws per generator call reach ``_BLOCK_DRAWS``
-(688 / 416 / 280 steps at n = 6 / 10 / 15): shorter calls spend their
-time handing the GIL between the threads, and the buffers stay about
-``_BLOCK_DRAWS`` x runs doubles whatever n is.  Generators are made on
-the calling thread, and only the worker touches them afterwards, so
-every run consumes its own stream in step order whatever the block
-size, the thread timing or the number of cores.  Per-step squared
-norms are added in step order into one running sum per window of
-``_CHUNK`` steps, and the window sums are added in turn (a two-level
-sum, so rounding grows with the window length, not the horizon).
-Neither the noise block nor the lift moves a window boundary or the
-order of additions, so a fixed seed gives the same bits on every rerun
-and for every block size, in memory that does not grow with the horizon.
+product reads.  A block is the fewest whole lift chunks whose draws per
+generator call reach ``_BLOCK_DRAWS`` (688 / 416 / 280 steps at n = 6 /
+10 / 15): shorter calls spend their time handing the GIL between the
+threads, and the buffers stay about ``_BLOCK_DRAWS`` x runs doubles
+whatever n is.  Generators are made on the calling thread, and only the
+worker touches them afterwards, so every run consumes its own stream in
+step order whatever the block size, the thread timing or the number of
+cores.  Per-step squared norms are added in step order into one running
+sum per window of ``_CHUNK`` steps, and the window sums are added in
+turn (a two-level sum, so rounding grows with the window length, not
+the horizon).  Neither the noise block nor the lift moves a window
+boundary or the order of additions, so a fixed seed gives the same bits
+on every rerun and for every block size, in memory that does not grow
+with the horizon.
 """
 
 from __future__ import annotations
@@ -101,11 +102,17 @@ def noise_stream(seed: int, run: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, run])))
 
 
-def _lifted_operator(m_step: np.ndarray, n: int, sqdt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(K_x, K_w) of ``_LIFT`` Euler steps with noise gain ``sqdt`` on the last n rows.
+def _lifted_operator(
+    m_step: np.ndarray, n: int, sqdt: float
+) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, np.ndarray]]]:
+    """(K_x, K_w, staircase) of ``_LIFT`` Euler steps with noise gain ``sqdt`` on the last n rows.
 
     Row blocks are y_{t+1} .. y_{t+_LIFT} (n rows each), then x_{t+_LIFT};
-    K_w's column block i takes xi_{t+i}.
+    K_w's column block i takes xi_{t+i}.  Noise reaches y after m - 1 steps:
+    y_{t+j} reads xi_t .. xi_{t+j-m} (none for j < m), and state block b of
+    x_{t+_LIFT} reads as y_{t+_LIFT+b} would, up to xi_{t+_LIFT-1}.  K_w is
+    0.0 past each reach, which never falls down the rows; the staircase
+    holds (rows, K_w's columns they read) per run of row blocks of equal reach.
     """
     nm = m_step.shape[0]
     lo = nm - n
@@ -119,7 +126,19 @@ def _lifted_operator(m_step: np.ndarray, n: int, sqdt: float) -> tuple[np.ndarra
         blocks.append(state[:n])
     blocks.append(state)
     lifted = np.vstack(blocks)
-    return np.ascontiguousarray(lifted[:, :nm]), np.ascontiguousarray(lifted[:, nm:])
+    kx, kw = np.ascontiguousarray(lifted[:, :nm]), np.ascontiguousarray(lifted[:, nm:])
+    m = nm // n
+    ends = [*range(1, _LIFT + 1), *range(_LIFT, _LIFT + m)]  # each row block read as y_{t+j}
+    reach = [max(0, min(_LIFT, j - m + 1)) for j in ends]
+    starts = [i for i, r in enumerate(reach) if i == 0 or r != reach[i - 1]]
+    return kx, kw, [(slice(a * n, b * n), kw[a * n:b * n, :reach[a] * n])
+                    for a, b in zip(starts, starts[1:] + [len(reach)])]
+
+
+def _noise_product(stairs: list, noise: np.ndarray, out: np.ndarray) -> None:
+    """out = K_w @ noise per lifted chunk, each row group reading only its reach."""
+    for rows, k in stairs:
+        np.matmul(k, noise[:, :k.shape[1]], out=out[:, rows])  # no columns: sets 0.0
 
 
 def _block_steps(n: int) -> int:
@@ -175,10 +194,9 @@ def simulate_coherence(
         raise LeaderSelError(
             f"dt * ||A||_2 = {growth:.3g} >= {TOLERANCES.step_norm_guard}; shrink dt"
         )
-    n = spec.system.n
-    nm = a.shape[0]
+    n, nm = spec.system.n, a.shape[0]
     runs = spec.ensemble
-    kx, kw = _lifted_operator(np.eye(nm) + spec.dt * a, n, np.sqrt(spec.dt))
+    kx, _, stairs = _lifted_operator(np.eye(nm) + spec.dt * a, n, np.sqrt(spec.dt))
     steps, burn_steps = spec.steps, spec.burn_steps
 
     x = np.zeros((nm, runs))
@@ -187,7 +205,7 @@ def simulate_coherence(
     accum = np.zeros(runs)
     window = np.zeros(runs)
     block = _block_steps(n)
-    lifted = np.empty((block // _LIFT, kw.shape[0], runs))
+    lifted = np.empty((block // _LIFT, kx.shape[0], runs))
     ys = lifted[:, :_LIFT * n].reshape(-1, _LIFT, n, runs)
     # sq[1 + t] is |y|^2 after step t of the block; sq[t] takes the running
     # window sum before that row is added
@@ -202,8 +220,8 @@ def simulate_coherence(
         for step, draws in zip(range(0, steps, block), blocks):
             size = min(block, steps - step)
             chunks = -(-size // _LIFT)
-            np.matmul(kw, draws[:chunks * _LIFT].reshape(chunks, _LIFT * n, runs),
-                      out=lifted[:chunks])
+            _noise_product(stairs, draws[:chunks * _LIFT].reshape(chunks, _LIFT * n, runs),
+                           lifted[:chunks])
             for out in lifted[:chunks]:
                 out += kx @ x
                 x = out[_LIFT * n:]
@@ -230,10 +248,7 @@ def simulate_coherence(
                 outputs.append(y[rows // _LIFT, rows % _LIFT, :, 0])
     estimates = accum / (steps - burn_steps)
     estimate = float(estimates.mean())
-    if runs > 1:
-        stderr = float(estimates.std(ddof=1) / np.sqrt(runs))
-    else:
-        stderr = 0.0
+    stderr = float(estimates.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
     if record_stride is None:
         return estimate, stderr, None
     return estimate, stderr, (np.concatenate(times), np.concatenate(outputs))

@@ -233,6 +233,45 @@ def test_lifted_kernel_equals_euler_oracle(monkeypatch, order):
                                atol=1e-13 * np.abs(o_outputs).max())
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_noise_product_reads_only_the_noise_each_row_block_reaches(order):
+    """y_{t+j} reads xi_t .. xi_{t+j-m} and state block b of x_{t+_LIFT}
+    reads xi_t .. xi_{t+min(_LIFT-1, _LIFT-m+b)}: K_w is exactly 0.0 past
+    each reach, and the last block within it is not all zero.  Row blocks
+    of equal reach share one group, and on one block of noise the
+    staircase product equals the dense K_w @ noise bit for bit, as the
+    columns it skips only add exact zeros (a BLAS that splits its sums
+    differently by depth could break this and nothing else)."""
+    lift, n, runs = simulate._LIFT, 3, 16
+    system = GroundedSystem.create(PATH3, unit_kappa(3), [0],
+                                   auto_gains(singleton_phase(PATH3, unit_kappa(3)), order))
+    a = state_matrix(system)
+    dt = 0.05 / float(np.linalg.norm(a, 2))
+    kx, kw, stairs = simulate._lifted_operator(np.eye(len(a)) + dt * a, n, np.sqrt(dt))
+    reach = [max(0, j - order + 1) for j in range(1, lift + 1)]
+    reach += [min(lift - 1, lift - order + b) + 1 for b in range(order)]
+    assert len(reach) * n == kw.shape[0] == kx.shape[0] and kw.shape[1] == lift * n
+
+    grouped, stop = [], 0
+    for rows, k in stairs:
+        assert rows.start == stop and rows.stop > rows.start and rows.stop % n == 0
+        assert k.shape[1] % n == 0 and np.array_equal(k, kw[rows, :k.shape[1]])
+        grouped += [k.shape[1] // n] * ((rows.stop - rows.start) // n)
+        stop = rows.stop
+    assert grouped == reach
+    assert len(stairs) == len(set(reach))
+    for i, r in enumerate(reach):
+        rows = kw[i * n:(i + 1) * n]
+        assert np.all(rows[:, r * n:] == 0.0), (i, r)
+        assert r == 0 or np.any(rows[:, (r - 1) * n:r * n] != 0.0), (i, r)
+
+    chunks = simulate._block_steps(n) // lift
+    noise = np.random.default_rng(order).standard_normal((chunks, lift * n, runs))
+    out = np.full((chunks, kw.shape[0], runs), np.nan)
+    simulate._noise_product(stairs, noise, out)
+    assert out.tobytes() == (kw @ noise).tobytes()
+
+
 @pytest.mark.parametrize("chunk", [simulate._CHUNK, 1000])
 def test_noise_block_size_leaves_every_output_bit_equal(monkeypatch, chunk):
     """Blocks of 8, 56 and 256 steps and the default for n = 2 (2048 steps,
