@@ -19,7 +19,7 @@ costs one K_x product and one add.  A horizon that is not a multiple of
 ``_LIFT`` ends in a chunk with zero noise past the last step, whose
 extra rows are dropped.
 
-Noise streams come from PCG64 seeded with SeedSequence([seed, run_index]).
+Noise streams come from SFC64 seeded with SeedSequence([seed, run_index]).
 The one worker of a ThreadPoolExecutor draws noise up to two blocks
 ahead of the calling thread, into two alternating buffers: block b + 2
 is queued into block b's buffer when the caller asks for block b + 1,
@@ -99,7 +99,7 @@ class SimulationSpec:
 
 def noise_stream(seed: int, run: int) -> np.random.Generator:
     """Independent, reproducible noise stream for one ensemble run."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, run])))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, run])))
 
 
 def _lifted_operator(

@@ -146,6 +146,11 @@ def test_noise_streams_are_per_run():
     c = noise_stream(7, 0).standard_normal(4)
     np.testing.assert_allclose(a, c)
     assert not np.allclose(a, b)
+    # the contract: SFC64 seeded with SeedSequence([seed, run]), drawn by Generator
+    for seed, run in ((7, 0), (7, 1), (0, 15), (2**31 - 2, 3)):
+        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, run])))
+        assert noise_stream(seed, run).standard_normal(1000).tobytes() == \
+            expected.standard_normal(1000).tobytes()
 
 
 # -- trajectories ---------------------------------------------------------------
