@@ -166,6 +166,8 @@ def erdos_renyi(n: int, p: float, seed: int, weight: float = 1.0) -> Graph:
         raise GraphError(f"p={p} outside [0, 1]")
     if n < 1:
         raise GraphError("node count must be positive")
+    if seed < 0:
+        raise GraphError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     rows, cols = np.triu_indices(n, 1)  # pairs in lexicographic order
     keep = rng.random(n * (n - 1) // 2) < p

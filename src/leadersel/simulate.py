@@ -19,27 +19,22 @@ costs one K_x product and one add.  A horizon that is not a multiple of
 ``_LIFT`` ends in a chunk with zero noise past the last step, whose
 extra rows are dropped.
 
-Noise streams come from SFC64 seeded with SeedSequence([seed, run_index]).
-The one worker of a ThreadPoolExecutor draws noise up to two blocks
-ahead of the calling thread, into two alternating buffers: block b + 2
-is queued into block b's buffer when the caller asks for block b + 1,
-and a block that fails to draw raises in the caller, with no later
-block drawn.  Each run's generator fills a contiguous (block, n) slice,
-and one transposing copy gives the (block, n, runs) layout the K_w
-product reads.  A block is the fewest whole lift chunks whose draws per
-generator call reach ``_BLOCK_DRAWS`` (688 / 416 / 280 steps at n = 6 /
-10 / 15): shorter calls spend their time handing the GIL between the
-threads, and the buffers stay about ``_BLOCK_DRAWS`` x runs doubles
-whatever n is.  Generators are made on the calling thread, and only the
-worker touches them afterwards, so every run consumes its own stream in
-step order whatever the block size, the thread timing or the number of
-cores.  Per-step squared norms are added in step order into one running
-sum per window of ``_CHUNK`` steps, and the window sums are added in
-turn (a two-level sum, so rounding grows with the window length, not
-the horizon).  Neither the noise block nor the lift moves a window
-boundary or the order of additions, so a fixed seed gives the same bits
-on every rerun and for every block size, in memory that does not grow
-with the horizon.
+Noise is one stream per simulation, SFC64 seeded with SeedSequence([seed])
+and read in (step, node, run) order, so run 0's trajectory depends on
+the ensemble size.  The one worker of a ThreadPoolExecutor draws each
+block of steps with one generator call, into the other of two
+(block, n, runs) buffers, once the caller has taken the block before
+it: a block that fails to draw raises in the caller, and no later block
+is drawn.  A block is the fewest whole lift chunks of at least
+``_BLOCK_DRAWS`` normals per run (688 / 416 / 280 steps at n = 6 / 10 /
+15), so the buffers stay about ``_BLOCK_DRAWS`` x runs doubles whatever
+n is.  The generator is made on the calling thread and drawn only by
+the worker, so the stream lands in the same steps whatever the block
+size, the thread timing or the number of cores.
+Squared outputs past the burn-in are added in step order into one
+running sum per run (rounding at most steps x eps: 5.5e-11 relative at
+500 000 steps), so a fixed seed gives the same bits on every rerun and
+for every block size, in memory that does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from .linalg import TOLERANCES
 from .stability import check_stability, companion_state_matrix
 from .system import GroundedSystem
 
-_CHUNK = 65536
 _LIFT = 8
 _BLOCK_DRAWS = 4096
 
@@ -83,6 +77,8 @@ class SimulationSpec:
                 f"total_time / dt = {self.total_time} / {self.dt} overflows the step count")
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.burn_steps >= self.steps:
             raise ValueError(
                 f"burn-in of {self.burn_steps} steps leaves none of {self.steps} to average"
@@ -97,9 +93,9 @@ class SimulationSpec:
         return int(round(self.burn_in / self.dt))
 
 
-def noise_stream(seed: int, run: int) -> np.random.Generator:
-    """Independent, reproducible noise stream for one ensemble run."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, run])))
+def noise_stream(seed: int) -> np.random.Generator:
+    """The one reproducible noise stream of a simulation."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed])))
 
 
 def _lifted_operator(
@@ -146,40 +142,14 @@ def _block_steps(n: int) -> int:
     return _LIFT * -(-_BLOCK_DRAWS // (_LIFT * n))
 
 
-def _noise_blocks(pool, gens: list, n: int, block: int, steps: int):
-    """Yield each block's draws (block, n, runs), zero past the horizon,
-    drawn up to two blocks ahead on ``pool``'s one worker."""
-    starts = range(0, steps, block)
-    draws = np.empty((2, block, n, len(gens)))
-    run_major = np.empty((len(gens), block, n))
-
-    def fill(b: int, before) -> None:
-        if before is not None:
-            before.result()  # done, as one worker runs blocks in order: stop if it failed
-        size = min(block, steps - starts[b])
-        for r, g in enumerate(gens):
-            g.standard_normal(out=run_major[r, :size])
-        out = draws[b % 2]
-        out[:size] = run_major[:, :size].transpose(1, 2, 0)
-        out[size:] = 0.0
-
-    ahead = pool.submit(fill, 0, None)
-    for b in range(len(starts)):
-        current = ahead
-        if b + 1 < len(starts):
-            ahead = pool.submit(fill, b + 1, current)  # into block b - 1's buffer
-        current.result()
-        yield draws[b % 2]
-
-
 def simulate_coherence(
     spec: SimulationSpec, record_stride: int | None = None
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
     """Estimate coherence empirically; returns (estimate, standard error, recorded).
 
-    Every run starts at rest, x = 0, and is driven by its own noise
-    stream.  The standard error is the sample deviation across ensemble
-    runs over sqrt(ensemble); it is 0.0 for a single run.  ``recorded``
+    Every run starts at rest, x = 0, and reads its own normals of the one
+    noise stream.  The standard error is the sample deviation across
+    ensemble runs over sqrt(ensemble); it is 0.0 for a single run.  ``recorded``
     is None unless ``record_stride`` is given; then the same pass records
     run 0 as (times, outputs), outputs[j] being the n first-order states
     at times[j], every ``record_stride`` steps after the initial zero state.
@@ -203,25 +173,35 @@ def simulate_coherence(
     times = [np.zeros(1)]
     outputs = [np.zeros((1, n))]
     accum = np.zeros(runs)
-    window = np.zeros(runs)
     block = _block_steps(n)
+    # draws[b % 2][t] is xi for step t of block b, zero past the horizon
+    draws = np.empty((2, block, n, runs))
     lifted = np.empty((block // _LIFT, kx.shape[0], runs))
     ys = lifted[:, :_LIFT * n].reshape(-1, _LIFT, n, runs)
     # sq[1 + t] is |y|^2 after step t of the block; sq[t] takes the running
-    # window sum before that row is added
+    # sum before that row is added
     sq = np.empty((block + 1, runs))
+    gen = noise_stream(spec.seed)
+
+    def draw(b: int) -> None:
+        out = draws[b % 2]
+        size = min(block, steps - b * block)
+        gen.standard_normal(out=out[:size])
+        out[size:] = 0.0
+
     # concurrent.futures imports logging: importing it here keeps it out of CLI start-up
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        gens = [noise_stream(spec.seed, r) for r in range(runs)]
-        blocks = _noise_blocks(pool, gens, n, block, steps)
-        # draws[t] is xi for step t of the block
-        for step, draws in zip(range(0, steps, block), blocks):
+        ahead = pool.submit(draw, 0)
+        for b, step in enumerate(range(0, steps, block)):
+            ahead.result()  # raises if block b failed to draw
+            if step + block < steps:
+                ahead = pool.submit(draw, b + 1)  # into block b - 1's buffer
             size = min(block, steps - step)
             chunks = -(-size // _LIFT)
-            _noise_product(stairs, draws[:chunks * _LIFT].reshape(chunks, _LIFT * n, runs),
-                           lifted[:chunks])
+            noise = draws[b % 2, :chunks * _LIFT].reshape(chunks, _LIFT * n, runs)
+            _noise_product(stairs, noise, lifted[:chunks])
             for out in lifted[:chunks]:
                 out += kx @ x
                 x = out[_LIFT * n:]
@@ -230,16 +210,10 @@ def simulate_coherence(
             y = ys[:chunks]
             np.einsum("cjir,cjir->cjr", y, y,
                       out=sq[1:1 + chunks * _LIFT].reshape(chunks, _LIFT, runs))
-            # rows past the burn-in, summed in step order within each window
             i = max(0, burn_steps - step)
-            while i < size:
-                end = min(size, i + _CHUNK - (step + i) % _CHUNK)
-                sq[i] = window
-                window = np.cumsum(sq[i:end + 1], axis=0)[-1]
-                i = end
-                if (step + end) % _CHUNK == 0 or step + end == steps:
-                    accum += window
-                    window = np.zeros(runs)
+            if i < size:  # rows past the burn-in, added in step order
+                sq[i] = accum
+                accum = np.cumsum(sq[i:size + 1], axis=0)[-1]
             if record_stride:
                 hits = np.arange(step - step % record_stride + record_stride,
                                  step + size + 1, record_stride)
@@ -271,9 +245,6 @@ def simulate_trajectory(
 
 def write_trajectory_csv(path: str | Path, times: np.ndarray, outputs: np.ndarray) -> None:
     """Fixed 17-significant-digit CSV: header t,y_0,...,y_{n-1}."""
-    n = outputs.shape[1]
-    header = "t," + ",".join(f"y_{i}" for i in range(n))
-    lines = [header]
-    for t, row in zip(times, outputs):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
+    lines = ["t," + ",".join(f"y_{i}" for i in range(outputs.shape[1]))]
+    lines += [",".join(f"{v:.17g}" for v in (t, *row)) for t, row in zip(times, outputs)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -467,21 +467,21 @@ def euler_oracle(spec, record_stride=None):
     """Named oracle for ``simulate_coherence``: one Euler-Maruyama step at a time.
 
     Every run starts at rest and takes x <- (I + dt A) x + sqrt(dt) B xi
-    per step, drawing xi from its own ``noise_stream`` one step at a time.
+    per step, drawing xi for every run at once, (n, runs) per step, from
+    the one ``noise_stream``.
     Returns (estimate, standard error, (times, outputs)) with run 0
     recorded every ``record_stride`` steps after the initial state.
     """
     a = state_matrix(spec.system)
     n, nm, runs = spec.system.n, len(a), spec.ensemble
     m_step = np.eye(nm) + spec.dt * a
-    gens = [noise_stream(spec.seed, r) for r in range(runs)]
+    gen = noise_stream(spec.seed)
     x = np.zeros((nm, runs))
     times, outputs = [0.0], [x[:n, 0].copy()]
     total = np.zeros(runs)
     for step in range(1, spec.steps + 1):
         x = m_step @ x
-        xi = np.column_stack([g.standard_normal(n) for g in gens])
-        x[nm - n:] += np.sqrt(spec.dt) * xi
+        x[nm - n:] += np.sqrt(spec.dt) * gen.standard_normal((n, runs))
         if step > spec.burn_steps:
             total += (x[:n] ** 2).sum(axis=0)
         if record_stride and step % record_stride == 0:

@@ -614,6 +614,19 @@ def test_experiment_negative_seed_names_field_and_value(tmp_path, capsys):
     assert list(out.glob("fig*.csv")) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "3", "--p", "0.5", "--seed", "-1"],
+    ["gen", "--n", "3", "--p", "0.5", "--seed", "-1", "--connected"],
+    ["simulate", "{k2}", "--order", "2", "--gains", "1,1", "--leaders", "0",
+     "--total-time", "1", "--burn-in", "0.5", "--seed", "-1"],
+], ids=["gen", "gen-connected", "simulate"])
+def test_negative_seed_names_the_seed(capsys, k2_file, argv):
+    assert main([arg.format(k2=k2_file) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 def test_payload_keys_follow_schema_property_order(tmp_path, capsys):
     """JSON payloads are dataclass fields in declaration order, so the field
     order is the output contract: every key, nested ones included, comes in

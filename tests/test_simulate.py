@@ -140,17 +140,14 @@ def test_estimate_within_six_standard_errors_of_closed_form(six_node, order, gai
     assert abs(estimate - target) <= 6.0 * stderr, (estimate, stderr, target)
 
 
-def test_noise_streams_are_per_run():
-    a = noise_stream(7, 0).standard_normal(4)
-    b = noise_stream(7, 1).standard_normal(4)
-    c = noise_stream(7, 0).standard_normal(4)
-    np.testing.assert_allclose(a, c)
-    assert not np.allclose(a, b)
-    # the contract: SFC64 seeded with SeedSequence([seed, run]), drawn by Generator
-    for seed, run in ((7, 0), (7, 1), (0, 15), (2**31 - 2, 3)):
-        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, run])))
-        assert noise_stream(seed, run).standard_normal(1000).tobytes() == \
+def test_noise_stream_is_one_sfc64_stream_per_seed():
+    # the contract: SFC64 seeded with SeedSequence([seed]), drawn by Generator
+    for seed in (0, 7, 8, 2**31 - 2, 2**63):
+        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed])))
+        assert noise_stream(seed).standard_normal(1000).tobytes() == \
             expected.standard_normal(1000).tobytes()
+    assert noise_stream(7).standard_normal(4).tobytes() != \
+        noise_stream(8).standard_normal(4).tobytes()
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -183,15 +180,16 @@ def test_recording_leaves_estimate_unchanged_and_follows_run_zero():
                           seed=8, ensemble=3)
     estimate, stderr, (times, outputs) = simulate_coherence(spec, record_stride=7)
     assert (estimate, stderr, None) == simulate_coherence(spec)
-    # run 0 replayed one state vector at a time on its own noise stream
+    # run 0 replayed one state vector at a time on column 0 of the stream's
+    # (node, run) draws per step
     a = state_matrix(spec.system)
     m_step = np.eye(len(a)) + spec.dt * a
-    gen = noise_stream(spec.seed, 0)
+    gen = noise_stream(spec.seed)
     x = np.zeros(len(a))
     expected = [x[:2].copy()]
     for k in range(1, spec.steps + 1):
         x = m_step @ x
-        x[2:] += np.sqrt(spec.dt) * gen.standard_normal(2)
+        x[2:] += np.sqrt(spec.dt) * gen.standard_normal((2, spec.ensemble))[:, 0]
         if k % 7 == 0:
             expected.append(x[:2].copy())
     assert len(times) == len(expected) == 1 + spec.steps // 7
@@ -277,12 +275,9 @@ def test_noise_product_reads_only_the_noise_each_row_block_reaches(order):
     assert out.tobytes() == (kw @ noise).tobytes()
 
 
-@pytest.mark.parametrize("chunk", [simulate._CHUNK, 1000])
-def test_noise_block_size_leaves_every_output_bit_equal(monkeypatch, chunk):
+def test_noise_block_size_leaves_every_output_bit_equal(monkeypatch):
     """Blocks of 8, 56 and 256 steps and the default for n = 2 (2048 steps,
-    all multiples of the lift) draw the same numbers into the same steps,
-    also when accumulation window boundaries fall inside a block."""
-    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    all multiples of the lift) draw the same numbers into the same steps."""
     spec = SimulationSpec(system=k2_m2(), dt=1e-2, total_time=26.0, burn_in=3.0,
                           seed=12, ensemble=3)
     assert spec.steps > 2 * 256
@@ -349,7 +344,7 @@ def test_producer_error_reaches_the_caller_and_the_worker_is_joined(monkeypatch)
     error = RuntimeError("noise source failed")
     streams = []
 
-    def failing_stream(seed, run):
+    def failing_stream(seed):
         streams.append(FailingStream(error))
         return streams[-1]
 
@@ -361,12 +356,12 @@ def test_producer_error_reaches_the_caller_and_the_worker_is_joined(monkeypatch)
         simulate_coherence(spec)
     assert info.value is error
     assert threading.active_count() == before
-    assert [stream.calls for stream in streams] == [3, 2]
+    assert [stream.calls for stream in streams] == [3]
 
 
 def test_caller_error_stops_the_worker_waiting_for_a_buffer(monkeypatch):
-    """The first block's window sum fails while the worker waits to draw
-    the third block; leaving the integration stops and joins it."""
+    """The first block's running sum fails while the worker draws the
+    second block; leaving the integration stops and joins it."""
     error = RuntimeError("integration failed")
 
     def failing_cumsum(*args, **kwargs):
@@ -382,8 +377,9 @@ def test_caller_error_stops_the_worker_waiting_for_a_buffer(monkeypatch):
 
 
 def test_streams_are_made_on_the_calling_thread_and_drawn_on_one_other(monkeypatch):
-    """Each stream is made by the caller and drawn only by one worker, so no
-    stream is ever drawn from two threads and no span nests across them."""
+    """The one stream is made by the caller and drawn only by one worker, one
+    call per block, so it is never drawn from two threads and no span nests
+    across them."""
     made, drawn = [], []
 
     class RecordingStream:
@@ -394,16 +390,16 @@ def test_streams_are_made_on_the_calling_thread_and_drawn_on_one_other(monkeypat
             drawn.append(threading.get_ident())
             return self.gen.standard_normal(*args, **kwargs)
 
-    def recording_stream(seed, run):
+    def recording_stream(seed):
         made.append(threading.get_ident())
-        return RecordingStream(noise_stream(seed, run))
+        return RecordingStream(noise_stream(seed))
 
     monkeypatch.setattr(simulate, "noise_stream", recording_stream)
     spec = lifecycle_spec()
     simulate_coherence(spec)
     caller = threading.get_ident()
-    assert made == [caller] * spec.ensemble
-    assert len(drawn) == spec.ensemble * -(-spec.steps // simulate._block_steps(2))
+    assert made == [caller]
+    assert len(drawn) == -(-spec.steps // simulate._block_steps(2)) == 4
     assert len(set(drawn)) == 1 and caller not in drawn
 
 
