@@ -1,9 +1,15 @@
 """Stochastic time-domain validation of the coherence formulas.
 
-Euler-Maruyama on x' = A x + B xi with unit-intensity white noise xi
+Weak Euler steps on x' = A x + B xi with unit-intensity white noise xi
 entering the highest-order block: per step,
 
-    x <- M x + sqrt(dt) * B xi,   M = I + dt * A,   xi ~ N(0, I_n).
+    x <- M x + sqrt(dt) * B xi,   M = I + dt * A,
+
+with xi independent signs, +1 or -1 with equal odds (the simplified weak
+Euler scheme, Kloeden & Platen 1992, section 14.1): the estimate is a
+second moment, and P <- M P M^T + dt B B^T holds for any independent
+zero-mean xi of identity covariance, so signs give normals' expected
+estimate, Euler's O(dt) bias included, at about a tenth of the cost.
 
 Every run starts at rest, x = 0.  The coherence estimate is the
 time-and-ensemble average of the squared first-order states y (the
@@ -19,18 +25,13 @@ costs one K_x product and one add.  A horizon that is not a multiple of
 ``_LIFT`` ends in a chunk with zero noise past the last step, whose
 extra rows are dropped.
 
-Noise is one stream per simulation, SFC64 seeded with SeedSequence([seed])
-and read in (step, node, run) order, so run 0's trajectory depends on
-the ensemble size.  The one worker of a ThreadPoolExecutor draws each
-block of steps with one generator call, into the other of two
-(block, n, runs) buffers, once the caller has taken the block before
-it: a block that fails to draw raises in the caller, and no later block
-is drawn.  A block is the fewest whole lift chunks of at least
-``_BLOCK_DRAWS`` normals per run (688 / 416 / 280 steps at n = 6 / 10 /
-15), so the buffers stay about ``_BLOCK_DRAWS`` x runs doubles whatever
-n is.  The generator is made on the calling thread and drawn only by
-the worker, so the stream lands in the same steps whatever the block
-size, the thread timing or the number of cores.
+Noise is one stream per simulation, SFC64 seeded with SeedSequence([seed]),
+whose raw words are read bit by bit (``noise_signs``) in (step, node,
+run) order, so run 0's trajectory depends on the ensemble size.  A block
+is the fewest whole 64-step groups of at least ``_BLOCK_DRAWS`` signs per
+run (704 / 448 / 320 steps at n = 6 / 10 / 15), drawn on the calling
+thread into one buffer.  A group takes whole words for any n and
+ensemble, so the stream lands in the same steps whatever the block size.
 Squared outputs past the burn-in are added in step order into one
 running sum per run (rounding at most steps x eps: 5.5e-11 relative at
 500 000 steps), so a fixed seed gives the same bits on every rerun and
@@ -98,6 +99,17 @@ def noise_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed])))
 
 
+def noise_signs(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` in C order with xi = 1 - 2 * bit over the next raw words of ``gen``.
+
+    Each 64-bit word gives 64 signs, bit 0 first; a last word that ``out``
+    does not fill leaves its high bits unread.
+    """
+    words = gen.bit_generator.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little", count=out.size)
+    return np.subtract(1.0, 2.0 * bits.reshape(out.shape), out=out)
+
+
 def _lifted_operator(
     m_step: np.ndarray, n: int, sqdt: float
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, np.ndarray]]]:
@@ -138,8 +150,8 @@ def _noise_product(stairs: list, noise: np.ndarray, out: np.ndarray) -> None:
 
 
 def _block_steps(n: int) -> int:
-    """Steps per noise block: the fewest whole lift chunks of >= ``_BLOCK_DRAWS`` normals."""
-    return _LIFT * -(-_BLOCK_DRAWS // (_LIFT * n))
+    """Steps per noise block: the fewest 64-step groups of >= ``_BLOCK_DRAWS`` signs."""
+    return 64 * -(-_BLOCK_DRAWS // (64 * n))
 
 
 def simulate_coherence(
@@ -147,7 +159,7 @@ def simulate_coherence(
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
     """Estimate coherence empirically; returns (estimate, standard error, recorded).
 
-    Every run starts at rest, x = 0, and reads its own normals of the one
+    Every run starts at rest, x = 0, and reads its own signs of the one
     noise stream.  The standard error is the sample deviation across
     ensemble runs over sqrt(ensemble); it is 0.0 for a single run.  ``recorded``
     is None unless ``record_stride`` is given; then the same pass records
@@ -174,52 +186,39 @@ def simulate_coherence(
     outputs = [np.zeros((1, n))]
     accum = np.zeros(runs)
     block = _block_steps(n)
-    # draws[b % 2][t] is xi for step t of block b, zero past the horizon
-    draws = np.empty((2, block, n, runs))
+    # draws[t] is xi for step t of the block, zero past the horizon
+    draws = np.empty((block, n, runs))
     lifted = np.empty((block // _LIFT, kx.shape[0], runs))
     ys = lifted[:, :_LIFT * n].reshape(-1, _LIFT, n, runs)
     # sq[1 + t] is |y|^2 after step t of the block; sq[t] takes the running
     # sum before that row is added
     sq = np.empty((block + 1, runs))
     gen = noise_stream(spec.seed)
+    for step in range(0, steps, block):
+        size = min(block, steps - step)
+        chunks = -(-size // _LIFT)
+        noise_signs(gen, draws[:size])
+        draws[size:chunks * _LIFT] = 0.0
+        noise = draws[:chunks * _LIFT].reshape(chunks, _LIFT * n, runs)
+        _noise_product(stairs, noise, lifted[:chunks])
+        for out in lifted[:chunks]:
+            out += kx @ x
+            x = out[_LIFT * n:]
+        x = x.copy()  # the next block's product overwrites ``lifted``
 
-    def draw(b: int) -> None:
-        out = draws[b % 2]
-        size = min(block, steps - b * block)
-        gen.standard_normal(out=out[:size])
-        out[size:] = 0.0
-
-    # concurrent.futures imports logging: importing it here keeps it out of CLI start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw, 0)
-        for b, step in enumerate(range(0, steps, block)):
-            ahead.result()  # raises if block b failed to draw
-            if step + block < steps:
-                ahead = pool.submit(draw, b + 1)  # into block b - 1's buffer
-            size = min(block, steps - step)
-            chunks = -(-size // _LIFT)
-            noise = draws[b % 2, :chunks * _LIFT].reshape(chunks, _LIFT * n, runs)
-            _noise_product(stairs, noise, lifted[:chunks])
-            for out in lifted[:chunks]:
-                out += kx @ x
-                x = out[_LIFT * n:]
-            x = x.copy()  # the next block's product overwrites ``lifted``
-
-            y = ys[:chunks]
-            np.einsum("cjir,cjir->cjr", y, y,
-                      out=sq[1:1 + chunks * _LIFT].reshape(chunks, _LIFT, runs))
-            i = max(0, burn_steps - step)
-            if i < size:  # rows past the burn-in, added in step order
-                sq[i] = accum
-                accum = np.cumsum(sq[i:size + 1], axis=0)[-1]
-            if record_stride:
-                hits = np.arange(step - step % record_stride + record_stride,
-                                 step + size + 1, record_stride)
-                rows = hits - step - 1
-                times.append(hits * spec.dt)
-                outputs.append(y[rows // _LIFT, rows % _LIFT, :, 0])
+        y = ys[:chunks]
+        np.einsum("cjir,cjir->cjr", y, y,
+                  out=sq[1:1 + chunks * _LIFT].reshape(chunks, _LIFT, runs))
+        i = max(0, burn_steps - step)
+        if i < size:  # rows past the burn-in, added in step order
+            sq[i] = accum
+            accum = np.cumsum(sq[i:size + 1], axis=0)[-1]
+        if record_stride:
+            hits = np.arange(step - step % record_stride + record_stride,
+                             step + size + 1, record_stride)
+            rows = hits - step - 1
+            times.append(hits * spec.dt)
+            outputs.append(y[rows // _LIFT, rows % _LIFT, :, 0])
     estimates = accum / (steps - burn_steps)
     estimate = float(estimates.mean())
     stderr = float(estimates.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0

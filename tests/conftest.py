@@ -21,7 +21,7 @@ from leadersel.graphs import (
 )
 from leadersel.linalg import sym_eigenvalues
 from leadersel.selection import SelectionResult, _improve
-from leadersel.simulate import noise_stream
+from leadersel.simulate import noise_signs, noise_stream
 from leadersel.stability import companion_state_matrix
 from leadersel.system import GainVector, grounded_matrix
 
@@ -467,21 +467,21 @@ def euler_oracle(spec, record_stride=None):
     """Named oracle for ``simulate_coherence``: one Euler-Maruyama step at a time.
 
     Every run starts at rest and takes x <- (I + dt A) x + sqrt(dt) B xi
-    per step, drawing xi for every run at once, (n, runs) per step, from
-    the one ``noise_stream``.
+    per step, xi being that step's (n, runs) slice of all the simulation's
+    signs, drawn at once from the one ``noise_stream``.
     Returns (estimate, standard error, (times, outputs)) with run 0
     recorded every ``record_stride`` steps after the initial state.
     """
     a = state_matrix(spec.system)
     n, nm, runs = spec.system.n, len(a), spec.ensemble
     m_step = np.eye(nm) + spec.dt * a
-    gen = noise_stream(spec.seed)
+    signs = noise_signs(noise_stream(spec.seed), np.empty((spec.steps, n, runs)))
     x = np.zeros((nm, runs))
     times, outputs = [0.0], [x[:n, 0].copy()]
     total = np.zeros(runs)
     for step in range(1, spec.steps + 1):
         x = m_step @ x
-        x[nm - n:] += np.sqrt(spec.dt) * gen.standard_normal((n, runs))
+        x[nm - n:] += np.sqrt(spec.dt) * signs[step - 1]
         if step > spec.burn_steps:
             total += (x[:n] ** 2).sum(axis=0)
         if record_stride and step % record_stride == 0:

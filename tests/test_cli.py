@@ -691,7 +691,7 @@ def test_simulate_estimate_near_closed_form(k2_file):
 
 def test_cli_start_up_imports_no_executor():
     """``concurrent.futures`` (and the ``logging`` it imports) load only
-    when a simulation runs, so no other command pays for them."""
+    when an exhaustive sweep runs, so no other command pays for them."""
     code = ("import sys, leadersel.cli; "
             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
