@@ -44,7 +44,7 @@ from .stability import (
     companion_state_matrix,
     spectral_stability_oracle,
 )
-from .system import GainVector, GroundedSystem, LeaderSet, singleton_phase
+from .system import GainVector, GroundedSystem, singleton_phase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,7 +157,7 @@ def _load_graph(path: str) -> GraphFile:
     return read_graph_file(p)
 
 
-def _parse_leaders(gf: GraphFile, raw: str | None) -> LeaderSet:
+def _parse_leaders(gf: GraphFile, raw: str | None) -> list[int]:
     if raw is None:
         raise UsageError("--leaders is required for this command")
     labels = [tok for tok in raw.split(",") if tok.strip() != ""]
@@ -170,7 +170,7 @@ def _parse_leaders(gf: GraphFile, raw: str | None) -> LeaderSet:
     for ident, tok in zip(ids, labels):
         if not 0 <= ident < gf.graph.n:
             raise LeaderSelError(f"leader label {tok} outside the graph's label range")
-    return LeaderSet.of(ids)
+    return ids
 
 
 def _parse_gains(args, gf: GraphFile) -> GainVector:
@@ -235,7 +235,7 @@ def _cmd_stability(args) -> int:
     gf, system = _load_system(args)
     report = check_stability(system)
     payload = asdict(report)
-    payload["leaders"] = [gf.to_label(v) for v in system.leaders.sorted_members]
+    payload["leaders"] = [gf.to_label(v) for v in system.leaders]
     payload["gains"] = list(system.gains.values)
     if args.oracle:
         a = companion_state_matrix(system.matrix, system.gains.values)
@@ -318,7 +318,7 @@ def _cmd_simulate(args) -> int:
         "burn_in": args.burn_in,
         "ensemble": args.ensemble,
         "seed": args.seed,
-        "leaders": [gf.to_label(v) for v in system.leaders.sorted_members],
+        "leaders": [gf.to_label(v) for v in system.leaders],
     }
     if args.trajectory:
         payload["trajectory"] = str(target)

@@ -39,8 +39,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import LeaderSelError, UnstableSystemError
-from .graphs import Graph, KappaWeights, LeaderSet, laplacian
-from .linalg import TOLERANCES, lyapunov_solve, sym_eigenvalues
+from .graphs import Graph, KappaWeights
+from .linalg import TOLERANCES, lyapunov_solve
 from .stability import (
     auto_gains,
     check_stability,
@@ -52,7 +52,6 @@ from .system import (
     GainVector,
     GroundedSystem,
     SingletonPhase,
-    grounded_matrix,
     singleton_phase,
 )
 
@@ -241,8 +240,7 @@ def coherence_closed(system: GroundedSystem) -> CoherenceReport:
     gains = system.gains
     factor = 1.0 / gains.form.rho
     value = factor * normalized_eigenvalue_terms(gains, system.eigenvalues)
-    leaders = system.leaders.sorted_members
-    return CoherenceReport(gains.m, float(value), "closed_eig", leaders, gains.values)
+    return CoherenceReport(gains.m, float(value), "closed_eig", system.leaders, gains.values)
 
 
 def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
@@ -263,8 +261,7 @@ def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
     noise[dim - n :, dim - n :] = np.eye(n)
     gramian = lyapunov_solve(companion_state_matrix(system.matrix, system.gains.values), noise)
     value = float(np.trace(gramian[:n, :n]))
-    leaders = system.leaders.sorted_members
-    return CoherenceReport(system.m, value, "lyapunov", leaders, system.gains.values)
+    return CoherenceReport(system.m, value, "lyapunov", system.leaders, system.gains.values)
 
 
 @dataclass(frozen=True)
@@ -305,13 +302,9 @@ class SystemContext:
     def normalized_coherence(self, leaders) -> float:
         """rho * H over the given leader set (a bare trace), from one eigensolve:
         the tests' per-subset oracle of the greedy and the exhaustive sweep."""
-        if not isinstance(leaders, LeaderSet):
-            leaders = LeaderSet.of(leaders)
-        if not leaders.members:
-            raise LeaderSelError("normalized coherence needs leaders")
-        q = grounded_matrix(laplacian(self.graph), self.kappa, leaders)
-        lams = sym_eigenvalues(q).eigenvalues
-        return float(normalized_eigenvalue_terms(self.gains, lams))
+        system = GroundedSystem.create(self.graph, self.kappa, leaders, self.gains)
+        system.lambda_min  # refuses an empty or ungrounded set
+        return float(normalized_eigenvalue_terms(self.gains, system.eigenvalues))
 
     @cached_property
     def singleton_normalized(self) -> tuple[float, ...]:

@@ -70,6 +70,10 @@ class ExperimentConfig:
                 or len(set(self.orders)) < len(self.orders)):  # a repeat writes its rows twice
             raise SchemaError(f"orders must be a nonempty subset of {{1, 2, 3, 4}}, "
                               f"each order once, got {list(self.orders)}")
+        if self.n < 1:
+            raise SchemaError(f"n must be >= 1, got {self.n}")
+        if not 0 <= self.p <= 1:
+            raise SchemaError(f"p={self.p} outside [0, 1]")
         if self.trials < 1:
             raise SchemaError("trials must be >= 1")
         if self.k_max < 1:
@@ -80,6 +84,17 @@ class ExperimentConfig:
             raise SchemaError("custom experiments need a graph_file")
         if self.experiment != "custom" and self.graph_file is not None:
             raise SchemaError(f"only custom experiments read graph_file, not {self.experiment}")
+        if isinstance(self.gain_rule, dict):
+            for m in self.orders:
+                if str(m) not in self.gain_rule:
+                    raise SchemaError(f"gain_rule has no entry for order {m}")
+                values = _numbers(self.gain_rule[str(m)], f"gain_rule for order {m}")
+                if len(values) != m:
+                    raise SchemaError(
+                        f"gain_rule for order {m} must hold {m} numbers, got {len(values)}")
+                GainVector(tuple(values.tolist()))
+        elif self.gain_rule != "auto":
+            raise SchemaError(f"gain_rule must be 'auto' or a mapping, got {self.gain_rule!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -107,19 +122,8 @@ def derive_seed(master: int, *key: int) -> int:
 def context_for(config: ExperimentConfig, phase: SingletonPhase, m: int) -> SystemContext:
     """Context with the configured gain rule for order m on the graph's ``phase``."""
     if config.gain_rule == "auto":
-        gains = auto_gains(phase, m)
-    elif isinstance(config.gain_rule, dict):
-        try:
-            raw = config.gain_rule[str(m)]
-        except KeyError as exc:
-            raise SchemaError(f"gain_rule has no entry for order {m}") from exc
-        values = _numbers(raw, f"gain_rule for order {m}")
-        if len(values) != m:
-            raise SchemaError(f"gain_rule for order {m} must hold {m} numbers, got {len(values)}")
-        gains = GainVector(tuple(values.tolist()))
-    else:
-        raise SchemaError(f"gain_rule must be 'auto' or a mapping, got {config.gain_rule!r}")
-    return SystemContext(phase, gains)
+        return SystemContext(phase, auto_gains(phase, m))
+    return SystemContext(phase, GainVector(tuple(config.gain_rule[str(m)])))
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,29 +60,6 @@ class KappaWeights:
 
 def unit_kappa(n: int) -> KappaWeights:
     return KappaWeights((1.0,) * n)
-
-
-@dataclass(frozen=True)
-class LeaderSet:
-    """Set of leader node ids (0-based, duplicates collapse)."""
-
-    members: frozenset[int]
-
-    @classmethod
-    def of(cls, ids: Iterable[int]) -> "LeaderSet":
-        return cls(frozenset(int(i) for i in ids))
-
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def validate(self, n: int) -> None:
-        for i in self.members:
-            if not 0 <= i < n:
-                raise GraphError(f"leader id {i} outside [0, {n})")
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def build_graph(n: int, edges: Sequence | np.ndarray, label_base: int = 0) -> Graph:

@@ -1,5 +1,6 @@
 """Gain vectors and the grounded closed-loop system description.
 
+A leader set is a sorted tuple of distinct node ids, built by ``leader_set``.
 The grounded matrix of (graph, kappa, leaders) is the weighted Laplacian
 plus kappa_v on the diagonal for every leader v.  It is positive definite
 whenever the graph is connected and the leader set is nonempty, which is
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GraphError, LeaderSelError
-from .graphs import Graph, KappaWeights, LeaderSet, is_connected, laplacian
+from .graphs import Graph, KappaWeights, is_connected, laplacian
 from .linalg import TOLERANCES, sym_eigenvalues
 
 MAX_ORDER = 4
@@ -77,18 +78,28 @@ class TraceForm:
     c: float | None = None
 
 
+def leader_set(ids, n: int) -> tuple[int, ...]:
+    """The node ids ``ids``, read once, sorted and each once; refuses an id
+    that is not an integer (a ``bool`` is not one) or lies outside [0, n)."""
+    members = set()
+    for i in ids:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise GraphError(f"leader id {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise GraphError(f"leader id {i} outside [0, {n})")
+        members.add(int(i))
+    return tuple(sorted(members))
+
+
 def grounded_matrix(lap: np.ndarray, kappa: KappaWeights, leaders) -> np.ndarray:
     """A copy of the Laplacian ``lap`` plus the leader diagonal: L + D_kappa D_S.
 
-    ``leaders`` is a ``LeaderSet`` or an iterable of node ids.
+    ``leaders`` is an iterable of node ids.
     """
     if len(kappa) != len(lap):
         raise ValueError(f"kappa length {len(kappa)} != node count {len(lap)}")
-    if not isinstance(leaders, LeaderSet):
-        leaders = LeaderSet.of(leaders)
-    leaders.validate(len(lap))
     q = lap.copy()
-    for v in leaders.members:
+    for v in leader_set(leaders, len(lap)):
         q[v, v] += kappa.values[v]
     return q
 
@@ -256,7 +267,7 @@ class GroundedSystem:
 
     graph: Graph
     kappa: KappaWeights
-    leaders: LeaderSet
+    leaders: tuple[int, ...]  # sorted node ids, each once
     gains: GainVector
 
     @classmethod
@@ -267,12 +278,9 @@ class GroundedSystem:
         leaders,
         gains,
     ) -> "GroundedSystem":
-        if not isinstance(leaders, LeaderSet):
-            leaders = LeaderSet.of(leaders)
         if not isinstance(gains, GainVector):
             gains = GainVector(tuple(gains))
-        leaders.validate(graph.n)
-        return cls(graph=graph, kappa=kappa, leaders=leaders, gains=gains)
+        return cls(graph=graph, kappa=kappa, leaders=leader_set(leaders, graph.n), gains=gains)
 
     @property
     def n(self) -> int:
@@ -292,7 +300,7 @@ class GroundedSystem:
 
     @property
     def lambda_min(self) -> float:
-        if not self.leaders.members:
+        if not self.leaders:
             raise LeaderSelError("grounded matrix is singular without leaders")
         lam = self.eigenvalues
         noise = self.n * np.finfo(float).eps * lam[-1]  # eigvalsh's rounding error

@@ -563,6 +563,24 @@ def test_experiment_fig3_gain_rule_of_wrong_length_writes_no_csv(tmp_path, capsy
     assert list(out.glob("fig*.csv")) == []
 
 
+@pytest.mark.parametrize("experiment, fields, message", [
+    ("fig1", {"orders": [1, 2], "gain_rule": {"1": [1]}}, "gain_rule has no entry for order 2"),
+    ("fig2", {"orders": [1], "gain_rule": {"1": [0]}}, "gain a1 = 0.0 must be nonzero and finite"),
+    ("fig1", {"gain_rule": "fixed"}, "gain_rule must be 'auto' or a mapping, got 'fixed'"),
+    ("fig1", {"p": 1.5}, "p=1.5 outside [0, 1]"),
+    ("fig2", {"n": 0}, "n must be >= 1, got 0"),
+])
+def test_refused_experiment_config_creates_no_output_dir(tmp_path, capsys, experiment, fields,
+                                                         message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, "n": 8, "trials": 1, "k_max": 2,
+                                  "orders": [1], **fields}))
+    out = tmp_path / "out"
+    assert main(["experiment", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("k_max", 2.5), ("n", 8.5), ("p", "0.5"), ("orders", [2.7]), ("orders", 2), ("trials", True),
     ("seed", 1.5), ("seed", -1), ("graph_file", 5), ("output_dir", 5),

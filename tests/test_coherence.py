@@ -101,6 +101,9 @@ def test_empty_leaders_refused():
     system = GroundedSystem.create(K2, unit_kappa(2), [], gain_vector(1, 1))
     with pytest.raises(LeaderSelError, match="grounded matrix is singular without leaders"):
         coherence_closed(system)
+    context = SystemContext(singleton_phase(K2, unit_kappa(2)), gain_vector(1, 1))
+    with pytest.raises(LeaderSelError, match="grounded matrix is singular without leaders"):
+        context.normalized_coherence([])
 
 
 def inverse_path_h(system):
@@ -263,8 +266,7 @@ def test_set_function_refuses_unstable_gains():
 def test_surrogate_consistent_with_coherence(m):
     system = stable_random_system(300 + m, 5, m)
     ctx = SystemContext(singleton_phase(system.graph, system.kappa), system.gains)
-    members = system.leaders.sorted_members
-    f = set_value(ctx, members)
+    f = set_value(ctx, system.leaders)
     h = coherence_closed(system).value
     rho = system.gains.form.rho
     assert f == pytest.approx(ctx.offset - rho * h, rel=1e-9)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadersel.coherence import coherence_closed
-from leadersel.errors import LeaderSelError, UnstableSystemError
+from leadersel.errors import GraphError, LeaderSelError, UnstableSystemError
 from leadersel.graphs import KappaWeights, build_graph, unit_kappa
 from leadersel.stability import (
     auto_gains,
@@ -105,6 +106,26 @@ def test_empty_leader_set_rejected():
     system = GroundedSystem.create(K2, unit_kappa(2), [], gain_vector(1, 1))
     with pytest.raises(LeaderSelError, match="grounded matrix is singular without leaders"):
         check_stability(system)
+
+
+@pytest.mark.parametrize("ids", [[3, 1, 3], (1, 3), np.array([3, 1])])
+def test_leader_ids_become_one_sorted_tuple(ids):
+    path = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    system = GroundedSystem.create(path, unit_kappa(4), ids, gain_vector(1.0))
+    assert system.leaders == (1, 3)
+    assert [type(v) for v in system.leaders] == [int, int]
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([-0.5], "leader id -0.5 is not an integer"),  # not truncated to node 0
+    ([1.9], "leader id 1.9 is not an integer"),
+    ([0, True], "leader id True is not an integer"),
+    ([0, 2], "leader id 2 outside [0, 2)"),
+    ([-1], "leader id -1 outside [0, 2)"),
+])
+def test_leader_ids_refused(ids, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        GroundedSystem.create(K2, unit_kappa(2), ids, gain_vector(1, 1))
 
 
 def test_stability_report_serializes():

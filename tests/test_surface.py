@@ -1,10 +1,6 @@
 """The package's shape: the README sketch runs, src/ holds only what runs,
 no public default is a mode that only the tests select, and every exception
-class is one that src/ catches by type or the README names.
-
-The exception guard fails on 17 classes of the former 21-class hierarchy:
-16 subclasses of LeaderSelError that only the tests told apart, and the
-CLI's alias InputError.  Each now raises its base with the same message."""
+class is one that src/ catches by type or the README names."""
 
 import ast
 import builtins
