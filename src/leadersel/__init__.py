@@ -10,7 +10,7 @@ that carries a 1 - 1/e guarantee.
 """
 
 from .coherence import SystemContext, coherence_closed
-from .graphs import erdos_renyi_connected, unit_kappa
+from .graphs import erdos_renyi_connected
 from .selection import certify_bound, exhaustive_select, greedy_select
 from .system import GainVector, GroundedSystem
 
@@ -26,5 +26,4 @@ __all__ = [
     "erdos_renyi_connected",
     "exhaustive_select",
     "greedy_select",
-    "unit_kappa",
 ]

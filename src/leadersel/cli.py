@@ -33,7 +33,6 @@ from .graphs import (
     erdos_renyi_connected,
     graph_payload,
     read_graph_file,
-    unit_kappa,
     write_graph,
 )
 from .selection import certify_bound, exhaustive_select, greedy_select
@@ -175,7 +174,7 @@ def _parse_leaders(gf: GraphFile, raw: str | None) -> list[int]:
 
 def _parse_gains(args, gf: GraphFile) -> GainVector:
     if args.auto_gains:
-        return auto_gains(singleton_phase(gf.graph, gf.kappa), args.order)
+        return auto_gains(singleton_phase(gf.graph), args.order)
     if args.gains is None:
         raise UsageError("provide --gains or --auto-gains")
     try:
@@ -192,7 +191,7 @@ def _load_system(args) -> tuple[GraphFile, GroundedSystem]:
     gf = _load_graph(args.graph)
     leaders = _parse_leaders(gf, args.leaders)
     gains = _parse_gains(args, gf)
-    return gf, GroundedSystem.create(gf.graph, gf.kappa, leaders, gains)
+    return gf, GroundedSystem.create(gf.graph, leaders, gains)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -221,13 +220,12 @@ def _cmd_gen(args) -> int:
         graph, resamples = erdos_renyi_connected(args.n, args.p, args.seed, args.weight)
     else:
         graph, resamples = erdos_renyi(args.n, args.p, args.seed, args.weight), 0
-    kappa = unit_kappa(args.n)
     if args.output:
-        write_graph(graph, kappa, args.output, args.label_base)
+        write_graph(graph, args.output, args.label_base)
         _emit({"written": args.output, "edges": len(graph.w), "resamples": resamples},
               args.format)
     else:
-        print(json.dumps(graph_payload(graph, kappa, args.label_base)))
+        print(json.dumps(graph_payload(graph, args.label_base)))
     return EXIT_OK
 
 
@@ -262,10 +260,10 @@ def _cmd_select(args) -> int:
         raise UsageError("--k must be >= 1")
     gf = _load_graph(args.graph)
     if args.auto_gains:
-        context = SystemContext.auto(gf.graph, gf.kappa, args.order)
+        context = SystemContext.auto(gf.graph, args.order)
     else:
         gains = _parse_gains(args, gf)  # usage errors come before the eigendecomposition
-        context = SystemContext(singleton_phase(gf.graph, gf.kappa), gains)
+        context = SystemContext(singleton_phase(gf.graph), gains)
     payload: dict = {"order": args.order, "gains": list(context.gains.values)}
 
     def labelled(result) -> dict:

@@ -39,7 +39,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import LeaderSelError, UnstableSystemError
-from .graphs import Graph, KappaWeights
+from .graphs import Graph
 from .linalg import TOLERANCES, lyapunov_solve
 from .stability import (
     auto_gains,
@@ -147,7 +147,7 @@ class WoodburyScorer:
             spectra.update(T=t, AT=a * t, A2T=a * a * t, AT2=a * t * t)
             self.corners["T"] = 1.0 / (form.c * sigma * (form.c * sigma - 1.0))
         self.form, self.phase, self.n, self.size = form, phase, n, 0
-        self.kappa = context.kappa.as_array()
+        self.kappa = context.graph.kappa
         self.index = {name: j for j, name in enumerate(spectra)}
         self.spectra = np.column_stack(list(spectra.values()))  # row 0: on u
         self.traces = dict(zip(spectra, self.spectra.sum(axis=0)))
@@ -268,7 +268,7 @@ def coherence_lyapunov_oracle(system: GroundedSystem) -> CoherenceReport:
 class SystemContext:
     """Fixed gains on one singleton phase, with cached selection machinery.
 
-    The phase (one eigendecomposition of L) fixes the graph and kappa;
+    The phase (one eigendecomposition of L) fixes the graph, kappa included;
     contexts for several orders may share it.  Caches the single-leader
     normalized coherences and the surrogate offset constant
     C = 2 * max over single leaders, which both selection searches reuse.
@@ -278,18 +278,14 @@ class SystemContext:
     gains: GainVector
 
     @classmethod
-    def auto(cls, graph: Graph, kappa: KappaWeights, m: int) -> "SystemContext":
+    def auto(cls, graph: Graph, m: int) -> "SystemContext":
         """Context with ``auto_gains`` on the graph's singleton phase."""
-        phase = singleton_phase(graph, kappa)
+        phase = singleton_phase(graph)
         return cls(phase, auto_gains(phase, m))
 
     @property
     def graph(self) -> Graph:
         return self.phase.graph
-
-    @property
-    def kappa(self) -> KappaWeights:
-        return self.phase.kappa
 
     @property
     def n(self) -> int:
@@ -302,7 +298,7 @@ class SystemContext:
     def normalized_coherence(self, leaders) -> float:
         """rho * H over the given leader set (a bare trace), from one eigensolve:
         the tests' per-subset oracle of the greedy and the exhaustive sweep."""
-        system = GroundedSystem.create(self.graph, self.kappa, leaders, self.gains)
+        system = GroundedSystem.create(self.graph, leaders, self.gains)
         system.lambda_min  # refuses an empty or ungrounded set
         return float(normalized_eigenvalue_terms(self.gains, system.eigenvalues))
 
@@ -333,7 +329,7 @@ class SystemContext:
         # Conditions only improve as leaders are added, so a pass at the
         # worst single leader covers every nonempty leader set.
         require_evaluable(report_for(self.gains, phase.lambda_star))
-        n, kappa, lam = phase.n, phase.kappa.as_array(), phase.eigenvalues
+        n, kappa, lam = phase.n, phase.graph.kappa, phase.eigenvalues
         pinv = 1.0 / lam  # the spectrum of L^+
         form = self.gains.form
         columns = [pinv, pinv**2]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .coherence import SystemContext
 from .errors import SchemaError
-from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_example, unit_kappa
+from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_example
 from .graphs import _integer, _numbers
 from .selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from .stability import auto_gains
@@ -93,6 +93,8 @@ class ExperimentConfig:
                     raise SchemaError(
                         f"gain_rule for order {m} must hold {m} numbers, got {len(values)}")
                 GainVector(tuple(values.tolist()))
+            if unread := sorted(set(self.gain_rule) - {str(m) for m in self.orders}):
+                raise SchemaError(f"gain_rule keys {unread} name no configured order")
         elif self.gain_rule != "auto":
             raise SchemaError(f"gain_rule must be 'auto' or a mapping, got {self.gain_rule!r}")
 
@@ -138,7 +140,7 @@ def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
     for trial in range(config.trials):
         trial_seed = derive_seed(config.seed, trial)
         graph, resamples = erdos_renyi_connected(config.n, config.p, trial_seed)
-        phase = singleton_phase(graph, unit_kappa(config.n))
+        phase = singleton_phase(graph)
         contexts = [context_for(config, phase, m) for m in config.orders]
         gains = {str(m): list(c.gains.values) for m, c in zip(config.orders, contexts)}
         trials_meta.append(
@@ -181,7 +183,7 @@ def _run_graph_trials(config: ExperimentConfig, out: Path, metric: str) -> dict:
 
 
 def _run_singleton_table(config: ExperimentConfig, out: Path, gf: GraphFile) -> dict:
-    phase = singleton_phase(gf.graph, gf.kappa)
+    phase = singleton_phase(gf.graph)
     rows: list[str] = []
     gains_used: dict[str, list[float]] = {}
     argmin: dict[str, int] = {}

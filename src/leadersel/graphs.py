@@ -1,9 +1,10 @@
 """Graph data model, Laplacian construction, random graphs, and file I/O.
 
-A ``Graph`` is its node count and three read-only edge arrays, ``u < v``
-(``intp``) and ``w``, sorted by (u, v).  ``build_graph`` validates and
-canonicalizes an edge list in one vectorized pass; every reader, writer
-and consumer indexes the arrays directly.
+A ``Graph`` is its node count, three read-only edge arrays, ``u < v``
+(``intp``) and ``w``, sorted by (u, v), and the read-only per-node
+absolute-feedback weights ``kappa`` (unit unless given).  ``build_graph``
+validates and canonicalizes an edge list and kappa in one vectorized
+pass; every reader, writer and consumer indexes the arrays directly.
 
 Node ids are 0-based everywhere inside the package.  Graph files carry a
 ``label_base`` field (default 1) so published examples keep their original
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,45 +32,30 @@ from .errors import GraphError, LeaderSelError, SchemaError
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Edge i joins ``u[i] < v[i]`` with weight ``w[i]``; build it with ``build_graph``."""
+    """Edge i joins ``u[i] < v[i]`` with weight ``w[i]``, and node v carries the
+    absolute-feedback weight ``kappa[v]`` (its diagonal coupling when it leads);
+    build it with ``build_graph``."""
 
     n: int
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
+    kappa: np.ndarray
 
 
-@dataclass(frozen=True)
-class KappaWeights:
-    """Positive per-node absolute-feedback weights (diagonal coupling to leaders)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for k in self.values:
-            if not (k > 0 and math.isfinite(k)):
-                raise GraphError(f"kappa weight {k} must be positive and finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values)
-
-
-def unit_kappa(n: int) -> KappaWeights:
-    return KappaWeights((1.0,) * n)
-
-
-def build_graph(n: int, edges: Sequence | np.ndarray, label_base: int = 0) -> Graph:
-    """Validate and canonicalize (u, v, w) triples, or an (E, 3) table, into a Graph.
+def build_graph(n: int, edges: Sequence | np.ndarray, label_base: int = 0,
+                kappa: list | None = None) -> Graph:
+    """Validate and canonicalize (u, v, w) triples, or an (E, 3) table, and
+    ``kappa``, a list of n numbers (None: unit kappa), into a Graph.
 
     Raises GraphError for the first offending edge in input order: a
     self-loop, an out-of-range node, a weight that is not positive and
     finite, or a repeated edge, checked in that order; a repeated edge
     offends at its second occurrence.
     Messages name nodes as id + ``label_base``, the label space of the
-    file the edges came from.
+    file the edges came from.  Kappa is checked after the edges: a
+    SchemaError for an entry that is not a number, then a GraphError for
+    the wrong length or the first weight that is not positive and finite.
     """
     if n < 1:
         raise GraphError("node count must be positive")
@@ -104,8 +89,15 @@ def build_graph(n: int, edges: Sequence | np.ndarray, label_base: int = 0) -> Gr
                 f"edge ({u}, {v}) weight {float(w[i])} must be positive and finite"
             )
         raise GraphError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
-    g = Graph(n=n, u=lo[order].astype(np.intp), v=hi[order].astype(np.intp), w=w[order])
-    for column in (g.u, g.v, g.w):
+    kappa = np.ones(n) if kappa is None else _numbers(kappa, "kappa")
+    if kappa.shape != (n,):
+        raise GraphError("kappa must be a list of length n")
+    if (bad := ~((kappa > 0) & np.isfinite(kappa))).any():
+        k = float(kappa[np.argmax(bad)])
+        raise GraphError(f"kappa weight {k} must be positive and finite")
+    g = Graph(n=n, u=lo[order].astype(np.intp), v=hi[order].astype(np.intp), w=w[order],
+              kappa=kappa)
+    for column in (g.u, g.v, g.w, g.kappa):
         column.flags.writeable = False
     return g
 
@@ -122,11 +114,12 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from node 0, one frontier at a time."""
+def is_connected(g: Graph, sources=(0,)) -> bool:
+    """Whether every node is reachable from ``sources`` (node ids): breadth-first,
+    one frontier at a time.  From node 0 it says whether ``g`` is connected."""
     adj = np.zeros((g.n, g.n), dtype=bool)
     adj[g.u, g.v] = adj[g.v, g.u] = True
-    seen = frontier = np.arange(g.n) == 0
+    seen = frontier = np.bincount(sources, minlength=g.n) > 0
     while frontier.any():
         frontier = adj[frontier].any(axis=0) & ~seen
         seen = seen | frontier
@@ -178,10 +171,9 @@ def erdos_renyi_connected(n: int, p: float, seed: int, weight: float = 1.0) -> t
 
 @dataclass(frozen=True)
 class GraphFile:
-    """A parsed graph file: the graph, kappa weights, and the label offset."""
+    """A parsed graph file: the graph (its kappa included) and the label offset."""
 
     graph: Graph
-    kappa: KappaWeights
     label_base: int
 
     def to_label(self, node_id: int) -> int:
@@ -191,21 +183,19 @@ class GraphFile:
         return label - self.label_base
 
 
-def graph_payload(g: Graph, kappa: KappaWeights, label_base: int = 1) -> dict:
-    if len(kappa) != g.n:
-        raise SchemaError(f"kappa length {len(kappa)} != node count {g.n}")
+def graph_payload(g: Graph, label_base: int = 1) -> dict:
     return {
         "label_base": label_base,
         "n": g.n,
         # json writes the (u, v, w) tuples as lists, already in canonical order
         "edges": list(zip((g.u + label_base).tolist(), (g.v + label_base).tolist(), g.w.tolist())),
-        "kappa": [float(k) for k in kappa.values],
+        "kappa": g.kappa.tolist(),
     }
 
 
-def write_graph(g: Graph, kappa: KappaWeights, path: str | Path, label_base: int = 1) -> None:
-    """Write the canonical JSON form of (graph, kappa) to ``path``."""
-    Path(path).write_text(json.dumps(graph_payload(g, kappa, label_base)) + "\n")
+def write_graph(g: Graph, path: str | Path, label_base: int = 1) -> None:
+    """Write the canonical JSON form of ``g`` to ``path``."""
+    Path(path).write_text(json.dumps(graph_payload(g, label_base)) + "\n")
 
 
 def _integer(value: object, field: str) -> int:
@@ -259,11 +249,7 @@ def parse_graph_payload(payload: object) -> GraphFile:
         raise SchemaError("edge node labels must be integers")
     ends -= label_base  # a view: turns the table's labels into node ids
     try:
-        graph = build_graph(n, table, label_base)
-        kappa = _numbers(payload.get("kappa", [1.0] * n), "kappa")
-        if kappa.shape != (n,):
-            raise SchemaError("kappa must be a list of length n")
-        return GraphFile(graph, KappaWeights(tuple(kappa.tolist())), label_base)
+        return GraphFile(build_graph(n, table, label_base, payload.get("kappa")), label_base)
     except GraphError as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -91,8 +91,7 @@ def _improve(items, norms, incumbent: tuple | None = None) -> tuple:
 def _require_confirmed(context: SystemContext, leaders: list[int], norm: float) -> None:
     """Refuse rho * H(S) = ``norm`` unless an eigensolve of Q_S agrees within
     ``woodbury_rtol`` times the closed form's condition number."""
-    q = grounded_matrix(laplacian(context.graph), context.kappa, leaders)
-    lams = sym_eigenvalues(q).eigenvalues
+    lams = sym_eigenvalues(grounded_matrix(context.graph, leaders)).eigenvalues
     exact = float(normalized_eigenvalue_terms(context.gains, lams))
     form = context.gains.form
     cond = lams[-1] / lams[0]
@@ -204,7 +203,7 @@ def exhaustive_sweep(
     """One sweep per context: exact minimizers of coherence over nonempty
     leader sets of size <= j, for every budget j = 1..min(k, n).
 
-    The contexts (say, one per order) share one graph and one kappa, so
+    The contexts (say, one per order) share one graph, kappa included, so
     each stack of grounded matrices is built and eigensolved once and
     scored for every context, each against its own incumbent.  Subsets go
     smallest size first, lexicographically within a size, and only strict
@@ -221,8 +220,8 @@ def exhaustive_sweep(
     if not contexts:
         raise ValueError("exhaustive sweep needs at least one context")
     first = contexts[0]
-    if any(c.graph is not first.graph or c.kappa != first.kappa for c in contexts):
-        raise ValueError("exhaustive sweep contexts must share one graph and one kappa")
+    if any(c.graph is not first.graph for c in contexts):
+        raise ValueError("exhaustive sweep contexts must share one graph")
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     n = first.n
@@ -233,7 +232,6 @@ def exhaustive_sweep(
             f"{total} subsets exceed the cap of {TOLERANCES.subset_cap}"
         )
     lap = laplacian(first.graph)
-    kappa = first.kappa.as_array()
     chunk = max(1, _STACK_BYTES // lap.nbytes)
 
     best = [_improve([(v,) for v in range(n)], c.singleton_normalized) for c in contexts]
@@ -248,7 +246,7 @@ def exhaustive_sweep(
     with ThreadPoolExecutor(max_workers=1) as pool:
         stacks = np.empty((2, chunk, n, n))
         for size in range(2, k_eff + 1):
-            for batch, lams in _stack_spectra(pool, stacks, lap, kappa, size):
+            for batch, lams in _stack_spectra(pool, stacks, lap, first.graph.kappa, size):
                 for i, context in enumerate(contexts):
                     norms = normalized_eigenvalue_terms(context.gains, lams).tolist()
                     best[i] = _improve(batch, norms, best[i])

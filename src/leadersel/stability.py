@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeaderSelError, UnstableSystemError
-from .graphs import Graph, KappaWeights, laplacian
+from .graphs import Graph
 from .linalg import TOLERANCES, sym_eigenvalues
 from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix
 
@@ -185,19 +185,15 @@ def spectral_stability_oracle(a: np.ndarray) -> tuple[bool, float]:
     return max_real < 0.0, max_real
 
 
-def singleton_lambda_mins(graph: Graph, kappa: KappaWeights) -> list[float]:
+def singleton_lambda_mins(graph: Graph) -> list[float]:
     """Smallest grounded eigenvalue for each single-leader choice.
 
     The per-node oracle for ``SingletonPhase.lambda_star``, their least,
     which the gain rule and the selection machinery use: one eigensolve per
     node.
     """
-    lap = laplacian(graph)
-    out = []
-    for v in range(graph.n):
-        q = grounded_matrix(lap, kappa, [v])
-        out.append(float(sym_eigenvalues(q).eigenvalues[0]))
-    return out
+    return [float(sym_eigenvalues(grounded_matrix(graph, [v])).eigenvalues[0])
+            for v in range(graph.n)]
 
 
 def auto_gains(phase: SingletonPhase, m: int) -> GainVector:

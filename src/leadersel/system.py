@@ -1,10 +1,10 @@
 """Gain vectors and the grounded closed-loop system description.
 
 A leader set is a sorted tuple of distinct node ids, built by ``leader_set``.
-The grounded matrix of (graph, kappa, leaders) is the weighted Laplacian
-plus kappa_v on the diagonal for every leader v.  It is positive definite
-whenever the graph is connected and the leader set is nonempty, which is
-what makes the coherence expressions finite.  The singleton phase holds
+The grounded matrix of (graph, leaders) is the weighted Laplacian plus
+the graph's kappa_v on the diagonal for every leader v.  It is positive
+definite whenever the graph is connected and the leader set is nonempty,
+which is what makes the coherence expressions finite.  The singleton phase holds
 what every single-leader choice shares: the spectrum of L and lambda*.
 """
 
@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GraphError, LeaderSelError
-from .graphs import Graph, KappaWeights, is_connected, laplacian
+from .graphs import Graph, is_connected, laplacian
 from .linalg import TOLERANCES, sym_eigenvalues
 
 MAX_ORDER = 4
@@ -91,16 +91,14 @@ def leader_set(ids, n: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def grounded_matrix(lap: np.ndarray, kappa: KappaWeights, leaders) -> np.ndarray:
-    """A copy of the Laplacian ``lap`` plus the leader diagonal: L + D_kappa D_S.
+def grounded_matrix(graph: Graph, leaders) -> np.ndarray:
+    """The graph's Laplacian plus the leader diagonal: L + D_kappa D_S.
 
     ``leaders`` is an iterable of node ids.
     """
-    if len(kappa) != len(lap):
-        raise ValueError(f"kappa length {len(kappa)} != node count {len(lap)}")
-    q = lap.copy()
-    for v in leader_set(leaders, len(lap)):
-        q[v, v] += kappa.values[v]
+    q = laplacian(graph)
+    for v in leader_set(leaders, graph.n):
+        q[v, v] += graph.kappa[v]
     return q
 
 
@@ -130,7 +128,6 @@ class SingletonPhase:
     """
 
     graph: Graph
-    kappa: KappaWeights
     eigenvalues: np.ndarray  # lam_1 <= ... <= lam_{n-1}
     vectors: np.ndarray      # shape (n, n - 1), the columns of U for lam_1 ..
 
@@ -172,7 +169,7 @@ class SingletonPhase:
         each formed from U where it is read: memory above the phase stays
         flat in n, and no bit of the result depends on the blocking.
         """
-        n, kappa, lam = self.n, self.kappa.as_array(), self.eigenvalues
+        n, kappa, lam = self.n, self.graph.kappa, self.eigenvalues
         if n == 1:
             return float(kappa[0])
         lam1 = lam[0]
@@ -231,8 +228,8 @@ class SingletonPhase:
             return float(hi)
 
 
-def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
-    """The singleton phase of (graph, kappa); refuses a disconnected graph.
+def singleton_phase(graph: Graph) -> SingletonPhase:
+    """The singleton phase of ``graph``; refuses a disconnected graph.
 
     Connectivity is decided on the edges, not on the sign of a rounded
     eigenvalue: on a disconnected graph some Q_v is singular, and the
@@ -241,8 +238,6 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
     two blocks joined by a 1e-20 bridge) is refused as well: eigh mixes
     its near-null eigenvectors, so the phase has no isolated zero to drop.
     """
-    if len(kappa) != graph.n:
-        raise ValueError(f"kappa length {len(kappa)} != node count {graph.n}")
     if not is_connected(graph):
         raise GraphError(
             "graph is not connected: no single leader grounds every component"
@@ -255,32 +250,25 @@ def singleton_phase(graph: Graph, kappa: KappaWeights) -> SingletonPhase:
             f"graph is not connected numerically: lambda_1(L) = {lam[1]:.3g} is "
             f"below {rtol:g} * lambda_max(L) = {lam[-1]:.3g}"
         )
-    return SingletonPhase(graph, kappa, eigenvalues=lam[1:], vectors=dec.eigenvectors[:, 1:])
+    return SingletonPhase(graph, eigenvalues=lam[1:], vectors=dec.eigenvectors[:, 1:])
 
 
 @dataclass(frozen=True)
 class GroundedSystem:
-    """A graph with kappa weights, a leader set, and feedback gains.
+    """A graph (with its kappa weights), a leader set, and feedback gains.
 
     The grounded matrix and its eigenvalues are computed lazily, once.
     """
 
     graph: Graph
-    kappa: KappaWeights
     leaders: tuple[int, ...]  # sorted node ids, each once
     gains: GainVector
 
     @classmethod
-    def create(
-        cls,
-        graph: Graph,
-        kappa: KappaWeights,
-        leaders,
-        gains,
-    ) -> "GroundedSystem":
+    def create(cls, graph: Graph, leaders, gains) -> "GroundedSystem":
         if not isinstance(gains, GainVector):
             gains = GainVector(tuple(gains))
-        return cls(graph=graph, kappa=kappa, leaders=leader_set(leaders, graph.n), gains=gains)
+        return cls(graph=graph, leaders=leader_set(leaders, graph.n), gains=gains)
 
     @property
     def n(self) -> int:
@@ -292,7 +280,7 @@ class GroundedSystem:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return grounded_matrix(laplacian(self.graph), self.kappa, self.leaders)
+        return grounded_matrix(self.graph, self.leaders)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -305,6 +293,9 @@ class GroundedSystem:
         lam = self.eigenvalues
         noise = self.n * np.finfo(float).eps * lam[-1]  # eigvalsh's rounding error
         if lam[0] <= noise:  # not connectivity_rtol: kappa, absent from L, scales Q_S
+            cause = ("Q_S is beyond the eigensolve's resolution, though every component "
+                     "has a leader" if is_connected(self.graph, self.leaders)
+                     else "a component lacks a leader")
             raise GraphError(f"lambda_min(Q_S) = {lam[0]:.3g} is within rounding of zero (n "
-                             f"* eps * lambda_max(Q_S) = {noise:.3g}): a component lacks a leader")
+                             f"* eps * lambda_max(Q_S) = {noise:.3g}): {cause}")
         return float(lam[0])

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from leadersel.errors import GraphError
 from leadersel.graphs import (
     Graph,
-    KappaWeights,
     build_graph,
     is_connected,
-    laplacian,
     six_node_example,
 )
 from leadersel.linalg import sym_eigenvalues
@@ -56,6 +54,11 @@ def edge_list(g: Graph) -> tuple[tuple[int, int, float], ...]:
     return tuple(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
 
 
+def with_kappa(g: Graph, kappa) -> Graph:
+    """``g``'s edges with the per-node weights ``kappa`` (a sequence of n floats)."""
+    return build_graph(g.n, edge_list(g), kappa=[float(k) for k in kappa])
+
+
 def loop_build_graph(n, edges, label_base=0):
     """Named oracle for ``build_graph``: validate edge by edge, in input order.
 
@@ -87,14 +90,15 @@ def loop_build_graph(n, edges, label_base=0):
     return tuple(sorted(canonical))
 
 
-def loop_is_connected(g: Graph) -> bool:
-    """Named oracle for ``is_connected``: breadth-first search over adjacency lists."""
+def loop_is_connected(g: Graph, sources=(0,)) -> bool:
+    """Named oracle for ``is_connected``: breadth-first search over adjacency
+    lists from the nodes ``sources``."""
     adj = [[] for _ in range(g.n)]
     for u, v, _ in edge_list(g):
         adj[u].append(v)
         adj[v].append(u)
-    seen = {0}
-    frontier = [0]
+    seen = set(sources)
+    frontier = list(seen)
     while frontier:
         nxt = []
         for u in frontier:
@@ -116,7 +120,7 @@ def bisection_lambda_mins(phase) -> np.ndarray:
     returned.  Same sign test and same stop as the production solver,
     which bisects one bracket for all rows.
     """
-    n, kappa, w = phase.n, phase.kappa.as_array(), phase.vectors**2
+    n, kappa, w = phase.n, phase.graph.kappa, phase.vectors**2
     lo = np.zeros(n)
     hi = kappa / n
     if n > 1:
@@ -214,7 +218,7 @@ def exact_normalized(context, leaders) -> Fraction:
         q[u][u] += w
         q[v][v] += w
     for s in leaders:
-        q[s][s] += Fraction(context.kappa.values[s])
+        q[s][s] += Fraction(float(context.graph.kappa[s]))
     inv = _exact_inverse(q)
     total = Fraction(0)
     if form.tr:
@@ -309,8 +313,7 @@ def loop_exhaustive_select(context, k: int) -> SelectionResult:
             if size == 1:
                 norm = singleton[subset[0]]
             else:
-                q = grounded_matrix(laplacian(context.graph), context.kappa, subset)
-                lams = sym_eigenvalues(q).eigenvalues
+                lams = sym_eigenvalues(grounded_matrix(context.graph, subset)).eigenvalues
                 norm = loop_normalized(context.gains, lams)
             evaluations += 1
             best = _improve([subset], [norm], best)
@@ -348,7 +351,6 @@ class TraceSetFunction:
     """
 
     graph: Graph
-    kappa: KappaWeights
     form: Literal["product", "fourth_order"]
     b1: float
     b2: float
@@ -364,12 +366,8 @@ class TraceSetFunction:
         else:
             raise ValueError(f"unknown form {self.form!r}")
 
-    @cached_property
-    def lap(self) -> np.ndarray:
-        return laplacian(self.graph)
-
     def _trace(self, leaders) -> float:
-        lam = sym_eigenvalues(grounded_matrix(self.lap, self.kappa, leaders)).eigenvalues
+        lam = sym_eigenvalues(grounded_matrix(self.graph, leaders)).eigenvalues
         b1, b2, b3 = self.b1, self.b2, self.b3
         if self.form == "product":
             if b2 * lam[0] <= b3:

@@ -13,11 +13,9 @@ import pytest
 
 from leadersel.coherence import SystemContext, coherence_closed, coherence_lyapunov_oracle
 from leadersel.graphs import (
-    KappaWeights,
     build_graph,
     erdos_renyi_connected,
     six_node_example,
-    unit_kappa,
 )
 from leadersel.selection import certify_bound, exhaustive_select, greedy_select
 from leadersel.simulate import SimulationSpec, simulate_coherence
@@ -55,7 +53,7 @@ def test_criterion_1_six_node_leader_split():
     gf = six_node_example()
     picks = {}
     for m in (1, 2, 3):
-        ctx = SystemContext.auto(gf.graph, gf.kappa, m)
+        ctx = SystemContext.auto(gf.graph, m)
         picks[m] = gf.to_label(exhaustive_select(ctx, 1).chosen[0])
     assert picks[1] == 2
     assert picks[2] == 4
@@ -72,11 +70,10 @@ def test_criterion_2_closed_forms_match_lyapunov_oracle():
     while graphs_checked < 54:
         n = int(rng.integers(2, 9))
         g = random_connected_graph(rng, n)
-        kappa = unit_kappa(n)
         leaders = [v for v in range(n) if rng.random() < 0.5] or [int(rng.integers(0, n))]
         for m in (2, 3, 4):
-            gains = auto_gains(singleton_phase(g, kappa), m)
-            system = GroundedSystem.create(g, kappa, leaders, gains)
+            gains = auto_gains(singleton_phase(g), m)
+            system = GroundedSystem.create(g, leaders, gains)
             closed = coherence_closed(system).value
             oracle = coherence_lyapunov_oracle(system).value
             rel = abs(closed - oracle) / abs(oracle)
@@ -90,9 +87,8 @@ def test_criterion_2_closed_forms_match_lyapunov_oracle():
 
 def test_criterion_3_known_values():
     started = time.perf_counter()
-    kappa = unit_kappa(2)
-    h2 = GroundedSystem.create(K2, kappa, [0], gain_vector(1, 1))
-    h3 = GroundedSystem.create(K2, kappa, [0], gain_vector(1, 1, 3))
+    h2 = GroundedSystem.create(K2, [0], gain_vector(1, 1))
+    h3 = GroundedSystem.create(K2, [0], gain_vector(1, 1, 3))
     assert coherence_closed(h2).value == pytest.approx(3.5, rel=1e-10)
     assert coherence_closed(h3).value == pytest.approx(27.0, rel=1e-10)
     assert coherence_lyapunov_oracle(h2).value == pytest.approx(3.5, rel=1e-6)
@@ -106,9 +102,8 @@ def test_criterion_4_greedy_bound_desk_scale():
     ratios = []
     for trial in range(3):
         g, _ = erdos_renyi_connected(12, 0.5, seed=7000 + trial)
-        kappa = unit_kappa(12)
         for m in (1, 2, 3, 4):
-            ctx = SystemContext.auto(g, kappa, m)
+            ctx = SystemContext.auto(g, m)
             for k in (1, 2, 3):
                 cert = certify_bound(ctx, greedy_select(ctx, k), exhaustive_select(ctx, k))
                 assert cert.holds
@@ -127,15 +122,14 @@ def test_criterion_5_submodularity_suite():
     for index in range(10):
         n = int(rng.integers(4, 8))
         g = random_connected_graph(rng, n)
-        kappa = unit_kappa(n)
         for m in (2, 3, 4):
-            ctx = SystemContext.auto(g, kappa, m)
+            ctx = SystemContext.auto(g, m)
             violations = check_monotone_submodular(lambda s: set_value(ctx, s), n)
             assert violations == [], (index, m, violations[:3])
-        lam_floor = singleton_phase(g, kappa).lambda_star
+        lam_floor = singleton_phase(g).lambda_star
         b3 = float(rng.uniform(0.0, 1.5))
         product = TraceSetFunction(
-            g, kappa, "product",
+            g, "product",
             b1=float(rng.uniform(0.2, 3.0)),
             b2=(b3 + 0.5 + float(rng.uniform(0.0, 1.0))) / lam_floor,
             b3=b3,
@@ -143,7 +137,7 @@ def test_criterion_5_submodularity_suite():
         assert check_monotone_submodular(product.value, n) == []
         b2 = float(rng.uniform(0.1, 2.0))
         quartic = TraceSetFunction(
-            g, kappa, "fourth_order",
+            g, "fourth_order",
             b1=b2 + (1.3 + float(rng.uniform(0.0, 1.0))) / lam_floor,
             b2=b2,
         )
@@ -162,7 +156,7 @@ def test_criterion_6_stability_verdicts():
         for lam in (0.1, 0.7, 2.0):
             assert hurwitz_determinants(GainVector((a,) * 4), lam)[2] < 0
     g = random_connected_graph(rng, 5)
-    q = GroundedSystem.create(g, unit_kappa(5), [0, 3], gain_vector(1, 1)).matrix
+    q = GroundedSystem.create(g, [0, 3], gain_vector(1, 1)).matrix
     for m in (4, 5):
         stable, _ = spectral_stability_oracle(companion_state_matrix(q, (1.0,) * m))
         assert not stable
@@ -172,16 +166,15 @@ def test_criterion_6_stability_verdicts():
     while checked < 200:
         n = int(rng.integers(2, 6))
         g = random_connected_graph(rng, n)
-        kappa = unit_kappa(n)
         m = int(rng.integers(2, 5))
         if rng.random() < 0.5:
-            gains = tuple(auto_gains(singleton_phase(g, kappa), m).values)
+            gains = tuple(auto_gains(singleton_phase(g), m).values)
         else:
             gains = tuple(float(x) for x in rng.uniform(-2.0, 4.0, size=m))
             if any(abs(x) < 1e-6 for x in gains):
                 continue
         leaders = [v for v in range(n) if rng.random() < 0.5] or [0]
-        system = GroundedSystem.create(g, kappa, leaders, GainVector(gains))
+        system = GroundedSystem.create(g, leaders, GainVector(gains))
         report = check_stability(system)
         stable, max_real = spectral_stability_oracle(state_matrix(system))
         if abs(report.margin) < 1e-9 or abs(max_real) < 1e-9:
@@ -190,11 +183,11 @@ def test_criterion_6_stability_verdicts():
         checked += 1
 
     # (c) crossing the order-3 boundary flips both verdicts
-    system = GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1, 1))
+    system = GroundedSystem.create(K2, [0], gain_vector(1, 1, 1))
     boundary = 1.0 / system.lambda_min  # required a2*a3/a1
     for factor, expected in ((1.05, True), (0.95, False)):
         gains = gain_vector(1.0, 1.0, boundary * factor)
-        flipped = GroundedSystem.create(K2, unit_kappa(2), [0], gains)
+        flipped = GroundedSystem.create(K2, [0], gains)
         report = check_stability(flipped)
         oracle_stable, _ = spectral_stability_oracle(state_matrix(flipped))
         assert report.stable is expected
@@ -211,13 +204,12 @@ def test_criterion_7_ordering_claims():
     for _ in range(100):
         n = int(rng.integers(2, 8))
         g = random_connected_graph(rng, n)
-        kappa = unit_kappa(n)
-        a = auto_gains(singleton_phase(g, kappa), 3).values[0]
+        a = auto_gains(singleton_phase(g), 3).values[0]
         leaders = [v for v in range(n) if rng.random() < 0.5] or [int(rng.integers(0, n))]
-        h1 = coherence_closed(GroundedSystem.create(g, kappa, leaders, gain_vector(a))).value
-        h2 = coherence_closed(GroundedSystem.create(g, kappa, leaders, gain_vector(a, a))).value
+        h1 = coherence_closed(GroundedSystem.create(g, leaders, gain_vector(a))).value
+        h2 = coherence_closed(GroundedSystem.create(g, leaders, gain_vector(a, a))).value
         h3 = coherence_closed(
-            GroundedSystem.create(g, kappa, leaders, gain_vector(a, a, a))
+            GroundedSystem.create(g, leaders, gain_vector(a, a, a))
         ).value
         assert h3 > h2
         assert h1 > h2
@@ -225,9 +217,8 @@ def test_criterion_7_ordering_claims():
     # desk-scale optimal-coherence comparison, per trial and budget
     for trial in range(3):
         g, _ = erdos_renyi_connected(12, 0.5, seed=7700 + trial)
-        kappa = unit_kappa(12)
         best = {
-            m: SystemContext.auto(g, kappa, m)
+            m: SystemContext.auto(g, m)
             for m in (1, 2, 3)
         }
         for k in (1, 2, 3):
@@ -245,10 +236,9 @@ def test_criterion_8_incremental_greedy_matches_naive():
     for index in range(20):
         n = int(rng.integers(6, 16))
         g = random_connected_graph(rng, n)
-        kappa = unit_kappa(n)
         m = orders[index % 3]
         k = int(rng.integers(1, 6))
-        ctx = SystemContext.auto(g, kappa, m)
+        ctx = SystemContext.auto(g, m)
         fast = greedy_select(ctx, k)
         slow = naive_greedy(ctx, k)
         assert fast.chosen == slow.chosen, (index, n, m, k)
@@ -261,8 +251,8 @@ def test_criterion_8_incremental_greedy_matches_naive():
 def test_criterion_9_simulation_consistency():
     started = time.perf_counter()
     cases = [
-        (GroundedSystem.create(SINGLE, unit_kappa(1), [0], gain_vector(1, 1)), 0.5),
-        (GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1)), 3.5),
+        (GroundedSystem.create(SINGLE, [0], gain_vector(1, 1)), 0.5),
+        (GroundedSystem.create(K2, [0], gain_vector(1, 1)), 3.5),
     ]
     errors = []
     for system, target in cases:

@@ -14,7 +14,7 @@ import leadersel.selection as selection
 from leadersel.cli import main
 from leadersel.coherence import SystemContext, coherence_closed
 from leadersel.experiments import ExperimentConfig
-from leadersel.graphs import KappaWeights, build_graph, unit_kappa, write_graph
+from leadersel.graphs import build_graph, write_graph
 from leadersel.selection import exhaustive_select, greedy_select
 from leadersel.stability import check_stability
 from leadersel.system import GroundedSystem, singleton_phase
@@ -41,7 +41,7 @@ def run_cli(*args, cwd=None):
 @pytest.fixture()
 def k2_file(tmp_path):
     path = tmp_path / "k2.json"
-    write_graph(build_graph(2, [(0, 1, 1.0)]), unit_kappa(2), path, label_base=0)
+    write_graph(build_graph(2, [(0, 1, 1.0)]), path, label_base=0)
     return path
 
 
@@ -147,7 +147,7 @@ def test_spectral_oracle_calls_small_weights_stable(tmp_path, capsys):
     about -3.6e-10, negative, so the oracle agrees with the conditions."""
     s = 2.0**-30
     path = tmp_path / "k2.json"
-    write_graph(build_graph(2, [(0, 1, s)]), KappaWeights((s, s)), path, label_base=0)
+    write_graph(build_graph(2, [(0, 1, s)], kappa=[s, s]), path, label_base=0)
     assert main(["stability", str(path), "--order", "1", "--gains", "1", "--leaders", "0",
                  "--oracle"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -199,7 +199,7 @@ def test_huge_equal_order_four_gains_keep_finite_minors(k2_file, capsys):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_known_defect_weakly_attached_path_is_refused(tmp_path, capsys, m):
     path = tmp_path / "weak.json"
-    write_graph(build_graph(3, [(0, 2, 0.42), (1, 2, 2.9e-6)]), unit_kappa(3), path,
+    write_graph(build_graph(3, [(0, 2, 0.42), (1, 2, 2.9e-6)]), path,
                 label_base=0)
     assert main(["select", str(path), "--order", str(m), "--auto-gains", "--k", "3"]) == 2
     captured = capsys.readouterr()
@@ -292,7 +292,7 @@ GAINS = {1: "1", 2: "1,1", 3: "2,2,2", 4: "2,4,4,4"}
 def test_select_refuses_disconnected_graph(tmp_path, capsys, name, gains):
     graph = DISCONNECTED[name]
     path = tmp_path / "g.json"
-    write_graph(graph, unit_kappa(graph.n), path)
+    write_graph(graph, path)
     for m in (1, 2, 3, 4):
         chosen = ["--auto-gains"] if gains == "auto" else ["--gains", GAINS[m]]
         code = main(["select", str(path), "--order", str(m), *chosen, "--k", "2"])
@@ -308,7 +308,7 @@ def test_one_leader_on_disconnected_graph_is_refused(tmp_path, capsys, name):
     refuses, whatever sign the noise has."""
     graph = DISCONNECTED[name]
     path = tmp_path / "g.json"
-    write_graph(graph, unit_kappa(graph.n), path)
+    write_graph(graph, path)
     for m in (1, 2, 3, 4):
         system = [str(path), "--order", str(m), "--gains", GAINS[m], "--leaders", "1"]
         for command in (["stability"], ["coherence"], ["coherence", "--method", "lyapunov"],
@@ -320,11 +320,31 @@ def test_one_leader_on_disconnected_graph_is_refused(tmp_path, capsys, name):
             assert "is within rounding of zero" in captured.err
 
 
+def test_unresolved_lambda_min_names_its_cause(tmp_path, capsys):
+    """K2 with kappa 1e16 on both nodes and one leader: lambda_min(Q_S) is
+    about 1, but lambda_max(Q_S) = 1e16 puts the rounding floor
+    n * eps * lambda_max at 4.44, so the set is refused (exit 2).  Every node
+    is in reach of the leader, so the message does not blame a missing one;
+    one leader on two K2 blocks keeps that wording."""
+    path = tmp_path / "g.json"
+    argv = ["coherence", str(path), "--order", "1", "--gains", "1", "--leaders", "1"]
+    write_graph(build_graph(2, [(0, 1, 1.0)], kappa=[1e16, 1e16]), path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "input error: lambda_min(Q_S) = 1 is within rounding of zero (n * eps * "
+        "lambda_max(Q_S) = 4.44): Q_S is beyond the eigensolve's resolution, though every "
+        "component has a leader\n"))
+    write_graph(cliques(2, 2), path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith("): a component lacks a leader\n")
+
+
 def test_one_leader_per_component_grounds_a_disconnected_graph(tmp_path, capsys):
     """Two K2 blocks, each with its own leader: Q_S is block diagonal and
     positive definite, and H is the sum of the blocks' 1.5 each."""
     path = tmp_path / "g.json"
-    write_graph(cliques(2, 2), unit_kappa(4), path)
+    write_graph(cliques(2, 2), path)
     for method in ("closed", "lyapunov"):
         assert main(["coherence", str(path), "--order", "1", "--gains", "1",
                      "--leaders", "1,3", "--method", method]) == 0
@@ -569,6 +589,11 @@ def test_experiment_fig3_gain_rule_of_wrong_length_writes_no_csv(tmp_path, capsy
     ("fig1", {"gain_rule": "fixed"}, "gain_rule must be 'auto' or a mapping, got 'fixed'"),
     ("fig1", {"p": 1.5}, "p=1.5 outside [0, 1]"),
     ("fig2", {"n": 0}, "n must be >= 1, got 0"),
+    # a key that names no configured order would be copied into summary.json unread
+    ("fig2", {"orders": [1, 2], "gain_rule": {"1": [2], "2": [1, 3], "7": "x"}},
+     "gain_rule keys ['7'] name no configured order"),
+    ("fig1", {"gain_rule": {"1": [2], "4": [1, 2, 2, 2], "0": [1]}},
+     "gain_rule keys ['0', '4'] name no configured order"),
 ])
 def test_refused_experiment_config_creates_no_output_dir(tmp_path, capsys, experiment, fields,
                                                          message):
@@ -830,13 +855,13 @@ def test_non_finite_input_is_refused_by_value(tmp_path, capsys, k2_file, argv, m
 def test_closed_form_margin_is_one_gate(tmp_path, capsys):
     """Closed forms, both searches and the set function refuse alike within
     coherence_margin of the boundary; the CLI exits 3 for both commands."""
-    graph, kappa = build_graph(2, [(0, 1, 1.0)]), unit_kappa(2)
+    graph = build_graph(2, [(0, 1, 1.0)])
     lam = (3.0 - 5.0**0.5) / 2.0  # lambda_min(Q_{0}) = lambda_min(Q_{1}) on K2
     gains = gain_vector(1.0, 1.0, (1.0 + 5e-10) / lam)
-    system = GroundedSystem.create(graph, kappa, [0], gains)
+    system = GroundedSystem.create(graph, [0], gains)
     assert 0.0 < gains[2] * system.lambda_min - 1.0 < 1e-9
     assert check_stability(system).stable
-    ctx = SystemContext(singleton_phase(graph, kappa), gains)
+    ctx = SystemContext(singleton_phase(graph), gains)
     messages = set()
     for call in (lambda: coherence_closed(system), lambda: greedy_select(ctx, 1),
                  lambda: exhaustive_select(ctx, 1), lambda: set_value(ctx, [0])):
@@ -848,7 +873,7 @@ def test_closed_form_margin_is_one_gate(tmp_path, capsys):
     (message,) = messages
 
     path = tmp_path / "k2.json"
-    write_graph(graph, kappa, path, label_base=0)
+    write_graph(graph, path, label_base=0)
     flags = ["--order", "3", "--gains", ",".join(repr(a) for a in gains.values)]
     for argv in (["coherence", str(path), *flags, "--leaders", "0"],
                  ["select", str(path), *flags, "--k", "1", "--algorithm", "both"]):

@@ -18,8 +18,8 @@ from leadersel.coherence import (
     normalized_from_inverses,
 )
 from leadersel.errors import LeaderSelError, UnstableSystemError
-from leadersel.graphs import KappaWeights, build_graph, six_node_example, unit_kappa
-from leadersel.graphs import erdos_renyi_connected, laplacian
+from leadersel.graphs import build_graph, six_node_example
+from leadersel.graphs import erdos_renyi_connected
 from leadersel.linalg import spd_inverse
 from leadersel.stability import auto_gains, singleton_lambda_mins
 from leadersel.system import (
@@ -43,6 +43,7 @@ from conftest import (
     set_value,
     star,
     TraceSetFunction,
+    with_kappa,
 )
 
 SINGLE = build_graph(1, [])
@@ -50,19 +51,19 @@ K2 = build_graph(2, [(0, 1, 1.0)])
 
 
 def k2_system(gains):
-    return GroundedSystem.create(K2, unit_kappa(2), [0], GainVector(tuple(gains)))
+    return GroundedSystem.create(K2, [0], GainVector(tuple(gains)))
 
 
 def single_system(gains):
-    return GroundedSystem.create(SINGLE, unit_kappa(1), [0], GainVector(tuple(gains)))
+    return GroundedSystem.create(SINGLE, [0], GainVector(tuple(gains)))
 
 
 def stable_random_system(seed: int, n: int, m: int):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n)
-    gains = auto_gains(singleton_phase(g, unit_kappa(n)), m)
+    gains = auto_gains(singleton_phase(g), m)
     leaders = [v for v in range(n) if rng.random() < 0.4] or [int(rng.integers(0, n))]
-    return GroundedSystem.create(g, unit_kappa(n), leaders, gains)
+    return GroundedSystem.create(g, leaders, gains)
 
 
 # -- closed forms --------------------------------------------------------------
@@ -98,10 +99,10 @@ def test_marginal_system_refused():
 
 
 def test_empty_leaders_refused():
-    system = GroundedSystem.create(K2, unit_kappa(2), [], gain_vector(1, 1))
+    system = GroundedSystem.create(K2, [], gain_vector(1, 1))
     with pytest.raises(LeaderSelError, match="grounded matrix is singular without leaders"):
         coherence_closed(system)
-    context = SystemContext(singleton_phase(K2, unit_kappa(2)), gain_vector(1, 1))
+    context = SystemContext(singleton_phase(K2), gain_vector(1, 1))
     with pytest.raises(LeaderSelError, match="grounded matrix is singular without leaders"):
         context.normalized_coherence([])
 
@@ -206,10 +207,9 @@ def test_closed_forms_match_oracle_at_selection_scale(n):
     """The `gen --n N --p 0.5 --seed 1 --connected` graphs with auto gains
     and leaders 0-4: state dimension up to 800, criterion-2 tolerance."""
     g, _ = erdos_renyi_connected(n, 0.5, 1)
-    kappa = unit_kappa(n)
     for m in (2, 3, 4):
-        gains = auto_gains(singleton_phase(g, kappa), m)
-        system = GroundedSystem.create(g, kappa, [0, 1, 2, 3, 4], gains)
+        gains = auto_gains(singleton_phase(g), m)
+        system = GroundedSystem.create(g, [0, 1, 2, 3, 4], gains)
         closed = coherence_closed(system).value
         assert coherence_lyapunov_oracle(system).value == pytest.approx(closed, rel=1e-6), m
 
@@ -229,8 +229,8 @@ def test_rearranged_matches_direct_random():
 
 
 def test_rearranged_matches_oracle_k2():
-    gains = auto_gains(singleton_phase(K2, unit_kappa(2)), 4)
-    system = GroundedSystem.create(K2, unit_kappa(2), [0], gains)
+    gains = auto_gains(singleton_phase(K2), 4)
+    system = GroundedSystem.create(K2, [0], gains)
     assert inverse_path_h(system) == pytest.approx(
         coherence_lyapunov_oracle(system).value, rel=1e-6
     )
@@ -239,25 +239,25 @@ def test_rearranged_matches_oracle_k2():
 # -- surrogate set function --------------------------------------------------------
 
 def test_set_function_empty_is_zero():
-    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gain_vector(1, 1))
+    ctx = SystemContext(singleton_phase(K2), gain_vector(1, 1))
     assert set_value(ctx, []) == 0.0
 
 
 def test_set_function_worst_singleton_is_half_offset():
-    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gain_vector(1, 1))
+    ctx = SystemContext(singleton_phase(K2), gain_vector(1, 1))
     worst = max(range(2), key=lambda v: ctx.singleton_normalized[v])
     assert set_value(ctx, [worst]) == pytest.approx(ctx.offset / 2, rel=1e-12)
 
 
 def test_set_function_single_node_numbers():
     # rho*H = 1 for the single-node unit system, so C = 2 and f({0}) = 1
-    ctx = SystemContext(singleton_phase(SINGLE, unit_kappa(1)), gain_vector(1, 1))
+    ctx = SystemContext(singleton_phase(SINGLE), gain_vector(1, 1))
     assert ctx.offset == pytest.approx(2.0, rel=1e-12)
     assert set_value(ctx, [0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_set_function_refuses_unstable_gains():
-    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gain_vector(1, 1, 1))
+    ctx = SystemContext(singleton_phase(K2), gain_vector(1, 1, 1))
     with pytest.raises(UnstableSystemError):
         set_value(ctx, [0])
 
@@ -265,7 +265,7 @@ def test_set_function_refuses_unstable_gains():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_surrogate_consistent_with_coherence(m):
     system = stable_random_system(300 + m, 5, m)
-    ctx = SystemContext(singleton_phase(system.graph, system.kappa), system.gains)
+    ctx = SystemContext(singleton_phase(system.graph), system.gains)
     f = set_value(ctx, system.leaders)
     h = coherence_closed(system).value
     rho = system.gains.form.rho
@@ -276,27 +276,27 @@ def test_surrogate_consistent_with_coherence(m):
 
 def test_product_form_reproduces_second_order():
     gains = gain_vector(1.5, 2.0)
-    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gains)
-    fn = TraceSetFunction(K2, unit_kappa(2), "product", b1=1.0, b2=1.0, b3=0.0)
+    ctx = SystemContext(singleton_phase(K2), gains)
+    fn = TraceSetFunction(K2, "product", b1=1.0, b2=1.0, b3=0.0)
     for leaders in ([0], [1], [0, 1]):
         assert fn.value(leaders) == pytest.approx(set_value(ctx, leaders), rel=1e-10)
 
 
 def test_product_form_reproduces_third_order():
     gains = gain_vector(1, 1, 3)
-    ctx = SystemContext(singleton_phase(K2, unit_kappa(2)), gains)
+    ctx = SystemContext(singleton_phase(K2), gains)
     a1, a2, a3 = gains.values
-    fn = TraceSetFunction(K2, unit_kappa(2), "product", b1=1.0, b2=a2 * a3 / a1, b3=1.0)
+    fn = TraceSetFunction(K2, "product", b1=1.0, b2=a2 * a3 / a1, b3=1.0)
     for leaders in ([0], [1], [0, 1]):
         assert fn.value(leaders) == pytest.approx(set_value(ctx, leaders), rel=1e-10)
 
 
 def test_fourth_order_form_reproduces_fourth_order():
-    ctx = SystemContext.auto(K2, unit_kappa(2), 4)
+    ctx = SystemContext.auto(K2, 4)
     gains = ctx.gains
     a1, a2, a3, a4 = gains.values
     fn = TraceSetFunction(
-        K2, unit_kappa(2), "fourth_order", b1=a3 * a4 / a2, b2=a1 * a4**2 / a2**2
+        K2, "fourth_order", b1=a3 * a4 / a2, b2=a1 * a4**2 / a2**2
     )
     for leaders in ([0], [1], [0, 1]):
         assert fn.value(leaders) == pytest.approx(set_value(ctx, leaders), rel=1e-10)
@@ -307,16 +307,16 @@ def test_trace_family_matches_dense_docstring_forms(seed):
     """Both forms against the documented traces, built with dense inverses."""
     rng = np.random.default_rng(seed)
     n = 6
-    g, kappa = random_connected_graph(rng, n), unit_kappa(n)
-    lam = min(singleton_lambda_mins(g, kappa))  # no leader set has a smaller one
+    g = random_connected_graph(rng, n)
+    lam = min(singleton_lambda_mins(g))  # no leader set has a smaller one
     b2 = rng.uniform(0.5, 2.0)
-    product = TraceSetFunction(g, kappa, "product", b1=rng.uniform(0.5, 2.0), b2=b2,
+    product = TraceSetFunction(g, "product", b1=rng.uniform(0.5, 2.0), b2=b2,
                                b3=rng.uniform(0.0, 0.9) * b2 * lam)
-    fourth = TraceSetFunction(g, kappa, "fourth_order",
+    fourth = TraceSetFunction(g, "fourth_order",
                               b1=b2 + rng.uniform(1.1, 3.0) / lam, b2=b2)
     eye = np.eye(n)
     for leaders in ([0], [n - 1], [1, 3], list(range(n))):
-        q = grounded_matrix(laplacian(g), kappa, leaders)
+        q = grounded_matrix(g, leaders)
         inv = np.linalg.inv
         dense_product = np.trace(
             inv(product.b1 * q) @ inv(product.b2 * q - product.b3 * eye))
@@ -331,11 +331,11 @@ def test_trace_family_matches_dense_docstring_forms(seed):
 
 def test_generalized_function_checks_preconditions():
     with pytest.raises(ValueError):
-        TraceSetFunction(K2, unit_kappa(2), "product", b1=-1.0, b2=1.0)
+        TraceSetFunction(K2, "product", b1=-1.0, b2=1.0)
     with pytest.raises(ValueError):
-        TraceSetFunction(K2, unit_kappa(2), "fourth_order", b1=1.0, b2=2.0)
+        TraceSetFunction(K2, "fourth_order", b1=1.0, b2=2.0)
     # b2 * lambda_min barely misses b3 on K2 singletons
-    fn = TraceSetFunction(K2, unit_kappa(2), "product", b1=1.0, b2=1.0, b3=1.0)
+    fn = TraceSetFunction(K2, "product", b1=1.0, b2=1.0, b3=1.0)
     with pytest.raises(ValueError):
         fn.value([0])
 
@@ -346,15 +346,15 @@ def test_generalized_function_checks_preconditions():
 @settings(max_examples=40, deadline=None)
 def test_order_three_exceeds_order_two_for_equal_gains(g, seed):
     rng = np.random.default_rng(seed)
-    gains3 = auto_gains(singleton_phase(g, unit_kappa(g.n)), 3)
+    gains3 = auto_gains(singleton_phase(g), 3)
     a = gains3.values[0]
     leaders = [v for v in range(g.n) if rng.random() < 0.5] or [0]
     h2 = coherence_closed(
-        GroundedSystem.create(g, unit_kappa(g.n), leaders, gain_vector(a, a))
+        GroundedSystem.create(g, leaders, gain_vector(a, a))
     ).value
-    h3 = coherence_closed(GroundedSystem.create(g, unit_kappa(g.n), leaders, gains3)).value
+    h3 = coherence_closed(GroundedSystem.create(g, leaders, gains3)).value
     h1 = coherence_closed(
-        GroundedSystem.create(g, unit_kappa(g.n), leaders, gain_vector(a))
+        GroundedSystem.create(g, leaders, gain_vector(a))
     ).value
     assert h3 > h2
     assert h1 > h2
@@ -364,7 +364,7 @@ def test_order_three_exceeds_order_two_for_equal_gains(g, seed):
 @settings(max_examples=40, deadline=None)
 def test_adding_a_leader_reduces_coherence(g, m, seed):
     rng = np.random.default_rng(seed)
-    phase = singleton_phase(g, unit_kappa(g.n))
+    phase = singleton_phase(g)
     gains = auto_gains(phase, m)
     members = sorted(rng.choice(g.n, size=max(1, g.n // 2), replace=False).tolist())
     outside = [v for v in range(g.n) if v not in members]
@@ -381,7 +381,7 @@ def test_exhaustive_monotonicity_small_graph():
     rng = np.random.default_rng(8)
     g = random_connected_graph(rng, 6)
     for m in (2, 3, 4):
-        ctx = SystemContext.auto(g, unit_kappa(6), m)
+        ctx = SystemContext.auto(g, m)
         values = {}
         for mask in range(1, 1 << 6):
             members = tuple(v for v in range(6) if mask >> v & 1)
@@ -414,39 +414,37 @@ def test_coherence_report_fields():
 def _phase_graphs():
     six = six_node_example()
     return [
-        ("K12", cliques(12), unit_kappa(12)),
-        ("C12", cycle(12), unit_kappa(12)),
-        ("star9", build_graph(9, [(0, j, 1.0) for j in range(1, 9)]), unit_kappa(9)),
-        ("K34", build_graph(7, [(i, j, 1.0) for i in range(3) for j in range(3, 7)]), unit_kappa(7)),
-        ("six", six.graph, six.kappa),
-        ("G30", erdos_renyi_connected(30, 0.5, seed=3)[0], unit_kappa(30)),
-        ("G60", erdos_renyi_connected(60, 0.5, seed=4)[0], unit_kappa(60)),
-        ("G20w", erdos_renyi_connected(20, 0.4, seed=8)[0],
-         KappaWeights(tuple(np.linspace(0.5, 2.0, 20)))),
+        ("K12", cliques(12)),
+        ("C12", cycle(12)),
+        ("star9", build_graph(9, [(0, j, 1.0) for j in range(1, 9)])),
+        ("K34", build_graph(7, [(i, j, 1.0) for i in range(3) for j in range(3, 7)])),
+        ("six", six.graph),
+        ("G30", erdos_renyi_connected(30, 0.5, seed=3)[0]),
+        ("G60", erdos_renyi_connected(60, 0.5, seed=4)[0]),
+        ("G20w", with_kappa(erdos_renyi_connected(20, 0.4, seed=8)[0], np.linspace(0.5, 2.0, 20))),
     ]
 
 
 def test_singleton_spectra_match_per_node_paths():
-    for name, graph, kappa in _phase_graphs():
-        fast = singleton_phase(graph, kappa).lambda_star
-        oracle = min(singleton_lambda_mins(graph, kappa))
+    for name, graph in _phase_graphs():
+        fast = singleton_phase(graph).lambda_star
+        oracle = min(singleton_lambda_mins(graph))
         np.testing.assert_allclose(fast, oracle, rtol=1e-8, atol=0, err_msg=name)
 
 
 def test_singleton_phase_single_node_is_exact():
     # no lam_1: the all-ones Rayleigh quotient kappa / n closes the bracket
-    assert singleton_phase(SINGLE, KappaWeights((2.5,))).lambda_star == 2.5
+    assert singleton_phase(with_kappa(SINGLE, [2.5])).lambda_star == 2.5
 
 
 def test_singleton_phase_retains_only_its_eigenvectors():
     """U (a view of eigh's n x n basis) and lam are all the phase keeps:
     W = U o U and L are formed where they are read, then dropped."""
     graph, _ = erdos_renyi_connected(300, 0.5, seed=0)
-    kappa = unit_kappa(300)
     gc.collect()
     tracemalloc.start()
     try:
-        phase = singleton_phase(graph, kappa)
+        phase = singleton_phase(graph)
         phase.lambda_star
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
@@ -461,8 +459,7 @@ def test_singleton_lambda_mins_memory_is_row_blocked(monkeypatch):
     blocking changes no bit of the result."""
     n = 800
     graph, _ = erdos_renyi_connected(n, 0.5, seed=0)
-    kappa = unit_kappa(n)
-    phase = singleton_phase(graph, kappa)
+    phase = singleton_phase(graph)
     assert 8 * (n - 1) * n > 4 * system_module._ROW_BLOCK_BYTES  # several blocks
     gc.collect()
     tracemalloc.start()
@@ -475,7 +472,7 @@ def test_singleton_lambda_mins_memory_is_row_blocked(monkeypatch):
     assert peak - before <= 1.5 * 8 * n**2
     for budget in (8 * (n - 1) * n, 3 * 8 * (n - 1)):  # one block; blocks of 3 rows
         monkeypatch.setattr(system_module, "_ROW_BLOCK_BYTES", budget)
-        again = SingletonPhase(graph, kappa, phase.eigenvalues, phase.vectors).lambda_star
+        again = SingletonPhase(graph, phase.eigenvalues, phase.vectors).lambda_star
         assert again.hex() == blocked.hex()
 
 
@@ -493,21 +490,21 @@ def _secular_graphs():
     # decades, besides the phase graphs and the two smallest cases.
     w50 = log_uniform_weights(erdos_renyi_connected(50, 0.5, seed=6)[0], seed=6)
     extra = [
-        ("path199", path(199), unit_kappa(199)),
-        ("C150", cycle(150), unit_kappa(150)),
-        ("star100", star(100), unit_kappa(100)),
-        ("barbell", barbell(50), unit_kappa(50)),
-        ("G50w", w50, unit_kappa(50)),
-        ("K2", K2, unit_kappa(2)),
-        ("single", SINGLE, KappaWeights((2.5,))),
+        ("path199", path(199)),
+        ("C150", cycle(150)),
+        ("star100", star(100)),
+        ("barbell", barbell(50)),
+        ("G50w", w50),
+        ("K2", K2),
+        ("single", with_kappa(SINGLE, [2.5])),
     ]
     return _phase_graphs() + extra
 
 
 def test_singleton_lambda_mins_match_bisection_oracle():
-    for name, graph, kappa in _secular_graphs():
-        phase = singleton_phase(graph, kappa)
-        oracle = _BisectionPhase(phase.graph, phase.kappa, phase.eigenvalues, phase.vectors)
+    for name, graph in _secular_graphs():
+        phase = singleton_phase(graph)
+        oracle = _BisectionPhase(phase.graph, phase.eigenvalues, phase.vectors)
         gap = abs(phase.lambda_star - oracle.lambda_star)
         assert gap <= 2.0 * np.spacing(oracle.lambda_star), (name, gap)
         for m in (1, 2, 3, 4):
@@ -520,10 +517,10 @@ def test_singleton_lambda_mins_match_bisection_oracle():
 def test_singleton_lambda_star_is_fixed_by_the_sign_test(monkeypatch, setting):
     """No rational steps, one step, or a loose stop: the probes and the
     bisection alone fix lambda_star, to the same bits."""
-    phases = [singleton_phase(graph, kappa) for _, graph, kappa in _secular_graphs()]
+    phases = [singleton_phase(graph) for _, graph in _secular_graphs()]
     expected = [phase.lambda_star.hex() for phase in phases]
     monkeypatch.setattr(system_module, *setting)
-    again = [SingletonPhase(p.graph, p.kappa, p.eigenvalues, p.vectors).lambda_star.hex()
+    again = [SingletonPhase(p.graph, p.eigenvalues, p.vectors).lambda_star.hex()
              for p in phases]
     assert again == expected
 
@@ -531,11 +528,11 @@ def test_singleton_lambda_star_is_fixed_by_the_sign_test(monkeypatch, setting):
 def test_singleton_normalized_matches_per_node_oracle(m):
     # order-3 values carry the closed form's own conditioning
     # 1 / (c lambda_min(Q_v) - 1), so their bound scales with it
-    for name, graph, kappa in _phase_graphs():
-        ctx = SystemContext.auto(graph, kappa, m)
-        assert ctx.gains == auto_gains(singleton_phase(graph, kappa), m)
-        fresh = SystemContext(singleton_phase(graph, kappa), ctx.gains)
-        lam = np.array(singleton_lambda_mins(graph, kappa))
+    for name, graph in _phase_graphs():
+        ctx = SystemContext.auto(graph, m)
+        assert ctx.gains == auto_gains(singleton_phase(graph), m)
+        fresh = SystemContext(singleton_phase(graph), ctx.gains)
+        lam = np.array(singleton_lambda_mins(graph))
         scale = np.ones(graph.n)
         if m == 3:
             scale = np.maximum(1.0, 1.0 / (ctx.gains.form.c * lam - 1.0))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from leadersel.errors import GraphError, LeaderSelError, SchemaError
 from leadersel.graphs import (
-    KappaWeights,
     build_graph,
     erdos_renyi,
     erdos_renyi_connected,
@@ -17,7 +16,6 @@ from leadersel.graphs import (
     is_connected,
     laplacian,
     read_graph_file,
-    unit_kappa,
     write_graph,
 )
 
@@ -74,6 +72,54 @@ def test_build_graph_six_node(six_node):
 def test_build_graph_rejects(edges, message):
     with pytest.raises(GraphError, match=re.escape(message)):
         build_graph(2, edges)
+
+
+# Each kappa fault on a two-node graph: the kappa, the error build_graph
+# raises for it, and its message (a graph file reports each as a SchemaError).
+KAPPA_FAULTS = {
+    "wrong-length": ([1.0], GraphError, "kappa must be a list of length n"),
+    "not-a-list": (True, SchemaError, "kappa must be a list of numbers"),
+    "boolean-entry": ([1, True], SchemaError, "kappa must be a list of numbers, got boolean"),
+    "zero": ([0, 1], GraphError, "kappa weight 0.0 must be positive and finite"),
+    "negative": ([1, -1], GraphError, "kappa weight -1.0 must be positive and finite"),
+    "nan": ([math.nan, 1], GraphError, "kappa weight nan must be positive and finite"),
+    "inf": ([1, math.inf], GraphError, "kappa weight inf must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("kappa, error, message", KAPPA_FAULTS.values(), ids=list(KAPPA_FAULTS))
+def test_build_graph_rejects_kappa(kappa, error, message):
+    with pytest.raises(error) as got:
+        build_graph(2, [(0, 1, 1.0)], kappa=kappa)
+    assert type(got.value) is error and str(got.value) == message
+
+
+def test_build_graph_kappa_is_read_only_float64():
+    for kappa, expected in ((None, [1.0, 1.0, 1.0]), ([1, 2.5, 3], [1.0, 2.5, 3.0])):
+        g = build_graph(3, [(0, 1, 1.0)], kappa=kappa)
+        assert g.kappa.dtype == np.float64 and g.kappa.tolist() == expected
+        assert not g.kappa.flags.writeable
+
+
+@pytest.mark.parametrize("kappa, error, message", KAPPA_FAULTS.values(), ids=list(KAPPA_FAULTS))
+def test_graph_file_reports_kappa_fault_after_edge_faults(tmp_path, kappa, error, message):
+    """Alone, a kappa fault is a SchemaError with build_graph's message; with
+    any edge fault in the same file, the edge fault is the one reported."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[1, 2, 1.0]], "kappa": kappa}))
+    with pytest.raises(SchemaError) as got:
+        read_graph_file(path)
+    assert type(got.value) is SchemaError and str(got.value) == message
+    for edges, edge_message in (
+        ([[1, 1, 1.0]], "self-loop at node 1"),
+        ([[1, 3, 1.0]], "edge (1, 3) references a node outside [1, 3)"),
+        ([[1, 2, 0.0]], "edge (1, 2) weight 0.0 must be positive and finite"),
+        ([[1, 2, 1.0], [2, 1, 1.0]], "duplicate undirected edge (1, 2)"),
+    ):
+        path.write_text(json.dumps({"n": 2, "edges": edges, "kappa": kappa}))
+        with pytest.raises(SchemaError) as got:
+            read_graph_file(path)
+        assert str(got.value) == edge_message
 
 
 @st.composite
@@ -154,6 +200,20 @@ def test_is_connected_matches_bfs_loop(g):
     assert is_connected(g) == loop_is_connected(g)
 
 
+@given(graphs(min_nodes=1, connected=False), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reach_from_sources_matches_bfs_loop(g, data):
+    sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    assert is_connected(g, tuple(sources)) == loop_is_connected(g, sources)
+
+
+def test_reach_from_sources_needs_one_per_component():
+    two_k2 = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    assert not is_connected(two_k2)
+    assert not is_connected(two_k2, (0, 1))
+    assert is_connected(two_k2, (1, 2))
+
+
 def test_six_node_connected(six_node):
     assert is_connected(six_node.graph)
 
@@ -172,8 +232,8 @@ def test_erdos_renyi_reproducible():
     a = erdos_renyi(12, 0.4, seed=99)
     b = erdos_renyi(12, 0.4, seed=99)
     assert edge_list(a) == edge_list(b)
-    pa = json.dumps(graph_payload(a, unit_kappa(12)))
-    pb = json.dumps(graph_payload(b, unit_kappa(12)))
+    pa = json.dumps(graph_payload(a))
+    pb = json.dumps(graph_payload(b))
     assert pa == pb
 
 
@@ -215,22 +275,21 @@ def test_erdos_renyi_connected_eventually_resamples():
 
 def test_round_trip_k2(tmp_path):
     path = tmp_path / "k2.json"
-    kappa = KappaWeights((1.0, 1.0))
-    write_graph(K2, kappa, path)
+    g = build_graph(2, [(0, 1, 1.0)], kappa=[0.5, 3])
+    write_graph(g, path)
     gf = read_graph_file(path)
     assert gf.graph.n == K2.n and edge_list(gf.graph) == edge_list(K2)
-    assert gf.kappa == kappa
+    assert gf.graph.kappa.tolist() == [0.5, 3.0]
 
 
 @given(graphs(connected=False))
 @settings(max_examples=30, deadline=None)
 def test_round_trip_any_graph(tmp_path_factory, g):
     path = tmp_path_factory.mktemp("graphs") / "g.json"
-    kappa = unit_kappa(g.n)
-    write_graph(g, kappa, path, label_base=0)
+    write_graph(g, path, label_base=0)
     gf = read_graph_file(path)
     assert gf.graph.n == g.n and edge_list(gf.graph) == edge_list(g)
-    assert gf.kappa == kappa
+    assert gf.graph.kappa.tolist() == [1.0] * g.n
     assert gf.label_base == 0
 
 
@@ -238,8 +297,8 @@ def test_write_is_canonical_and_byte_stable(tmp_path):
     g1 = build_graph(3, [(1, 2, 1.0), (0, 1, 1.0)])
     g2 = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_graph(g1, unit_kappa(3), p1)
-    write_graph(g2, unit_kappa(3), p2)
+    write_graph(g1, p1)
+    write_graph(g2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     payload = json.loads(p1.read_text())
     assert payload["edges"] == sorted(payload["edges"])
@@ -304,11 +363,11 @@ def test_read_rejects_bad_json(tmp_path):
 def test_read_defaults_kappa_to_ones(tmp_path):
     path = tmp_path / "g.json"
     path.write_text('{"n": 2, "edges": [[1, 2, 1.0]]}')
-    assert read_graph_file(path).kappa == unit_kappa(2)
+    assert read_graph_file(path).graph.kappa.tolist() == [1.0, 1.0]
 
 
 def test_six_node_fixture_parses(six_node):
     assert six_node.graph.n == 6
-    assert len(six_node.kappa) == 6
+    assert six_node.graph.kappa.shape == (6,)
     assert six_node.to_label(0) == 1
     assert six_node.to_id(6) == 5

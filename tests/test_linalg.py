@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadersel.errors import LeaderSelError, LyapunovAccuracyError
-from leadersel.graphs import build_graph, unit_kappa
+from leadersel.graphs import build_graph
 from leadersel.linalg import (
     TOLERANCES,
     lyapunov_solve,
@@ -328,9 +328,8 @@ def random_stable(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_companion(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     """Stable order-m companion state matrix (non-normal) on a random graph."""
     g = random_connected_graph(rng, n)
-    kappa = unit_kappa(n)
     leaders = sorted({int(v) for v in rng.integers(0, n, 2)})
-    system = GroundedSystem.create(g, kappa, leaders, auto_gains(singleton_phase(g, kappa), m))
+    system = GroundedSystem.create(g, leaders, auto_gains(singleton_phase(g), m))
     a = companion_state_matrix(system.matrix, system.gains.values)
     assert np.max(np.linalg.eigvals(a).real) < 0
     return a
@@ -365,11 +364,11 @@ def test_lyapunov_accepts_what_kronecker_accepts_near_boundary(graph):
     else:
         g = random_connected_graph(np.random.default_rng(10), 10)
     leaders = [0] if graph == "K2" else [0, 3, 7]
-    base = GroundedSystem.create(g, unit_kappa(g.n), leaders, gain_vector(1, 1, 1))
+    base = GroundedSystem.create(g, leaders, gain_vector(1, 1, 1))
     accepted = 0
     for margin in np.logspace(-1, -9, 17):
         gains = gain_vector(1.0, 1.0, (1.0 + margin) / base.lambda_min)
-        a = state_matrix(GroundedSystem.create(g, unit_kappa(g.n), leaders, gains))
+        a = state_matrix(GroundedSystem.create(g, leaders, gains))
         rhs = np.zeros_like(a)
         rhs[-g.n :, -g.n :] = np.eye(g.n)  # the noise drives the last block
         expected, oracle_ok = kronecker_lyapunov_oracle(a, rhs)

@@ -26,7 +26,7 @@ from leadersel.coherence import (
 )
 from leadersel.errors import LeaderSelError, UnstableSystemError
 from leadersel.experiments import ExperimentConfig, run_experiment
-from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, laplacian, unit_kappa
+from leadersel.graphs import build_graph, erdos_renyi_connected
 from leadersel.linalg import spd_inverse, sym_eigenvalues
 from leadersel.selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from leadersel.stability import auto_gains, singleton_lambda_mins
@@ -50,6 +50,7 @@ from conftest import (
     set_value,
     star,
     TraceSetFunction,
+    with_kappa,
 )
 
 K2 = build_graph(2, [(0, 1, 1.0)])
@@ -57,7 +58,7 @@ P3 = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
 
 
 def context_for(graph, m, gains=None):
-    phase = singleton_phase(graph, unit_kappa(graph.n))
+    phase = singleton_phase(graph)
     if gains is None:
         gains = auto_gains(phase, m)
     return SystemContext(phase, gains)
@@ -190,7 +191,7 @@ FAMILIES = {
 def eigensolve_value(ctx, leaders):
     """rho * H(S) from eigvalsh of Q_S, and the closed form's condition number:
     cond(Q_S), times 1 / (c lambda_min - 1) where that exceeds 1."""
-    q = grounded_matrix(laplacian(ctx.graph), ctx.kappa, list(leaders))
+    q = grounded_matrix(ctx.graph, list(leaders))
     lams = np.linalg.eigvalsh(q)
     cond = lams[-1] / lams[0]
     if ctx.gains.form.shift:
@@ -247,7 +248,7 @@ def test_singleton_and_closed_values_match_exact_oracle(family):
         ctx = context_for(graph, m)
         v = 3 * (m - 1)
         pair = (v + 1, (v + 7) % 12)
-        closed = coherence_closed(GroundedSystem.create(graph, ctx.kappa, pair, ctx.gains))
+        closed = coherence_closed(GroundedSystem.create(graph, pair, ctx.gains))
         for leaders, value in (((v,), ctx.singleton_normalized[v]),
                                (pair, closed.value * ctx.gains.form.rho)):
             exact = exact_normalized(ctx, leaders)
@@ -292,14 +293,13 @@ def test_closed_form_scores_match_explicit_updates(g, m, seed):
     """Every candidate's score equals rho * H(S + v) from explicit inverses
     of Q_{S+v} and c Q_{S+v} - I, with kappa drawn from [0.5, 2]."""
     rng = np.random.default_rng(seed)
-    kappa = KappaWeights(tuple(rng.uniform(0.5, 2.0, g.n).tolist()))
-    ctx = SystemContext.auto(g, kappa, m)
+    ctx = SystemContext.auto(with_kappa(g, rng.uniform(0.5, 2.0, g.n)), m)
     leaders = [int(v) for v in rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)]
     scorer, candidates = scorer_after(ctx, leaders)
     scores = scorer.scores(candidates)
     c = ctx.gains.form.c
     for v in np.flatnonzero(candidates):
-        q = grounded_matrix(laplacian(ctx.graph), kappa, leaders + [int(v)])
+        q = grounded_matrix(ctx.graph, leaders + [int(v)])
         shifted = spd_inverse(c * q - np.eye(g.n)) if c is not None else None
         expected = normalized_from_inverses(ctx.gains, spd_inverse(q), shifted)
         assert scores[v] == pytest.approx(expected, rel=1e-9)
@@ -405,16 +405,16 @@ def test_exhaustive_sweep_refuses_no_contexts():
 
 def test_exhaustive_sweep_refuses_contexts_on_another_graph():
     same_edges = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])  # equal to P3, another object
-    with pytest.raises(ValueError, match="share one graph and one kappa"):
+    with pytest.raises(ValueError, match="share one graph"):
         exhaustive_sweep([context_for(P3, 1), context_for(same_edges, 2)], 2)
-    with pytest.raises(ValueError, match="share one graph and one kappa"):
+    with pytest.raises(ValueError, match="share one graph"):
         exhaustive_sweep([context_for(P3, 1), context_for(K2, 1)], 2)
 
 
 def test_exhaustive_sweep_refuses_contexts_with_another_kappa():
     gains = gain_vector(1.0)
-    other = SystemContext(singleton_phase(P3, KappaWeights((1.0, 2.0, 1.0))), gains)
-    with pytest.raises(ValueError, match="share one graph and one kappa"):
+    other = SystemContext(singleton_phase(with_kappa(P3, [1.0, 2.0, 1.0])), gains)
+    with pytest.raises(ValueError, match="share one graph"):
         exhaustive_sweep([context_for(P3, 1, gains=gains), other], 2)
 
 
@@ -655,12 +655,12 @@ def test_picks_do_not_depend_on_the_units_of_the_weights(e):
     s = 2.0**e
     for seed in range(4):
         graph = random_connected_graph(np.random.default_rng(seed), 12)
-        gains = [auto_gains(singleton_phase(graph, unit_kappa(12)), m) for m in (1, 2, 3, 4)]
+        gains = [auto_gains(singleton_phase(graph), m) for m in (1, 2, 3, 4)]
         runs = []
         for weights in (1.0, s):
-            scaled = build_graph(12, [(u, v, w * weights) for u, v, w in edge_list(graph)])
-            kappa = KappaWeights((weights,) * 12)
-            contexts = [SystemContext(singleton_phase(scaled, kappa), scaled_gains(g, weights))
+            scaled = build_graph(12, [(u, v, w * weights) for u, v, w in edge_list(graph)],
+                                 kappa=[weights] * 12)
+            contexts = [SystemContext(singleton_phase(scaled), scaled_gains(g, weights))
                         for g in gains]
             runs.append(([greedy_select(ctx, 6) for ctx in contexts],
                          exhaustive_sweep(contexts, 3)))
@@ -762,18 +762,18 @@ def test_decreasing_function_reports_monotonicity_violations(mode, expected):
 def test_generalized_product_form_clean():
     rng = np.random.default_rng(41)
     g = random_connected_graph(rng, 6)
-    lam_floor = min(singleton_lambda_mins(g, unit_kappa(6)))
+    lam_floor = min(singleton_lambda_mins(g))
     b2 = 2.0 / lam_floor  # guarantees b2 * lambda_min > b3 = 1
-    fn = TraceSetFunction(g, unit_kappa(6), "product", b1=1.3, b2=b2, b3=1.0)
+    fn = TraceSetFunction(g, "product", b1=1.3, b2=b2, b3=1.0)
     assert check_monotone_submodular(fn.value, 6) == []
 
 
 def test_generalized_fourth_order_form_clean():
     rng = np.random.default_rng(42)
     g = random_connected_graph(rng, 6)
-    lam_floor = min(singleton_lambda_mins(g, unit_kappa(6)))
+    lam_floor = min(singleton_lambda_mins(g))
     gap = 2.0 / lam_floor  # (b1 - b2) * lambda_min = 2 > 1
-    fn = TraceSetFunction(g, unit_kappa(6), "fourth_order", b1=gap + 1.0, b2=1.0)
+    fn = TraceSetFunction(g, "fourth_order", b1=gap + 1.0, b2=1.0)
     assert check_monotone_submodular(fn.value, 6) == []
 
 

@@ -9,7 +9,7 @@ import leadersel.simulate as simulate
 
 from leadersel.coherence import coherence_closed
 from leadersel.errors import LeaderSelError, UnstableSystemError
-from leadersel.graphs import KappaWeights, build_graph, erdos_renyi_connected, unit_kappa
+from leadersel.graphs import build_graph, erdos_renyi_connected
 from leadersel.simulate import (
     SimulationSpec,
     noise_signs,
@@ -28,11 +28,11 @@ K2 = build_graph(2, [(0, 1, 1.0)])
 
 
 def single_m2():
-    return GroundedSystem.create(SINGLE, unit_kappa(1), [0], gain_vector(1, 1))
+    return GroundedSystem.create(SINGLE, [0], gain_vector(1, 1))
 
 
 def k2_m2():
-    return GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1))
+    return GroundedSystem.create(K2, [0], gain_vector(1, 1))
 
 
 def test_spec_validation():
@@ -60,7 +60,7 @@ def test_spec_rejects_burn_in_that_leaves_no_steps():
 
 
 def test_unstable_system_refused_before_integration():
-    system = GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1, 1, 1))
+    system = GroundedSystem.create(K2, [0], gain_vector(1, 1, 1, 1))
     spec = SimulationSpec(system=system, dt=1e-3, total_time=1.0, burn_in=0.0, seed=0)
     with pytest.raises(UnstableSystemError):
         simulate_coherence(spec)
@@ -108,7 +108,7 @@ def test_step_refinement_reduces_bias():
     at dt = 1e-3 about 0.4%, and 16 runs of 600 s put each estimate's
     standard error near 0.5%, so the coarse error exceeds the fine one by
     about 5 combined standard errors."""
-    fast = GroundedSystem.create(SINGLE, KappaWeights((8.0,)), [0], gain_vector(1.0))
+    fast = GroundedSystem.create(build_graph(1, [], kappa=[8.0]), [0], gain_vector(1.0))
     target = 1.0 / 16.0  # tr(Q^-1) / (2 a1) with Q = [8]
     fine, fine_se, _ = simulate_coherence(
         SimulationSpec(system=fast, dt=1e-3, total_time=600.0, burn_in=20.0,
@@ -129,9 +129,9 @@ def test_estimate_within_six_standard_errors_of_closed_form(six_node, order, gai
     units of 1/lambda_min(Q_S) and dt * ||A||_2 = 0.09: 16 runs of 30 000
     steps.  With 15 degrees of freedom a correct integrator lands more than
     6 standard errors out with probability ~2e-5."""
-    lam_min = GroundedSystem.create(six_node.graph, six_node.kappa, [1, 3, 5],
+    lam_min = GroundedSystem.create(six_node.graph, [1, 3, 5],
                                     gain_vector(1.0)).lambda_min
-    system = GroundedSystem.create(six_node.graph, six_node.kappa, [1, 3, 5],
+    system = GroundedSystem.create(six_node.graph, [1, 3, 5],
                                    gain_vector(*(g / lam_min for g in gains)))
     dt = 0.09 / float(np.linalg.norm(state_matrix(system), 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=30000 * dt,
@@ -232,8 +232,7 @@ def test_lifted_kernel_equals_euler_oracle(monkeypatch, order):
     the lift.  Every chunk after the first starts from a nonzero state, so
     the drift part of the lift is checked along with the noise part."""
     monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 256 * 3)
-    system = GroundedSystem.create(PATH3, unit_kappa(3), [0],
-                                   auto_gains(singleton_phase(PATH3, unit_kappa(3)), order))
+    system = GroundedSystem.create(PATH3, [0], auto_gains(singleton_phase(PATH3), order))
     dt = 0.05 / float(np.linalg.norm(state_matrix(system), 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=611 * dt, burn_in=45 * dt,
                           seed=21, ensemble=3)
@@ -260,8 +259,7 @@ def test_noise_product_reads_only_the_noise_each_row_block_reaches(order):
     columns it skips only add exact zeros (a BLAS that splits its sums
     differently by depth could break this and nothing else)."""
     lift, n, runs = simulate._LIFT, 3, 16
-    system = GroundedSystem.create(PATH3, unit_kappa(3), [0],
-                                   auto_gains(singleton_phase(PATH3, unit_kappa(3)), order))
+    system = GroundedSystem.create(PATH3, [0], auto_gains(singleton_phase(PATH3), order))
     a = state_matrix(system)
     dt = 0.05 / float(np.linalg.norm(a, 2))
     kx, kw, stairs = simulate._lifted_operator(np.eye(len(a)) + dt * a, n, np.sqrt(dt))
@@ -309,8 +307,8 @@ def test_simulation_memory_is_bounded_in_steps():
     """30 000 steps x 16 runs on a 15-node order-4 system peak below 32 MB
     of traced allocations (a noise array for the whole chunk takes 58 MB)."""
     g, _ = erdos_renyi_connected(15, 0.5, 3)
-    gains = auto_gains(singleton_phase(g, unit_kappa(15)), 4)
-    system = GroundedSystem.create(g, unit_kappa(15), [0, 5, 9], gains)
+    gains = auto_gains(singleton_phase(g), 4)
+    system = GroundedSystem.create(g, [0, 5, 9], gains)
     dt = 0.05 / float(np.linalg.norm(state_matrix(system), 2))
     spec = SimulationSpec(system=system, dt=dt, total_time=30000 * dt, burn_in=7500 * dt,
                           seed=1, ensemble=16)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from leadersel.coherence import coherence_closed
 from leadersel.errors import GraphError, LeaderSelError, UnstableSystemError
-from leadersel.graphs import KappaWeights, build_graph, unit_kappa
+from leadersel.graphs import build_graph
 from leadersel.stability import (
     auto_gains,
     check_stability,
@@ -32,7 +32,7 @@ K2 = build_graph(2, [(0, 1, 1.0)])
 
 
 def single_node_system(gains) -> GroundedSystem:
-    return GroundedSystem.create(SINGLE, unit_kappa(1), [0], GainVector(tuple(gains)))
+    return GroundedSystem.create(SINGLE, [0], GainVector(tuple(gains)))
 
 
 # -- Hurwitz determinants -----------------------------------------------------
@@ -103,7 +103,7 @@ def test_exact_boundary_is_marginal():
 
 
 def test_empty_leader_set_rejected():
-    system = GroundedSystem.create(K2, unit_kappa(2), [], gain_vector(1, 1))
+    system = GroundedSystem.create(K2, [], gain_vector(1, 1))
     with pytest.raises(LeaderSelError, match="grounded matrix is singular without leaders"):
         check_stability(system)
 
@@ -111,7 +111,7 @@ def test_empty_leader_set_rejected():
 @pytest.mark.parametrize("ids", [[3, 1, 3], (1, 3), np.array([3, 1])])
 def test_leader_ids_become_one_sorted_tuple(ids):
     path = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    system = GroundedSystem.create(path, unit_kappa(4), ids, gain_vector(1.0))
+    system = GroundedSystem.create(path, ids, gain_vector(1.0))
     assert system.leaders == (1, 3)
     assert [type(v) for v in system.leaders] == [int, int]
 
@@ -125,7 +125,7 @@ def test_leader_ids_become_one_sorted_tuple(ids):
 ])
 def test_leader_ids_refused(ids, message):
     with pytest.raises(GraphError, match=re.escape(message)):
-        GroundedSystem.create(K2, unit_kappa(2), ids, gain_vector(1, 1))
+        GroundedSystem.create(K2, ids, gain_vector(1, 1))
 
 
 def test_stability_report_serializes():
@@ -154,12 +154,11 @@ def test_verdicts_do_not_depend_on_the_units_of_the_weights(e):
     s = 2.0**e
     for seed in range(4):
         graph = random_connected_graph(np.random.default_rng(seed), 12)
-        scaled = build_graph(12, [(u, v, w * s) for u, v, w in edge_list(graph)])
+        scaled = build_graph(12, [(u, v, w * s) for u, v, w in edge_list(graph)], kappa=[s] * 12)
         for m in (1, 2, 3, 4):
-            gains = auto_gains(singleton_phase(graph, unit_kappa(12)), m)
-            base = GroundedSystem.create(graph, unit_kappa(12), [0, 1, 2], gains)
-            other = GroundedSystem.create(scaled, KappaWeights((s,) * 12), [0, 1, 2],
-                                          scaled_gains(gains, s))
+            gains = auto_gains(singleton_phase(graph), m)
+            base = GroundedSystem.create(graph, [0, 1, 2], gains)
+            other = GroundedSystem.create(scaled, [0, 1, 2], scaled_gains(gains, s))
             assert verdicts(other) == verdicts(base), (seed, m)
 
 
@@ -167,9 +166,9 @@ def test_verdicts_do_not_depend_on_the_units_of_the_weights(e):
 def test_tiny_gains_stay_stable_and_evaluable(m):
     """Orders 1-2 are stable for any positive gains, however small."""
     graph = random_connected_graph(np.random.default_rng(0), 12)
-    gains = auto_gains(singleton_phase(graph, unit_kappa(12)), m)
+    gains = auto_gains(singleton_phase(graph), m)
     gains = gain_vector(*(a * 2.0**-40 for a in gains.values))
-    system = GroundedSystem.create(graph, unit_kappa(12), [0, 1, 2], gains)
+    system = GroundedSystem.create(graph, [0, 1, 2], gains)
     assert verdicts(system) == (True, False, True, True)
 
 
@@ -186,7 +185,7 @@ def test_equal_gain_verdict(m, a, unstable):
 def test_equal_gain_instability_confirmed_by_oracle():
     rng = np.random.default_rng(0)
     g = random_connected_graph(rng, 5)
-    q = GroundedSystem.create(g, unit_kappa(5), [0, 2], gain_vector(1, 1)).matrix
+    q = GroundedSystem.create(g, [0, 2], gain_vector(1, 1)).matrix
     for m in (4, 5):
         a = companion_state_matrix(q, (1.0,) * m)
         stable, max_real = spectral_stability_oracle(a)
@@ -202,7 +201,7 @@ def test_state_matrix_smallest_instance():
 
 
 def test_state_matrix_block_layout():
-    system = GroundedSystem.create(K2, unit_kappa(2), [0], gain_vector(1, 1))
+    system = GroundedSystem.create(K2, [0], gain_vector(1, 1))
     a = state_matrix(system)
     q = system.matrix
     assert a.shape == (4, 4)
@@ -223,8 +222,8 @@ def test_oracle_two_by_two():
 def test_oracle_agrees_with_conditions_on_random_stable_instance():
     rng = np.random.default_rng(3)
     g = random_connected_graph(rng, 5)
-    gains = auto_gains(singleton_phase(g, unit_kappa(5)), 3)
-    system = GroundedSystem.create(g, unit_kappa(5), [1], gains)
+    gains = auto_gains(singleton_phase(g), 3)
+    system = GroundedSystem.create(g, [1], gains)
     report = check_stability(system)
     stable, _ = spectral_stability_oracle(state_matrix(system))
     assert report.stable and stable
@@ -233,8 +232,8 @@ def test_oracle_agrees_with_conditions_on_random_stable_instance():
 def test_third_order_block_decomposition_matches_full_spectrum():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 6)
-    gains = auto_gains(singleton_phase(g, unit_kappa(6)), 3)
-    system = GroundedSystem.create(g, unit_kappa(6), [0, 3], gains)
+    gains = auto_gains(singleton_phase(g), 3)
+    system = GroundedSystem.create(g, [0, 3], gains)
     a1, a2, a3 = gains.values
     block_roots = []
     for lam in system.eigenvalues:
@@ -265,13 +264,13 @@ def test_hurwitz_matches_oracle_randomized():
         g = random_connected_graph(rng, n)
         m = int(rng.integers(2, 5))
         if rng.random() < 0.5:
-            gains = tuple(auto_gains(singleton_phase(g, unit_kappa(n)), m).values)
+            gains = tuple(auto_gains(singleton_phase(g), m).values)
         else:
             gains = tuple(float(x) for x in rng.uniform(-2, 4, size=m))
             if any(x == 0 for x in gains):
                 continue
         leaders = [v for v in range(n) if rng.random() < 0.5] or [0]
-        system = GroundedSystem.create(g, unit_kappa(n), leaders, GainVector(gains))
+        system = GroundedSystem.create(g, leaders, GainVector(gains))
         assert hurwitz_verdict_matches_oracle(system), (gains, leaders)
         checked += 1
 
@@ -281,11 +280,11 @@ def test_hurwitz_matches_oracle_randomized():
 @given(graphs(min_nodes=3, max_nodes=6))
 @settings(max_examples=25, deadline=None)
 def test_stability_monotone_in_leaders(g):
-    gains = auto_gains(singleton_phase(g, unit_kappa(g.n)), 3)
-    base = GroundedSystem.create(g, unit_kappa(g.n), [0], gains)
+    gains = auto_gains(singleton_phase(g), 3)
+    base = GroundedSystem.create(g, [0], gains)
     report = check_stability(base)
     assert report.stable
-    grown = GroundedSystem.create(g, unit_kappa(g.n), [0, g.n - 1], gains)
+    grown = GroundedSystem.create(g, [0, g.n - 1], gains)
     assert check_stability(grown).stable
     assert check_stability(grown).margin >= report.margin - 1e-12
 
@@ -293,33 +292,33 @@ def test_stability_monotone_in_leaders(g):
 # -- the gain rule ---------------------------------------------------------------
 
 def test_auto_gains_single_node_low_orders():
-    assert auto_gains(singleton_phase(SINGLE, unit_kappa(1)), 1).values == (1.0,)
-    assert auto_gains(singleton_phase(SINGLE, unit_kappa(1)), 2).values == (1.0, 1.0)
+    assert auto_gains(singleton_phase(SINGLE), 1).values == (1.0,)
+    assert auto_gains(singleton_phase(SINGLE), 2).values == (1.0, 1.0)
 
 
 def test_auto_gains_single_node_third_order_escalates():
     # ceil(1/lambda) = 1 sits exactly on the boundary, so the rule doubles
-    assert auto_gains(singleton_phase(SINGLE, unit_kappa(1)), 3).values == (2.0, 2.0, 2.0)
+    assert auto_gains(singleton_phase(SINGLE), 3).values == (2.0, 2.0, 2.0)
 
 
 def test_auto_gains_single_node_fourth_order():
-    assert auto_gains(singleton_phase(SINGLE, unit_kappa(1)), 4).values == (2.0, 4.0, 4.0, 4.0)
+    assert auto_gains(singleton_phase(SINGLE), 4).values == (2.0, 4.0, 4.0, 4.0)
 
 
 def test_auto_gains_k2():
     # max 1/lambda_min over singletons is 2/(3 - sqrt(5)) ~ 2.618
-    assert auto_gains(singleton_phase(K2, unit_kappa(2)), 3).values == (3.0, 3.0, 3.0)
+    assert auto_gains(singleton_phase(K2), 3).values == (3.0, 3.0, 3.0)
 
 
 def test_auto_gains_six_node_value(six_node):
-    gains = auto_gains(singleton_phase(six_node.graph, six_node.kappa), 3)
+    gains = auto_gains(singleton_phase(six_node.graph), 3)
     assert gains.values == (17.0, 17.0, 17.0)
 
 
 @given(graphs(min_nodes=2, max_nodes=6), st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
 def test_auto_gains_stabilise_every_singleton(g, m):
-    gains = auto_gains(singleton_phase(g, unit_kappa(g.n)), m)
+    gains = auto_gains(singleton_phase(g), m)
     for v in range(g.n):
-        system = GroundedSystem.create(g, unit_kappa(g.n), [v], gains)
+        system = GroundedSystem.create(g, [v], gains)
         assert check_stability(system).stable

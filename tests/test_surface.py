@@ -45,6 +45,32 @@ def test_every_bench_per_layer_metric_resolves():
     assert missing == []
 
 
+def _imported_packages(path: Path) -> set[str]:
+    """The top-level package of every absolute import in ``path``, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imports_are_declared_dependencies():
+    """src/ imports only the stdlib, numpy and itself; the tests add their
+    declared extras, conftest, and the benchmark's tracer (perfbench/, in
+    this repository).  Packages that happen to be installed (scipy, mpmath,
+    sympy) are refused here, before a CI install without them fails."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "leadersel"}
+    test_extras = {"pytest", "hypothesis", "jsonschema", "conftest", "tracer"}
+    stray = {}
+    for folder, extra in (("src", set()), ("tests", test_extras)):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if outside := _imported_packages(path) - allowed - extra:
+                stray[str(path.relative_to(ROOT))] = sorted(outside)
+    assert stray == {}
+
+
 def test_readme_library_sketch_runs(capsys):
     section = (ROOT / "README.md").read_text().split("## Library sketch", 1)[1]
     sketch = re.search(r"```python\n(.*?)```", section, re.S)[1]
