@@ -101,8 +101,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise SchemaError("experiment config must be a JSON object")

@@ -11,6 +11,10 @@ Node ids are 0-based everywhere inside the package.  Graph files carry a
 node labels; the I/O layer translates between the two, and error messages
 about a file's edges name its nodes in that label space.
 
+Graph files are UTF-8.  A file in ``write_graph``'s plain layout has its edge
+list parsed by json as flat slices of numbers; any other file, malformed ones
+included, takes one ``json.loads`` of the whole document, whose messages it gives.
+
 Randomness contract: the Erdos-Renyi sampler uses NumPy's PCG64 generator
 seeded directly with the given 64-bit seed, and draws exactly one uniform
 variate per unordered pair (i, j), i < j, in lexicographic order.  The
@@ -19,8 +23,10 @@ edge set is therefore bit-reproducible for a fixed (n, p, seed).
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -237,13 +243,16 @@ def _numbers(raw: object, field: str, width: int | None = None) -> np.ndarray:
 
 
 def parse_graph_payload(payload: object) -> GraphFile:
-    """Validate a decoded graph file against ``data/schemas/graph.schema.json``."""
+    """Validate a decoded graph file against ``data/schemas/graph.schema.json``;
+    its ``edges`` is a JSON list or the (E, 3) table ``_flat_payload`` made."""
     fields = set(payload) if isinstance(payload, dict) else set()
     if not {"n", "edges"} <= fields <= {"label_base", "n", "edges", "kappa"}:
         raise SchemaError(f"graph fields {sorted(fields)} are not n, edges[, label_base, kappa]")
     label_base = _integer(payload.get("label_base", 1), "label_base")
     n = _integer(payload["n"], "n")
-    table = _numbers(payload["edges"], "edges", width=3)
+    table = payload["edges"]
+    if not isinstance(table, np.ndarray):
+        table = _numbers(table, "edges", width=3)
     ends = table[:, :2]
     if not (np.isfinite(ends) & (np.trunc(ends) == ends)).all():
         raise SchemaError("edge node labels must be integers")
@@ -254,12 +263,69 @@ def parse_graph_payload(payload: object) -> GraphFile:
         raise SchemaError(str(exc)) from exc
 
 
-def read_graph_file(path: str | Path) -> GraphFile:
-    """Parse a graph file, keeping the label offset for round-tripping."""
+_EDGES_START = re.compile(rb'"edges"\s*:\s*\[')
+_EDGES_END = re.compile(rb"\]\s*\]")
+_NUMBER_BYTES = b"0123456789.eE+- \t\n\r"  # the bytes of JSON numbers and whitespace
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_SLICE_BYTES = 1 << 16
+
+
+def _flat_payload(data: bytes) -> dict | None:
+    """``data`` decoded, its edges an (E, 3) float table that json parsed as flat
+    slices of numbers, without a list per edge; or None unless the file is plain.
+
+    Plain is: ASCII, one ``{``, two ``"`` per key of the decoded object (so
+    every string is a distinct key), and an edge list that reads
+    ``[[,,],...,[,,]]`` once its number characters and whitespace are deleted.
+    That list is parsed apart from the rest, which reads it as ``[]``.  Its
+    brackets become spaces, never deleted, so json still refuses two numbers
+    with no comma between them; slices of about ``_SLICE_BYTES`` end at a
+    comma.  A number that json or float() refuses also gives None.
+    """
+    head = _EDGES_START.search(data)
+    tail = head and _EDGES_END.search(data, head.end())
+    if not tail:
+        return None
+    start, stop = head.end() - 1, tail.end()
+    skeleton = data[start:stop].translate(None, _NUMBER_BYTES)
+    rows = skeleton.count(b"[") - 1
+    rest = data[:start] + b"[]" + data[stop:]
+    # a right skeleton leaves no byte outside ASCII, and no { or ", in the edge list
+    if (skeleton != b"[" + b"[,,]," * (rows - 1) + b"[,,]]" or not rest.isascii()
+            or rest.count(b"{") != 1):
+        return None
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise LeaderSelError(f"{path}: {exc}") from exc
+        payload = json.loads(rest.decode())
+        if not isinstance(payload, dict) or rest.count(b'"') != 2 * len(payload):
+            return None
+        flat = np.empty(3 * rows)
+        at, cut = 0, start
+        while cut < stop:
+            end = data.find(b",", cut + _SLICE_BYTES, stop)
+            end = stop if end < 0 else end
+            values = json.loads(b"[" + data[cut:end].translate(_BRACKETS_TO_SPACES) + b"]")
+            flat[at:at + len(values)] = np.fromiter(values, dtype=float, count=len(values))
+            at, cut = at + len(values), end + 1
+    except (ValueError, OverflowError, RecursionError):  # JSONDecodeError is a ValueError
+        return None
+    payload["edges"] = flat.reshape(rows, 3)
+    return payload if at == len(flat) else None  # a blank slice parses as [], not an error
+
+
+def read_graph_file(path: str | Path) -> GraphFile:
+    """Parse a UTF-8 graph file, keeping the label offset for round-tripping.
+
+    A file ``_flat_payload`` declines takes one whole-document ``json.loads``:
+    the one path that runs on malformed files, so their messages are its.
+    """
+    data = Path(path).read_bytes()
+    payload = _flat_payload(data)
+    if payload is None:
+        try:
+            # read_text's decoding, newline translation included, as UTF-8 whatever the locale
+            payload = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise LeaderSelError(f"{path}: {exc}") from exc
     return parse_graph_payload(payload)
 
 

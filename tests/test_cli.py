@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -29,12 +30,13 @@ def schema(name):
     return json.loads((SCHEMAS / f"{name}.schema.json").read_text())
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "leadersel", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -80,6 +82,28 @@ def test_stability_bad_file_input_error(tmp_path):
     assert proc.stderr == (f"input error: {bad}: Expecting property name enclosed in "
                            "double quotes: line 1 column 2 (char 1)\n")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("select", '{"n": 2, "edges": [[1, 2, 1.0]], "kapp\u00e9": [1, 1]}',
+     "graph fields ['edges', 'kapp\\xe9', 'n'] are not n, edges[, label_base, kappa]"),
+    ("experiment", '{"experiment": "fig3", "\u00e9": 1}', "unknown config fields: ['\\xe9']"),
+], ids=["graph", "config"])
+def test_input_files_are_utf8_under_an_ascii_locale(tmp_path, command, text, message):
+    """Graph and config files are UTF-8 (RFC 8259) whatever the locale, and an
+    undecodable one is named.  Under this environment the default encoding is
+    ASCII; stderr writes the non-ASCII character as its escape."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    args = ["--order", "1", "--auto-gains", "--k", "1"] if command == "select" else []
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(text, encoding="utf-8")
+    bad.write_bytes(b'{"n": 2, "edges": [[1, 2, 1.0]]}\xff')
+    proc = run_cli(command, str(good), *args, env=env)
+    assert (proc.returncode, proc.stderr) == (2, f"input error: {message}\n")
+    proc = run_cli(command, str(bad), *args, env=env)
+    assert (proc.returncode, proc.stderr) == (2, (
+        f"input error: {bad}: 'utf-8' codec can't decode byte 0xff in position 32: "
+        "invalid start byte\n"))
 
 
 def test_stability_wrong_gain_count_usage_error(k2_file):

@@ -1,12 +1,15 @@
+import itertools
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leadersel.graphs as graphs_module
 from leadersel.errors import GraphError, LeaderSelError, SchemaError
 from leadersel.graphs import (
     build_graph,
@@ -15,6 +18,7 @@ from leadersel.graphs import (
     graph_payload,
     is_connected,
     laplacian,
+    parse_graph_payload,
     read_graph_file,
     write_graph,
 )
@@ -304,36 +308,56 @@ def test_write_is_canonical_and_byte_stable(tmp_path):
     assert payload["edges"] == sorted(payload["edges"])
 
 
+# Each file and the exact message it is refused with.
 SCHEMA_VIOLATIONS = {
-    "negative-weight": '{"label_base": 1, "n": 2, "edges": [[1, 2, -1.0]], "kappa": [1, 1]}',
-    "wrong-kappa-length": '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [1.0]}',
-    "null-weight": '{"n": 2, "edges": [[1, 2, null]]}',
-    "string-weight": '{"n": 2, "edges": [[1, 2, "1.0"]]}',
-    "object-label": '{"n": 2, "edges": [[1, {"a": 1}, 1.0]]}',
-    "null-kappa-entry": '{"n": 3, "edges": [[1, 2, 1.0]], "kappa": [1, null, 1]}',
-    "boolean-weight": '{"n": 2, "edges": [[1, 2, true]]}',
-    "boolean-label": '{"n": 3, "edges": [[1, 2, 1.0], [true, 3, 2.5]]}',
-    "boolean-kappa-entry": '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [1, true]}',
-    "boolean-kappa-entry-among-floats": '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [false, 1.5]}',
-    "fractional-label": '{"n": 3, "edges": [[1.5, 3, 1.0]]}',
-    "nan-label": '{"n": 3, "edges": [[NaN, 3, 1.0]]}',
-    "fractional-n": '{"n": 3.7, "edges": [[1, 2, 1.0]]}',
-    "boolean-n": '{"n": true, "edges": []}',
-    "fractional-label-base": '{"label_base": 0.5, "n": 2, "edges": [[1, 2, 1.0]]}',
-    "short-edge-entry": '{"n": 2, "edges": [[1, 2]]}',
-    "empty-edge-entry": '{"n": 2, "edges": [[]]}',
-    "ragged-edges": '{"n": 3, "edges": [[1, 2, 1.0], [2, 3]]}',
-    "unknown-field": '{"n": 3, "edges": [[1, 2, 1.0]], "kapa": [5, 5, 5]}',
-    "missing-edges": '{"n": 3}',
+    "negative-weight": ('{"label_base": 1, "n": 2, "edges": [[1, 2, -1.0]], "kappa": [1, 1]}',
+                        "edge (1, 2) weight -1.0 must be positive and finite"),
+    "wrong-kappa-length": ('{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [1.0]}',
+                           "kappa must be a list of length n"),
+    "null-weight": ('{"n": 2, "edges": [[1, 2, null]]}',
+                    "edges must be a list of numbers, got null"),
+    "string-weight": ('{"n": 2, "edges": [[1, 2, "1.0"]]}',
+                      "edges must be a list of numbers, got string"),
+    "object-label": ('{"n": 2, "edges": [[1, {"a": 1}, 1.0]]}',
+                     "edges must be a list of numbers, got object"),
+    "null-kappa-entry": ('{"n": 3, "edges": [[1, 2, 1.0]], "kappa": [1, null, 1]}',
+                         "kappa must be a list of numbers, got null"),
+    "boolean-weight": ('{"n": 2, "edges": [[1, 2, true]]}',
+                       "edges must be a list of numbers, got boolean"),
+    "boolean-label": ('{"n": 3, "edges": [[1, 2, 1.0], [true, 3, 2.5]]}',
+                      "edges must be a list of numbers, got boolean"),
+    "boolean-kappa-entry": ('{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [1, true]}',
+                            "kappa must be a list of numbers, got boolean"),
+    "boolean-kappa-entry-among-floats": (
+        '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": [false, 1.5]}',
+        "kappa must be a list of numbers, got boolean"),
+    "fractional-label": ('{"n": 3, "edges": [[1.5, 3, 1.0]]}',
+                         "edge node labels must be integers"),
+    "nan-label": ('{"n": 3, "edges": [[NaN, 3, 1.0]]}', "edge node labels must be integers"),
+    "fractional-n": ('{"n": 3.7, "edges": [[1, 2, 1.0]]}', "n must be an integer, got 3.7"),
+    "boolean-n": ('{"n": true, "edges": []}', "n must be an integer, got True"),
+    "fractional-label-base": ('{"label_base": 0.5, "n": 2, "edges": [[1, 2, 1.0]]}',
+                              "label_base must be an integer, got 0.5"),
+    "short-edge-entry": ('{"n": 2, "edges": [[1, 2]]}',
+                         "each entry of edges must be a list of 3 numbers"),
+    "empty-edge-entry": ('{"n": 2, "edges": [[]]}',
+                         "each entry of edges must be a list of 3 numbers"),
+    "ragged-edges": ('{"n": 3, "edges": [[1, 2, 1.0], [2, 3]]}',
+                     "each entry of edges must be a list of 3 numbers"),
+    "unknown-field": ('{"n": 3, "edges": [[1, 2, 1.0]], "kapa": [5, 5, 5]}',
+                      "graph fields ['edges', 'kapa', 'n'] are not n, edges[, label_base, kappa]"),
+    "missing-edges": ('{"n": 3}', "graph fields ['n'] are not n, edges[, label_base, kappa]"),
 }
 
 
-@pytest.mark.parametrize("text", list(SCHEMA_VIOLATIONS.values()), ids=list(SCHEMA_VIOLATIONS))
-def test_read_rejects_schema_violation(tmp_path, text):
+@pytest.mark.parametrize("text, message", list(SCHEMA_VIOLATIONS.values()),
+                         ids=list(SCHEMA_VIOLATIONS))
+def test_read_rejects_schema_violation(tmp_path, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as got:
         read_graph_file(path)
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize(
@@ -358,6 +382,148 @@ def test_read_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(LeaderSelError, match=f"{re.escape(str(path))}: Expecting property name"):
         read_graph_file(path)
+
+
+def whole_document_read(path):
+    """The oracle for ``read_graph_file``: one ``json.loads`` of the whole decoded
+    file, whatever its layout."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise LeaderSelError(f"{path}: {exc}") from exc
+    return parse_graph_payload(payload)
+
+
+def read_outcome(read, path):
+    """What ``read(path)`` gives: the error's type and message, or the graph's
+    arrays, bit for bit, and its label base."""
+    try:
+        f = read(path)
+    except Exception as exc:  # whatever the oracle raises, the reader must raise too
+        return type(exc), str(exc)
+    g = f.graph
+    return g.n, g.u.tolist(), g.v.tolist(), g.w.tobytes(), g.kappa.tobytes(), f.label_base
+
+
+def assert_reads_like_oracle(path, flat: bool):
+    """``path`` takes the flat read iff ``flat``, and reads as the oracle reads it."""
+    assert (graphs_module._flat_payload(path.read_bytes()) is not None) == flat
+    assert read_outcome(read_graph_file, path) == read_outcome(whole_document_read, path)
+
+
+CANONICAL = json.dumps(graph_payload(build_graph(
+    4, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1e-3), (0, 3, 12345.678)], kappa=[1, 2.5, 3, 4]))) + "\n"
+
+FLAT_FILES = {
+    "canonical": CANONICAL,
+    "whitespace": ('\r\n{ "n" :3 ,\t"edges":\n[ [ 1 ,2, 1.5 ] ,\n [2,3,2E0]\r\n ]\n,'
+                   ' "kappa" : [ 1, 2.5e-1, 3 ] }\n\n'),
+    "key-order": ('{"kappa": [1, 2, 3], "edges": [[2, 3, 1.0], [1, 2, 0.5]], "n": 3,'
+                  ' "label_base": 1}'),
+    "refused-graph": '{"n": 3, "edges": [[1, 2, 1.0], [2, 2, -0.0]]}',
+}
+
+DECLINED_FILES = {
+    "glued-number-after": '{"n": 3, "edges": [[1, 2, 1.0]00, [2, 3, 1.0]]}',
+    "glued-number-before": '{"n": 3, "edges": [2.5[1, 2, 1.0]]}',
+    "duplicate-key": '{"n": 2, "n": 3, "edges": [[1, 2, 1.0]]}',
+    "nested-object": '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": {}}',
+    "escaped-key": '{"n": 2, "edges": [[1, 2, 1.0]], "\\"edges\\"": []}',
+    "string-value": '{"n": 2, "edges": [[1, 2, 1.0]], "kappa": ["1", 1]}',
+    "empty-edge-list": '{"n": 1, "edges": [], "kappa": [1.0]}',
+    "non-ascii": '{"n": 2, "edges": [[1, 2, 1.0]], "kapp\u00e9": [1, 1]}',
+    "huge-integer": '{"n": 2, "edges": [[1, 2, 1' + "0" * 400 + ']]}',
+    # the message counts a CRLF as one character, as a text-mode read does
+    "crlf-json-error": '{"n": 2,\r\n "edges": [[1, 2, 1.0]],\r\n "kappa": [1, 1,]}',
+    "byte-order-mark": '\ufeff{"n": 2, "edges": [[1, 2, 1.0]]}',
+}
+
+
+@pytest.mark.parametrize("text", FLAT_FILES.values(), ids=FLAT_FILES)
+def test_plain_layouts_take_the_flat_read(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_oracle(path, flat=True)
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 7, 40])
+def test_flat_read_across_slices(tmp_path, slice_bytes):
+    path = tmp_path / "g.json"
+    path.write_text(CANONICAL)
+    with mock.patch.object(graphs_module, "_SLICE_BYTES", slice_bytes):
+        assert_reads_like_oracle(path, flat=True)
+
+
+@pytest.mark.parametrize("text", DECLINED_FILES.values(), ids=DECLINED_FILES)
+def test_other_layouts_take_the_whole_document_read(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_oracle(path, flat=False)
+
+
+def test_a_slice_without_a_number_is_declined(tmp_path):
+    """With one-byte slices, the blank first entry of the second row is a
+    slice of its own, which json reads as [] and not as an error."""
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[1, 2, 1.0], [ , 3, 1.0]]}')
+    with mock.patch.object(graphs_module, "_SLICE_BYTES", 1):
+        assert_reads_like_oracle(path, flat=False)
+
+
+FUZZ_TOKENS = [b"[", b"]", b",", b"{", b"}", b":", b'"', b'"edges"', b"true", b"NaN", b"Infinity",
+               b"null", b"1e400", b"9" * 400, b"e", b"-", b".", b"0", b"5", b" ", b" " * 9, b"\r\n",
+               b"\\", "\u00e9".encode(), b"\xff"]
+
+
+def _fuzz_bases() -> list[bytes]:
+    """Graph files on 1-5 nodes with drawn weights, unit or drawn kappa and
+    three label bases: as ``write_graph`` writes them, indented, or with their
+    keys reversed."""
+    rng, files = np.random.default_rng(37), []
+    for n, label_base, layout in itertools.product(
+            (1, 2, 3, 5), (0, 1, 3), ("canonical", "indented", "reversed")):
+        g = erdos_renyi(n, 0.7, seed=len(files))
+        kappa = rng.uniform(1e-3, 1e3, n).tolist() if len(files) % 2 else None
+        g = build_graph(n, np.column_stack((g.u, g.v, rng.uniform(1e-3, 1e3, len(g.w)))),
+                        kappa=kappa)
+        payload = graph_payload(g, label_base)
+        if layout == "reversed":
+            payload = dict(reversed(payload.items()))
+        files.append(json.dumps(payload, indent=1 if layout == "indented" else None).encode())
+    return files
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+@st.composite
+def graph_files(draw):
+    """A base graph file with 1-3 byte strings inserted, deleted or replaced."""
+    data = draw(st.sampled_from(FUZZ_BASES))
+    for op, near, at, token, size in draw(st.lists(st.tuples(
+            st.sampled_from(["insert", "delete", "replace"]), st.sampled_from([None, 0, 1]),
+            st.integers(0, 1 << 16), st.sampled_from(FUZZ_TOKENS), st.integers(1, 4)),
+            min_size=1, max_size=3)):
+        # anywhere, or at or just after a bracket, brace, comma, colon or quote
+        places = range(len(data) + 1) if near is None else [
+            i + near for i, c in enumerate(data) if c in b'[]{},:"'] or [0]
+        at = places[at % len(places)]
+        data = data[:at] + (b"" if op == "delete" else token) + data[at + (op != "insert") * size:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.json"
+
+
+@given(graph_files(), st.sampled_from([1, 5, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_read_matches_whole_document_oracle_on_mutated_files(fuzz_path, data, slice_bytes):
+    fuzz_path.write_bytes(data)
+    with mock.patch.object(graphs_module, "_SLICE_BYTES", slice_bytes):
+        assert (read_outcome(read_graph_file, fuzz_path)
+                == read_outcome(whole_document_read, fuzz_path))
 
 
 def test_read_defaults_kappa_to_ones(tmp_path):
