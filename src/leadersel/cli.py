@@ -43,7 +43,7 @@ from .stability import (
     companion_state_matrix,
     spectral_stability_oracle,
 )
-from .system import GainVector, GroundedSystem, singleton_phase
+from .system import MAX_ORDER, GainVector, GroundedSystem, singleton_phase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,7 +82,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = False, out: bool =
 
 def _add_system_args(parser: argparse.ArgumentParser, with_leaders: bool = True) -> None:
     parser.add_argument("graph", help="graph JSON file")
-    parser.add_argument("--order", type=int, required=True, choices=(1, 2, 3, 4),
+    parser.add_argument("--order", type=int, required=True, choices=range(1, MAX_ORDER + 1),
                         help="dynamic order m")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--gains", help="comma-separated gains a1,..,am")

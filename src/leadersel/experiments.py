@@ -32,7 +32,7 @@ from .graphs import GraphFile, erdos_renyi_connected, read_graph_file, six_node_
 from .graphs import _integer, _numbers
 from .selection import certify_bound, exhaustive_select, exhaustive_sweep, greedy_select
 from .stability import auto_gains
-from .system import GainVector, SingletonPhase, singleton_phase
+from .system import MAX_ORDER, GainVector, SingletonPhase, singleton_phase
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
 
@@ -66,10 +66,10 @@ class ExperimentConfig:
                 raise SchemaError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if self.experiment not in EXPERIMENTS:
             raise SchemaError(f"experiment must be one of {EXPERIMENTS}")
-        if (not self.orders or any(m not in (1, 2, 3, 4) for m in self.orders)
+        if (not self.orders or any(not 1 <= m <= MAX_ORDER for m in self.orders)
                 or len(set(self.orders)) < len(self.orders)):  # a repeat writes its rows twice
-            raise SchemaError(f"orders must be a nonempty subset of {{1, 2, 3, 4}}, "
-                              f"each order once, got {list(self.orders)}")
+            raise SchemaError(f"orders must be a nonempty subset of {set(range(1, MAX_ORDER + 1))}"
+                              f", each order once, got {list(self.orders)}")
         if self.n < 1:
             raise SchemaError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.p <= 1:

@@ -54,23 +54,25 @@ def build_graph(n: int, edges: Sequence | np.ndarray, label_base: int = 0,
     """Validate and canonicalize (u, v, w) triples, or an (E, 3) table, and
     ``kappa``, a list of n numbers (None: unit kappa), into a Graph.
 
-    Raises GraphError for the first offending edge in input order: a
-    self-loop, an out-of-range node, a weight that is not positive and
-    finite, or a repeated edge, checked in that order; a repeated edge
-    offends at its second occurrence.
+    Raises GraphError for any endpoint that is not a finite integer, then for
+    n < 1, then for the first offending edge in input order: a self-loop, an
+    out-of-range node, a weight that is not positive and finite, or a repeated
+    edge, checked in that order; a repeat offends at its second occurrence.
     Messages name nodes as id + ``label_base``, the label space of the
     file the edges came from.  Kappa is checked after the edges: a
     SchemaError for an entry that is not a number, then a GraphError for
     the wrong length or the first weight that is not positive and finite.
     """
-    if n < 1:
-        raise GraphError("node count must be positive")
     table = np.asarray(edges, dtype=float)
     if table.shape != (0,) and table.shape[1:] != (3,):
         raise ValueError("edges must be (u, v, w) triples")
     table = table.reshape(-1, 3)
-    u, v, w = np.trunc(table[:, 0]), np.trunc(table[:, 1]), table[:, 2]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    u, v, w = table[:, 0], table[:, 1], table[:, 2]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)  # a row's two ends, both NaN if one is
+    if not all((np.isfinite(ends) & (np.trunc(ends) == ends)).all() for ends in (lo, hi)):
+        raise GraphError("edge node labels must be integers")
+    if n < 1:
+        raise GraphError("node count must be positive")
     self_loop = u == v
     out_of_range = ~((lo >= 0) & (hi < n))
     bad_weight = ~((w > 0) & np.isfinite(w))
@@ -253,10 +255,7 @@ def parse_graph_payload(payload: object) -> GraphFile:
     table = payload["edges"]
     if not isinstance(table, np.ndarray):
         table = _numbers(table, "edges", width=3)
-    ends = table[:, :2]
-    if not (np.isfinite(ends) & (np.trunc(ends) == ends)).all():
-        raise SchemaError("edge node labels must be integers")
-    ends -= label_base  # a view: turns the table's labels into node ids
+    table[:, :2] -= label_base  # turns the table's labels into node ids
     try:
         return GraphFile(build_graph(n, table, label_base, payload.get("kappa")), label_base)
     except GraphError as exc:

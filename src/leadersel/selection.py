@@ -42,7 +42,7 @@ from .coherence import SystemContext, WoodburyScorer, normalized_eigenvalue_term
 from .errors import LeaderSelError
 from .graphs import laplacian
 from .linalg import TOLERANCES, _sym_eigen, sym_eigenvalues
-from .system import grounded_matrix
+from .system import grounded_matrix, resolved_lambda_min
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,15 @@ def _improve(items, norms, incumbent: tuple | None = None) -> tuple:
 
 
 def _require_confirmed(context: SystemContext, leaders: list[int], norm: float) -> None:
-    """Refuse rho * H(S) = ``norm`` unless an eigensolve of Q_S agrees within
-    ``woodbury_rtol`` times the closed form's condition number."""
+    """Refuse rho * H(S) = ``norm`` unless Q_S's lambda_min is resolved and an
+    eigensolve agrees within ``woodbury_rtol`` times the closed form's condition number."""
     lams = sym_eigenvalues(grounded_matrix(context.graph, leaders)).eigenvalues
+    lam_min = resolved_lambda_min(lams, context.graph, leaders)
     exact = float(normalized_eigenvalue_terms(context.gains, lams))
     form = context.gains.form
-    cond = lams[-1] / lams[0]
+    cond = lams[-1] / lam_min
     if form.shift:
-        cond *= max(1.0, 1.0 / (form.c * lams[0] - 1.0))
+        cond *= max(1.0, 1.0 / (form.c * lam_min - 1.0))
     if not abs(norm - exact) <= TOLERANCES.woodbury_rtol * max(1.0, cond) * exact:
         raise LeaderSelError(f"greedy value {norm!r} of {len(leaders)} leaders disagrees "
                              f"with the eigensolve's {exact!r} (condition number {cond:.3g})")

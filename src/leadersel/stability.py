@@ -28,7 +28,7 @@ import numpy as np
 from .errors import LeaderSelError, UnstableSystemError
 from .graphs import Graph
 from .linalg import TOLERANCES, sym_eigenvalues
-from .system import GainVector, GroundedSystem, SingletonPhase, grounded_matrix
+from .system import MAX_ORDER, GainVector, GroundedSystem, SingletonPhase, grounded_matrix
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,8 @@ def auto_gains(phase: SingletonPhase, m: int) -> GainVector:
     the recipe is (a, 2a, 2a, 2a) with a doubled until both order-4
     condition slacks exceed 0.5.
     """
-    if not 1 <= m <= 4:
-        raise LeaderSelError(f"order {m} outside supported range 1..4")
+    if not 1 <= m <= MAX_ORDER:
+        raise LeaderSelError(f"order {m} outside supported range 1..{MAX_ORDER}")
     lam_star = phase.lambda_star
     a = float(math.ceil(1.0 / lam_star))
     if m <= 2:

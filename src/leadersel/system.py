@@ -25,7 +25,7 @@ MAX_ORDER = 4
 
 @dataclass(frozen=True)
 class GainVector:
-    """Feedback gains (a_1 .. a_m) for an order-m system, 1 <= m <= 4."""
+    """Feedback gains (a_1 .. a_m) for an order-m system, 1 <= m <= MAX_ORDER."""
 
     values: tuple[float, ...]
 
@@ -42,12 +42,6 @@ class GainVector:
     @property
     def m(self) -> int:
         return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, j: int) -> float:
-        return self.values[j]
 
     @cached_property
     def form(self) -> "TraceForm":
@@ -100,6 +94,19 @@ def grounded_matrix(graph: Graph, leaders) -> np.ndarray:
     for v in leader_set(leaders, graph.n):
         q[v, v] += graph.kappa[v]
     return q
+
+
+def resolved_lambda_min(lam: np.ndarray, graph: Graph, leaders) -> float:
+    """lam[0] of Q_S's ascending spectrum ``lam``, refused within eigvalsh's error
+    n * eps * lambda_max(Q_S) of zero: every reader's lambda_min(Q_S) rule.  Not
+    connectivity_rtol: kappa, absent from L, scales Q_S."""
+    noise = graph.n * np.finfo(float).eps * lam[-1]
+    if lam[0] <= noise:
+        cause = ("Q_S is beyond the eigensolve's resolution, though every component "
+                 "has a leader" if is_connected(graph, leaders) else "a component lacks a leader")
+        raise GraphError(f"lambda_min(Q_S) = {lam[0]:.3g} is within rounding of zero (n "
+                         f"* eps * lambda_max(Q_S) = {noise:.3g}): {cause}")
+    return float(lam[0])
 
 
 # The rational iteration stops once a step moves it by less than this
@@ -265,9 +272,7 @@ class GroundedSystem:
     gains: GainVector
 
     @classmethod
-    def create(cls, graph: Graph, leaders, gains) -> "GroundedSystem":
-        if not isinstance(gains, GainVector):
-            gains = GainVector(tuple(gains))
+    def create(cls, graph: Graph, leaders, gains: GainVector) -> "GroundedSystem":
         return cls(graph=graph, leaders=leader_set(leaders, graph.n), gains=gains)
 
     @property
@@ -290,12 +295,4 @@ class GroundedSystem:
     def lambda_min(self) -> float:
         if not self.leaders:
             raise LeaderSelError("grounded matrix is singular without leaders")
-        lam = self.eigenvalues
-        noise = self.n * np.finfo(float).eps * lam[-1]  # eigvalsh's rounding error
-        if lam[0] <= noise:  # not connectivity_rtol: kappa, absent from L, scales Q_S
-            cause = ("Q_S is beyond the eigensolve's resolution, though every component "
-                     "has a leader" if is_connected(self.graph, self.leaders)
-                     else "a component lacks a leader")
-            raise GraphError(f"lambda_min(Q_S) = {lam[0]:.3g} is within rounding of zero (n "
-                             f"* eps * lambda_max(Q_S) = {noise:.3g}): {cause}")
-        return float(lam[0])
+        return resolved_lambda_min(self.eigenvalues, self.graph, self.leaders)

@@ -37,7 +37,7 @@ def scaled_gains(gains, s):
     """Gains for weights and kappa times s: c * lambda is kept and no gain
     shrinks, so the system is the same one in other units.  Order 3 takes
     a1 * s or a3 / s, order 4 a1 * s, a2 * s or a1 / s, a3 / s."""
-    a = list(gains)
+    a = list(gains.values)
     up, down = {3: ((0,), (2,)), 4: ((0, 1), (0, 2))}.get(len(a), ((), ()))
     for j in up if s > 1 else down:
         a[j] *= max(s, 1 / s)
@@ -63,8 +63,11 @@ def loop_build_graph(n, edges, label_base=0):
     """Named oracle for ``build_graph``: validate edge by edge, in input order.
 
     Returns the canonical edge tuple, or raises the error the first
-    offending edge earns, with nodes named in label space.
+    offending edge earns, with nodes named in label space.  Endpoints that
+    are not all finite integers are refused first, before the node count.
     """
+    if not all(float(x).is_integer() for u, v, _ in edges for x in (u, v)):
+        raise GraphError("edge node labels must be integers")
     if n < 1:
         raise GraphError("node count must be positive")
     b = label_base

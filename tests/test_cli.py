@@ -364,6 +364,34 @@ def test_unresolved_lambda_min_names_its_cause(tmp_path, capsys):
     assert captured.out == "" and captured.err.endswith("): a component lacks a leader\n")
 
 
+# P3 with kappa 1e16 on node 0: the greedy picks 0, then 2, then 1, and
+# lambda_max(Q_S) ~ 1e16 puts every such set's rounding floor
+# n * eps * lambda_max at 6.66, above its lambda_min(Q_S) of 1 or 1.38.
+UNRESOLVED_P3 = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)], kappa=[1e16, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("m, gains", [(1, "1"), (2, "1,1")])
+@pytest.mark.parametrize("k, leaders", [(2, "0,2"), (3, "0,2,1")])
+def test_select_refuses_unresolved_lambda_min_as_coherence_does(tmp_path, capsys, monkeypatch,
+                                                                m, gains, k, leaders):
+    """The final check reads lambda_min(Q_S) by the rule ``coherence`` reads
+    it by: both refuse the greedy's set, exit 2, with one message."""
+    path = tmp_path / "p3.json"
+    write_graph(UNRESOLVED_P3, path, label_base=0)
+    flags = ["--order", str(m), "--gains", gains]
+    assert main(["select", str(path), *flags, "--k", str(k)]) == 2
+    refusal = capsys.readouterr()
+    assert main(["coherence", str(path), *flags, "--leaders", leaders]) == 2
+    assert capsys.readouterr() == refusal
+    assert refusal.out == "" and refusal.err.startswith("input error: lambda_min(Q_S) = ")
+    assert refusal.err.endswith("is within rounding of zero (n * eps * lambda_max(Q_S) = 6.66): "
+                                "Q_S is beyond the eigensolve's resolution, though every "
+                                "component has a leader\n")
+    monkeypatch.setattr(selection, "_require_confirmed", lambda *args: None)
+    ctx = SystemContext(singleton_phase(UNRESOLVED_P3), gain_vector(*map(float, gains.split(","))))
+    assert greedy_select(ctx, k).chosen == tuple(map(int, leaders.split(",")))
+
+
 def test_one_leader_per_component_grounds_a_disconnected_graph(tmp_path, capsys):
     """Two K2 blocks, each with its own leader: Q_S is block diagonal and
     positive definite, and H is the sum of the blocks' 1.5 each."""
@@ -883,7 +911,7 @@ def test_closed_form_margin_is_one_gate(tmp_path, capsys):
     lam = (3.0 - 5.0**0.5) / 2.0  # lambda_min(Q_{0}) = lambda_min(Q_{1}) on K2
     gains = gain_vector(1.0, 1.0, (1.0 + 5e-10) / lam)
     system = GroundedSystem.create(graph, [0], gains)
-    assert 0.0 < gains[2] * system.lambda_min - 1.0 < 1e-9
+    assert 0.0 < gains.values[2] * system.lambda_min - 1.0 < 1e-9
     assert check_stability(system).stable
     ctx = SystemContext(singleton_phase(graph), gains)
     messages = set()

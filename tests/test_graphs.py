@@ -78,6 +78,16 @@ def test_build_graph_rejects(edges, message):
         build_graph(2, edges)
 
 
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1.9, 1.0), (1.2, 2.7, 1.0)],  # truncated, the path 0-1-2
+    *([(0, 1, 1.0), (1, end, 1.0)] for end in (0.5, 1.9, -0.5, math.nan, math.inf, -math.inf)),
+])
+def test_build_graph_refuses_endpoint_that_is_not_an_integer(edges):
+    with pytest.raises(GraphError) as got:
+        build_graph(3, edges)
+    assert str(got.value) == "edge node labels must be integers"
+
+
 # Each kappa fault on a two-node graph: the kappa, the error build_graph
 # raises for it, and its message (a graph file reports each as a SchemaError).
 KAPPA_FAULTS = {
@@ -128,16 +138,22 @@ def test_graph_file_reports_kappa_fault_after_edge_faults(tmp_path, kappa, error
 
 @st.composite
 def edge_lists(draw):
-    """(n, edges, label_base) with self-loops, stray nodes, bad weights and repeats."""
+    """(n, edges, label_base) with self-loops, stray nodes, fractional or
+    non-finite endpoints, bad weights and repeats."""
     n = draw(st.integers(0, 6))
     node = st.integers(-1, n)
     weight = st.sampled_from([0.5, 1.0, 2.5, 1.0, 0.5, 2.5, 0.0, -1.0, math.nan, math.inf])
     edges = draw(st.lists(st.tuples(node, node, weight), max_size=8))
+    if edges and draw(st.booleans()):  # half the lists: one endpoint not a finite integer
+        i, end = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, 1))
+        row = list(edges[i])
+        row[end] = draw(st.sampled_from([0.5, 1.9, -0.5, 2.7, math.nan, math.inf]))
+        edges[i] = tuple(row)
     return n, edges, draw(st.sampled_from([0, 1]))
 
 
 @given(edge_lists())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_build_graph_matches_edge_loop(case):
     n, edges, label_base = case
     try:
@@ -334,6 +350,9 @@ SCHEMA_VIOLATIONS = {
     "fractional-label": ('{"n": 3, "edges": [[1.5, 3, 1.0]]}',
                          "edge node labels must be integers"),
     "nan-label": ('{"n": 3, "edges": [[NaN, 3, 1.0]]}', "edge node labels must be integers"),
+    # the endpoints are checked before the node count
+    "fractional-label-no-nodes": ('{"n": 0, "edges": [[1.5, 3, 1.0]]}',
+                                  "edge node labels must be integers"),
     "fractional-n": ('{"n": 3.7, "edges": [[1, 2, 1.0]]}', "n must be an integer, got 3.7"),
     "boolean-n": ('{"n": true, "edges": []}', "n must be an integer, got True"),
     "fractional-label-base": ('{"label_base": 0.5, "n": 2, "edges": [[1, 2, 1.0]]}',

@@ -24,7 +24,7 @@ from leadersel.coherence import (
     normalized_eigenvalue_terms,
     normalized_from_inverses,
 )
-from leadersel.errors import LeaderSelError, UnstableSystemError
+from leadersel.errors import GraphError, LeaderSelError, UnstableSystemError
 from leadersel.experiments import ExperimentConfig, run_experiment
 from leadersel.graphs import build_graph, erdos_renyi_connected
 from leadersel.linalg import spd_inverse, sym_eigenvalues
@@ -350,6 +350,19 @@ def test_greedy_refuses_perturbed_leader_column(monkeypatch, m, function):
     monkeypatch.setattr(WoodburyScorer, "add", perturbed)
     with pytest.raises(LeaderSelError, match="disagrees with the eigensolve"):
         greedy_select(ctx, 3)
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0, 100.0, 1e5])
+def test_final_check_refuses_unresolved_lambda_min(factor):
+    """On P3 with kappa 1e16 on node 0, lambda_min(Q_{0, 2}) = 1 is below the
+    rounding floor 6.66, so the check refuses the set's value, exact or off:
+    a condition number of 1e16 from that spectrum would accept it 1e5 off."""
+    graph = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)], kappa=[1e16, 1.0, 1.0])
+    ctx = SystemContext(singleton_phase(graph), gain_vector(1.0))
+    lams = sym_eigenvalues(grounded_matrix(graph, [0, 2])).eigenvalues
+    value = float(normalized_eigenvalue_terms(ctx.gains, lams))
+    with pytest.raises(GraphError, match=r"^lambda_min\(Q_S\) = 1 is within rounding of zero"):
+        selection._require_confirmed(ctx, [0, 2], factor * value)
 
 
 # -- exhaustive search ---------------------------------------------------------------
